@@ -27,7 +27,6 @@ from spans import Tracer  # noqa: E402
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", required=True)
-    ap.add_argument("--profile", default="gcc")
     ap.add_argument("--duration", type=float, required=True)
     ap.add_argument("--cores", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
@@ -46,7 +45,7 @@ def main() -> int:
 
     def setup() -> int:
         fault_trace = trace.synthesize_profile(
-            args.profile, duration_s=args.duration, cores=args.cores, seed=args.seed
+            "gcc", duration_s=args.duration, cores=args.cores, seed=args.seed
         )
         trace.write_trace(fault_trace, str(out))
         return len(fault_trace)

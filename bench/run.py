@@ -296,9 +296,11 @@ class SimBench:
         times = RepTimes(self.speed, tracer)
         simulation = times.run("setup_s", lambda: self.sim.Simulation(self.config()))
         self._prepared = simulation
+        self._core_s = 0.0
         rc = times.run("main_s", lambda: quiet(self.cli.main, self.argv()))
         times.add("core_s", self._core_s, times.scales["main_s"])
         check(rc == 0, "simulate exits 0")
+        check(self._core_s > 0, "Simulation.run was timed")
 
         kernel = simulation.kernel
         census = kernel.frame_census()
@@ -341,9 +343,12 @@ class ReplayBench:
     """model (one cell) or sweep (a grid) through the CLI on a trace file.
 
     Set-up writes the trace in child processes (make_trace.py). The
-    benchmark wraps `trace.apply_model` to time the replay itself. The
-    replay has no simulated process to terminate; its teardown step
-    collects the reference cycles the command leaves behind.
+    benchmark times the replay itself by wrapping the call the command
+    makes for it: `trace.apply_model` for model, `trace.sweep` for sweep,
+    so the sweep's time is its elapsed time however it runs its cells.
+    It also wraps `trace.ingest` to note the peak RSS once the trace is
+    read. The replay has no simulated process to terminate; its teardown
+    step collects the reference cycles the command leaves behind.
     """
 
     def __init__(self, name: str, size: dict, seed: int, out_dir: Path, checks: Checks,
@@ -365,15 +370,23 @@ class ReplayBench:
         self.faults_per_rep = 0
         self.setup_spans: list = []
         self._core_s = 0.0
-        apply_model = trace.apply_model
+        self.rss_after_ingest_mb = 0.0
+        core_name = "sweep" if self.is_sweep else "apply_model"
+        core, ingest = getattr(trace, core_name), trace.ingest
 
-        def timed_apply_model(*args, **kwargs):
+        def timed_core(*args, **kwargs):
             t0 = time.perf_counter()
-            result = apply_model(*args, **kwargs)
+            result = core(*args, **kwargs)
             self._core_s += time.perf_counter() - t0
             return result
 
-        trace.apply_model = timed_apply_model
+        def noted_ingest(*args, **kwargs):
+            result = ingest(*args, **kwargs)
+            self.rss_after_ingest_mb = peak_rss_mb()
+            return result
+
+        setattr(trace, core_name, timed_core)
+        trace.ingest = noted_ingest
 
     def _make_trace(self, spans: Optional[Path]) -> dict:
         cmd = [
@@ -429,6 +442,7 @@ class ReplayBench:
         rc = times.run("main_s", lambda: quiet(self.cli.main, self.argv()))
         times.add("core_s", self._core_s, times.scales["main_s"])
         check(rc == 0, f"{'sweep' if self.is_sweep else 'model'} exits 0")
+        check(self._core_s > 0, f"trace.{'sweep' if self.is_sweep else 'apply_model'} was timed")
 
         if self.is_sweep:
             names = ("sweep.csv",)
@@ -577,7 +591,8 @@ def run_untraced(bench, seconds: float) -> tuple[dict, list[dict]]:
         reps.append(bench.rep(None))
     setup_samples = setup_samples or [r["setup_s"] for r in reps]
     metrics = {
-        "ops_per_s": iqm(bench.ops / r["core_s"] for r in reps),
+        # A repetition whose core call went untimed has failed a check.
+        "ops_per_s": iqm(bench.ops / r["core_s"] if r["core_s"] > 0 else 0.0 for r in reps),
         "wall_s": iqm(r["wall_s"] for r in reps),
         "setup_s": iqm(setup_samples),
         "teardown_s": iqm(r["teardown_s"] for r in reps),
@@ -593,9 +608,11 @@ def run_traced(bench, seconds: float, spans_path: Path) -> tuple[dict, list[dict
     for _, name, *agg in bench.setup_spans:
         setup_spans[name] = agg
 
-    rss_before = peak_rss_mb()
     plain = [bench.rep(None)]
-    rss_growth = peak_rss_mb() - rss_before
+    # Only what the cells add: the trace is ingested once, not per cell.
+    cell_rss_growth = (
+        peak_rss_mb() - bench.rss_after_ingest_mb if isinstance(bench, ReplayBench) else 0.0
+    )
     traced: list[dict] = []
     totals: dict = {}
     tracer = None
@@ -622,7 +639,7 @@ def run_traced(bench, seconds: float, spans_path: Path) -> tuple[dict, list[dict
 
     metrics = layer_metrics(totals, setup_spans, len(traced), bench.faults_per_rep)
     metrics["trace.sweep_rss_mb_per_cell"] = (
-        rss_growth / bench.cells if isinstance(bench, ReplayBench) else 0.0
+        cell_rss_growth / bench.cells if isinstance(bench, ReplayBench) else 0.0
     )
     metrics["bench.trace_overhead_s"] = (
         iqm(r["wall_s"] for r in traced) - iqm(r["wall_s"] for r in plain)
