@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute cycles between touches on one thread")
     p_sim.add_argument("--region-pages", type=int, default=None)
     p_sim.add_argument("--stride", type=int, default=1)
-    p_sim.add_argument("--redundant-accesses", type=int, default=0)
     p_sim.add_argument("--cores", type=int, default=None)
     p_sim.add_argument("--tlb-entries", type=int, default=64)
     p_sim.add_argument("--table-width", type=int, default=256,
@@ -226,7 +225,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         interarrival_cycles=args.interarrival,
         region_pages_per_thread=args.region_pages,
         stride_pages=args.stride,
-        redundant_accesses=args.redundant_accesses,
     )
     config = sim.SimConfig(
         workload=workload,

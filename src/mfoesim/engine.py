@@ -1,17 +1,19 @@
 """The hardware fault path: TLB, page walk dispatch, table consumption
 under the per-entry bit lock, and fallback into the kernel model.
 
-The whole minor-fault protocol lives in PteFaultSm, a small-step state
-machine. The serialized simulator drives each machine to completion in
-one call; the concurrency tests instead interleave step() calls from
-several machines aimed at the same leaf to exercise the lock protocol.
+The whole minor-fault protocol lives in PteFaultSm as one generator that
+yields at each atomic-action boundary, and yields a wait predicate where
+a handler spins on another's lock. The serialized simulator drains each
+handler in one run() call; the concurrency tests instead interleave
+step() calls from several handlers aimed at the same leaf to exercise
+the lock protocol.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Generator, Optional
 
 from .kernel import KernelModel, ProcessModel, VMA
 from .vm import check_canonical, PAGE_SHIFT
@@ -74,29 +76,16 @@ class Tlb:
         return dict(self._map)
 
 
-class SmState(Enum):
-    CHECK = "check"
-    TRY_LOCK = "try_lock"
-    RECHECK = "recheck"
-    CONSUME = "consume"
-    INSTALL = "install"
-    UNLOCK_HIT = "unlock_hit"
-    UNLOCK_MISS = "unlock_miss"
-    SPIN = "spin"
-    K_LOCK = "k_lock"
-    K_RECHECK = "k_recheck"
-    K_WORK = "k_work"
-    K_UNLOCK = "k_unlock"
-    K_SPIN = "k_spin"
-    DONE = "done"
-
-
 class SmResult(Enum):
     MFOE_HIT = "mfoe_hit"
     MFOE_MISS_KERNEL = "mfoe_miss_kernel"
     KERNEL = "kernel"
     REUSE = "reuse"  # another handler installed the page first
     WAITED = "waited"  # spun on the lock, then reused the installed page
+
+
+# Default for PteFaultSm's leaf argument: walk the page table for va.
+_WALK = object()
 
 
 class PteFaultSm:
@@ -110,9 +99,14 @@ class PteFaultSm:
     dance as the ordinary kernel handler, which allocates inline.
 
     A handler that loses the lock race busy-waits until the lock is clear
-    and present is set, then reuses the installed translation. Each
-    step() is one atomic action; runnable() gates the waiting states so a
-    scheduler only advances machines that can make progress.
+    and present is set, then reuses the installed translation.
+
+    The protocol is the generator _protocol(), which yields after each
+    atomic action and returns the SmResult. In the two spin waits it
+    yields the predicate _lock_clear_and_present, elsewhere None. step()
+    advances it by one action; runnable() is False while a yielded
+    predicate is false, so a scheduler only advances handlers that can
+    make progress. run() drains the generator in one call.
     """
 
     def __init__(
@@ -123,6 +117,7 @@ class PteFaultSm:
         va: int,
         vma: VMA,
         mfoe_eligible: bool,
+        leaf=_WALK,
     ):
         self.kernel = kernel
         self.proc = proc
@@ -130,127 +125,99 @@ class PteFaultSm:
         self.va = va
         self.vma = vma
         self.mfoe_eligible = mfoe_eligible
-        self.leaf = proc.page_table.walk(va)
-        self.state = SmState.CHECK
+        self.leaf = proc.page_table.walk(va) if leaf is _WALK else leaf
+        self.done = False
         self.result: Optional[SmResult] = None
         self.pfn: Optional[int] = None
         self.consumed_from_table = False
         self.allocated_inline = False
         self.mfoe_missed = False
-
-    @property
-    def done(self) -> bool:
-        return self.state is SmState.DONE
+        self._protocol_gen = self._protocol()
+        self._wait: Optional[Callable[[], bool]] = None
 
     def runnable(self) -> bool:
-        if self.done:
-            return False
-        if self.state in (SmState.SPIN, SmState.K_SPIN):
-            return self.leaf is not None and not self.leaf.locked and self.leaf.present
-        return True
+        return not self.done and (self._wait is None or self._wait())
 
     def step(self) -> None:
         if self.done:
             raise RuntimeError("stepping a finished handler")
-        handler = getattr(self, f"_do_{self.state.value}")
-        handler()
+        try:
+            self._wait = next(self._protocol_gen)
+        except StopIteration as stop:
+            self._finish(stop.value)
 
     def run(self) -> SmResult:
         """Drive to completion; callers must guarantee no concurrent owner."""
-        while not self.done:
-            if not self.runnable():
-                raise RuntimeError("handler blocked with no concurrent progress")
-            self.step()
+        if self.done:
+            return self.result
+        wait = self._wait
+        protocol = self._protocol_gen
+        try:
+            while True:
+                if wait is not None and not wait():
+                    self._wait = wait
+                    raise RuntimeError("handler blocked with no concurrent progress")
+                wait = next(protocol)
+        except StopIteration as stop:
+            self._finish(stop.value)
         return self.result
 
     def _finish(self, result: SmResult) -> None:
         self.result = result
-        self.state = SmState.DONE
+        self.done = True
 
-    def _do_check(self) -> None:
+    def _lock_clear_and_present(self) -> bool:
+        return not self.leaf.locked and self.leaf.present
+
+    def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, SmResult]:
         leaf = self.leaf
         if leaf is not None and leaf.present:
             self.pfn = leaf.pfn_or_tgid
-            self._finish(SmResult.REUSE)
-            return
+            return SmResult.REUSE
         if self.mfoe_eligible and leaf is not None and leaf.mfoeable:
-            self.state = SmState.TRY_LOCK
-        else:
-            self.state = SmState.K_LOCK
-
-    def _do_try_lock(self) -> None:
-        if self.leaf.try_lock():
-            self.state = SmState.RECHECK
-        else:
-            self.state = SmState.SPIN
-
-    def _do_recheck(self) -> None:
-        if self.leaf.present:
-            # Resolved while we raced for the lock; nothing to consume.
-            self.pfn = self.leaf.pfn_or_tgid
-            self.leaf.unlock()
-            self._finish(SmResult.REUSE)
-        else:
-            self.state = SmState.CONSUME
-
-    def _do_consume(self) -> None:
-        table = self.kernel.tables[self.core]
-        pfn = table.consume(self.va, self.proc.tgid)
-        if pfn is None:
-            self.state = SmState.UNLOCK_MISS
-        else:
-            self.pfn = pfn
-            self.consumed_from_table = True
-            self.state = SmState.INSTALL
-
-    def _do_install(self) -> None:
-        self.leaf.install_frame(self.pfn, self.vma.writable)
-        self.state = SmState.UNLOCK_HIT
-
-    def _do_unlock_hit(self) -> None:
-        self.leaf.unlock()
-        self._finish(SmResult.MFOE_HIT)
-
-    def _do_unlock_miss(self) -> None:
-        self.leaf.unlock()
-        self.mfoe_missed = True
-        self.state = SmState.K_LOCK
-
-    def _do_k_lock(self) -> None:
-        if self.leaf is None:
-            self.leaf = self.proc.page_table.construct_path(self.va)
-        if self.leaf.try_lock():
-            self.state = SmState.K_RECHECK
-        else:
-            self.state = SmState.K_SPIN
-
-    def _do_k_recheck(self) -> None:
-        if self.leaf.present:
-            self.pfn = self.leaf.pfn_or_tgid
-            self.leaf.unlock()
-            self._finish(SmResult.REUSE)
-        else:
-            self.state = SmState.K_WORK
-
-    def _do_k_work(self) -> None:
-        self.pfn = self.kernel.inline_install(
-            self.proc, self.core, self.va, self.vma.writable
-        )
+            yield
+            if not leaf.try_lock():
+                yield self._lock_clear_and_present
+                self.pfn = leaf.pfn_or_tgid
+                return SmResult.WAITED
+            yield
+            if leaf.present:
+                # Resolved while we raced for the lock; nothing to consume.
+                self.pfn = leaf.pfn_or_tgid
+                leaf.unlock()
+                return SmResult.REUSE
+            yield
+            pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
+            if pfn is not None:
+                self.pfn = pfn
+                self.consumed_from_table = True
+                yield
+                leaf.install_frame(pfn, self.vma.writable)
+                yield
+                leaf.unlock()
+                return SmResult.MFOE_HIT
+            yield
+            leaf.unlock()
+            self.mfoe_missed = True
+        yield
+        # The ordinary kernel handler, also the fallback on an empty table.
+        if leaf is None:
+            leaf = self.leaf = self.proc.page_table.construct_path(self.va)
+        if not leaf.try_lock():
+            yield self._lock_clear_and_present
+            self.pfn = leaf.pfn_or_tgid
+            return SmResult.WAITED
+        yield
+        if leaf.present:
+            self.pfn = leaf.pfn_or_tgid
+            leaf.unlock()
+            return SmResult.REUSE
+        yield
+        self.pfn = self.kernel.inline_install(self.proc, self.core, self.va, self.vma.writable)
         self.allocated_inline = True
-        self.state = SmState.K_UNLOCK
-
-    def _do_k_unlock(self) -> None:
-        self.leaf.unlock()
-        self._finish(SmResult.MFOE_MISS_KERNEL if self.mfoe_missed else SmResult.KERNEL)
-
-    def _do_spin(self) -> None:
-        # runnable() admitted us: lock clear, present set.
-        self.pfn = self.leaf.pfn_or_tgid
-        self._finish(SmResult.WAITED)
-
-    def _do_k_spin(self) -> None:
-        self.pfn = self.leaf.pfn_or_tgid
-        self._finish(SmResult.WAITED)
+        yield
+        leaf.unlock()
+        return SmResult.MFOE_MISS_KERNEL if self.mfoe_missed else SmResult.KERNEL
 
 
 class MfoeEngine:
@@ -321,7 +288,7 @@ class MfoeEngine:
             return FaultOutcome(OutcomeKind.SEGV, 0)
 
         eligible = self.kernel.cr9[core].mfoe_enable
-        sm = PteFaultSm(self.kernel, proc, core, va, vma, eligible)
+        sm = PteFaultSm(self.kernel, proc, core, va, vma, eligible, leaf)
         result = sm.run()
 
         if result is SmResult.MFOE_HIT:

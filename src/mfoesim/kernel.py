@@ -99,7 +99,8 @@ class BookkeepingLedger:
         self.mm_counter: Counter = Counter()
         self.anon_vma_ready: set[int] = set()
         self.rmap: dict[int, tuple[int, int]] = {}
-        self.lru: list[int] = []
+        # Insertion-ordered, so remove() is O(1); values are unused.
+        self.lru: dict[int, None] = {}
         self.cgroup_charged: Counter = Counter()
 
     def apply(self, tgid: int, va: int, pfn: int) -> None:
@@ -108,7 +109,7 @@ class BookkeepingLedger:
         if pfn in self.rmap:
             raise RuntimeError(f"frame {pfn} already reverse-mapped")
         self.rmap[pfn] = (tgid, va)
-        self.lru.append(pfn)
+        self.lru[pfn] = None
         self.cgroup_charged[tgid] += 1
 
     def remove(self, pfn: int) -> None:
@@ -120,7 +121,7 @@ class BookkeepingLedger:
         by a later process would collide with the stale entry.
         """
         tgid, _ = self.rmap.pop(pfn)
-        self.lru.remove(pfn)
+        del self.lru[pfn]
         self.mm_counter[tgid] -= 1
         if not self.mm_counter[tgid]:
             del self.mm_counter[tgid]
@@ -136,7 +137,7 @@ class BookkeepingLedger:
             self.records() == other.records()
             and self.mm_counter == other.mm_counter
             and self.cgroup_charged == other.cgroup_charged
-            and set(self.lru) == set(other.lru)
+            and self.lru.keys() == other.lru.keys()
         )
 
 
@@ -210,6 +211,8 @@ class KernelModel:
         self.fill_task: Optional[InitFillTask] = None
 
         self.tick_index = 0
+        self.pass_budget = 0
+        self._pass_core = 0
         self.pending_bit_clears: list[ProcessModel] = []
         self.segv_events: list[SegvEvent] = []
         self.protection_faults: list[ProtectionFaultEvent] = []
@@ -348,51 +351,65 @@ class KernelModel:
         table = self.tables[core]
         self._acquire_cleanup_lock(table)
         try:
-            return self._process_head_locked(core)
+            head = table.head_index
+            if table.entry_state(head) is not EntryState.USED:
+                return None
+            record = table.record_at(head)
+            table.clear_entry(head)
+            self.apply_bookkeeping(record.tgid, record.va, record.pfn)
+            self._refill_slot(table, core, head)
+            return record
         finally:
             table.release_cleanup_lock()
 
-    def postfault_tick(self, now: int = 0) -> int:
-        """One deferred-processing pass: harvest, book, refill, re-check quotas.
+    def begin_pass(self) -> None:
+        """Start one deferred-processing pass.
 
-        Visits cores round-robin with a rotating starting core; total work
-        is capped at refresh_interval * background throughput, with the
-        excess left for the next pass.
+        Applies pending eligibility-bit clears, re-checks every quota,
+        grants the pass refresh_interval * background throughput records,
+        and picks the starting core, which rotates from pass to pass.
+        """
+        self.apply_pending_bit_clears()
+        for proc in list(self.procs.values()):
+            self.resource_check(proc)
+        self.pass_budget = self.budget_pages()
+        self._pass_core = self.tick_index % self.cores
+        self.tick_index += 1
+
+    def pass_step(self) -> Optional[HarvestRecord]:
+        """Book one record of the current pass; None once it has nothing to do.
+
+        Takes the oldest consumed entry of the first core, from the pass
+        cursor on, that has one, then moves the cursor past that core, so
+        cores are interleaved record by record.
+        """
+        if self.pass_budget <= 0 or self.tables is None:
+            return None
+        for offset in range(self.cores):
+            core = (self._pass_core + offset) % self.cores
+            record = self.process_one_record(core)
+            if record is not None:
+                self._pass_core = (core + 1) % self.cores
+                self.pass_budget -= 1
+                return record
+        return None
+
+    def postfault_tick(self) -> int:
+        """One whole deferred-processing pass: begin_pass(), then pass_step()
+        until the budget or the backlog runs out.
+
+        This is the pass the simulator runs one record at a time: quotas
+        are checked when it starts, and cores are interleaved record by
+        record. Returns the records booked; the excess backlog is left for
+        the next pass.
         """
         if self.tables is None:
             return 0
-        self.apply_pending_bit_clears()
-        start = self.tick_index % self.cores
-        self.tick_index += 1
-        budget = self.budget_pages()
+        self.begin_pass()
         processed = 0
-        for offset in range(self.cores):
-            core = (start + offset) % self.cores
-            table = self.tables[core]
-            self._acquire_cleanup_lock(table)
-            try:
-                while processed < budget:
-                    if self._process_head_locked(core) is None:
-                        break
-                    processed += 1
-            finally:
-                table.release_cleanup_lock()
-            if processed >= budget:
-                break
-        for proc in list(self.procs.values()):
-            self.resource_check(proc)
+        while self.pass_step() is not None:
+            processed += 1
         return processed
-
-    def _process_head_locked(self, core: int) -> Optional[HarvestRecord]:
-        table = self.tables[core]
-        head = table.head_index
-        if table.entry_state(head) is not EntryState.USED:
-            return None
-        record = table.record_at(head)
-        table.clear_entry(head)
-        self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-        self._refill_slot(table, core, head)
-        return record
 
     def _refill_slot(self, table: PreallocTable, core: int, index: int) -> None:
         """Re-stock one just-cleared slot, advancing head when it sits there."""

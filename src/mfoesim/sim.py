@@ -34,8 +34,6 @@ class WorkloadSpec:
     Each thread owns a private region and touches it with a fixed stride,
     one touch per interarrival_cycles of compute. region_pages_per_thread
     defaults to faults_per_thread so every touch faults a fresh page.
-    redundant_accesses records how many non-faulting accesses the gap
-    stands for; the controlled variable is the cycle count itself.
     """
 
     threads: int = 1
@@ -43,7 +41,6 @@ class WorkloadSpec:
     interarrival_cycles: int = 21000
     region_pages_per_thread: Optional[int] = None
     stride_pages: int = 1
-    redundant_accesses: int = 0
 
     def validate(self) -> None:
         if self.threads < 1:
@@ -233,8 +230,6 @@ class Simulation:
         self.stats = [CoreStats(core=c) for c in range(cores)]
         self.fill_complete_cycle = 0
         self.background_processed = 0
-        self._budget = 0
-        self._bg_cursor = 0
         self._bg_scheduled = False
         self._live_threads = 0
 
@@ -309,27 +304,15 @@ class Simulation:
             self._push(t + self.interval_cycles, PRIO_TICK, 0)
 
     def _on_tick(self, t: int) -> None:
-        self.kernel.apply_pending_bit_clears()
-        for proc in list(self.kernel.procs.values()):
-            self.kernel.resource_check(proc)
-        self._budget = self.kernel.budget_pages()
-        self._bg_cursor = self.kernel.tick_index % self.kernel.cores
-        self.kernel.tick_index += 1
+        self.kernel.begin_pass()
         self._push(t + self.interval_cycles, PRIO_TICK, 0)
         if not self._bg_scheduled:
             self._bg_scheduled = True
             self._push(t + self.record_cost, PRIO_BG, 0)
 
     def _on_bg_step(self, t: int) -> None:
-        if self._budget > 0 and self.kernel.tables is not None:
-            cores = self.kernel.cores
-            for i in range(cores):
-                core = (self._bg_cursor + i) % cores
-                if self.kernel.process_one_record(core) is not None:
-                    self._bg_cursor = (core + 1) % cores
-                    self._budget -= 1
-                    self.background_processed += 1
-                    break
+        if self.kernel.pass_step() is not None:
+            self.background_processed += 1
         self._push(t + self.record_cost, PRIO_BG, 0)
 
     # reporting

@@ -167,6 +167,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_removed_redundant_accesses_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("redundant_accesses=0\n")
+    assert run_cli(*simulate_args(tmp_path, "--config", str(cfg))) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_config_line_without_equals_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("tablewidth 32\n")

@@ -9,7 +9,6 @@ from mfoesim.engine import (
     OutcomeKind,
     PteFaultSm,
     SmResult,
-    SmState,
     Tlb,
 )
 from mfoesim.kernel import KernelModel
@@ -219,10 +218,10 @@ def test_lock_loser_spins_then_reuses_winners_frame():
 
     winner.step()  # CHECK
     winner.step()  # TRY_LOCK acquires
-    assert winner.state is SmState.RECHECK
+    assert winner.leaf.locked and not winner.done
     loser.step()  # CHECK
     loser.step()  # TRY_LOCK loses
-    assert loser.state is SmState.SPIN
+    assert not loser.done and loser.leaf.locked
     assert not loser.runnable(), "cannot spin forward while the lock is held"
     with pytest.raises(RuntimeError):
         loser.run()
@@ -244,7 +243,7 @@ def test_handler_recheck_catches_resolution_between_read_and_lock():
     va = vma.start
     sm = PteFaultSm(kernel, proc, 0, va, vma, mfoe_eligible=True)
     sm.step()  # CHECK: leaf still unmapped
-    assert sm.state is SmState.TRY_LOCK
+    assert not sm.done and not sm.leaf.locked and sm.runnable()
     # another handler resolves the fault before we take the lock
     other = PteFaultSm(kernel, proc, 0, va, vma, mfoe_eligible=True)
     assert other.run() is SmResult.MFOE_HIT

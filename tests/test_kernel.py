@@ -234,6 +234,22 @@ def test_tick_rotates_starting_core():
     assert kernel.tables[1].used_count() == 1
 
 
+def test_tick_interleaves_cores_record_by_record():
+    params = ModelParameters(background_throughput_pages_per_s=1500)  # budget 3
+    kernel = KernelModel(cores=2, total_frames=4096, seed=1, params=params)
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    kernel.run_init_fill()
+    vma = kernel.region_create(proc, 64 * PAGE_SIZE)
+    kernel.prefault_construct(proc, vma)
+    consume_pages(kernel, proc, vma, 0, 3)
+    consume_pages(kernel, proc, vma, 1, 3, offset=32)
+    # books core 0, then core 1, then core 0 again
+    assert kernel.postfault_tick() == 3
+    assert kernel.tables[0].used_count() == 1
+    assert kernel.tables[1].used_count() == 2
+
+
 def test_zero_budget_defers_everything():
     params = ModelParameters(background_throughput_pages_per_s=400)
     kernel, proc, vma = make_kernel(params=params)

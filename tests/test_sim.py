@@ -1,8 +1,10 @@
 """Event-loop simulator: accounting, determinism, and report plumbing."""
+import hashlib
 import json
 
 import pytest
 
+from mfoesim.cli import main as cli_main
 from mfoesim.params import ModelParameters
 from mfoesim.sim import (
     SimConfig,
@@ -189,3 +191,19 @@ def test_report_csv_layout():
     assert int(t) == 1500 and core == "0"
     assert outcome in ("mfoe_hit", "mfoe_miss", "kernel_fault")
     int(cycles)
+
+
+def test_simulate_report_digests_are_pinned(tmp_path):
+    # the criterion-9 simulate configuration; a refactor of the fault
+    # protocol or the deferred pass must leave both files byte-identical
+    assert cli_main(["simulate", "--threads", "2", "--faults-per-thread", "2000",
+                     "--interarrival", "3000", "--table-width", "32",
+                     "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert digest("faults.csv") == (
+        "9bafb49b5cb4b1699ef4db9c90813648cf2d21ea18b6fd17f92b1f32414cbbcd")
+    assert digest("report.json") == (
+        "10c08864a64a531bb21cbe46a62b026186bb37e75d481ce7c6c87216cb5508a4")
