@@ -3,10 +3,10 @@ under the per-entry bit lock, and fallback into the kernel model.
 
 The whole minor-fault protocol lives in PteFaultSm as one generator that
 yields at each atomic-action boundary, and yields a wait predicate where
-a handler spins on another's lock. The serialized simulator drains each
-handler in one run() call; the concurrency tests instead interleave
-step() calls from several handlers aimed at the same leaf to exercise
-the lock protocol.
+a handler spins on another's lock. The serialized simulator drives each
+handler to completion with one run() call; the concurrency tests instead
+interleave step() calls from several handlers aimed at the same leaf to
+exercise the lock protocol.
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ class PteFaultSm:
     yields the predicate _lock_clear_and_present, elsewhere None. step()
     advances it by one action; runnable() is False while a yielded
     predicate is false, so a scheduler only advances handlers that can
-    make progress. run() drains the generator in one call.
+    make progress. run() calls step() until the handler is done.
     """
 
     def __init__(
@@ -148,18 +148,10 @@ class PteFaultSm:
 
     def run(self) -> SmResult:
         """Drive to completion; callers must guarantee no concurrent owner."""
-        if self.done:
-            return self.result
-        wait = self._wait
-        protocol = self._protocol_gen
-        try:
-            while True:
-                if wait is not None and not wait():
-                    self._wait = wait
-                    raise RuntimeError("handler blocked with no concurrent progress")
-                wait = next(protocol)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        while not self.done:
+            if not self.runnable():
+                raise RuntimeError("handler blocked with no concurrent progress")
+            self.step()
         return self.result
 
     def _finish(self, result: SmResult) -> None:

@@ -250,6 +250,19 @@ def test_tick_interleaves_cores_record_by_record():
     assert kernel.tables[1].used_count() == 2
 
 
+def test_quota_crossed_by_a_pass_trips_at_the_next_pass():
+    kernel, proc, vma = make_kernel(width=16)
+    proc.quota_frames = 10
+    consume_pages(kernel, proc, vma, 0, 9)
+    # quotas are checked when a pass starts, before it books anything
+    assert kernel.postfault_tick() == 9
+    assert proc.allocated_pages == 9
+    assert proc.mfoe_enabled
+    assert kernel.postfault_tick() == 0
+    assert not proc.mfoe_enabled
+    assert proc in kernel.pending_bit_clears
+
+
 def test_zero_budget_defers_everything():
     params = ModelParameters(background_throughput_pages_per_s=400)
     kernel, proc, vma = make_kernel(params=params)
