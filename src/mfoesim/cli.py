@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import sim, trace
 from .params import ModelParameters
+from .vm import OutOfMemory
 
 CONFIG_ENV_VAR = "MFOESIM_CONFIG"
 
@@ -359,7 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 sp.set_defaults(**overrides)
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, OutOfMemory) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

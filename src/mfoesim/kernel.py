@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -558,7 +559,11 @@ class KernelModel:
         return core % self.numa_nodes
 
     def _acquire_cleanup_lock(self, table: PreallocTable) -> None:
+        # Another thread's hold ends, so wait it out. With no other thread
+        # (the simulator is single-threaded) nothing can release it.
         while not table.try_cleanup_lock():
+            if threading.active_count() == 1:
+                raise RuntimeError("table cleanup lock is held and no other thread can release it")
             time.sleep(0)
 
     def frame_census(self) -> dict[str, int]:

@@ -9,21 +9,46 @@ Mechanics:
 
 - Per-core frame pools start empty and fill sequentially, core 0 first,
   one frame landing per page at the enable-time fill throughput.
-- Once the fill completes, a periodic pass every refresh interval turns
-  frames consumed by hits back into available frames. The pass
-  snapshots per-core consumed counts, walks cores round-robin (the
-  start core rotates each pass), and schedules one landing per recycled
-  frame at the background throughput, capped by the per-pass budget
+- Once the fill completes, a periodic pass (a tick) every refresh
+  interval turns frames consumed by hits back into available frames.
+  The tick takes the per-core consumed counts, walks cores round-robin
+  (the start core rotates each tick), and lands one frame per recycled
+  record at the background throughput, capped by the per-tick budget
   interval_ns * pages_per_s // 1e9.
-- A fault is a hit when its core's pool is non-empty at its shifted
+- A fault is a hit when its core's pool is non-empty at its effective
   time: the pool shrinks by one, the fault costs the hit time, and all
   later faults on that core move earlier by (recorded latency - hit
   time). Otherwise it is a miss: the fault costs its recorded latency
   plus the miss penalty, and later same-core faults move later by the
   penalty.
-- Simultaneous events resolve landings first, then the periodic pass,
-  then faults; remaining ties resolve by core index, then scheduling
-  order.
+
+How the replay computes this, exactly and without an event queue:
+
+- Windows. Ticks fire at fill_end + k * interval (k >= 1) whatever the
+  faults do, and cores interact only there, through the consumed counts
+  the tick reads. So the replay runs one window between ticks at a time,
+  and within it one linear pass per core over that core's faults. A
+  window with nothing to recycle is skipped, counting its ticks for the
+  start-core rotation.
+- Ramps. Landings form arithmetic ramps (start, step, count), frame j
+  landing at start + j * step: the fill lands core c's frames at
+  (c * width + j) * init_page_ns, and a tick at T that recycles take frames
+  for a core after landed frames for earlier cores lands them at
+  T + (landed + j) * record_ns. Each core keeps its live ramps (a ramp
+  can spill past the next tick); the frames landed by time e are
+  clamp((e - start) // step, 0, count) per ramp.
+- Effective time. A fault's shifted timestamp (recorded time plus its
+  core's accumulated shift) is its adjusted timestamp in the timeline.
+  After a hit it can fall below the previous fault's; the fault is then
+  served at once, so each core serves at the running maximum of its
+  shifted timestamps, and every decision uses that effective time.
+- Ties. A landing at a fault's effective time counts for that fault. A
+  tick at T books the hits served before T; a fault served at T or
+  later belongs to the next window.
+- Order. The timeline lists faults in the order they are served: by
+  effective time, then core index, then per-core order. Each core's run
+  in a window is already ordered, so a stable sort per window merges
+  them. sweep keeps no timeline and skips the merge.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -32,11 +57,11 @@ speedup is the ratio of the two.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .params import LatencySampler, ModelParameters
@@ -50,11 +75,6 @@ TIMELINE_HEADER = "orig_timestamp_ns,adjusted_timestamp_ns,core,outcome,modeled_
 
 DEFAULT_WIDTHS = (128, 256, 512, 1024)
 DEFAULT_INTERVALS_MS = (2.0, 4.0, 8.0, 16.0, 32.0)
-
-_PRIO_LANDING = 0
-_PRIO_TICK = 1
-_PRIO_FAULT = 2
-
 
 class TraceFormatError(ValueError):
     """Malformed trace file; carries the offending line number."""
@@ -319,13 +339,42 @@ def apply_model(
     config: Optional[TraceModelConfig] = None,
     params: Optional[ModelParameters] = None,
 ) -> ModelReport:
+    return _replay(_CoreRuns(trace), config, params, keep_timeline=True)
+
+
+class _CoreRuns:
+    """A trace split into per-core timestamp and latency columns, with the
+    baseline totals every replay of it reports; a sweep builds it once."""
+
+    __slots__ = ("faults", "times", "lats", "baseline_runtime_ns", "baseline_overhead_ns")
+
+    def __init__(self, trace: FaultTrace):
+        cores = trace.core_count
+        self.faults = len(trace)
+        self.times = [array("q") for _ in range(cores)]
+        self.lats = [array("q") for _ in range(cores)]
+        times = [col.append for col in self.times]
+        lats = [col.append for col in self.lats]
+        for t, c, lat in zip(trace.timestamps_ns, trace.core_ids, trace.latencies_ns):
+            times[c](t)
+            lats[c](lat)
+        self.baseline_runtime_ns = trace.total_runtime_ns
+        self.baseline_overhead_ns = sum(trace.latencies_ns)
+
+
+def _replay(
+    runs: _CoreRuns,
+    config: Optional[TraceModelConfig],
+    params: Optional[ModelParameters],
+    keep_timeline: bool,
+) -> ModelReport:
     config = config or TraceModelConfig()
     params = params or ModelParameters()
     config.validate()
     params.validate()
 
-    n = len(trace)
-    trace_cores = trace.core_count
+    n = runs.faults
+    trace_cores = len(runs.times)
     cores = config.cores if config.cores is not None else max(1, trace_cores)
     if trace_cores > cores:
         raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
@@ -363,103 +412,147 @@ def apply_model(
     budget_cap = consts["budget_per_tick"]
     width = config.width
 
-    tarr = trace.timestamps_ns
-    carr = trace.core_ids
-    larr = trace.latencies_ns
-
-    per_core: list[list[int]] = [[] for _ in range(cores)]
-    for i in range(n):
-        per_core[carr[i]].append(i)
-
-    cursor = [0] * cores
+    # Per-core state. last_eff is the latest effective time served;
+    # core_hits - taken is what the next tick can recycle. Landings are
+    # ramps (start, step, count) whose frame j lands at start + j * step;
+    # fully landed ramps fold into landed_done, and avail caches landings
+    # minus hits as last counted, so ramps are recounted only when it
+    # reads empty (arrivals only grow).
+    active = [c for c in range(trace_cores) if runs.times[c]]
+    pos = [0] * cores
     shift = [0] * cores
-    pool = [0] * cores
-    used = [0] * cores
-
-    heap: list[tuple[int, int, int, int, int]] = []
-    seq = 0
-    for p in range(cores * width):
-        seq += 1
-        heap.append(((p + 1) * init_ns, _PRIO_LANDING, p // width, seq, -1))
-    fill_end = cores * width * init_ns
-    seq += 1
-    heap.append((fill_end + interval_ns, _PRIO_TICK, 0, seq, -1))
-    for c in range(cores):
-        if per_core[c]:
-            i = per_core[c][0]
-            seq += 1
-            heap.append((tarr[i], _PRIO_FAULT, c, seq, i))
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
+    last_eff = [-math.inf] * cores
+    core_hits = [0] * cores
+    taken = [0] * cores
+    avail = [0] * cores
+    landed_done = [0] * cores
+    ramps: list[list[tuple[int, int, int]]] = [
+        [(c * width * init_ns, init_ns, width)] for c in range(cores)
+    ]
 
     t_orig = array("q")
     t_adj = array("q")
     t_core = array("q")
     t_out = array("q")
     t_lat = array("q")
+    window: list[tuple[int, int, int, int, int, int]] = []
+    row = window.append
 
-    hits = misses = 0
-    saved = penalty = 0
+    misses = 0
+    saved = 0
+    tick = cores * width * init_ns + interval_ns
     tick_index = 0
     done = 0
 
-    while done < n:
-        t, prio, core, _, idx = pop(heap)
-        if prio == _PRIO_FAULT:
-            lat = larr[idx]
-            if pool[core] > 0:
-                pool[core] -= 1
-                used[core] += 1
-                hits += 1
-                saved += lat - hit_ns
-                shift[core] -= lat - hit_ns
-                t_out.append(OUTCOME_HIT)
-                t_lat.append(hit_ns)
-            else:
-                misses += 1
-                penalty += miss_ns
-                shift[core] += miss_ns
-                t_out.append(OUTCOME_MISS)
-                t_lat.append(lat + miss_ns)
-            t_orig.append(tarr[idx])
-            t_adj.append(t)
-            t_core.append(core)
-            done += 1
-            lst = per_core[core]
-            cur = cursor[core] + 1
-            cursor[core] = cur
-            if cur < len(lst):
-                nxt = lst[cur]
-                seq += 1
-                push(heap, (tarr[nxt] + shift[core], _PRIO_FAULT, core, seq, nxt))
-        elif prio == _PRIO_LANDING:
-            pool[core] += 1
-        else:
+    while True:
+        # Every fault served before this tick, one core at a time: cores
+        # share nothing between ticks.
+        for c in active:
+            p = pos[c]
+            times = runs.times[c]
+            end = len(times)
+            if p == end:
+                continue
+            lats = runs.lats[c]
+            sh = shift[c]
+            prev = last_eff[c]
+            hc = core_hits[c]
+            av = avail[c]
+            p0 = p
+            while p < end:
+                key = times[p] + sh
+                eff = key if key > prev else prev
+                if eff >= tick:
+                    break
+                prev = eff
+                if not av:
+                    # A landing at the fault's own time counts: it sorts first.
+                    got = landed_done[c]
+                    full = 0
+                    for start, step, count in ramps[c]:
+                        k = (eff - start) // step
+                        if k >= count:
+                            full += count
+                        elif k > 0:
+                            got += k
+                    if full:
+                        landed_done[c] += full
+                        ramps[c] = [r for r in ramps[c] if (eff - r[0]) // r[1] < r[2]]
+                    av = got + full - hc
+                lat = lats[p]
+                if av:
+                    av -= 1
+                    hc += 1
+                    saved += lat - hit_ns
+                    sh -= lat - hit_ns
+                    if keep_timeline:
+                        row((eff * cores + c, times[p], key, c, OUTCOME_HIT, hit_ns))
+                else:
+                    misses += 1
+                    sh += miss_ns
+                    if keep_timeline:
+                        row((eff * cores + c, times[p], key, c, OUTCOME_MISS, lat + miss_ns))
+                p += 1
+            done += p - p0
+            pos[c] = p
+            shift[c] = sh
+            last_eff[c] = prev
+            core_hits[c] = hc
+            avail[c] = av
+
+        if window:
+            # Each core's run is in order; a stable sort on (eff, core)
+            # interleaves them into the order the faults are served in.
+            window.sort(key=itemgetter(0))
+            # (array.extend grows per item from a tuple; array() sizes once)
+            _, orig, adj, core_ids, outcomes, lats_out = zip(*window)
+            t_orig += array("q", orig)
+            t_adj += array("q", adj)
+            t_core += array("q", core_ids)
+            t_out += array("q", outcomes)
+            t_lat += array("q", lats_out)
+            window.clear()
+        if done == n:
+            break
+
+        if budget_cap and any(core_hits[c] > taken[c] for c in active):
+            # The tick: recycle consumed frames round-robin from a rotating
+            # start core, within the budget, one landing per record_ns.
             remaining = budget_cap
             landed = 0
-            start = tick_index % cores
             for k in range(cores):
-                c = (start + k) % cores
-                take = used[c] if used[c] <= remaining else remaining
+                c = (tick_index + k) % cores
+                take = core_hits[c] - taken[c]
+                if take > remaining:
+                    take = remaining
                 if take:
-                    used[c] -= take
+                    taken[c] += take
                     remaining -= take
-                    for _ in range(take):
-                        landed += 1
-                        seq += 1
-                        push(heap, (t + landed * record_ns, _PRIO_LANDING, c, seq, -1))
+                    ramps[c].append((tick + landed * record_ns, record_ns, take))
+                    landed += take
                 if remaining == 0:
                     break
             tick_index += 1
-            seq += 1
-            push(heap, (t + interval_ns, _PRIO_TICK, 0, seq, -1))
+            tick += interval_ns
+        else:
+            # Ticks with nothing to recycle only rotate the start core:
+            # skip to the window holding the next fault.
+            nxt = min(
+                max(runs.times[c][pos[c]] + shift[c], last_eff[c])
+                for c in active
+                if pos[c] < len(runs.times[c])
+            )
+            skip = (nxt - tick) // interval_ns + 1
+            tick_index += skip
+            tick += skip * interval_ns
 
-    baseline_runtime = trace.total_runtime_ns
+    hits = n - misses
+    penalty = misses * miss_ns
+    baseline_runtime = runs.baseline_runtime_ns
     modeled_runtime = baseline_runtime - saved + penalty
     speedup = baseline_runtime / modeled_runtime if modeled_runtime > 0 else math.inf
-    baseline_overhead = sum(larr)
-    modeled_overhead = sum(t_lat)
+    baseline_overhead = runs.baseline_overhead_ns
+    modeled_overhead = baseline_overhead - saved + penalty
     return ModelReport(
         config=echo,
         hits=hits,
@@ -599,6 +692,9 @@ def synthesize_profile(
 
 @dataclass
 class SweepCell:
+    """One grid cell; report.timeline is empty, since a sweep writes only
+    the summaries."""
+
     width: int
     interval_ms: float
     report: ModelReport
@@ -651,9 +747,10 @@ def sweep(
     )
     if not width_list or not interval_list:
         raise ValueError("sweep grids must be nonempty")
+    runs = _CoreRuns(trace)
     cells = []
     for w in width_list:
         for iv in interval_list:
             cfg = TraceModelConfig(width=w, refresh_interval_ms=iv, cores=cores)
-            cells.append(SweepCell(w, iv, apply_model(trace, cfg, params)))
+            cells.append(SweepCell(w, iv, _replay(runs, cfg, params, keep_timeline=False)))
     return SweepGrid(cells)

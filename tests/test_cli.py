@@ -3,6 +3,7 @@
 Everything goes through main(argv) so the tests exercise the same parse,
 config-layering, and report-validation path a shell invocation gets.
 """
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,16 @@ def test_simulate_writes_validated_reports(tmp_path, capsys):
 def test_simulate_rejects_bad_geometry(tmp_path, capsys):
     assert run_cli(*simulate_args(tmp_path, "--table-width", "0")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_frame_exhaustion_is_a_clean_error(tmp_path, capsys):
+    assert run_cli(
+        "simulate", "--threads", "2", "--faults-per-thread", "3000",
+        "--total-frames", "4000", "--out-dir", str(tmp_path),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_synthesize_then_model_pipeline(tmp_path):
@@ -90,6 +101,37 @@ def test_sweep_grid_shape(tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == ["128", "128", "256", "256"]
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["schema"] == "mfoesim.sweepgrid/1"
+
+
+def test_replay_report_digests_are_pinned(tmp_path):
+    # model and sweep on one 4-core gcc trace; a rewrite of the replay
+    # loop must leave every report byte-identical
+    trace_path = str(tmp_path / "trace.csv")
+    assert run_cli(
+        "synthesize", "--profile", "gcc", "--dist", "poisson", "--cores", "4",
+        "--duration", "0.01", "--seed", "7", "--out-dir", str(tmp_path),
+    ) == 0
+    assert run_cli(
+        "model", "--trace", trace_path, "--width", "64",
+        "--refresh-interval-ms", "0.5", "--out-dir", str(tmp_path),
+    ) == 0
+    assert run_cli(
+        "sweep", "--trace", trace_path, "--widths", "32,64,256",
+        "--intervals-ms", "0.5,2", "--out-dir", str(tmp_path),
+    ) == 0
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert len((tmp_path / "timeline.csv").read_text().splitlines()) == 14_675
+    assert digest("timeline.csv") == (
+        "ba1e740ce757b5bb84239e70b3d26cf79bd2487c0f3ee5e5354a6a4db02ae593")
+    assert digest("model_report.json") == (
+        "e2719732d42a8519ca41279495471ded02bed73f1cd793f9afbc053667d522c5")
+    assert digest("sweep.csv") == (
+        "becc2faa37e947e54e154fa7b65b6b23f30ddd25e17d891c71d7c9caa7560b01")
+    assert digest("sweep.json") == (
+        "61a6fc741902e2b2b4e53408b2d89083bf18150a30a7b2a74a55f303c86556b9")
 
 
 def test_same_seed_gives_identical_trace_bytes(tmp_path):

@@ -195,6 +195,17 @@ def test_process_one_record_books_and_refills():
     assert kernel.process_one_record(0) is None
 
 
+def test_held_cleanup_lock_raises_instead_of_spinning():
+    kernel, proc, vma = make_kernel()
+    consume_pages(kernel, proc, vma, 0, 1)
+    assert kernel.tables[0].try_cleanup_lock()
+    with pytest.raises(RuntimeError, match="cleanup lock"):
+        kernel.process_one_record(0)
+    assert kernel.tables[0].used_count() == 1, "nothing processed"
+    kernel.tables[0].release_cleanup_lock()
+    assert kernel.process_one_record(0) is not None
+
+
 def test_tick_processes_backlog_and_rechecks_quotas():
     kernel, proc, vma = make_kernel(width=16)
     consumed = consume_pages(kernel, proc, vma, 0, 5)

@@ -13,6 +13,7 @@ from mfoesim.sim import (
     replay_seeded,
     run,
 )
+from mfoesim.vm import OutOfMemory
 
 
 def small_config(**kw):
@@ -191,6 +192,12 @@ def test_report_csv_layout():
     assert int(t) == 1500 and core == "0"
     assert outcome in ("mfoe_hit", "mfoe_miss", "kernel_fault")
     int(cycles)
+
+
+def test_frame_exhaustion_raises_out_of_memory():
+    # the library raises; the CLI turns it into "error: ..." and exit 2
+    with pytest.raises(OutOfMemory):
+        run(small_config(threads=2, faults_per_thread=3000, total_frames=4000))
 
 
 def test_simulate_report_digests_are_pinned(tmp_path):

@@ -10,8 +10,11 @@ later by miss_penalty_ns.
 """
 import json
 import math
+import random
+import time
 
 import pytest
+from test_acceptance import _reference_replay
 
 from mfoesim.params import ModelParameters
 from mfoesim.trace import (
@@ -256,8 +259,6 @@ def test_config_validation():
 
 def test_per_core_order_is_preserved():
     # Gaps exceed every latency, so hits compress but never reorder.
-    import random
-
     rng = random.Random(11)
     records = []
     clocks = [0, 0]
@@ -275,6 +276,63 @@ def test_per_core_order_is_preserved():
     for adj in per_core_adj.values():
         assert adj == sorted(adj)
     assert report.hits + report.misses == 300
+
+
+def test_window_boundaries_match_oracle():
+    # Beyond criterion 3: 3-4 cores, up to 200 faults, zero gaps, ticks
+    # every microsecond (no budget), 1500 pages/s (three records per 2 ms
+    # pass, the third landing 1 ns past the next tick) and 1000 pages/s
+    # (a pass's second landing falls exactly on the next tick). A third
+    # of the faults are aimed at a tick or a landing time, and half the
+    # latencies equal hit_ns so hits leave the aim intact: random times
+    # alone almost never hit the tie rules.
+    start = time.monotonic()
+    rng = random.Random(30303)
+    param_choices = [
+        ModelParameters(),
+        ModelParameters(clock_hz=1_000_000_000, background_throughput_pages_per_s=1500),
+        ModelParameters(clock_hz=1_000_000_000, background_throughput_pages_per_s=1000),
+    ]
+    for case in range(150):
+        cores = rng.choice([3, 4])
+        width = rng.choice([1, 2, 3, 8])
+        interval_ms = rng.choice([0.001, 0.7, 2.0])
+        params = rng.choice(param_choices)
+        config = TraceModelConfig(width=width, refresh_interval_ms=interval_ms, cores=cores)
+        k = model_constants(config, params)
+        ticks = [cores * width * k["init_page_ns"] + i * k["interval_ns"] for i in range(1, 30)]
+        marks = sorted(
+            [(p + 1) * k["init_page_ns"] for p in range(cores * width)]
+            + [t + j * k["record_ns"] for t in ticks for j in range(4)]
+        )
+
+        n = rng.randint(1, 200)
+        clocks = [0] * cores
+        records = []
+        for _ in range(n):
+            c = rng.randrange(cores)
+            ahead = [m for m in marks if m >= clocks[c]][:4]
+            if ahead and rng.random() < 1 / 3:
+                clocks[c] = rng.choice(ahead)
+            else:
+                clocks[c] += rng.choice([0, 0, 1, 300, rng.randint(1, 30_000),
+                                         rng.randint(100_000, 1_500_000)])
+            lat = rng.choice([k["hit_ns"], k["hit_ns"], 1, 100, rng.randint(1, 4000)])
+            records.append((clocks[c], c, lat))
+        records.sort(key=lambda r: (r[0], r[1]))
+
+        report = apply_model(FaultTrace.from_records(records), config, params)
+        tl = report.timeline
+        got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes,
+                       tl.modeled_latency_ns))
+        want, hits, misses, saved, penalty = _reference_replay(
+            records, width, interval_ms, cores, params
+        )
+        context = f"case {case}: w={width} iv={interval_ms} p={params}"
+        assert got == want, context
+        assert (report.hits, report.misses) == (hits, misses), context
+        assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
+    assert time.monotonic() - start < 5.0
 
 
 def test_degenerate_overlap_reports_infinite_speedup():
@@ -416,6 +474,27 @@ def test_single_cell_sweep_matches_direct_replay():
     assert cell.report.speedup == direct.speedup
     with pytest.raises(KeyError):
         grid.cell(512, 2.0)
+
+
+def test_sweep_cells_match_direct_replay_field_by_field():
+    # sweep replays without a timeline, on a path of its own; every
+    # reported figure must still equal a direct replay of the same cell
+    trace = synthesize_profile("gcc", 0.004, cores=3, seed=12)
+    params = ModelParameters(background_throughput_pages_per_s=100_000)
+    grid = sweep(trace, widths=[2, 16, 128], intervals_ms=[0.05, 0.5], params=params)
+    fields = ("hits", "misses", "hit_rate", "saved_ns", "penalty_ns", "speedup",
+              "baseline_runtime_ns", "modeled_runtime_ns",
+              "baseline_overhead_fraction", "residual_overhead_fraction")
+    for cell in grid.cells:
+        direct = apply_model(
+            trace, TraceModelConfig(width=cell.width, refresh_interval_ms=cell.interval_ms), params
+        )
+        assert 0 < direct.hits < len(trace), (cell.width, cell.interval_ms)
+        for name in fields:
+            assert getattr(cell.report, name) == getattr(direct, name), (cell.width, name)
+        assert cell.report.config == direct.config
+        assert len(cell.report.timeline) == 0
+        assert len(direct.timeline) == len(trace)
 
 
 def test_sweep_rejects_empty_grids():
