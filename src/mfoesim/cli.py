@@ -4,7 +4,9 @@ Subcommands: simulate, model, sweep, synthesize. Configuration comes
 from defaults, then an optional flat key=value config file (--config,
 or the MFOESIM_CONFIG environment variable), then command-line flags;
 later layers win. Config keys are the flag names without the leading
-dashes. Every model parameter is overridable through --params-<field>.
+dashes. Each command accepts --params-<field> for exactly the model
+parameters its computation reads: simulate for sim.SIM_PARAMETERS, model
+and sweep for trace.MODEL_PARAMETERS, synthesize for none.
 
 Reports are written to --out-dir and validated after writing; the exit
 code is 0 only when the outputs parsed back cleanly.
@@ -44,8 +46,10 @@ def _param_flag(name: str) -> str:
     return "--params-" + name.replace("_", "-")
 
 
-def _add_param_overrides(parser: argparse.ArgumentParser) -> None:
+def _add_param_overrides(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     for f in dataclasses.fields(ModelParameters):
+        if f.name not in names:
+            continue
         if f.type == "str" or isinstance(f.default, str):
             ftype = str
         elif isinstance(f.default, int) and not isinstance(f.default, bool):
@@ -65,7 +69,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
-    _add_param_overrides(parser)
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -85,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the event-driven simulator")
     _add_common(p_sim)
+    _add_param_overrides(p_sim, sim.SIM_PARAMETERS)
     p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--faults-per-thread", type=int, default=32768)
     p_sim.add_argument("--interarrival", type=int, default=21000,
@@ -97,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pre-allocation table slots per core, header included")
     p_sim.add_argument("--refresh-interval-ms", type=float, default=2.0)
     p_sim.add_argument("--total-frames", type=int, default=1 << 20)
-    p_sim.add_argument("--numa-nodes", type=int, default=1)
     p_sim.add_argument("--quota-frames", type=int, default=None)
     p_sim.add_argument("--resource-threshold", type=float, default=0.8)
 
     p_model = sub.add_parser("model", help="replay a fault trace against a configuration")
     _add_common(p_model)
+    _add_param_overrides(p_model, trace.MODEL_PARAMETERS)
     # not argparse-required so a config file can supply it
     p_model.add_argument("--trace", default=None, help="trace CSV path")
     p_model.add_argument("--width", type=int, default=256,
@@ -112,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="replay a trace across a geometry grid")
     _add_common(p_sweep)
+    _add_param_overrides(p_sweep, trace.MODEL_PARAMETERS)
     p_sweep.add_argument("--trace", default=None)
     p_sweep.add_argument("--widths", type=_csv_ints, default=list(trace.DEFAULT_WIDTHS))
     p_sweep.add_argument(
@@ -180,12 +185,12 @@ def load_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, ob
     return values
 
 
-def _build_params(args: argparse.Namespace) -> ModelParameters:
+def _build_params(args: argparse.Namespace, names: tuple[str, ...]) -> ModelParameters:
     overrides = {}
-    for f in dataclasses.fields(ModelParameters):
-        val = getattr(args, "params_" + f.name, None)
+    for name in names:
+        val = getattr(args, "params_" + name)
         if val is not None:
-            overrides[f.name] = val
+            overrides[name] = val
     params = ModelParameters(**overrides) if overrides else ModelParameters()
     params.validate()
     return params
@@ -219,7 +224,7 @@ def _validate_csv(path: Path, header: str, expect_rows: Optional[int] = None) ->
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build_params(args, sim.SIM_PARAMETERS)
     workload = sim.WorkloadSpec(
         threads=args.threads,
         faults_per_thread=args.faults_per_thread,
@@ -235,7 +240,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         table_width=args.table_width,
         refresh_interval_ms=args.refresh_interval_ms,
         total_frames=args.total_frames,
-        numa_nodes=args.numa_nodes,
         seed=args.seed,
         quota_frames=args.quota_frames,
         resource_threshold=args.resource_threshold,
@@ -265,7 +269,7 @@ def _require_trace(args: argparse.Namespace) -> str:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build_params(args, trace.MODEL_PARAMETERS)
     fault_trace = trace.ingest(_require_trace(args))
     config = trace.TraceModelConfig(
         width=args.width, refresh_interval_ms=args.refresh_interval_ms, cores=args.cores
@@ -289,7 +293,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    params = _build_params(args)
+    params = _build_params(args, trace.MODEL_PARAMETERS)
     fault_trace = trace.ingest(_require_trace(args))
     grid = trace.sweep(fault_trace, args.widths, args.intervals_ms, params, args.cores)
 

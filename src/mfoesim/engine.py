@@ -205,7 +205,7 @@ class PteFaultSm:
             leaf.unlock()
             return SmResult.REUSE
         yield
-        self.pfn = self.kernel.inline_install(self.proc, self.core, self.va, self.vma.writable)
+        self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable)
         self.allocated_inline = True
         yield
         leaf.unlock()

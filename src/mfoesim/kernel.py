@@ -72,6 +72,8 @@ class ProcessModel:
     def __init__(self, tgid: int, quota_frames: Optional[int] = None):
         if not 0 < tgid < (1 << 16):
             raise ValueError("tgid must fit the 16-bit table field")
+        if quota_frames is not None and quota_frames < 1:
+            raise ValueError(f"quota_frames must be at least 1, got {quota_frames}")
         self.tgid = tgid
         self.page_table = PageTable()
         self.vmas: list[VMA] = []
@@ -165,7 +167,7 @@ class InitFillTask:
                     self.done = True
                 continue
             try:
-                pfn = kernel.allocator.allocate(kernel.node_of_core(self.core))
+                pfn = kernel.allocator.allocate()
             except OutOfMemory:
                 self.done = True
                 return False
@@ -184,7 +186,6 @@ class KernelModel:
         params: Optional[ModelParameters] = None,
         cores: int = 1,
         total_frames: int = 1 << 20,
-        numa_nodes: int = 1,
         seed: int = 0,
         refresh_interval_ms: float = 2.0,
         resource_threshold: float = 0.8,
@@ -195,10 +196,9 @@ class KernelModel:
         self.params = params or ModelParameters()
         self.params.validate()
         self.cores = cores
-        self.numa_nodes = numa_nodes
         self.refresh_interval_ms = refresh_interval_ms
         self.resource_threshold = resource_threshold
-        self.allocator = allocator or FrameAllocator(total_frames, numa_nodes)
+        self.allocator = allocator or FrameAllocator(total_frames)
         self.rng = random.Random(seed)
         self.procs: dict[int, ProcessModel] = {}
         self.ledger = BookkeepingLedger()
@@ -292,11 +292,8 @@ class KernelModel:
         if self.tables is None:
             frames_per_table = math.ceil(preallocation_size * 16 / PAGE_SIZE)
             tables = []
-            for core in range(self.cores):
-                storage = [
-                    self.allocator.allocate(self.node_of_core(core))
-                    for _ in range(frames_per_table)
-                ]
+            for _ in range(self.cores):
+                storage = [self.allocator.allocate() for _ in range(frames_per_table)]
                 self.table_storage_frames.extend(storage)
                 tables.append(PreallocTable(preallocation_size))
                 self._table_base_pfns.append(storage[0])
@@ -314,7 +311,7 @@ class KernelModel:
         """Drop proc out; the last participant drains tables and clears CR9.
 
         Safe to call twice. Returns the number of frames returned to the
-        free lists.
+        free list.
         """
         if not proc.mfoe_enabled:
             return 0
@@ -358,7 +355,7 @@ class KernelModel:
             record = table.record_at(head)
             table.clear_entry(head)
             self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-            self._refill_slot(table, core, head)
+            self._refill_slot(table, head)
             return record
         finally:
             table.release_cleanup_lock()
@@ -412,12 +409,12 @@ class KernelModel:
             processed += 1
         return processed
 
-    def _refill_slot(self, table: PreallocTable, core: int, index: int) -> None:
+    def _refill_slot(self, table: PreallocTable, index: int) -> None:
         """Re-stock one just-cleared slot, advancing head when it sits there."""
         pfn = None
         if self.mfoe_active:
             try:
-                pfn = self.allocator.allocate(self.node_of_core(core))
+                pfn = self.allocator.allocate()
             except OutOfMemory:
                 pfn = None
         if index == table.head_index:
@@ -439,7 +436,7 @@ class KernelModel:
         if self.tables is None:
             return 0
         removed = 0
-        for core, table in enumerate(self.tables):
+        for table in self.tables:
             self._acquire_cleanup_lock(table)
             try:
                 for i in table.data_indices():
@@ -450,7 +447,7 @@ class KernelModel:
                         continue
                     table.clear_entry(i)
                     self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-                    self._refill_slot(table, core, i)
+                    self._refill_slot(table, i)
                     removed += 1
             finally:
                 table.release_cleanup_lock()
@@ -464,7 +461,7 @@ class KernelModel:
         """
         if not proc.mfoe_enabled:
             return False
-        quota = proc.quota_frames or self.allocator.total_frames
+        quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
         if proc.allocated_pages <= self.resource_threshold * quota:
             return False
         self.mfoe_disable(proc)
@@ -491,10 +488,10 @@ class KernelModel:
         if proc is not None:
             proc.allocated_pages += 1
 
-    def inline_install(self, proc: ProcessModel, core: int, va: int, writable: bool) -> int:
+    def inline_install(self, proc: ProcessModel, va: int, writable: bool) -> int:
         """Allocate, map, and book one page on the spot (the slow path)."""
         leaf = proc.page_table.construct_path(va)
-        pfn = self.allocator.allocate(self.node_of_core(core))
+        pfn = self.allocator.allocate()
         leaf.install_frame(pfn, writable)
         self.apply_bookkeeping(proc.tgid, va, pfn)
         return pfn
@@ -554,9 +551,6 @@ class KernelModel:
         return freed
 
     # helpers
-
-    def node_of_core(self, core: int) -> int:
-        return core % self.numa_nodes
 
     def _acquire_cleanup_lock(self, table: PreallocTable) -> None:
         # Another thread's hold ends, so wait it out. With no other thread

@@ -9,6 +9,11 @@ from dataclasses import dataclass, fields
 Z95 = 1.6448536269514722
 
 
+def check_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class ModelParameters:
     """Calibrated timing and throughput constants.

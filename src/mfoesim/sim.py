@@ -11,12 +11,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
-from .params import ModelParameters
+from .params import ModelParameters, check_finite_positive
 from .vm import PAGE_SIZE
 
 # Event ordering at equal timestamps: supply lands before the periodic
@@ -25,6 +25,12 @@ PRIO_FILL = 0
 PRIO_TICK = 1
 PRIO_BG = 2
 PRIO_FAULT = 3
+
+# The ModelParameters fields a simulation reads; simulate accepts --params-*
+# for these only. sw_emulation_* feed only the library's KernelModel.mfoe_se.
+SIM_PARAMETERS = tuple(
+    f.name for f in fields(ModelParameters) if not f.name.startswith("sw_emulation_")
+)
 
 
 @dataclass
@@ -67,7 +73,6 @@ class SimConfig:
     table_width: int = 256
     refresh_interval_ms: float = 2.0
     total_frames: int = 1 << 20
-    numa_nodes: int = 1
     seed: int = 0
     quota_frames: Optional[int] = None
     resource_threshold: float = 0.8
@@ -79,8 +84,8 @@ class SimConfig:
             raise ValueError("table_width must cover header plus one entry")
         if self.tlb_entries < 1:
             raise ValueError("tlb_entries must be positive")
-        if self.refresh_interval_ms <= 0:
-            raise ValueError("refresh interval must be positive")
+        check_finite_positive("refresh interval", self.refresh_interval_ms)
+        check_finite_positive("resource threshold", self.resource_threshold)
         if self.cores is not None and self.cores < self.workload.threads:
             raise ValueError("fewer cores than threads")
 
@@ -198,7 +203,6 @@ class Simulation:
             params=params,
             cores=cores,
             total_frames=config.total_frames,
-            numa_nodes=config.numa_nodes,
             seed=config.seed,
             refresh_interval_ms=config.refresh_interval_ms,
             resource_threshold=config.resource_threshold,

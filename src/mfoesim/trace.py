@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .params import LatencySampler, ModelParameters
+from .params import LatencySampler, ModelParameters, check_finite_positive
 
 OUTCOME_MISS = 0
 OUTCOME_HIT = 1
@@ -240,8 +240,7 @@ class TraceModelConfig:
     def validate(self) -> None:
         if self.width < 1:
             raise ValueError("width must be positive")
-        if self.refresh_interval_ms <= 0:
-            raise ValueError("refresh interval must be positive")
+        check_finite_positive("refresh interval", self.refresh_interval_ms)
         if self.cores is not None and self.cores < 1:
             raise ValueError("cores must be positive")
 
@@ -315,6 +314,17 @@ class ModelReport:
         import json
 
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+# The ModelParameters fields the replay reads, all through model_constants
+# (clock_hz is also echoed); model and sweep accept --params-* for these only.
+MODEL_PARAMETERS = (
+    "mfoe_hit_cycles",
+    "mfoe_miss_penalty_cycles",
+    "init_throughput_pages_per_s",
+    "background_throughput_pages_per_s",
+    "clock_hz",
+)
 
 
 def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
@@ -620,10 +630,8 @@ def synthesize(
     zero; poisson draws exponential gaps. Latencies come from the usual
     lognormal two-statistic fit (constant when mean == p95).
     """
-    if rate_per_core <= 0:
-        raise ValueError("rate must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    check_finite_positive("rate", rate_per_core)
+    check_finite_positive("duration", duration_s)
     if cores < 1:
         raise ValueError("need at least one core")
     if dist not in ("uniform", "poisson"):

@@ -29,7 +29,7 @@ class CanonicalityError(ValueError):
 
 
 class OutOfMemory(RuntimeError):
-    """Raised when no node has a free frame left."""
+    """Raised when no free frame is left."""
 
 
 def check_canonical(va: int) -> int:
@@ -176,58 +176,34 @@ class PageTable:
 
 
 class FrameAllocator:
-    """Per-node free lists of physical frame numbers.
+    """A FIFO free list of physical frame numbers.
 
-    Frames are split contiguously across nodes. Allocation prefers the
-    requested node and falls back to the others in ascending id order.
-    zero_count records how many frames were handed out zeroed; the time
-    cost of zeroing is charged by callers, not here.
+    Frames are handed out lowest first, and freed frames rejoin at the
+    back of the list.
     """
 
-    def __init__(self, total_frames: int, nodes: int = 1):
-        if total_frames < 1 or nodes < 1 or nodes > total_frames:
+    def __init__(self, total_frames: int):
+        if total_frames < 1:
             raise ValueError("bad allocator geometry")
         self.total_frames = total_frames
-        self.nodes = nodes
-        self.free_lists: list[deque[int]] = []
-        base = 0
-        for node in range(nodes):
-            count = total_frames // nodes + (1 if node < total_frames % nodes else 0)
-            self.free_lists.append(deque(range(base, base + count)))
-            base += count
+        self.free_list: deque[int] = deque(range(total_frames))
         self.allocated: set[int] = set()
-        self.zero_count = 0
 
-    def node_of(self, pfn: int) -> int:
-        per = self.total_frames // self.nodes
-        extra = self.total_frames % self.nodes
-        # First `extra` nodes hold one extra frame each.
-        if pfn < (per + 1) * extra:
-            return pfn // (per + 1)
-        return extra + (pfn - (per + 1) * extra) // per if per else extra
-
-    def allocate(self, preferred_node: int = 0) -> int:
-        if not 0 <= preferred_node < self.nodes:
-            raise ValueError(f"node {preferred_node} out of range")
-        order = [preferred_node] + [n for n in range(self.nodes) if n != preferred_node]
-        for node in order:
-            if self.free_lists[node]:
-                pfn = self.free_lists[node].popleft()
-                self.allocated.add(pfn)
-                self.zero_count += 1
-                return pfn
-        raise OutOfMemory("no free frames on any node")
+    def allocate(self) -> int:
+        if not self.free_list:
+            raise OutOfMemory("no free frames")
+        pfn = self.free_list.popleft()
+        self.allocated.add(pfn)
+        return pfn
 
     def free(self, pfn: int) -> None:
         if pfn not in self.allocated:
             raise ValueError(f"frame {pfn} is not allocated")
         self.allocated.remove(pfn)
-        self.free_lists[self.node_of(pfn)].append(pfn)
+        self.free_list.append(pfn)
 
-    def free_count(self, node: Optional[int] = None) -> int:
-        if node is None:
-            return sum(len(fl) for fl in self.free_lists)
-        return len(self.free_lists[node])
+    def free_count(self) -> int:
+        return len(self.free_list)
 
     def outstanding(self) -> int:
         return len(self.allocated)

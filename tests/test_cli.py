@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from mfoesim.cli import CONFIG_ENV_VAR, main
+from mfoesim.cli import CONFIG_ENV_VAR, build_parser, main
 
 
 def run_cli(*argv):
@@ -209,11 +209,60 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_removed_redundant_accesses_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line", ["redundant_accesses=0", "numa-nodes=2", "params-sw-emulation-mean-ns=900"]
+)
+def test_removed_config_key_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("redundant_accesses=0\n")
+    cfg.write_text(line + "\n")
     assert run_cli(*simulate_args(tmp_path, "--config", str(cfg))) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--numa-nodes", "2"),
+    ("synthesize", "--params-clock-hz", "1"),
+], ids=lambda argv: argv[0] + argv[1])
+def test_removed_flag_is_a_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+
+
+BAD_VALUES = [
+    # (command and its required arguments, flag, value, expected in the message)
+    (("model", "--trace", "{trace}"), "--refresh-interval-ms", "inf", "refresh interval"),
+    (("model", "--trace", "{trace}"), "--refresh-interval-ms", "nan", "refresh interval"),
+    (("sweep", "--trace", "{trace}"), "--intervals-ms", "inf", "refresh interval"),
+    (("simulate",), "--refresh-interval-ms", "inf", "refresh interval"),
+    (("simulate",), "--refresh-interval-ms", "nan", "refresh interval"),
+    (("simulate",), "--resource-threshold", "nan", "resource threshold"),
+    (("simulate",), "--resource-threshold", "0", "resource threshold"),
+    (("simulate",), "--quota-frames", "0", "quota_frames"),
+    (("simulate",), "--quota-frames", "-5", "quota_frames"),
+    (("synthesize", "--rate", "1000"), "--duration", "inf", "duration"),
+    (("synthesize", "--profile", "gcc"), "--duration", "inf", "duration"),
+    # nan, not inf: without the check an infinite rate spaces faults 1 ns
+    # apart and synthesizes a billion of them per second of duration
+    (("synthesize", "--duration", "0.001"), "--rate", "nan", "rate"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, fragment", BAD_VALUES,
+    ids=[f"{c[0]}{flag}={value}" for c, flag, value, _ in BAD_VALUES],
+)
+def test_out_of_range_value_is_a_clean_error(tmp_path, capsys, command, flag, value, fragment):
+    trace_path = tmp_path / "tiny.csv"
+    trace_path.write_text("timestamp_ns,core,latency_ns\n0,0,900\n5000,0,800\n")
+    argv = [a.format(trace=trace_path) for a in command]
+    if command[0] == "simulate":
+        argv += ["--threads", "1", "--faults-per-thread", "50", "--interarrival", "900"]
+    assert run_cli(*argv, flag, value, "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 def test_config_line_without_equals_rejected(tmp_path, capsys):
@@ -242,3 +291,61 @@ def test_invalid_param_override_rejected(tmp_path, capsys):
         *simulate_args(tmp_path, "--params-mfoe-hit-cycles", "0")
     ) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# One valid, output-changing value per model parameter; a --params-* flag
+# whose value changes none of its command's computed output is a dead knob.
+PARAM_PERTURBATIONS = {
+    "mfoe_hit_cycles": "100",
+    "mfoe_miss_penalty_cycles": "30",
+    "baseline_fault_mean_cycles": "3000",
+    "baseline_fault_p95_cycles": "8000",
+    "baseline_fault_dist": "two_point",
+    "background_throughput_pages_per_s": "300000",
+    "init_throughput_pages_per_s": "500000",
+    "clock_hz": "2000000000",
+    "sw_emulation_mean_ns": "900",
+    "sw_emulation_p95_ns": "2000",
+}
+
+
+def test_every_params_flag_changes_output(tmp_path):
+    assert run_cli(
+        "synthesize", "--profile", "gcc", "--cores", "2", "--duration", "0.002",
+        "--seed", "7", "--out-dir", str(tmp_path),
+    ) == 0
+    trace_path = str(tmp_path / "trace.csv")
+    # command -> (arguments, the computed output that is not an echo)
+    runs = {
+        "simulate": (("--threads", "2", "--faults-per-thread", "600",
+                      "--interarrival", "3000", "--table-width", "16",
+                      "--refresh-interval-ms", "0.1", "--seed", "5"), "faults.csv"),
+        "model": (("--trace", trace_path, "--width", "16",
+                   "--refresh-interval-ms", "0.1"), "timeline.csv"),
+        "sweep": (("--trace", trace_path, "--widths", "16",
+                   "--intervals-ms", "0.1"), "sweep.csv"),
+        "synthesize": (("--profile", "gcc", "--cores", "2", "--duration", "0.002",
+                        "--seed", "7"), "trace.csv"),
+    }
+    parsers = build_parser().subcommand_parsers
+    assert set(parsers) == set(runs)
+
+    def output(command, name, *extra):
+        out_dir = tmp_path / name
+        argv, report = runs[command]
+        assert run_cli(command, *argv, *extra, "--out-dir", str(out_dir)) == 0
+        return (out_dir / report).read_bytes()
+
+    dead = []
+    for command, parser in parsers.items():
+        flags = [
+            opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--params-")
+        ]
+        base = output(command, command)
+        for flag in flags:
+            field = flag[len("--params-"):].replace("-", "_")
+            value = PARAM_PERTURBATIONS[field]
+            if output(command, f"{command}{flag}", flag, value) == base:
+                dead.append(f"{command} {flag}")
+    assert dead == []

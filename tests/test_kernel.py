@@ -460,7 +460,7 @@ def test_terminate_unbooks_so_frames_can_recycle():
 def test_frame_census_partitions_the_pool():
     kernel, proc, vma = make_kernel(width=8)
     consume_pages(kernel, proc, vma, 0, 2)
-    kernel.inline_install(proc, 0, vma.start + 40 * PAGE_SIZE, True)
+    kernel.inline_install(proc, vma.start + 40 * PAGE_SIZE, True)
     c = kernel.frame_census()
     assert c["total"] == 4096
     assert c["free"] + c["outstanding"] == c["total"]

@@ -213,4 +213,4 @@ def test_simulate_report_digests_are_pinned(tmp_path):
     assert digest("faults.csv") == (
         "9bafb49b5cb4b1699ef4db9c90813648cf2d21ea18b6fd17f92b1f32414cbbcd")
     assert digest("report.json") == (
-        "10c08864a64a531bb21cbe46a62b026186bb37e75d481ce7c6c87216cb5508a4")
+        "b4f7ca57b87a2cbbcdfdb982894b923547e2a5298e4f5edef41b53d50abee841")

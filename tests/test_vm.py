@@ -181,31 +181,6 @@ def test_iter_leaves_round_trips_addresses():
 def test_allocator_geometry_validation():
     with pytest.raises(ValueError):
         FrameAllocator(0)
-    with pytest.raises(ValueError):
-        FrameAllocator(4, nodes=0)
-    with pytest.raises(ValueError):
-        FrameAllocator(4, nodes=5)
-
-
-def test_contiguous_node_split_with_remainder():
-    # 10 frames over 3 nodes: 4 + 3 + 3
-    fa = FrameAllocator(10, nodes=3)
-    assert [fa.free_count(n) for n in range(3)] == [4, 3, 3]
-    assert [fa.node_of(p) for p in range(10)] == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
-
-
-def test_allocate_prefers_requested_node():
-    fa = FrameAllocator(10, nodes=2)
-    pfn = fa.allocate(preferred_node=1)
-    assert fa.node_of(pfn) == 1
-
-
-def test_allocate_falls_back_when_node_empty():
-    fa = FrameAllocator(4, nodes=2)
-    local = [fa.allocate(1), fa.allocate(1)]
-    assert all(fa.node_of(p) == 1 for p in local)
-    spilled = fa.allocate(1)
-    assert fa.node_of(spilled) == 0
 
 
 def test_out_of_memory():
@@ -228,23 +203,13 @@ def test_free_validates_ownership():
 
 def test_conservation_under_random_traffic():
     rng = random.Random(1)
-    fa = FrameAllocator(64, nodes=4)
+    fa = FrameAllocator(64)
     held = []
     for _ in range(2000):
         if held and (rng.random() < 0.5 or fa.free_count() == 0):
             fa.free(held.pop(rng.randrange(len(held))))
         else:
-            held.append(fa.allocate(rng.randrange(4)))
+            held.append(fa.allocate())
         assert fa.free_count() + fa.outstanding() == 64
     assert fa.outstanding() == len(held)
     assert len(set(held)) == len(held), "no frame handed out twice"
-
-
-def test_zero_count_tracks_allocations():
-    fa = FrameAllocator(8)
-    for _ in range(5):
-        fa.allocate()
-    assert fa.zero_count == 5
-    fa.free(0)
-    fa.allocate()
-    assert fa.zero_count == 6, "recycled frames are zeroed again"
