@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_synth)
     p_synth.add_argument("--rate", type=float, default=None, help="faults per second per core")
     p_synth.add_argument("--duration", type=float, default=1.0, help="seconds")
-    p_synth.add_argument("--dist", choices=("uniform", "poisson"), default="uniform")
+    p_synth.add_argument("--dist", choices=("uniform", "poisson"), default=None,
+                         help="arrival process (default: uniform with --rate, "
+                              "poisson with --profile)")
     p_synth.add_argument("--cores", type=int, default=1)
     p_synth.add_argument("--latency-mean-ns", type=int, default=None)
     p_synth.add_argument("--latency-p95-ns", type=int, default=None)
@@ -311,13 +313,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
+    # Without --dist, each generator's own default arrival process applies.
+    dist = {} if args.dist is None else {"dist": args.dist}
     if args.profile is not None:
         fault_trace = trace.synthesize_profile(
             args.profile,
             duration_s=args.duration,
-            dist=args.dist,
             cores=args.cores,
             seed=args.seed,
+            **dist,
         )
     else:
         if args.rate is None:
@@ -325,11 +329,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         fault_trace = trace.synthesize(
             args.rate,
             args.duration,
-            dist=args.dist,
             cores=args.cores,
             latency_mean_ns=args.latency_mean_ns,
             latency_p95_ns=args.latency_p95_ns,
             seed=args.seed,
+            **dist,
         )
 
     out = Path(args.out_dir)

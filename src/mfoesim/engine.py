@@ -25,7 +25,6 @@ class OutcomeKind(Enum):
     MFOE_HIT = "mfoe_hit"
     MFOE_MISS = "mfoe_miss"
     KERNEL_FAULT = "kernel_fault"
-    LOCK_WAIT = "lock_wait"
     SEGV = "segv"
     PROTECTION_FAULT = "protection_fault"
 
@@ -36,7 +35,6 @@ class FaultOutcome:
     cycles: int
     penalty_cycles: int = 0
     kernel_cycles: int = 0
-    stall_cycles: int = 0
     pfn: Optional[int] = None
 
 
@@ -220,17 +218,12 @@ class MfoeEngine:
         self.params = kernel.params
         self.tlb = Tlb(tlb_entries)
         self.core_proc: dict[int, ProcessModel] = {}
-        # Page key -> (handler completion time, core); models the window
-        # in which a second core's fault on the same page must wait.
-        self._inflight: dict[tuple[int, int], tuple[int, int]] = {}
 
     def bind(self, core: int, proc: ProcessModel) -> None:
         self.core_proc[core] = proc
 
     def on_process_exit(self, tgid: int) -> None:
         self.tlb.invalidate_asid(tgid)
-        for key in [k for k in self._inflight if k[0] == tgid]:
-            del self._inflight[key]
         for core in [c for c, p in self.core_proc.items() if p.tgid == tgid]:
             del self.core_proc[core]
 
@@ -244,7 +237,6 @@ class MfoeEngine:
         check_canonical(va)
         proc = self.core_proc[core]
         vpn = va >> PAGE_SHIFT
-        key = (proc.tgid, vpn)
 
         tlb_hit = self.tlb.lookup(proc.tgid, vpn)
         if tlb_hit is not None:
@@ -253,18 +245,6 @@ class MfoeEngine:
                 self.kernel.record_protection_fault(proc.tgid, va, now)
                 return FaultOutcome(OutcomeKind.PROTECTION_FAULT, 0, pfn=pfn)
             return FaultOutcome(OutcomeKind.TLB_HIT, 0, pfn=pfn)
-
-        inflight = self._inflight.get(key)
-        if inflight is not None and inflight[0] > now:
-            # The other core's handler still holds the entry lock; stall
-            # for its remaining service time, then use its translation.
-            stall = inflight[0] - now
-            leaf = proc.page_table.walk(va)
-            assert leaf is not None and leaf.present
-            self.tlb.insert(proc.tgid, vpn, leaf.pfn_or_tgid, leaf.rw)
-            return FaultOutcome(
-                OutcomeKind.LOCK_WAIT, stall, stall_cycles=stall, pfn=leaf.pfn_or_tgid
-            )
 
         leaf = proc.page_table.walk(va)
         if leaf is not None and leaf.present:
@@ -305,10 +285,9 @@ class MfoeEngine:
                 pfn=sm.pfn,
             )
         else:
-            # REUSE/WAITED cannot happen in serialized use: the in-flight
-            # window is checked above before a handler starts.
+            # REUSE/WAITED cannot happen in serialized use: a present leaf
+            # resolves above as a TLB or walk hit before any handler starts.
             raise AssertionError(f"unexpected serialized handler result {result}")
 
         self.tlb.insert(proc.tgid, vpn, sm.pfn, sm.leaf.rw)
-        self._inflight[key] = (now + outcome.cycles, core)
         return outcome

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .params import LatencySampler, ModelParameters
+from .params import LatencySampler, ModelParameters, check_finite_positive
 from .prealloc import (
     CR9_DISABLED,
     Cr9Register,
@@ -195,6 +195,8 @@ class KernelModel:
             raise ValueError("need at least one core")
         self.params = params or ModelParameters()
         self.params.validate()
+        check_finite_positive("refresh interval", refresh_interval_ms)
+        check_finite_positive("resource threshold", resource_threshold)
         self.cores = cores
         self.refresh_interval_ms = refresh_interval_ms
         self.resource_threshold = resource_threshold
@@ -341,7 +343,9 @@ class KernelModel:
         return count
 
     def budget_pages(self, interval_ms: Optional[float] = None) -> int:
-        interval_ns = round((interval_ms or self.refresh_interval_ms) * 1_000_000)
+        if interval_ms is None:
+            interval_ms = self.refresh_interval_ms
+        interval_ns = round(interval_ms * 1_000_000)
         return interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
 
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:

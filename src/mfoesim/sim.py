@@ -108,12 +108,10 @@ class CoreStats:
     mfoe_hits: int = 0
     mfoe_misses: int = 0
     kernel_faults: int = 0
-    lock_waits: int = 0
     tlb_hits: int = 0
     walk_hits: int = 0
     compute_cycles: int = 0
     fault_cycles: int = 0
-    stall_cycles: int = 0
     end_time: int = 0
 
 
@@ -132,7 +130,6 @@ class SimReport:
     p95_fault_cycles: int
     critical_path_speedup: float
     total_fault_cycles: int
-    total_stall_cycles: int
     sim_cycles: int
     fill_complete_cycle: int
     background_processed: int
@@ -151,7 +148,6 @@ class SimReport:
             "p95_fault_cycles": self.p95_fault_cycles,
             "critical_path_speedup": self.critical_path_speedup,
             "total_fault_cycles": self.total_fault_cycles,
-            "total_stall_cycles": self.total_stall_cycles,
             "sim_cycles": self.sim_cycles,
             "fill_complete_cycle": self.fill_complete_cycle,
             "background_processed": self.background_processed,
@@ -178,18 +174,18 @@ def percentile(values: list[int], fraction: float) -> int:
 
 
 class _Thread:
-    __slots__ = ("core", "region_start", "pages", "stride", "touches_done", "end_time")
+    """Address generator of the thread on one core; its touch count and
+    end time live in that core's CoreStats."""
 
-    def __init__(self, core: int, region_start: int, pages: int, stride: int):
-        self.core = core
+    __slots__ = ("region_start", "pages", "stride")
+
+    def __init__(self, region_start: int, pages: int, stride: int):
         self.region_start = region_start
         self.pages = pages
         self.stride = stride
-        self.touches_done = 0
-        self.end_time = 0
 
-    def next_va(self) -> int:
-        page = (self.touches_done * self.stride) % self.pages
+    def va(self, touch: int) -> int:
+        page = (touch * self.stride) % self.pages
         return self.region_start + page * PAGE_SIZE
 
 
@@ -218,7 +214,7 @@ class Simulation:
             # Path construction happens before the run; it is off the
             # fault critical path and the touch loop starts afterwards.
             self.kernel.prefault_construct(self.proc, vma)
-            self.threads.append(_Thread(t, vma.start, wl.region_pages(), wl.stride_pages))
+            self.threads.append(_Thread(vma.start, wl.region_pages(), wl.stride_pages))
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
@@ -228,8 +224,9 @@ class Simulation:
             1, round(params.clock_hz / params.background_throughput_pages_per_s)
         )
 
-        self._heap: list[tuple[int, int, int, int]] = []
-        self._seq = 0
+        # (when, prio, core) is unique among pending events: one pending
+        # fault per core, and one fill, one tick and one background chain.
+        self._heap: list[tuple[int, int, int]] = []
         self.records: list[FaultRecord] = []
         self.stats = [CoreStats(core=c) for c in range(cores)]
         self.fill_complete_cycle = 0
@@ -240,19 +237,18 @@ class Simulation:
     # event plumbing
 
     def _push(self, when: int, prio: int, core: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, prio, core, self._seq))
+        heapq.heappush(self._heap, (when, prio, core))
 
     def run(self) -> SimReport:
         wl = self.config.workload
-        for thread in self.threads:
-            self._push(wl.interarrival_cycles, PRIO_FAULT, thread.core)
-            self._live_threads += 1
+        for core in range(len(self.threads)):
+            self._push(wl.interarrival_cycles, PRIO_FAULT, core)
+        self._live_threads = len(self.threads)
         if self.kernel.fill_task is not None:
             self._push(self.fill_cost, PRIO_FILL, 0)
 
         while self._live_threads > 0 and self._heap:
-            when, prio, core, _ = heapq.heappop(self._heap)
+            when, prio, core = heapq.heappop(self._heap)
             if prio == PRIO_FAULT:
                 self._on_fault(when, core)
             elif prio == PRIO_BG:
@@ -266,14 +262,12 @@ class Simulation:
     # handlers
 
     def _on_fault(self, t: int, core: int) -> None:
-        thread = self.threads[core]
-        va = thread.next_va()
-        out = self.engine.access(core, va, is_write=True, now=t)
         stats = self.stats[core]
+        va = self.threads[core].va(stats.touches)
+        out = self.engine.access(core, va, is_write=True, now=t)
         stats.touches += 1
         stats.compute_cycles += self.config.workload.interarrival_cycles
-        stats.fault_cycles += out.cycles - out.stall_cycles
-        stats.stall_cycles += out.stall_cycles
+        stats.fault_cycles += out.cycles
         kind = out.kind
         if kind is OutcomeKind.MFOE_HIT:
             stats.mfoe_hits += 1
@@ -281,19 +275,15 @@ class Simulation:
             stats.mfoe_misses += 1
         elif kind is OutcomeKind.KERNEL_FAULT:
             stats.kernel_faults += 1
-        elif kind is OutcomeKind.LOCK_WAIT:
-            stats.lock_waits += 1
         elif kind is OutcomeKind.TLB_HIT:
             stats.tlb_hits += 1
         elif kind is OutcomeKind.WALK_HIT:
             stats.walk_hits += 1
         self.records.append(FaultRecord(t, core, kind.value, out.cycles))
-        thread.touches_done += 1
         completion = t + out.cycles
-        if thread.touches_done < self.config.workload.faults_per_thread:
+        if stats.touches < self.config.workload.faults_per_thread:
             self._push(completion + self.config.workload.interarrival_cycles, PRIO_FAULT, core)
         else:
-            thread.end_time = completion
             stats.end_time = completion
             self._live_threads -= 1
 
@@ -336,13 +326,12 @@ class Simulation:
         baseline = self.config.params.baseline_fault_mean_cycles
         speedup = baseline / mean_hit if mean_hit else 1.0
 
-        for thread in self.threads:
-            stats = self.stats[thread.core]
-            identity = stats.compute_cycles + stats.fault_cycles + stats.stall_cycles
-            if thread.end_time != identity:
+        for stats in self.stats:
+            identity = stats.compute_cycles + stats.fault_cycles
+            if stats.end_time != identity:
                 raise AssertionError(
-                    f"core {thread.core} accounting mismatch: "
-                    f"end={thread.end_time} parts={identity}"
+                    f"core {stats.core} accounting mismatch: "
+                    f"end={stats.end_time} parts={identity}"
                 )
 
         return SimReport(
@@ -359,7 +348,6 @@ class Simulation:
             p95_fault_cycles=percentile(fault_cycles, 0.95),
             critical_path_speedup=speedup,
             total_fault_cycles=sum(s.fault_cycles for s in self.stats),
-            total_stall_cycles=sum(s.stall_cycles for s in self.stats),
             sim_cycles=max((s.end_time for s in self.stats), default=0),
             fill_complete_cycle=self.fill_complete_cycle,
             background_processed=self.background_processed,

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from mfoesim import trace
 from mfoesim.cli import CONFIG_ENV_VAR, build_parser, main
 
 
@@ -149,6 +150,21 @@ def test_same_seed_gives_identical_trace_bytes(tmp_path):
 def test_synthesize_needs_rate_or_profile(tmp_path, capsys):
     assert run_cli("synthesize", "--out-dir", str(tmp_path)) == 2
     assert "--rate or --profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,generate", [
+    (("--profile", "gcc"),
+     lambda: trace.synthesize_profile("gcc", 0.002, cores=2, seed=7)),
+    (("--rate", "50000"),
+     lambda: trace.synthesize(50000, 0.002, cores=2, seed=7)),
+], ids=["profile", "rate"])
+def test_synthesize_without_dist_uses_the_library_default(tmp_path, argv, generate):
+    # --profile gives Poisson arrivals and --rate uniform ones, as documented
+    assert run_cli("synthesize", *argv, "--cores", "2", "--duration", "0.002",
+                   "--seed", "7", "--out-dir", str(tmp_path / "cli")) == 0
+    expected = tmp_path / "lib.csv"
+    trace.write_trace(generate(), str(expected))
+    assert (tmp_path / "cli" / "trace.csv").read_bytes() == expected.read_bytes()
 
 
 def test_synthesize_rejects_zero_rate(tmp_path, capsys):

@@ -180,6 +180,20 @@ def test_budget_follows_background_throughput():
     assert kernel.budget_pages() == 1160
     assert kernel.budget_pages(4.0) == 2320
     assert kernel.budget_pages(0.001) == 0
+    assert kernel.budget_pages(0) == 0
+
+
+@pytest.mark.parametrize("setting,value", [
+    ("refresh_interval_ms", float("inf")),
+    ("refresh_interval_ms", float("nan")),
+    ("refresh_interval_ms", 0),
+    ("refresh_interval_ms", -1),
+    ("resource_threshold", float("nan")),
+    ("resource_threshold", 0),
+])
+def test_out_of_range_kernel_setting_rejected(setting, value):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        KernelModel(**{setting: value})
 
 
 def test_process_one_record_books_and_refills():
