@@ -2,16 +2,10 @@
 minor page fault handling."""
 
 from .engine import FaultOutcome, MfoeEngine, OutcomeKind, PteFaultSm, Tlb
-from .kernel import (
-    BookkeepingLedger,
-    KernelModel,
-    MfoeSeStatus,
-    ProcessModel,
-    VMA,
-)
+from .kernel import BookkeepingLedger, KernelModel, ProcessModel, VMA
 from .params import LatencySampler, ModelParameters
-from .prealloc import Cr9Register, HarvestRecord, PreallocTable, ProduceStatus
-from .sim import SimConfig, SimReport, Simulation, WorkloadSpec, replay_seeded, run
+from .prealloc import HarvestRecord, PreallocTable, ProduceStatus
+from .sim import SimConfig, SimReport, Simulation, WorkloadSpec, run
 from .trace import (
     FaultTrace,
     ModelReport,
@@ -31,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BookkeepingLedger",
-    "Cr9Register",
     "FaultOutcome",
     "FaultTrace",
     "FrameAllocator",
@@ -39,7 +32,6 @@ __all__ = [
     "KernelModel",
     "LatencySampler",
     "MfoeEngine",
-    "MfoeSeStatus",
     "ModelParameters",
     "ModelReport",
     "OutcomeKind",
@@ -60,7 +52,6 @@ __all__ = [
     "WorkloadSpec",
     "apply_model",
     "ingest",
-    "replay_seeded",
     "run",
     "sweep",
     "synthesize",

@@ -3,10 +3,11 @@
 Subcommands: simulate, model, sweep, synthesize. Configuration comes
 from defaults, then an optional flat key=value config file (--config,
 or the MFOESIM_CONFIG environment variable), then command-line flags;
-later layers win. Config keys are the flag names without the leading
-dashes. Each command accepts --params-<field> for exactly the model
-parameters its computation reads: simulate for sim.SIM_PARAMETERS, model
-and sweep for trace.MODEL_PARAMETERS, synthesize for none.
+later layers win. Config keys are the running command's flag names
+without the leading dashes; any other key is an error. Each command
+accepts --params-<field> for exactly the model parameters its
+computation reads: simulate for sim.SIM_PARAMETERS, model and sweep for
+trace.MODEL_PARAMETERS, synthesize for none.
 
 Reports are written to --out-dir and validated after writing; the exit
 code is 0 only when the outputs parsed back cleanly.
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--trace-out", default="trace.csv",
                          help="output file name under --out-dir")
     # argparse subparsers parse into a fresh namespace and copy the result
-    # over the parent's, so config defaults must land on the subparsers too
+    # over the parent's, so config defaults must land on the subparser
     parser.subcommand_parsers = {
         "simulate": p_sim,
         "model": p_model,
@@ -149,23 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_dests(parser: argparse.ArgumentParser) -> dict[str, object]:
-    dests: dict[str, object] = {}
-    for action in parser._actions:
-        if action.dest not in ("help", "command"):
-            dests[action.dest] = action.type or str
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                for a in sp._actions:
-                    if a.dest != "help":
-                        dests.setdefault(a.dest, a.type or str)
-    return dests
-
-
-def load_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
-    """Parse key=value lines; keys mirror flag names one-to-one."""
-    dests = _known_dests(parser)
+def load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict[str, object]:
+    """Parse key=value lines; keys mirror the subcommand's flag names one-to-one."""
+    dests = {a.dest: a.type or str for a in subparser._actions if a.dest != "help"}
     values: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8")
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -178,7 +165,9 @@ def load_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, ob
         dest = key.strip().replace("-", "_")
         value = value.strip()
         if dest not in dests:
-            raise CliError(f"{path}:{line_no}: unknown config key {key.strip()!r}")
+            raise CliError(
+                f"{path}:{line_no}: unknown config key {key.strip()!r} for {subparser.prog}"
+            )
         conv = dests[dest]
         try:
             values[dest] = conv(value)
@@ -362,10 +351,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     try:
         if config_path:
-            overrides = load_config_file(config_path, parser)
-            parser.set_defaults(**overrides)
-            for sp in parser.subcommand_parsers.values():
-                sp.set_defaults(**overrides)
+            subparser = parser.subcommand_parsers[args.command]
+            subparser.set_defaults(**load_config_file(config_path, subparser))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, OSError, OutOfMemory) as exc:

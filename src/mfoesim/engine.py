@@ -70,9 +70,6 @@ class Tlb:
     def __len__(self) -> int:
         return len(self._map)
 
-    def snapshot(self) -> dict[tuple[int, int], tuple[int, bool]]:
-        return dict(self._map)
-
 
 class SmResult(Enum):
     MFOE_HIT = "mfoe_hit"
@@ -259,8 +256,7 @@ class MfoeEngine:
             self.kernel.record_segv(proc.tgid, va, now)
             return FaultOutcome(OutcomeKind.SEGV, 0)
 
-        eligible = self.kernel.cr9[core].mfoe_enable
-        sm = PteFaultSm(self.kernel, proc, core, va, vma, eligible, leaf)
+        sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active, leaf)
         result = sm.run()
 
         if result is SmResult.MFOE_HIT:

@@ -1,6 +1,9 @@
 """Kernel-side model: processes and their address spaces, table setup and
-teardown, the background refill machinery, deferred bookkeeping, exit
-cleanup, and the software-emulated consume path."""
+teardown, the background refill machinery, deferred bookkeeping and exit
+cleanup.
+
+Offloading is on while mfoe_active is set: the engine consults the
+per-core tables only then."""
 from __future__ import annotations
 
 import math
@@ -9,18 +12,10 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
-from .prealloc import (
-    CR9_DISABLED,
-    Cr9Register,
-    EntryState,
-    HarvestRecord,
-    PreallocTable,
-    ProduceStatus,
-)
+from .prealloc import EntryState, HarvestRecord, PreallocTable, ProduceStatus
 from .vm import PAGE_SIZE, FrameAllocator, OutOfMemory, PageTable
 
 NS_PER_S = 1_000_000_000
@@ -28,14 +23,6 @@ NS_PER_S = 1_000_000_000
 # Where anonymous regions get their addresses from; bump-allocated upward
 # with a one-page guard gap between regions.
 REGION_BASE_VA = 0x5000_0000
-
-
-class MfoeSeStatus(Enum):
-    OK = "ok"
-    NO_MFOE_VMA = "no_mfoe_vma"
-    NOT_MFOEABLE = "not_mfoeable"
-    ALREADY_MAPPED = "already_mapped"
-    TABLE_EMPTY = "table_empty"
 
 
 @dataclass
@@ -208,8 +195,6 @@ class KernelModel:
         self.tables: Optional[list[PreallocTable]] = None
         self.table_width = 0
         self.table_storage_frames: list[int] = []
-        self._table_base_pfns: list[int] = []
-        self.cr9: list[Cr9Register] = [CR9_DISABLED] * cores
         self.mfoe_active = False
         self.fill_task: Optional[InitFillTask] = None
 
@@ -224,11 +209,6 @@ class KernelModel:
         self._baseline = LatencySampler(
             self.params.baseline_fault_mean_cycles,
             self.params.baseline_fault_p95_cycles,
-            self.params.baseline_fault_dist,
-        )
-        self._swemu = LatencySampler(
-            self.params.sw_emulation_mean_ns,
-            self.params.sw_emulation_p95_ns,
             self.params.baseline_fault_dist,
         )
 
@@ -256,15 +236,12 @@ class KernelModel:
         proc.next_region_va = vma.end + PAGE_SIZE
         return vma
 
-    def prefault_construct(
-        self, proc: ProcessModel, vma: VMA, max_pages: Optional[int] = None
-    ) -> int:
+    def prefault_construct(self, proc: ProcessModel, vma: VMA) -> int:
         """Build paths and stamp offload eligibility over vma's pages.
 
-        Runs asynchronously in the real system, so callers may limit work
-        with max_pages and resume later; already-stamped and already-
-        present leaves are skipped, which also makes re-runs idempotent.
-        Returns the number of leaves newly stamped.
+        Already-stamped and already-present leaves are skipped, which
+        makes re-runs idempotent. Returns the number of leaves newly
+        stamped.
         """
         if not vma.vm_mfoe:
             return 0
@@ -275,8 +252,6 @@ class KernelModel:
                 continue
             leaf.stamp_prefault(proc.tgid, vma.writable)
             stamped += 1
-            if max_pages is not None and stamped >= max_pages:
-                break
         return stamped
 
     # enable / disable
@@ -298,19 +273,15 @@ class KernelModel:
                 storage = [self.allocator.allocate() for _ in range(frames_per_table)]
                 self.table_storage_frames.extend(storage)
                 tables.append(PreallocTable(preallocation_size))
-                self._table_base_pfns.append(storage[0])
             self.tables = tables
             self.table_width = preallocation_size
         if not self.mfoe_active:
             self.mfoe_active = True
-            self.cr9 = [
-                Cr9Register(self._table_base_pfns[core], self.table_width, True)
-                for core in range(self.cores)
-            ]
             self.fill_task = InitFillTask(self.cores)
 
     def mfoe_disable(self, proc: ProcessModel) -> int:
-        """Drop proc out; the last participant drains tables and clears CR9.
+        """Drop proc out; the last participant drains tables and turns
+        offloading off.
 
         Safe to call twice. Returns the number of frames returned to the
         free list.
@@ -322,7 +293,6 @@ class KernelModel:
             return 0
         self.mfoe_active = False
         self.fill_task = None
-        self.cr9 = [CR9_DISABLED] * self.cores
         freed = 0
         if self.tables:
             for table in self.tables:
@@ -342,10 +312,8 @@ class KernelModel:
             count += 1
         return count
 
-    def budget_pages(self, interval_ms: Optional[float] = None) -> int:
-        if interval_ms is None:
-            interval_ms = self.refresh_interval_ms
-        interval_ns = round(interval_ms * 1_000_000)
+    def budget_pages(self) -> int:
+        interval_ns = round(self.refresh_interval_ms * 1_000_000)
         return interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
 
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:
@@ -508,35 +476,6 @@ class KernelModel:
 
     def record_protection_fault(self, tgid: int, va: int, when: int = 0) -> None:
         self.protection_faults.append(ProtectionFaultEvent(tgid, va, when))
-
-    def mfoe_se(self, proc: ProcessModel, core: int, va: int) -> tuple[MfoeSeStatus, int]:
-        """Software-emulated consume: same table protocol, no hardware walk.
-
-        On success the page is mapped but the TLB is untouched, so the
-        next touch misses the TLB and resolves through the walker. Errors
-        charge nothing; the caller falls back to the ordinary fault path.
-        """
-        vma = proc.find_vma(va)
-        if vma is None or not vma.vm_mfoe:
-            return MfoeSeStatus.NO_MFOE_VMA, 0
-        leaf = proc.page_table.walk(va)
-        if leaf is None or not leaf.mfoeable:
-            return MfoeSeStatus.NOT_MFOEABLE, 0
-        if leaf.present:
-            return MfoeSeStatus.ALREADY_MAPPED, 0
-        if not leaf.try_lock():
-            return MfoeSeStatus.ALREADY_MAPPED, 0
-        try:
-            if leaf.present:
-                return MfoeSeStatus.ALREADY_MAPPED, 0
-            pfn = self.tables[core].consume(va, proc.tgid) if self.mfoe_active else None
-            if pfn is None:
-                return MfoeSeStatus.TABLE_EMPTY, 0
-            leaf.install_frame(pfn, vma.writable)
-        finally:
-            leaf.unlock()
-        cycles = self.params.ns_to_cycles(self._swemu.sample(self.rng))
-        return MfoeSeStatus.OK, max(1, cycles)
 
     # teardown
 

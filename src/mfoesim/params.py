@@ -18,8 +18,7 @@ def check_finite_positive(name: str, value: float) -> None:
 class ModelParameters:
     """Calibrated timing and throughput constants.
 
-    Cycle-denominated values assume the configured core clock; nanosecond
-    values are wall-clock and get converted through clock_hz when needed.
+    Cycle-denominated values assume the configured core clock, clock_hz.
     """
 
     mfoe_hit_cycles: int = 78
@@ -29,8 +28,6 @@ class ModelParameters:
     background_throughput_pages_per_s: int = 580_169
     init_throughput_pages_per_s: int = 1_093_075
     clock_hz: int = 3_000_000_000
-    sw_emulation_mean_ns: int = 795
-    sw_emulation_p95_ns: int = 1757
     baseline_fault_dist: str = "lognormal"
 
     def validate(self) -> None:
@@ -42,16 +39,8 @@ class ModelParameters:
                 raise ValueError(f"{f.name} must be positive, got {value!r}")
         if self.baseline_fault_p95_cycles < self.baseline_fault_mean_cycles:
             raise ValueError("baseline fault p95 below mean")
-        if self.sw_emulation_p95_ns < self.sw_emulation_mean_ns:
-            raise ValueError("software emulation p95 below mean")
         if self.baseline_fault_dist not in ("lognormal", "two_point", "constant"):
             raise ValueError(f"unknown distribution {self.baseline_fault_dist!r}")
-
-    def cycles_to_ns(self, cycles: float) -> int:
-        return round(cycles * 1_000_000_000 / self.clock_hz)
-
-    def ns_to_cycles(self, ns: float) -> int:
-        return round(ns * self.clock_hz / 1_000_000_000)
 
 
 class LatencySampler:

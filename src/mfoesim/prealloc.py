@@ -1,5 +1,4 @@
-"""Per-core pre-allocation ring tables and the control register that
-publishes them to the fault engine.
+"""Per-core pre-allocation ring tables.
 
 Layout (16 bytes per slot, little-endian):
 
@@ -10,7 +9,9 @@ Layout (16 bytes per slot, little-endian):
 num_entries counts all 16-byte slots including the header, so a table
 serialized from num_entries slots is exactly 16 * num_entries bytes and
 holds at most num_entries - 1 frames. head_index and tail_index are
-1-based and wrap from num_entries - 1 back to 1.
+1-based and wrap from num_entries - 1 back to 1. The per-core control
+register that publishes a table to the walker carries num_entries in 16
+bits, so a table has fewer than MAX_NUM_ENTRIES slots.
 
 Entry life cycle: empty (valid=0, used=0) -> valid (producer published a
 frame) -> used (consumer took the frame, left va/tgid/pfn behind for the
@@ -28,9 +29,9 @@ import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
-ENTRY_BYTES = 16
+MAX_NUM_ENTRIES = 1 << 16
 
 W1_VALID = 1 << 0
 W1_USED = 1 << 1
@@ -40,11 +41,6 @@ W1_PFN_SHIFT = 30
 W1_PFN_MASK = (1 << 34) - 1
 
 HEADER_CLEANUP_LOCK = 1 << 0
-
-CR9_PFN_BITS = 34
-CR9_ENTRIES_BITS = 16
-CR9_ENTRIES_SHIFT = CR9_PFN_BITS
-CR9_ENABLE_SHIFT = CR9_PFN_BITS + CR9_ENTRIES_BITS
 
 
 class ProduceStatus(Enum):
@@ -81,8 +77,8 @@ class PreallocTable:
     def __init__(self, num_entries: int):
         if num_entries < 2:
             raise ValueError("need the header slot plus at least one entry")
-        if num_entries >= (1 << CR9_ENTRIES_BITS):
-            raise ValueError("num_entries exceeds the 16-bit register field")
+        if num_entries >= MAX_NUM_ENTRIES:
+            raise ValueError(f"table width must be below {MAX_NUM_ENTRIES}, got {num_entries}")
         self.num_entries = num_entries
         self.head_index = 1
         self.tail_index = 1
@@ -229,10 +225,6 @@ class PreallocTable:
     def data_indices(self) -> range:
         return range(1, self.num_entries)
 
-    def iter_entries(self) -> Iterator[tuple[int, EntryState]]:
-        for i in self.data_indices():
-            yield i, self.entry_state(i)
-
     def valid_count(self) -> int:
         return sum(1 for w1 in self._w1[1:] if w1 & W1_VALID)
 
@@ -255,55 +247,3 @@ class PreallocTable:
         for i in self.data_indices():
             parts.append(struct.pack("<QQ", self._w0[i], self._w1[i]))
         return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "PreallocTable":
-        if len(blob) % ENTRY_BYTES or len(blob) < 2 * ENTRY_BYTES:
-            raise ValueError("blob is not a whole number of 16-byte slots")
-        head, tail, num_entries, locks = struct.unpack_from("<IIII", blob, 0)
-        if num_entries * ENTRY_BYTES != len(blob):
-            raise ValueError("header num_entries disagrees with blob size")
-        table = cls(num_entries)
-        table.head_index = head
-        table.tail_index = tail
-        table.locks = locks
-        for i in table.data_indices():
-            w0, w1 = struct.unpack_from("<QQ", blob, i * ENTRY_BYTES)
-            table._w0[i] = w0
-            table._w1[i] = w1
-        return table
-
-
-@dataclass(frozen=True)
-class Cr9Register:
-    """Per-core control register naming the table and switching the engine.
-
-    Packed layout: table_pfn in bits 33..0, num_entries in bits 49..34,
-    mfoe_enable in bit 50.
-    """
-
-    table_pfn: int = 0
-    num_entries: int = 0
-    mfoe_enable: bool = False
-
-    def pack(self) -> int:
-        if not 0 <= self.table_pfn < (1 << CR9_PFN_BITS):
-            raise ValueError("table_pfn exceeds 34 bits")
-        if not 0 <= self.num_entries < (1 << CR9_ENTRIES_BITS):
-            raise ValueError("num_entries exceeds 16 bits")
-        return (
-            self.table_pfn
-            | (self.num_entries << CR9_ENTRIES_SHIFT)
-            | (int(self.mfoe_enable) << CR9_ENABLE_SHIFT)
-        )
-
-    @classmethod
-    def unpack(cls, raw: int) -> "Cr9Register":
-        return cls(
-            table_pfn=raw & ((1 << CR9_PFN_BITS) - 1),
-            num_entries=(raw >> CR9_ENTRIES_SHIFT) & ((1 << CR9_ENTRIES_BITS) - 1),
-            mfoe_enable=bool((raw >> CR9_ENABLE_SHIFT) & 1),
-        )
-
-
-CR9_DISABLED = Cr9Register()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .engine import MfoeEngine, OutcomeKind
@@ -26,11 +26,9 @@ PRIO_TICK = 1
 PRIO_BG = 2
 PRIO_FAULT = 3
 
-# The ModelParameters fields a simulation reads; simulate accepts --params-*
-# for these only. sw_emulation_* feed only the library's KernelModel.mfoe_se.
-SIM_PARAMETERS = tuple(
-    f.name for f in fields(ModelParameters) if not f.name.startswith("sw_emulation_")
-)
+# A simulation reads every ModelParameters field; simulate accepts
+# --params-* for all of them.
+SIM_PARAMETERS = tuple(f.name for f in fields(ModelParameters))
 
 
 @dataclass
@@ -135,24 +133,10 @@ class SimReport:
     background_processed: int
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema": "mfoesim.simreport/1",
-            "config": self.config,
-            "hit_rate": self.hit_rate,
-            "mfoe_hits": self.mfoe_hits,
-            "mfoe_misses": self.mfoe_misses,
-            "kernel_faults": self.kernel_faults,
-            "mean_hit_cycles": self.mean_hit_cycles,
-            "mean_miss_penalty_cycles": self.mean_miss_penalty_cycles,
-            "mean_fault_cycles": self.mean_fault_cycles,
-            "p95_fault_cycles": self.p95_fault_cycles,
-            "critical_path_speedup": self.critical_path_speedup,
-            "total_fault_cycles": self.total_fault_cycles,
-            "sim_cycles": self.sim_cycles,
-            "fill_complete_cycle": self.fill_complete_cycle,
-            "background_processed": self.background_processed,
-            "per_core": [asdict(cs) for cs in self.per_core],
-        }
+        """Every field but the per-fault records, which go to faults.csv."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        d["per_core"] = [asdict(cs) for cs in self.per_core]
+        d["schema"] = "mfoesim.simreport/1"
         return d
 
     def to_json(self) -> str:
@@ -335,7 +319,7 @@ class Simulation:
                 )
 
         return SimReport(
-            config=_config_dict(self.config),
+            config=asdict(self.config),
             per_core=self.stats,
             records=self.records,
             hit_rate=hit_rate,
@@ -354,15 +338,5 @@ class Simulation:
         )
 
 
-def _config_dict(config: SimConfig) -> dict:
-    d = asdict(config)
-    return d
-
-
 def run(config: SimConfig) -> SimReport:
     return Simulation(config).run()
-
-
-def replay_seeded(config: SimConfig, seed: int) -> SimReport:
-    """Run the same configuration under a specific seed."""
-    return run(replace(config, seed=seed))

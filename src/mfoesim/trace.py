@@ -57,10 +57,11 @@ speedup is the ratio of the two.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -83,13 +84,6 @@ class TraceFormatError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    timestamp_ns: int
-    core: int
-    latency_ns: int
 
 
 class FaultTrace:
@@ -145,13 +139,6 @@ class FaultTrace:
     def __len__(self) -> int:
         return len(self.timestamps_ns)
 
-    def record(self, i: int) -> TraceRecord:
-        return TraceRecord(self.timestamps_ns[i], self.core_ids[i], self.latencies_ns[i])
-
-    def records(self) -> Iterator[TraceRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
     @property
     def core_count(self) -> int:
         return max(self.core_ids) + 1 if self.core_ids else 0
@@ -163,10 +150,6 @@ class FaultTrace:
             return 0
         end = max(t + l for t, l in zip(self.timestamps_ns, self.latencies_ns))
         return end - min(self.timestamps_ns)
-
-    def overhead_fraction(self) -> float:
-        runtime = self.total_runtime_ns
-        return sum(self.latencies_ns) / runtime if runtime > 0 else 0.0
 
     def csv_rows(self) -> Iterator[str]:
         yield TRACE_HEADER
@@ -294,25 +277,13 @@ class ModelReport:
     timeline: Timeline
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "mfoesim.modelreport/1",
-            "config": self.config,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "baseline_runtime_ns": self.baseline_runtime_ns,
-            "modeled_runtime_ns": self.modeled_runtime_ns,
-            "saved_ns": self.saved_ns,
-            "penalty_ns": self.penalty_ns,
-            "speedup": self.speedup,
-            "baseline_overhead_fraction": self.baseline_overhead_fraction,
-            "residual_overhead_fraction": self.residual_overhead_fraction,
-            "faults": self.hits + self.misses,
-        }
+        """Every field but the timeline, which goes to timeline.csv."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timeline"}
+        d["faults"] = self.hits + self.misses
+        d["schema"] = "mfoesim.modelreport/1"
+        return d
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
@@ -733,12 +704,6 @@ class SweepGrid:
                 for cell in self.cells
             ],
         }
-
-    def cell(self, width: int, interval_ms: float) -> SweepCell:
-        for c in self.cells:
-            if c.width == width and c.interval_ms == interval_ms:
-                return c
-        raise KeyError((width, interval_ms))
 
 
 def sweep(

@@ -63,10 +63,6 @@ def recompose(i4: int, i3: int, i2: int, i1: int, offset: int = 0) -> int:
     return (i4 << 39) | (i3 << 30) | (i2 << 21) | (i1 << 12) | offset
 
 
-def page_number(va: int) -> int:
-    return check_canonical(va) >> PAGE_SHIFT
-
-
 class PageTableEntry:
     """A 64-bit leaf entry.
 
@@ -131,13 +127,12 @@ class PageTableEntry:
 class PageTable:
     """4-level radix tree of dict nodes with PageTableEntry leaves.
 
-    Intermediate nodes are modeled as dicts; their frame cost is tracked
-    in node_count rather than drawn from the frame allocator.
+    Intermediate nodes are modeled as dicts and draw no frames from the
+    frame allocator.
     """
 
     def __init__(self) -> None:
         self.root: dict = {}
-        self.node_count = 1  # the root itself
 
     def construct_path(self, va: int) -> PageTableEntry:
         """Walk to the leaf for va, creating intermediate nodes as needed."""
@@ -148,7 +143,6 @@ class PageTable:
             if nxt is None:
                 nxt = {}
                 node[idx] = nxt
-                self.node_count += 1
             node = nxt
         leaf = node.get(i1)
         if leaf is None:

@@ -235,6 +235,28 @@ def test_removed_config_key_rejected(tmp_path, capsys, line):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("line, key", [
+    # a params key only simulate accepts, and a simulate-only setting
+    ("params-baseline-fault-mean-cycles=3000", "params-baseline-fault-mean-cycles"),
+    ("table-width=16", "table-width"),
+])
+def test_config_key_of_another_command_rejected(tmp_path, capsys, monkeypatch, via, line, key):
+    trace_path = tmp_path / "tiny.csv"
+    trace_path.write_text("timestamp_ns,core,latency_ns\n0,0,900\n5000,0,800\n")
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["model", "--trace", str(trace_path), "--out-dir", str(tmp_path)]
+    if via == "flag":
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:1: unknown config key {key!r} for mfoesim model\n"
+    assert not (tmp_path / "model_report.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--numa-nodes", "2"),
     ("synthesize", "--params-clock-hz", "1"),
@@ -256,6 +278,8 @@ BAD_VALUES = [
     (("simulate",), "--resource-threshold", "0", "resource threshold"),
     (("simulate",), "--quota-frames", "0", "quota_frames"),
     (("simulate",), "--quota-frames", "-5", "quota_frames"),
+    # the table's slot count must fit the 16-bit field of the control register
+    (("simulate",), "--table-width", "65536", "table width"),
     (("synthesize", "--rate", "1000"), "--duration", "inf", "duration"),
     (("synthesize", "--profile", "gcc"), "--duration", "inf", "duration"),
     # nan, not inf: without the check an infinite rate spaces faults 1 ns
@@ -320,8 +344,6 @@ PARAM_PERTURBATIONS = {
     "background_throughput_pages_per_s": "300000",
     "init_throughput_pages_per_s": "500000",
     "clock_hz": "2000000000",
-    "sw_emulation_mean_ns": "900",
-    "sw_emulation_p95_ns": "2000",
 }
 
 

@@ -166,7 +166,7 @@ def test_tlb_never_holds_stale_translations():
     vas = [vma.start + i * PAGE_SIZE for i in range(32)]
     for step in range(300):
         engine.access(0, rng.choice(vas), is_write=True, now=step * 100)
-        for (tgid, vpn), (pfn, rw) in engine.tlb.snapshot().items():
+        for (tgid, vpn), (pfn, rw) in engine.tlb._map.items():
             leaf = proc.page_table.walk(vpn << 12)
             assert leaf is not None and leaf.present
             assert leaf.pfn_or_tgid == pfn

@@ -1,12 +1,12 @@
 """Kernel-side machinery: enablement, fill, deferred processing, cleanup,
-quota enforcement, the software-emulated consume, and frame accounting."""
+quota enforcement, and frame accounting."""
 import threading
 
 import pytest
 
-from mfoesim.kernel import InitFillTask, KernelModel, MfoeSeStatus
+from mfoesim.kernel import InitFillTask, KernelModel
 from mfoesim.params import ModelParameters
-from mfoesim.prealloc import CR9_DISABLED, EntryState
+from mfoesim.prealloc import EntryState
 from mfoesim.vm import PAGE_SIZE
 
 
@@ -84,15 +84,6 @@ def test_prefault_stamps_every_page_once():
     assert kernel.prefault_construct(proc, vma) == 0, "second pass is a no-op"
 
 
-def test_prefault_resumes_after_page_cap():
-    kernel = KernelModel()
-    proc = kernel.create_process()
-    kernel.mfoe_enable(proc, 8)
-    vma = kernel.region_create(proc, 32 * PAGE_SIZE)
-    assert kernel.prefault_construct(proc, vma, max_pages=10) == 10
-    assert kernel.prefault_construct(proc, vma) == 22
-
-
 def test_prefault_skips_non_offload_regions():
     kernel = KernelModel()
     proc = kernel.create_process()
@@ -112,10 +103,9 @@ def test_enable_builds_tables_and_registers():
     assert len(kernel.tables) == 2
     # 256 slots of 16 bytes fit exactly one 4 KiB frame per core
     assert len(kernel.table_storage_frames) == 2
-    for core in range(2):
-        reg = kernel.cr9[core]
-        assert reg.mfoe_enable and reg.num_entries == 256
-        assert reg.table_pfn == kernel.table_storage_frames[core]
+    # each core's table sits in its own frame, taken before any other
+    assert kernel.table_storage_frames == [0, 1]
+    assert kernel.mfoe_active
     assert kernel.fill_task is not None
 
 
@@ -167,7 +157,6 @@ def test_disable_drains_frames_once_last_user_leaves():
     assert kernel.mfoe_active
     assert kernel.mfoe_disable(b) == 7
     assert not kernel.mfoe_active
-    assert kernel.cr9 == [CR9_DISABLED]
     assert kernel.mfoe_disable(b) == 0
 
 
@@ -175,12 +164,10 @@ def test_disable_drains_frames_once_last_user_leaves():
 
 
 def test_budget_follows_background_throughput():
-    kernel = KernelModel()
     # floor(2 ms * 580169 pages/s)
-    assert kernel.budget_pages() == 1160
-    assert kernel.budget_pages(4.0) == 2320
-    assert kernel.budget_pages(0.001) == 0
-    assert kernel.budget_pages(0) == 0
+    assert KernelModel().budget_pages() == 1160
+    assert KernelModel(refresh_interval_ms=4.0).budget_pages() == 2320
+    assert KernelModel(refresh_interval_ms=0.001).budget_pages() == 0
 
 
 @pytest.mark.parametrize("setting,value", [
@@ -387,49 +374,13 @@ def test_bit_clears_spare_mapped_pages():
     assert waiting.raw == 0, "unfaulted pages lose eligibility"
 
 
-# software-emulated consume
-
-
-def test_swemu_consume_maps_without_touching_tlb_state():
-    kernel, proc, vma = make_kernel()
-    status, cycles = kernel.mfoe_se(proc, 0, vma.start)
-    assert status is MfoeSeStatus.OK
-    assert cycles >= 1
-    leaf = proc.page_table.walk(vma.start)
-    assert leaf.present and not leaf.locked
-
-
-def test_swemu_consume_error_paths():
-    kernel, proc, vma = make_kernel(width=2)  # capacity 1
-    assert kernel.mfoe_se(proc, 0, 0x10)[0] is MfoeSeStatus.NO_MFOE_VMA
-
-    plain = kernel.region_create(proc, PAGE_SIZE)
-    plain.vm_mfoe = False
-    assert kernel.mfoe_se(proc, 0, plain.start)[0] is MfoeSeStatus.NO_MFOE_VMA
-
-    unstamped = kernel.region_create(proc, PAGE_SIZE)
-    assert kernel.mfoe_se(proc, 0, unstamped.start)[0] is MfoeSeStatus.NOT_MFOEABLE
-
-    status, _ = kernel.mfoe_se(proc, 0, vma.start)
-    assert status is MfoeSeStatus.OK
-    assert kernel.mfoe_se(proc, 0, vma.start)[0] is MfoeSeStatus.ALREADY_MAPPED
-
-    # capacity 1 and one frame consumed: the next consume finds nothing
-    assert kernel.mfoe_se(proc, 0, vma.start + PAGE_SIZE)[0] is MfoeSeStatus.TABLE_EMPTY
-
-    locked = vma.start + 2 * PAGE_SIZE
-    proc.page_table.walk(locked).try_lock()
-    assert kernel.mfoe_se(proc, 0, locked)[0] is MfoeSeStatus.ALREADY_MAPPED
-
-
 # teardown and accounting
 
 
 def test_terminate_returns_every_frame():
     kernel, proc, vma = make_kernel(width=8)
     consume_pages(kernel, proc, vma, 0, 3)
-    status, _ = kernel.mfoe_se(proc, 0, vma.start + 10 * PAGE_SIZE)
-    assert status is MfoeSeStatus.OK
+    consume_pages(kernel, proc, vma, 0, 1, offset=10)
     freed = kernel.terminate(proc)
     assert freed == 4
     assert proc.tgid not in kernel.procs

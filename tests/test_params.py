@@ -21,8 +21,6 @@ def test_default_constants():
     assert p.background_throughput_pages_per_s == 580_169
     assert p.init_throughput_pages_per_s == 1_093_075
     assert p.clock_hz == 3_000_000_000
-    assert p.sw_emulation_mean_ns == 795
-    assert p.sw_emulation_p95_ns == 1757
 
 
 @pytest.mark.parametrize(
@@ -38,28 +36,11 @@ def test_nonpositive_field_rejected(field):
 def test_p95_below_mean_rejected():
     with pytest.raises(ValueError, match="p95 below mean"):
         ModelParameters(baseline_fault_p95_cycles=100).validate()
-    with pytest.raises(ValueError, match="p95 below mean"):
-        ModelParameters(sw_emulation_p95_ns=10).validate()
 
 
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError, match="unknown distribution"):
         ModelParameters(baseline_fault_dist="triangular").validate()
-
-
-def test_cycle_ns_conversion():
-    p = ModelParameters()
-    # 3 GHz: 1 cycle = 1/3 ns, rounded to the nearest integer.
-    assert p.cycles_to_ns(78) == 26
-    assert p.cycles_to_ns(14) == 5
-    assert p.cycles_to_ns(2552) == 851
-    assert p.cycles_to_ns(6432) == 2144
-    assert p.ns_to_cycles(26) == 78
-    assert p.ns_to_cycles(2000000) == 6_000_000
-    # at 1 GHz they are the identity
-    one = ModelParameters(clock_hz=1_000_000_000)
-    assert one.cycles_to_ns(2552) == 2552
-    assert one.ns_to_cycles(78) == 78
 
 
 def test_lognormal_reproduces_mean_and_p95():

@@ -1,4 +1,4 @@
-"""Ring table state machine, wire layout, and the control register.
+"""Ring table state machine and wire layout.
 
 The serialization golden below is computed with literal shift arithmetic
 rather than the module's own packing helper, so a layout regression cannot
@@ -11,14 +11,7 @@ import time
 
 import pytest
 
-from mfoesim.prealloc import (
-    CR9_DISABLED,
-    Cr9Register,
-    EntryState,
-    HarvestRecord,
-    PreallocTable,
-    ProduceStatus,
-)
+from mfoesim.prealloc import EntryState, HarvestRecord, PreallocTable, ProduceStatus
 
 
 def full_table(n=5, first_pfn=100):
@@ -192,31 +185,6 @@ def test_serialized_layout_golden():
     assert blob == expected
 
 
-def test_serialization_round_trip():
-    t = full_table(7, first_pfn=9000)
-    t.consume(0xAAAA000, 123)
-    t.consume(0xBBBB000, 123)
-    t.try_cleanup_lock()
-    copy = PreallocTable.from_bytes(t.to_bytes())
-    assert copy.head_index == t.head_index
-    assert copy.tail_index == t.tail_index
-    assert copy.locks == t.locks
-    assert list(copy.iter_entries()) == list(t.iter_entries())
-    assert copy.to_bytes() == t.to_bytes()
-
-
-def test_from_bytes_rejects_bad_blobs():
-    t = full_table()
-    blob = t.to_bytes()
-    with pytest.raises(ValueError):
-        PreallocTable.from_bytes(blob[:24])
-    with pytest.raises(ValueError):
-        PreallocTable.from_bytes(blob[:16])  # header alone
-    forged = struct.pack("<IIII", 1, 1, 9, 0) + blob[16:]
-    with pytest.raises(ValueError):
-        PreallocTable.from_bytes(forged)
-
-
 def test_cleanup_lock_is_test_and_set():
     t = PreallocTable(5)
     assert t.try_cleanup_lock()
@@ -283,20 +251,3 @@ def test_spsc_streams_frames_without_loss():
     ct.join()
     assert received == list(range(total))
 
-
-def test_cr9_packing():
-    reg = Cr9Register(table_pfn=3, num_entries=256, mfoe_enable=True)
-    # independent arithmetic: pfn low, entries at bit 34, enable at bit 50
-    assert reg.pack() == 3 | (256 << 34) | (1 << 50)
-    assert Cr9Register.unpack(reg.pack()) == reg
-    assert CR9_DISABLED.pack() == 0
-    assert not Cr9Register.unpack(0).mfoe_enable
-
-
-def test_cr9_field_ranges():
-    with pytest.raises(ValueError):
-        Cr9Register(table_pfn=1 << 34).pack()
-    with pytest.raises(ValueError):
-        Cr9Register(num_entries=1 << 16).pack()
-    wide = Cr9Register(table_pfn=(1 << 34) - 1, num_entries=(1 << 16) - 1, mfoe_enable=True)
-    assert Cr9Register.unpack(wide.pack()) == wide

@@ -1,6 +1,7 @@
 """Event-loop simulator: accounting, determinism, and report plumbing."""
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from mfoesim.sim import (
     SimConfig,
     WorkloadSpec,
     percentile,
-    replay_seeded,
     run,
 )
 from mfoesim.vm import OutOfMemory
@@ -140,10 +140,10 @@ def test_quota_trip_falls_back_to_kernel_path():
 def test_replay_seeded_is_byte_stable():
     config = small_config(faults_per_thread=250, interarrival_cycles=1200,
                           table_width=16)
-    a = replay_seeded(config, 7)
-    b = replay_seeded(config, 7)
+    a = run(replace(config, seed=7))
+    b = run(replace(config, seed=7))
     assert a.to_json() == b.to_json()
-    again = replay_seeded(config, 7)
+    again = run(replace(config, seed=7))
     assert again.to_json() == a.to_json()
 
 
@@ -151,7 +151,7 @@ def test_seed_is_inert_when_no_latency_is_sampled():
     # an all-hit run never draws from the baseline sampler
     config = small_config(faults_per_thread=32, interarrival_cycles=200_000,
                           table_width=64)
-    a, b = replay_seeded(config, 1), replay_seeded(config, 2)
+    a, b = run(replace(config, seed=1)), run(replace(config, seed=2))
     assert a.records == b.records
     assert a.per_core == b.per_core
 
@@ -159,7 +159,7 @@ def test_seed_is_inert_when_no_latency_is_sampled():
 def test_seeds_agree_on_hit_rate_within_noise():
     config = small_config(faults_per_thread=2000, interarrival_cycles=3000,
                           table_width=256)
-    rates = [replay_seeded(config, s).hit_rate for s in (0, 1, 2)]
+    rates = [run(replace(config, seed=s)).hit_rate for s in (0, 1, 2)]
     assert max(rates) - min(rates) < 0.05
 
 
@@ -210,7 +210,7 @@ def test_simulate_report_digests_are_pinned(tmp_path):
     assert digest("faults.csv") == (
         "9bafb49b5cb4b1699ef4db9c90813648cf2d21ea18b6fd17f92b1f32414cbbcd")
     assert digest("report.json") == (
-        "141f5ddf9aa66fb473ae63d1b534fd2b9e37be78140201084c351ae733a092fb")
+        "7d52a17e7d9776f19b414d86441dc38389428e35dc6e398776a8bc5b26416ff9")
 
 
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota

@@ -46,8 +46,9 @@ GHZ1 = ModelParameters(clock_hz=1_000_000_000)  # 1 cycle == 1 ns
 def test_from_records_round_trip():
     trace = FaultTrace.from_records([(100, 0, 50), (120, 1, 10)], source="t")
     assert len(trace) == 2
-    assert trace.record(0).timestamp_ns == 100
-    assert [r.core for r in trace.records()] == [0, 1]
+    assert list(trace.timestamps_ns) == [100, 120]
+    assert list(trace.core_ids) == [0, 1]
+    assert list(trace.latencies_ns) == [50, 10]
     assert trace.core_count == 2
     assert trace.source == "t"
 
@@ -68,11 +69,10 @@ def test_validate_rejects_malformed_traces():
 def test_runtime_brackets_first_start_to_last_end():
     trace = FaultTrace([100, 120], [0, 0], [50, 10])
     assert trace.total_runtime_ns == 150 - 100
-    assert trace.overhead_fraction() == pytest.approx(60 / 50)
+    assert sum(trace.latencies_ns) / trace.total_runtime_ns == pytest.approx(60 / 50)
     empty = FaultTrace()
     assert empty.total_runtime_ns == 0
     assert empty.core_count == 0
-    assert empty.overhead_fraction() == 0.0
 
 
 # file I/O
@@ -437,7 +437,8 @@ def test_profile_table_is_complete():
 def test_memcached_profile_reproduces_overhead():
     trace = synthesize_profile("memcached", 1.0, seed=4)
     target = WORKLOAD_PROFILES["memcached"].overhead_fraction
-    assert abs(trace.overhead_fraction() - target) / target < 0.05
+    overhead = sum(trace.latencies_ns) / trace.total_runtime_ns
+    assert abs(overhead - target) / target < 0.05
     assert trace.source == "memcached"
 
 
@@ -469,11 +470,10 @@ def test_single_cell_sweep_matches_direct_replay():
     grid = sweep(trace, widths=[256], intervals_ms=[2.0])
     assert len(grid.cells) == 1
     direct = apply_model(trace, TraceModelConfig(width=256, refresh_interval_ms=2.0))
-    cell = grid.cell(256, 2.0)
+    cell = grid.cells[0]
+    assert (cell.width, cell.interval_ms) == (256, 2.0)
     assert cell.report.hit_rate == direct.hit_rate
     assert cell.report.speedup == direct.speedup
-    with pytest.raises(KeyError):
-        grid.cell(512, 2.0)
 
 
 def test_sweep_cells_match_direct_replay_field_by_field():
