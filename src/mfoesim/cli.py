@@ -151,8 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict[str, object]:
-    """Parse key=value lines; keys mirror the subcommand's flag names one-to-one."""
-    dests = {a.dest: a.type or str for a in subparser._actions if a.dest != "help"}
+    """Parse key=value lines; keys mirror the subcommand's flag names one-to-one.
+
+    A file cannot name another config file: it is read once, before the
+    command line is parsed.
+    """
+    dests = {
+        a.dest: a.type or str for a in subparser._actions if a.dest not in ("help", "config")
+    }
     values: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8")
     for line_no, raw in enumerate(text.splitlines(), 1):

@@ -193,7 +193,6 @@ class KernelModel:
         self.ledger = BookkeepingLedger()
 
         self.tables: Optional[list[PreallocTable]] = None
-        self.table_width = 0
         self.table_storage_frames: list[int] = []
         self.mfoe_active = False
         self.fill_task: Optional[InitFillTask] = None
@@ -274,7 +273,6 @@ class KernelModel:
                 self.table_storage_frames.extend(storage)
                 tables.append(PreallocTable(preallocation_size))
             self.tables = tables
-            self.table_width = preallocation_size
         if not self.mfoe_active:
             self.mfoe_active = True
             self.fill_task = InitFillTask(self.cores)

@@ -2,8 +2,9 @@
 
 One process, one faulting thread per core, all time in integer cycles.
 Threads alternate a fixed compute gap with a touch of the next page of
-their region; the background actors (initial table fill, the periodic
-deferred-processing pass) run as events on the same clock. Everything
+their region; the touches are the only events. The background actors
+(initial table fill, the periodic deferred-processing pass) are clocks
+on the same time line, caught up before each touch. Everything
 downstream of the seed is reproducible to the byte.
 """
 from __future__ import annotations
@@ -19,12 +20,8 @@ from .kernel import KernelModel
 from .params import ModelParameters, check_finite_positive
 from .vm import PAGE_SIZE
 
-# Event ordering at equal timestamps: supply lands before the periodic
-# pass bookkeeping, which runs before any same-cycle fault.
-PRIO_FILL = 0
-PRIO_TICK = 1
-PRIO_BG = 2
-PRIO_FAULT = 3
+# A background clock that is not running.
+NEVER = math.inf
 
 # A simulation reads every ModelParameters field; simulate accepts
 # --params-* for all of them.
@@ -157,22 +154,6 @@ def percentile(values: list[int], fraction: float) -> int:
     return ordered[max(0, min(len(ordered) - 1, rank - 1))]
 
 
-class _Thread:
-    """Address generator of the thread on one core; its touch count and
-    end time live in that core's CoreStats."""
-
-    __slots__ = ("region_start", "pages", "stride")
-
-    def __init__(self, region_start: int, pages: int, stride: int):
-        self.region_start = region_start
-        self.pages = pages
-        self.stride = stride
-
-    def va(self, touch: int) -> int:
-        page = (touch * self.stride) % self.pages
-        return self.region_start + page * PAGE_SIZE
-
-
 class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
@@ -192,13 +173,13 @@ class Simulation:
         self.kernel.mfoe_enable(self.proc, config.table_width)
 
         wl = config.workload
-        self.threads: list[_Thread] = []
-        for t in range(wl.threads):
+        self.region_starts: list[int] = []
+        for _ in range(wl.threads):
             vma = self.kernel.region_create(self.proc, wl.region_pages() * PAGE_SIZE)
             # Path construction happens before the run; it is off the
             # fault critical path and the touch loop starts afterwards.
             self.kernel.prefault_construct(self.proc, vma)
-            self.threads.append(_Thread(vma.start, wl.region_pages(), wl.stride_pages))
+            self.region_starts.append(vma.start)
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
@@ -208,49 +189,79 @@ class Simulation:
             1, round(params.clock_hz / params.background_throughput_pages_per_s)
         )
 
-        # (when, prio, core) is unique among pending events: one pending
-        # fault per core, and one fill, one tick and one background chain.
-        self._heap: list[tuple[int, int, int]] = []
+        # The background clocks: the next fill step, tick and pass step.
+        self._fill_at = self.fill_cost if self.kernel.fill_task is not None else NEVER
+        self._tick_at = NEVER
+        self._pass_at = NEVER
         self.records: list[FaultRecord] = []
         self.stats = [CoreStats(core=c) for c in range(cores)]
         self.fill_complete_cycle = 0
         self.background_processed = 0
-        self._bg_scheduled = False
-        self._live_threads = 0
-
-    # event plumbing
-
-    def _push(self, when: int, prio: int, core: int) -> None:
-        heapq.heappush(self._heap, (when, prio, core))
 
     def run(self) -> SimReport:
-        wl = self.config.workload
-        for core in range(len(self.threads)):
-            self._push(wl.interarrival_cycles, PRIO_FAULT, core)
-        self._live_threads = len(self.threads)
-        if self.kernel.fill_task is not None:
-            self._push(self.fill_cost, PRIO_FILL, 0)
-
-        while self._live_threads > 0 and self._heap:
-            when, prio, core = heapq.heappop(self._heap)
-            if prio == PRIO_FAULT:
-                self._on_fault(when, core)
-            elif prio == PRIO_BG:
-                self._on_bg_step(when)
-            elif prio == PRIO_TICK:
-                self._on_tick(when)
+        # One pending touch per core, so (cycle, core) is unique and
+        # same-cycle touches run in core order.
+        first = self.config.workload.interarrival_cycles
+        heap = [(first, core) for core in range(len(self.region_starts))]
+        while heap:
+            t, core = heap[0]
+            self._advance_background(t)
+            after = self._on_fault(t, core)
+            if after is None:
+                heapq.heappop(heap)
             else:
-                self._on_fill_step(when)
+                heapq.heapreplace(heap, (after, core))
         return self._build_report()
 
-    # handlers
+    def _advance_background(self, t: int) -> None:
+        """Run every background step due at or before cycle t.
 
-    def _on_fault(self, t: int, core: int) -> None:
+        At equal cycles the fill step comes first, then the tick, then
+        the pass step, and all of them before the fault at t. The fill
+        steps every fill_cost cycles; once it is done, a tick comes every
+        interval_cycles, and from the first tick + record_cost the pass
+        steps every record_cost cycles.
+        """
+        kernel = self.kernel
+        # Only a tick's quota check clears fill_task, and ticks start
+        # once the fill is done.
+        while self._fill_at <= t:
+            if kernel.fill_task.step(kernel):
+                self._fill_at += self.fill_cost
+            else:
+                self.fill_complete_cycle = self._fill_at
+                self._tick_at = self._fill_at + self.interval_cycles
+                self._fill_at = NEVER
+        while True:
+            tick, step = self._tick_at, self._pass_at
+            if tick <= step:
+                if tick > t:
+                    return
+                kernel.begin_pass()
+                self._tick_at = tick + self.interval_cycles
+                if step == NEVER:
+                    self._pass_at = tick + self.record_cost
+            elif step > t:
+                return
+            elif kernel.pass_step() is not None:
+                self.background_processed += 1
+                self._pass_at = step + self.record_cost
+            else:
+                # Only a tick or a fault can give the pass work again, so
+                # every step before the next tick and up to the fault at
+                # t would book nothing: skip to the first step after them.
+                wake = min(tick, t + 1)
+                self._pass_at = step + -(-(wake - step) // self.record_cost) * self.record_cost
+
+    def _on_fault(self, t: int, core: int) -> Optional[int]:
+        """Serve one touch; the cycle of the thread's next touch, or None."""
+        wl = self.config.workload
         stats = self.stats[core]
-        va = self.threads[core].va(stats.touches)
+        page = (stats.touches * wl.stride_pages) % wl.region_pages()
+        va = self.region_starts[core] + page * PAGE_SIZE
         out = self.engine.access(core, va, is_write=True, now=t)
         stats.touches += 1
-        stats.compute_cycles += self.config.workload.interarrival_cycles
+        stats.compute_cycles += wl.interarrival_cycles
         stats.fault_cycles += out.cycles
         kind = out.kind
         if kind is OutcomeKind.MFOE_HIT:
@@ -265,33 +276,10 @@ class Simulation:
             stats.walk_hits += 1
         self.records.append(FaultRecord(t, core, kind.value, out.cycles))
         completion = t + out.cycles
-        if stats.touches < self.config.workload.faults_per_thread:
-            self._push(completion + self.config.workload.interarrival_cycles, PRIO_FAULT, core)
-        else:
-            stats.end_time = completion
-            self._live_threads -= 1
-
-    def _on_fill_step(self, t: int) -> None:
-        task = self.kernel.fill_task
-        if task is None:
-            return
-        if task.step(self.kernel):
-            self._push(t + self.fill_cost, PRIO_FILL, 0)
-        else:
-            self.fill_complete_cycle = t
-            self._push(t + self.interval_cycles, PRIO_TICK, 0)
-
-    def _on_tick(self, t: int) -> None:
-        self.kernel.begin_pass()
-        self._push(t + self.interval_cycles, PRIO_TICK, 0)
-        if not self._bg_scheduled:
-            self._bg_scheduled = True
-            self._push(t + self.record_cost, PRIO_BG, 0)
-
-    def _on_bg_step(self, t: int) -> None:
-        if self.kernel.pass_step() is not None:
-            self.background_processed += 1
-        self._push(t + self.record_cost, PRIO_BG, 0)
+        if stats.touches < wl.faults_per_thread:
+            return completion + wl.interarrival_cycles
+        stats.end_time = completion
+        return None
 
     # reporting
 

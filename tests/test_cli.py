@@ -226,7 +226,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["redundant_accesses=0", "numa-nodes=2", "params-sw-emulation-mean-ns=900"]
+    "line", ["redundant_accesses=0", "numa-nodes=2", "params-sw-emulation-mean-ns=900",
+             # names a file that would never be read
+             "config=nonexistent.cfg"]
 )
 def test_removed_config_key_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"

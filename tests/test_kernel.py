@@ -99,7 +99,7 @@ def test_enable_builds_tables_and_registers():
     kernel = KernelModel(cores=2)
     proc = kernel.create_process()
     kernel.mfoe_enable(proc, 256)
-    assert kernel.table_width == 256
+    assert kernel.tables[0].num_entries == 256
     assert len(kernel.tables) == 2
     # 256 slots of 16 bytes fit exactly one 4 KiB frame per core
     assert len(kernel.table_storage_frames) == 2
@@ -115,7 +115,7 @@ def test_table_geometry_fixed_by_first_enable():
     b = kernel.create_process()
     kernel.mfoe_enable(a, 64)
     kernel.mfoe_enable(b, 512)  # request ignored; geometry is boot-scoped
-    assert kernel.table_width == 64
+    assert kernel.tables[0].num_entries == 64
     assert b.mfoe_enabled
     with pytest.raises(ValueError):
         kernel.mfoe_enable(a, 1)

@@ -6,9 +6,11 @@ from dataclasses import replace
 import pytest
 
 from mfoesim.cli import main as cli_main
+from mfoesim.kernel import KernelModel
 from mfoesim.params import ModelParameters
 from mfoesim.sim import (
     SimConfig,
+    Simulation,
     WorkloadSpec,
     percentile,
     run,
@@ -197,20 +199,65 @@ def test_frame_exhaustion_raises_out_of_memory():
         run(small_config(threads=2, faults_per_thread=3000, total_frames=4000))
 
 
-def test_simulate_report_digests_are_pinned(tmp_path):
-    # the criterion-9 simulate configuration; a refactor of the fault
-    # protocol or the deferred pass must leave both files byte-identical
-    assert cli_main(["simulate", "--threads", "2", "--faults-per-thread", "2000",
-                     "--interarrival", "3000", "--table-width", "32",
-                     "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+_PINNED = [
+    # the criterion-9 simulate configuration
+    (["--threads", "2", "--faults-per-thread", "2000", "--interarrival", "3000",
+      "--table-width", "32", "--seed", "5"],
+     "9bafb49b5cb4b1699ef4db9c90813648cf2d21ea18b6fd17f92b1f32414cbbcd",
+     "7d52a17e7d9776f19b414d86441dc38389428e35dc6e398776a8bc5b26416ff9"),
+    # revisited pages: most pass steps find nothing to book
+    (["--threads", "2", "--faults-per-thread", "3000", "--region-pages", "64",
+      "--table-width", "16", "--seed", "1"],
+     "83dfe06915b2ef825ee41c2de66b92f72a67ac89f5dd439e4e5804f1517888e9",
+     "f30a715a111b69adc0bff1a9a453a53f86e2ea1baa11e820479460602c79af06"),
+    # record_cost 6000 and interval 12000 cycles: every tick shares its
+    # cycle with a pass step
+    (["--threads", "3", "--faults-per-thread", "2000", "--region-pages", "300",
+      "--params-background-throughput-pages-per-s", "500000",
+      "--refresh-interval-ms", "0.004", "--table-width", "16", "--seed", "7"],
+     "ed435917fb0c7f46c168a80eb1e45a451f3b9e22cc4d77e324e6eab4682f4bfd",
+     "093e746e219d8eb996d30c290a37f900f83f6f22dd85a8e26506b7da7a0a0884"),
+    # the quota trips mid-run and the rest are kernel faults
+    (["--threads", "2", "--faults-per-thread", "600", "--interarrival", "3000",
+      "--refresh-interval-ms", "0.1", "--quota-frames", "300", "--table-width", "16",
+      "--seed", "5"],
+     "56ed8c406d21b5b96f45064f7381b40ec0330227ceb0dfd96ac01000f965d428",
+     "85c3c86bee104d147f4452a7c0179747cb50ca2af01949189e95108e324535af"),
+]
+
+
+@pytest.mark.parametrize("argv, faults_csv, report_json", _PINNED,
+                         ids=["criterion-9", "idle-passes", "tick-meets-pass-step",
+                              "quota-trip"])
+def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_json):
+    # a refactor of the fault protocol, the deferred pass or the event
+    # loop must leave both files byte-identical
+    assert cli_main(["simulate", *argv, "--out-dir", str(tmp_path)]) == 0
 
     def digest(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
-    assert digest("faults.csv") == (
-        "9bafb49b5cb4b1699ef4db9c90813648cf2d21ea18b6fd17f92b1f32414cbbcd")
-    assert digest("report.json") == (
-        "7d52a17e7d9776f19b414d86441dc38389428e35dc6e398776a8bc5b26416ff9")
+    assert digest("faults.csv") == faults_csv
+    assert digest("report.json") == report_json
+
+
+def test_idle_pass_is_not_polled(monkeypatch):
+    # a pass step that books nothing waits for the next tick or fault,
+    # so the idle steps are bounded by ticks + touches
+    calls = []
+    pass_step = KernelModel.pass_step
+
+    def counted(self):
+        calls.append(None)
+        return pass_step(self)
+
+    monkeypatch.setattr(KernelModel, "pass_step", counted)
+    simulation = Simulation(small_config(threads=2, faults_per_thread=3000,
+                                         region_pages_per_thread=64, table_width=16,
+                                         seed=1))
+    report = simulation.run()
+    touches = sum(s.touches for s in report.per_core)
+    assert len(calls) <= report.background_processed + touches + simulation.kernel.tick_index
 
 
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota
