@@ -349,12 +349,17 @@ class KernelModel:
 
         Takes the oldest consumed entry of the first core, from the pass
         cursor on, that has one, then moves the cursor past that core, so
-        cores are interleaved record by record.
+        cores are interleaved record by record. A core whose table holds
+        no used entry is passed over without taking its lock.
         """
-        if self.pass_budget <= 0 or self.tables is None:
+        tables = self.tables
+        if self.pass_budget <= 0 or tables is None:
             return None
         for offset in range(self.cores):
             core = (self._pass_core + offset) % self.cores
+            table = tables[core]
+            if table.consumed == table.released:
+                continue
             record = self.process_one_record(core)
             if record is not None:
                 self._pass_core = (core + 1) % self.cores

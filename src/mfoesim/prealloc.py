@@ -22,6 +22,13 @@ and lock free: full/empty decisions come from the entry state bits, never
 from comparing indices, and each transition is published with one word1
 store after any other fields are in place. The header cleanup lock only
 serializes the slow paths (harvest scans and exit cleanup).
+
+A table also counts its used entries, so the deferred pass can pass over
+a table with nothing to book without reading it. The count is kept as two
+single-writer totals, entries ever consumed (the consumer's) and entries
+ever released (the cleanup side's, which the lock serializes), because
+the two sides run on different threads and a shared read-modify-write
+counter would lose updates.
 """
 from __future__ import annotations
 
@@ -83,6 +90,9 @@ class PreallocTable:
         self.head_index = 1
         self.tail_index = 1
         self.locks = 0
+        # used == consumed - released; see the module docstring.
+        self.consumed = 0
+        self.released = 0
         self._w0 = [0] * num_entries
         self._w1 = [0] * num_entries
         # Backs the test-and-set on the header lock bits only; the
@@ -92,6 +102,11 @@ class PreallocTable:
     @property
     def capacity(self) -> int:
         return self.num_entries - 1
+
+    @property
+    def used(self) -> int:
+        """Entries in the used state, from the counts (used_count() scans)."""
+        return self.consumed - self.released
 
     def _next(self, index: int) -> int:
         return 1 if index == self.num_entries - 1 else index + 1
@@ -129,6 +144,7 @@ class PreallocTable:
             self._w1[i] = 0
             self._w0[i] = 0
             i = self._next(i)
+        self.released += len(out)
         return out
 
     # consumer side
@@ -148,6 +164,7 @@ class PreallocTable:
         pfn = (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
         self._w0[i] = va
         self._w1[i] = pack_word1(pfn, tgid, used=True, valid=False)
+        self.consumed += 1
         self.tail_index = self._next(i)
         return pfn
 
@@ -181,6 +198,8 @@ class PreallocTable:
 
     def clear_entry(self, index: int) -> None:
         i = self._check_index(index)
+        if self._w1[i] & W1_USED:
+            self.released += 1
         self._w1[i] = 0
         self._w0[i] = 0
 

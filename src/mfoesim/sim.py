@@ -6,14 +6,21 @@ their region; the touches are the only events. The background actors
 (initial table fill, the periodic deferred-processing pass) are clocks
 on the same time line, caught up before each touch. Everything
 downstream of the seed is reproducible to the byte.
+
+Every touch, TLB and walk hits included, is logged as one row of a
+FaultLog: four columns (cycle, core, outcome code, latency cycles), with
+the outcome stored as an index into OUTCOMES, so the log costs a few
+bytes per touch instead of one object. The report summarises the log in
+one pass, and faults.csv is written from it row by row.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
@@ -88,12 +95,33 @@ class SimConfig:
         return self.cores or self.workload.threads
 
 
-@dataclass
-class FaultRecord:
-    t: int
-    core: int
-    kind: str
-    cycles: int
+# A FaultLog stores an outcome as its index into OUTCOMES. The fault
+# kinds come first, so a code below _FAULT_CODES is a fault.
+_FAULT_KINDS = (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT)
+OUTCOMES = _FAULT_KINDS + tuple(kind for kind in OutcomeKind if kind not in _FAULT_KINDS)
+_FAULT_CODES = len(_FAULT_KINDS)
+_HIT_CODE = OUTCOMES.index(OutcomeKind.MFOE_HIT)
+_OUTCOME_CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
+
+
+class FaultLog:
+    """One row per touch, kept as columns: the touch's cycle, its core,
+    the code of its outcome in OUTCOMES, and its latency in cycles."""
+
+    def __init__(self) -> None:
+        self.t = array("q")
+        self.core = array("q")
+        self.outcome = array("B")
+        self.cycles = array("q")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def csv_rows(self) -> Iterator[str]:
+        yield "timestamp_cycles,core,outcome,latency_cycles"
+        names = [kind.value for kind in OUTCOMES]
+        for t, core, code, cycles in zip(self.t, self.core, self.outcome, self.cycles):
+            yield f"{t},{core},{names[code]},{cycles}"
 
 
 @dataclass
@@ -114,7 +142,7 @@ class CoreStats:
 class SimReport:
     config: dict
     per_core: list[CoreStats]
-    records: list[FaultRecord]
+    records: FaultLog
     hit_rate: float
     mfoe_hits: int
     mfoe_misses: int
@@ -139,10 +167,8 @@ class SimReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    def csv_rows(self):
-        yield "timestamp_cycles,core,outcome,latency_cycles"
-        for r in self.records:
-            yield f"{r.t},{r.core},{r.kind},{r.cycles}"
+    def csv_rows(self) -> Iterator[str]:
+        return self.records.csv_rows()
 
 
 def percentile(values: list[int], fraction: float) -> int:
@@ -193,12 +219,25 @@ class Simulation:
         self._fill_at = self.fill_cost if self.kernel.fill_task is not None else NEVER
         self._tick_at = NEVER
         self._pass_at = NEVER
-        self.records: list[FaultRecord] = []
+        self.records = FaultLog()
+        # The columns' appends, bound once: _on_fault runs once per touch.
+        self._log = (
+            self.records.t.append,
+            self.records.core.append,
+            self.records.outcome.append,
+            self.records.cycles.append,
+        )
         self.stats = [CoreStats(core=c) for c in range(cores)]
         self.fill_complete_cycle = 0
         self.background_processed = 0
+        self._ran = False
 
     def run(self) -> SimReport:
+        # A second run would serve more touches into the stats and log
+        # the first report shares.
+        if self._ran:
+            raise RuntimeError("a Simulation runs once")
+        self._ran = True
         # One pending touch per core, so (cycle, core) is unique and
         # same-cycle touches run in core order.
         first = self.config.workload.interarrival_cycles
@@ -274,7 +313,11 @@ class Simulation:
             stats.tlb_hits += 1
         elif kind is OutcomeKind.WALK_HIT:
             stats.walk_hits += 1
-        self.records.append(FaultRecord(t, core, kind.value, out.cycles))
+        log_t, log_core, log_outcome, log_cycles = self._log
+        log_t(t)
+        log_core(core)
+        log_outcome(_OUTCOME_CODE[kind])
+        log_cycles(out.cycles)
         completion = t + out.cycles
         if stats.touches < wl.faults_per_thread:
             return completion + wl.interarrival_cycles
@@ -289,12 +332,15 @@ class Simulation:
         kernel_faults = sum(s.kernel_faults for s in self.stats)
         hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
-        hit_cycles = [r.cycles for r in self.records if r.kind == "mfoe_hit"]
+        hit_total = 0
+        fault_cycles = []
+        for code, cycles in zip(self.records.outcome, self.records.cycles):
+            if code < _FAULT_CODES:
+                fault_cycles.append(cycles)
+                if code == _HIT_CODE:
+                    hit_total += cycles
         penalty = self.config.params.mfoe_miss_penalty_cycles
-        fault_cycles = [
-            r.cycles for r in self.records if r.kind in ("mfoe_hit", "mfoe_miss", "kernel_fault")
-        ]
-        mean_hit = sum(hit_cycles) / len(hit_cycles) if hit_cycles else 0.0
+        mean_hit = hit_total / hits if hits else 0.0
         baseline = self.config.params.baseline_fault_mean_cycles
         speedup = baseline / mean_hit if mean_hit else 1.0
 

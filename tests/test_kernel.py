@@ -1,5 +1,6 @@
 """Kernel-side machinery: enablement, fill, deferred processing, cleanup,
 quota enforcement, and frame accounting."""
+import random
 import threading
 
 import pytest
@@ -312,6 +313,50 @@ def test_error_cleanup_targets_one_tgid_anywhere_in_ring():
     kernel.error_cleanup(b.tgid)
     assert table.used_count() == 0
     assert kernel.ledger.records() == set(a_recs) | set(b_recs)
+
+
+def test_used_count_tracks_every_transition():
+    # the pass passes over a table by its used count, so the count must
+    # follow every way an entry becomes or stops being used, including a
+    # mid-ring cleanup that leaves used entries behind a non-used head
+    rng = random.Random(11)
+    kernel = KernelModel(cores=2, total_frames=1 << 14, seed=1)
+    procs = [kernel.create_process() for _ in range(2)]
+    for proc in procs:
+        kernel.mfoe_enable(proc, 8)
+    next_va = {proc.tgid: 0 for proc in procs}
+    mid_ring = 0
+    for _ in range(4000):
+        table = rng.choice(kernel.tables)
+        roll = rng.random()
+        if roll < 0.4:
+            proc = rng.choice(procs)
+            if table.consume(next_va[proc.tgid] * PAGE_SIZE, proc.tgid) is not None:
+                next_va[proc.tgid] += 1
+        elif roll < 0.55:
+            kernel.process_one_record(rng.randrange(2))
+        elif roll < 0.65:
+            kernel.begin_pass()
+            for _ in range(rng.randrange(4)):
+                kernel.pass_step()
+        elif roll < 0.72:
+            table.harvest(max_records=rng.randrange(1, 4))
+        elif roll < 0.8:
+            kernel.error_cleanup(rng.choice(procs).tgid)
+        elif roll < 0.86:
+            table.clear_entry(rng.randrange(1, table.num_entries))
+        elif roll < 0.88:
+            for proc in procs:
+                kernel.mfoe_disable(proc)
+            for proc in procs:
+                kernel.mfoe_enable(proc, 8)
+        elif kernel.fill_task is not None:
+            kernel.fill_task.step(kernel)
+        for t in kernel.tables:
+            assert t.used == t.used_count()
+            if t.used and t.entry_state(t.head_index) is not EntryState.USED:
+                mid_ring += 1
+    assert mid_ring, "no step left used entries behind a non-used head"
 
 
 def test_cleanup_and_tick_share_tables_safely_across_threads():

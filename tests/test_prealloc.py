@@ -6,6 +6,7 @@ hide behind its own encoder.
 """
 import random
 import struct
+import sys
 import threading
 import time
 
@@ -219,7 +220,9 @@ def test_cleanup_lock_mutual_exclusion_across_threads():
 
 def test_spsc_streams_frames_without_loss():
     # sleep(0) on the blocked side hands the interpreter over instead of
-    # burning a whole switch interval spinning
+    # burning a whole switch interval spinning. Both sides update the
+    # table's used count; the short switch interval interleaves them
+    # finely, and the count must still match a scan at the end.
     t = PreallocTable(1024)
     total = 20_000
     received = []
@@ -243,11 +246,18 @@ def test_spsc_streams_frames_without_loss():
             else:
                 received.append(got)
 
-    pt = threading.Thread(target=producer)
-    ct = threading.Thread(target=consumer)
-    pt.start()
-    ct.start()
-    pt.join()
-    ct.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pt = threading.Thread(target=producer)
+        ct = threading.Thread(target=consumer)
+        pt.start()
+        ct.start()
+        pt.join(timeout=60)
+        ct.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pt.is_alive() and not ct.is_alive()
     assert received == list(range(total))
+    assert t.used == t.used_count()
 

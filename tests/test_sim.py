@@ -1,14 +1,17 @@
 """Event-loop simulator: accounting, determinism, and report plumbing."""
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from mfoesim.cli import main as cli_main
+from mfoesim.engine import OutcomeKind
 from mfoesim.kernel import KernelModel
 from mfoesim.params import ModelParameters
 from mfoesim.sim import (
+    OUTCOMES,
     SimConfig,
     Simulation,
     WorkloadSpec,
@@ -102,7 +105,7 @@ def test_fresh_pages_never_revisit_tlb_or_walker():
 def test_event_timestamps_monotone():
     report = run(small_config(faults_per_thread=300, interarrival_cycles=900,
                               table_width=16))
-    times = [r.t for r in report.records]
+    times = list(report.records.t)
     assert times == sorted(times)
     assert times[0] == 900, "first fault lands after one compute gap"
 
@@ -134,9 +137,9 @@ def test_quota_trip_falls_back_to_kernel_path():
                               refresh_interval_ms=0.01))
     assert report.kernel_faults > 0, "offloading should have been shut off"
     assert report.mfoe_hits + report.mfoe_misses + report.kernel_faults == 300
-    tripped_at = next(i for i, r in enumerate(report.records)
-                      if r.kind == "kernel_fault")
-    assert all(r.kind == "kernel_fault" for r in report.records[tripped_at:])
+    outcomes = [OUTCOMES[code] for code in report.records.outcome]
+    tripped_at = outcomes.index(OutcomeKind.KERNEL_FAULT)
+    assert all(kind is OutcomeKind.KERNEL_FAULT for kind in outcomes[tripped_at:])
 
 
 def test_replay_seeded_is_byte_stable():
@@ -154,8 +157,21 @@ def test_seed_is_inert_when_no_latency_is_sampled():
     config = small_config(faults_per_thread=32, interarrival_cycles=200_000,
                           table_width=64)
     a, b = run(replace(config, seed=1)), run(replace(config, seed=2))
-    assert a.records == b.records
+    for column in ("t", "core", "outcome", "cycles"):
+        assert getattr(a.records, column) == getattr(b.records, column)
     assert a.per_core == b.per_core
+
+
+def test_second_run_is_refused_and_leaves_the_first_report_alone():
+    simulation = Simulation(small_config(threads=2, faults_per_thread=50,
+                                         table_width=16))
+    report = simulation.run()
+    doc, rows = report.to_json(), list(report.csv_rows())
+    with pytest.raises(RuntimeError, match="runs once"):
+        simulation.run()
+    assert len(report.records) == 100
+    assert report.to_json() == doc, "per_core must not take the second run's touches"
+    assert list(report.csv_rows()) == rows
 
 
 def test_seeds_agree_on_hit_rate_within_noise():
@@ -243,21 +259,30 @@ def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_j
 
 def test_idle_pass_is_not_polled(monkeypatch):
     # a pass step that books nothing waits for the next tick or fault,
-    # so the idle steps are bounded by ticks + touches
-    calls = []
+    # so the idle steps are bounded by ticks + touches; and the pass
+    # passes over a table with no used entry, so only booking steps
+    # reach a table at all
+    calls, table_calls = [], []
     pass_step = KernelModel.pass_step
+    process_one_record = KernelModel.process_one_record
 
     def counted(self):
         calls.append(None)
         return pass_step(self)
 
+    def counted_record(self, core):
+        table_calls.append(core)
+        return process_one_record(self, core)
+
     monkeypatch.setattr(KernelModel, "pass_step", counted)
+    monkeypatch.setattr(KernelModel, "process_one_record", counted_record)
     simulation = Simulation(small_config(threads=2, faults_per_thread=3000,
                                          region_pages_per_thread=64, table_width=16,
                                          seed=1))
     report = simulation.run()
     touches = sum(s.touches for s in report.per_core)
     assert len(calls) <= report.background_processed + touches + simulation.kernel.tick_index
+    assert len(table_calls) == report.background_processed
 
 
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota
@@ -274,14 +299,18 @@ _FIELD_MATRIX = [
 ]
 
 
+def _simulate_field_matrix(extra, out):
+    argv = ["simulate", "--threads", "2", "--seed", "5",
+            "--faults-per-thread", "600", *extra, "--out-dir", str(out)]
+    assert cli_main(argv) == 0
+
+
 def test_every_report_field_varies(tmp_path):
     # a report field that reads the same on every run depends on nothing
     seen = {}
     for i, extra in enumerate(_FIELD_MATRIX):
         out = tmp_path / str(i)
-        argv = ["simulate", "--threads", "2", "--seed", "5",
-                "--faults-per-thread", "600", *extra, "--out-dir", str(out)]
-        assert cli_main(argv) == 0
+        _simulate_field_matrix(extra, out)
         doc = json.loads((out / "report.json").read_text())
         for key, value in doc.items():
             if key in ("config", "schema"):
@@ -294,3 +323,21 @@ def test_every_report_field_varies(tmp_path):
                 seen.setdefault(key, set()).add(value)
     constant = sorted(name for name, values in seen.items() if len(values) == 1)
     assert not constant, f"report fields that never vary: {constant}"
+
+
+@pytest.mark.parametrize("extra", _FIELD_MATRIX, ids="abcdef")
+def test_fault_summaries_match_a_recount_of_faults_csv(tmp_path, extra):
+    _simulate_field_matrix(extra, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    rows = [line.split(",") for line in (tmp_path / "faults.csv").read_text().splitlines()[1:]]
+    hits = [int(cycles) for _, _, outcome, cycles in rows if outcome == "mfoe_hit"]
+    faults = [int(cycles) for _, _, outcome, cycles in rows
+              if outcome in ("mfoe_hit", "mfoe_miss", "kernel_fault")]
+    ordered = sorted(faults)
+    assert doc["mfoe_hits"] == len(hits)
+    assert doc["mfoe_misses"] == sum(1 for row in rows if row[2] == "mfoe_miss")
+    assert doc["kernel_faults"] == sum(1 for row in rows if row[2] == "kernel_fault")
+    assert doc["mean_hit_cycles"] == (sum(hits) / len(hits) if hits else 0.0)
+    assert doc["mean_fault_cycles"] == (sum(faults) / len(faults) if faults else 0.0)
+    assert doc["p95_fault_cycles"] == (ordered[math.ceil(0.95 * len(ordered)) - 1]
+                                       if ordered else 0)
