@@ -199,7 +199,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_rows(path: Path, rows) -> None:
-    _write(path, "\n".join(rows) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    trace.write_rows(path, rows)
 
 
 def _validate_json(path: Path, required_keys) -> None:

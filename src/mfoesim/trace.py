@@ -46,9 +46,12 @@ How the replay computes this, exactly and without an event queue:
   tick at T books the hits served before T; a fault served at T or
   later belongs to the next window.
 - Order. The timeline lists faults in the order they are served: by
-  effective time, then core index, then per-core order. Each core's run
-  in a window is already ordered, so a stable sort per window merges
-  them. sweep keeps no timeline and skips the merge.
+  effective time, then core index, then per-core order. A window keeps
+  its timeline as columns, one core's run after another in core order,
+  and each run is already ordered. So a stable sort of the window's
+  positions on effective time merges them, and one itemgetter takes
+  every column in that order. sweep keeps no timeline and skips the
+  merge.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -62,7 +65,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
@@ -148,52 +152,55 @@ class FaultTrace:
         """First fault to the completion of the latest-finishing fault."""
         if not self.timestamps_ns:
             return 0
-        end = max(t + l for t, l in zip(self.timestamps_ns, self.latencies_ns))
+        end = max(map(add, self.timestamps_ns, self.latencies_ns))
         return end - min(self.timestamps_ns)
 
     def csv_rows(self) -> Iterator[str]:
         yield TRACE_HEADER
-        for i in range(len(self)):
-            yield f"{self.timestamps_ns[i]},{self.core_ids[i]},{self.latencies_ns[i]}"
+        for t, core, lat in zip(self.timestamps_ns, self.core_ids, self.latencies_ns):
+            yield f"{t},{core},{lat}"
+
+
+# ingest reads data lines in chunks of about this many characters. A
+# chunk's strings and ints are all it holds beyond its output arrays, so
+# the chunk stays small: on a 100k-line trace the traced peak was 1.2x the
+# arrays at 16 KB and 3x at 256 KB, and larger chunks ran no faster.
+_INGEST_CHUNK_BYTES = 1 << 14
+
+# Rows joined per write() call; one join of every row held a command's
+# peak memory.
+_WRITE_BATCH_ROWS = 4096
 
 
 def ingest(path: str) -> FaultTrace:
-    """Load a trace CSV; empty or comment-only files yield an empty trace."""
+    """Load a trace CSV; empty or comment-only files yield an empty trace.
+
+    The lines up to the header are read one at a time. The data lines
+    are then read in chunks, and each chunk is parsed and checked in
+    bulk. A chunk that fails a bulk check, or holds a comment or blank
+    line, is read again line by line, which accepts the comment and
+    blank lines and raises TraceFormatError on the first bad line. The
+    per-core regression check carries across chunks.
+    """
     times = array("q")
     cores = array("q")
     lats = array("q")
     last_per_core: dict[int, int] = {}
-    saw_header = False
     with open(path, encoding="utf-8") as fh:
+        line_no = 0
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if not saw_header:
-                if line != TRACE_HEADER:
-                    raise TraceFormatError(
-                        path, line_no, f"expected header {TRACE_HEADER!r}, got {line!r}"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
-            if core < 0:
-                raise TraceFormatError(path, line_no, "negative core id")
-            if lat <= 0:
-                raise TraceFormatError(path, line_no, "latency must be positive")
-            prev = last_per_core.get(core)
-            if prev is not None and t < prev:
-                raise TraceFormatError(path, line_no, f"timestamp regresses on core {core}")
-            last_per_core[core] = t
-            times.append(t)
-            cores.append(core)
-            lats.append(lat)
+            if line != TRACE_HEADER:
+                raise TraceFormatError(
+                    path, line_no, f"expected header {TRACE_HEADER!r}, got {line!r}"
+                )
+            break
+        while lines := fh.readlines(_INGEST_CHUNK_BYTES):
+            if not _ingest_chunk(lines, last_per_core, times, cores, lats):
+                _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats)
+            line_no += len(lines)
     trace = FaultTrace(source=path, validate=False)
     trace.timestamps_ns = times
     trace.core_ids = cores
@@ -201,11 +208,72 @@ def ingest(path: str) -> FaultTrace:
     return trace
 
 
-def write_trace(trace: FaultTrace, path: str) -> None:
+def _ingest_chunk(lines, last_per_core, times, cores, lats) -> bool:
+    """Parse a chunk of data lines in bulk; False, with nothing changed,
+    when any line is not a valid record."""
+    # Exactly two commas per line: joining the chunk and splitting on
+    # commas alone would let "1,2" then "3,4,5,6" through as two records.
+    if {*map(str.count, lines, repeat(","))} != {2}:
+        return False
+    try:
+        ints = list(map(int, ",".join(lines).split(",")))
+    except ValueError:
+        return False
+    ts, cs, ls = ints[0::3], ints[1::3], ints[2::3]
+    if min(cs) < 0 or min(ls) <= 0:
+        return False
+    # (a plain loop: one compress() pass per core ran slower even on a
+    # one-core chunk, and grows with the core count)
+    last = dict(last_per_core)
+    for t, c in zip(ts, cs):
+        if t < last.get(c, t):
+            return False
+        last[c] = t
+    # (array.extend grows per item from a list; array() sizes once)
+    times += array("q", ts)
+    cores += array("q", cs)
+    lats += array("q", ls)
+    last_per_core.update(last)
+    return True
+
+
+def _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats) -> None:
+    """Parse data lines one at a time, the first numbered line_no + 1."""
+    for line_no, raw in enumerate(lines, line_no + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
+        try:
+            t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
+        if core < 0:
+            raise TraceFormatError(path, line_no, "negative core id")
+        if lat <= 0:
+            raise TraceFormatError(path, line_no, "latency must be positive")
+        prev = last_per_core.get(core)
+        if prev is not None and t < prev:
+            raise TraceFormatError(path, line_no, f"timestamp regresses on core {core}")
+        last_per_core[core] = t
+        times.append(t)
+        cores.append(core)
+        lats.append(lat)
+
+
+def write_rows(path, rows: Iterable[str]) -> None:
+    """Write rows as newline-terminated lines, a batch of rows per write."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in trace.csv_rows():
-            fh.write(row)
-            fh.write("\n")
+        while batch := list(islice(rows, _WRITE_BATCH_ROWS)):
+            batch.append("")  # the last row's newline
+            fh.write("\n".join(batch))
+
+
+def write_trace(trace: FaultTrace, path: str) -> None:
+    write_rows(path, trace.csv_rows())
 
 
 @dataclass
@@ -241,19 +309,12 @@ class Timeline:
     def __len__(self) -> int:
         return len(self.orig_ns)
 
-    def row(self, i: int) -> tuple[int, int, int, int, int]:
-        return (
-            self.orig_ns[i],
-            self.adjusted_ns[i],
-            self.core_ids[i],
-            self.outcomes[i],
-            self.modeled_latency_ns[i],
-        )
-
     def csv_rows(self) -> Iterator[str]:
         yield TIMELINE_HEADER
-        for i in range(len(self)):
-            o, a, c, out, lat = self.row(i)
+        for o, a, c, out, lat in zip(
+            self.orig_ns, self.adjusted_ns, self.core_ids, self.outcomes,
+            self.modeled_latency_ns,
+        ):
             yield f"{o},{a},{c},{OUTCOME_NAMES[out]},{lat}"
 
 
@@ -411,13 +472,17 @@ def _replay(
         [(c * width * init_ns, init_ns, width)] for c in range(cores)
     ]
 
-    t_orig = array("q")
-    t_adj = array("q")
-    t_core = array("q")
-    t_out = array("q")
-    t_lat = array("q")
-    window: list[tuple[int, int, int, int, int, int]] = []
-    row = window.append
+    # The timeline's columns, and the current window's, which hold each
+    # core's run in turn in core order; a window's original times and
+    # cores are sliced in after each run.
+    columns = [array("q") for _ in range(5)]
+    w_orig = array("q")
+    w_eff: list[int] = []
+    w_adj: list[int] = []
+    w_core: list[int] = []
+    w_out: list[int] = []
+    w_lat: list[int] = []
+    add_eff, add_adj, add_out, add_lat = w_eff.append, w_adj.append, w_out.append, w_lat.append
 
     misses = 0
     saved = 0
@@ -467,32 +532,42 @@ def _replay(
                     saved += lat - hit_ns
                     sh -= lat - hit_ns
                     if keep_timeline:
-                        row((eff * cores + c, times[p], key, c, OUTCOME_HIT, hit_ns))
+                        add_eff(eff)
+                        add_adj(key)
+                        add_out(OUTCOME_HIT)
+                        add_lat(hit_ns)
                 else:
                     misses += 1
                     sh += miss_ns
                     if keep_timeline:
-                        row((eff * cores + c, times[p], key, c, OUTCOME_MISS, lat + miss_ns))
+                        add_eff(eff)
+                        add_adj(key)
+                        add_out(OUTCOME_MISS)
+                        add_lat(lat + miss_ns)
                 p += 1
             done += p - p0
+            if keep_timeline:
+                w_orig += times[p0:p]
+                w_core += [c] * (p - p0)
             pos[c] = p
             shift[c] = sh
             last_eff[c] = prev
             core_hits[c] = hc
             avail[c] = av
 
-        if window:
-            # Each core's run is in order; a stable sort on (eff, core)
-            # interleaves them into the order the faults are served in.
-            window.sort(key=itemgetter(0))
-            # (array.extend grows per item from a tuple; array() sizes once)
-            _, orig, adj, core_ids, outcomes, lats_out = zip(*window)
-            t_orig += array("q", orig)
-            t_adj += array("q", adj)
-            t_core += array("q", core_ids)
-            t_out += array("q", outcomes)
-            t_lat += array("q", lats_out)
-            window.clear()
+        if w_eff:
+            window = (w_orig, w_adj, w_core, w_out, w_lat)
+            if len(w_eff) > 1:
+                # Each core's run is in order and the runs sit in core
+                # order, so a stable sort of the positions on eff
+                # interleaves them into the order the faults are served in.
+                pick = itemgetter(*sorted(range(len(w_eff)), key=w_eff.__getitem__))
+                window = map(pick, window)
+            for col, part in zip(columns, window):
+                # (array.extend grows per item from a tuple; array() sizes once)
+                col += array("q", part)
+            for part in (w_orig, w_eff, w_adj, w_core, w_out, w_lat):
+                del part[:]
         if done == n:
             break
 
@@ -550,7 +625,7 @@ def _replay(
         residual_overhead_fraction=(
             modeled_overhead / modeled_runtime if modeled_runtime > 0 else 0.0
         ),
-        timeline=Timeline(t_orig, t_adj, t_core, t_out, t_lat),
+        timeline=Timeline(*columns),
     )
 
 

@@ -12,10 +12,12 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from test_acceptance import _reference_replay
 
+from mfoesim import trace as trace_module
 from mfoesim.params import ModelParameters
 from mfoesim.trace import (
     DEFAULT_INTERVALS_MS,
@@ -130,6 +132,171 @@ def test_ingest_reports_offending_line(tmp_path, body, line_no, fragment):
         ingest(str(path))
     assert exc.value.line_no == line_no
     assert exc.value.path == str(path)
+
+
+def _ingest_by_line(path):
+    """Reference for the chunked ingest: the plain line-at-a-time loop.
+    Returns the three columns as lists, or raises its TraceFormatError."""
+    times, cores, lats = [], [], []
+    last_per_core = {}
+    saw_header = False
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not saw_header:
+                if line != TRACE_HEADER:
+                    raise TraceFormatError(
+                        path, line_no, f"expected header {TRACE_HEADER!r}, got {line!r}"
+                    )
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
+            try:
+                t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
+            if core < 0:
+                raise TraceFormatError(path, line_no, "negative core id")
+            if lat <= 0:
+                raise TraceFormatError(path, line_no, "latency must be positive")
+            prev = last_per_core.get(core)
+            if prev is not None and t < prev:
+                raise TraceFormatError(path, line_no, f"timestamp regresses on core {core}")
+            last_per_core[core] = t
+            times.append(t)
+            cores.append(core)
+            lats.append(lat)
+    return times, cores, lats
+
+
+# A body this long spans many ingest chunks (about 1300 lines each).
+_BODY_LINES = 100_000
+
+
+def _body_lines():
+    """Line 1 is the header; data line n holds a time of 10 * n."""
+    return [TRACE_HEADER] + [f"{10 * n},{n % 4},{1 + n % 97}" for n in range(2, _BODY_LINES + 2)]
+
+
+def _chunk_starts(path):
+    """Line numbers that open a data chunk, when the header is line 1."""
+    starts = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        line_no = 1
+        while lines := fh.readlines(trace_module._INGEST_CHUNK_BYTES):
+            starts.append(line_no + 1)
+            line_no += len(lines)
+    return starts
+
+
+def _bad_two_then_four(lines, at):
+    # Six fields over two lines that would regroup into two valid records.
+    lines[at - 1 : at + 1] = [f"{10 * at},{at % 4}", f"5,{10 * at + 10},{(at + 1) % 4},5"]
+
+
+def _bad_negative_core(lines, at):
+    lines[at - 1] = f"{10 * at},-1,5"
+
+
+def _bad_zero_latency(lines, at):
+    lines[at - 1] = f"{10 * at},0,0"
+
+
+def _bad_non_integer(lines, at):
+    lines[at - 1] = f"{10 * at},zero,5"
+
+
+def _bad_regression_across_edge(lines, at):
+    # The last line of one chunk sets core 0's time; the first line of
+    # the next goes back by 1 ns.
+    lines[at - 2] = f"{10 * at},0,5"
+    lines[at - 1] = f"{10 * at - 1},0,5"
+
+
+@pytest.mark.parametrize(
+    "corrupt,where,fragment",
+    [
+        (_bad_two_then_four, "mid", "expected 3 fields, got 2"),
+        (_bad_negative_core, "mid", "negative core"),
+        (_bad_zero_latency, "edge", "latency must be positive"),
+        (_bad_non_integer, "mid", "non-integer"),
+        (_bad_regression_across_edge, "edge", "regresses on core 0"),
+    ],
+)
+def test_chunked_ingest_reports_offending_line(tmp_path, corrupt, where, fragment):
+    path = tmp_path / "bad.csv"
+    lines = _body_lines()
+    path.write_text("\n".join(lines) + "\n")
+    starts = _chunk_starts(path)
+    assert len(starts) > 20
+    # Past the first chunk: the first line of the fourth, or well inside
+    # the sixth.
+    at = starts[3] if where == "edge" else starts[5] + 100
+    corrupt(lines, at)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=fragment) as want:
+        _ingest_by_line(str(path))
+    with pytest.raises(TraceFormatError) as got:
+        ingest(str(path))
+    assert want.value.line_no == at
+    assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+
+
+def _with_notes(lines):
+    lines[5000:5000] = ["# note, with, commas", "", "   ", "# note"]
+    return "\n".join(lines) + "\n"
+
+
+def _header_after_comments(lines):
+    return "# captured on host xyz\n\n# 4 cores\n" + "\n".join(lines) + "\n"
+
+
+def _padded(lines):
+    padded = [" " + line.replace(",", " ,\t") + " " for line in lines[1:]]
+    return "\n".join([lines[0]] + padded) + "\n"
+
+
+@pytest.mark.parametrize(
+    "render,newline",
+    [
+        (_with_notes, None),
+        (lambda lines: "\n".join(lines) + "\n", "\r\n"),
+        (_padded, None),
+        (_header_after_comments, None),
+        (lambda lines: "\n".join(lines), None),
+    ],
+    ids=["notes-in-later-chunk", "crlf", "padded", "header-after-comments", "no-final-newline"],
+)
+def test_chunked_ingest_matches_line_loop(tmp_path, render, newline):
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(render(_body_lines()))
+    back = ingest(str(path))
+    got = (list(back.timestamps_ns), list(back.core_ids), list(back.latencies_ns))
+    assert got == _ingest_by_line(str(path))
+    assert len(back) == _BODY_LINES
+
+
+def test_ingest_memory_stays_bounded(tmp_path):
+    # Measured: the peak is 1.19x the three output arrays at 100k lines,
+    # chunk strings and array over-allocation included; reading the
+    # whole file at once peaks above 10x, and 256 KB chunks at 3x.
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(_body_lines()) + "\n")
+    tracemalloc.start()
+    try:
+        trace = ingest(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = 3 * 8 * len(trace)
+    assert len(trace) == _BODY_LINES
+    assert peak < out_bytes * 5 // 4 + (512 << 10), f"peak {peak} for {out_bytes} of arrays"
 
 
 # replay model
@@ -333,6 +500,45 @@ def test_window_boundaries_match_oracle():
         assert (report.hits, report.misses) == (hits, misses), context
         assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
     assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "records,width,cores,core_order",
+    [
+        # Width 2 on two cores fills by 3660 ns; ticks every 2 ms from
+        # 2003660. The first and last windows each hold one fault.
+        (
+            [(1_000_000, 0, 851), (3_000_000, 1, 851), (3_100_000, 0, 851),
+             (7_000_000, 0, 851)],
+            2, 2, [0, 1, 0, 0],
+        ),
+        # One core, about seven faults a window, misses and restocks.
+        ([(300_000 * i, 0, 851) for i in range(1, 41)], 2, 1, [0] * 40),
+        # Core 0's hit (851 - 26 ns saved) pulls its 1000825 fault to
+        # 1000000, the time of core 1's fault: core order breaks the tie.
+        ([(900_000, 0, 851), (1_000_000, 1, 851), (1_000_825, 0, 851)], 4, 2, [0, 0, 1]),
+        # Core 0's first hit saves 4974 ns, so its next two faults shift
+        # below 1000000 and are served at it, in their order, before
+        # core 1's fault at that time.
+        (
+            [(1_000_000, 0, 5000), (1_000_000, 1, 851), (1_002_000, 0, 851),
+             (1_003_000, 0, 851)],
+            4, 2, [0, 0, 0, 1],
+        ),
+    ],
+    ids=["one-fault-windows", "one-core", "core-order-tie", "per-core-order-tie"],
+)
+def test_timeline_merge_edges_match_oracle(records, width, cores, core_order):
+    params = ModelParameters()
+    report = apply_model(
+        FaultTrace.from_records(records), TraceModelConfig(width=width, cores=cores), params
+    )
+    tl = report.timeline
+    got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes, tl.modeled_latency_ns))
+    want, hits, misses, _, _ = _reference_replay(records, width, 2.0, cores, params)
+    assert got == want
+    assert (report.hits, report.misses) == (hits, misses)
+    assert list(tl.core_ids) == core_order
 
 
 def test_degenerate_overlap_reports_infinite_speedup():
