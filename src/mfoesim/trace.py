@@ -45,6 +45,16 @@ How the replay computes this, exactly and without an event queue:
 - Ties. A landing at a fault's effective time counts for that fault. A
   tick at T books the hits served before T; a fault served at T or
   later belongs to the next window.
+- Miss runs. A core's free count is cached and recounted from its ramps
+  only when it reads 0; the recount also finds the core's next landing.
+  If the count is still 0, the fault at p misses, and nothing lands
+  before that landing or the tick, whichever is first. Each miss moves
+  the core's later faults by exactly the penalty, so fault j's key is
+  times[j] + shift + (j - p) * penalty, and keys never decrease. So
+  every fault up to the first key that reaches the limit misses too; a
+  binary search finds it, and the run is booked in one step. Hits are
+  served one at a time, so the replay costs per hit and per miss run,
+  not per miss.
 - Order. The timeline lists faults in the order they are served: by
   effective time, then core index, then per-core order. A window keeps
   its timeline as columns, one core's run after another in core order,
@@ -167,6 +177,10 @@ class FaultTrace:
 # arrays at 16 KB and 3x at 256 KB, and larger chunks ran no faster.
 _INGEST_CHUNK_BYTES = 1 << 14
 
+# Trace columns are signed 64-bit arrays.
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
 # Rows joined per write() call; one join of every row held a command's
 # peak memory.
 _WRITE_BATCH_ROWS = 4096
@@ -229,10 +243,16 @@ def _ingest_chunk(lines, last_per_core, times, cores, lats) -> bool:
         if t < last.get(c, t):
             return False
         last[c] = t
-    # (array.extend grows per item from a list; array() sizes once)
-    times += array("q", ts)
-    cores += array("q", cs)
-    lats += array("q", ls)
+    # (array.extend grows per item from a list; array() sizes once; all
+    # three are built before any is extended, so a field outside 64 bits
+    # leaves the columns as they were)
+    try:
+        ts, cs, ls = array("q", ts), array("q", cs), array("q", ls)
+    except OverflowError:
+        return False
+    times += ts
+    cores += cs
+    lats += ls
     last_per_core.update(last)
     return True
 
@@ -250,6 +270,8 @@ def _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats) -> No
             t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (t, core, lat)):
+            raise TraceFormatError(path, line_no, f"field outside signed 64 bits in {line!r}")
         if core < 0:
             raise TraceFormatError(path, line_no, "negative core id")
         if lat <= 0:
@@ -381,7 +403,17 @@ def apply_model(
     config: Optional[TraceModelConfig] = None,
     params: Optional[ModelParameters] = None,
 ) -> ModelReport:
-    return _replay(_CoreRuns(trace), config, params, keep_timeline=True)
+    cores = _trace_cores(trace, config.cores if config else None)
+    return _replay(_CoreRuns(trace, cores), config, params, keep_timeline=True)
+
+
+def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
+    """The trace's core count, checked against the configured one before
+    anything is sized by it: the per-core split allocates per core id."""
+    trace_cores = trace.core_count
+    if cores is not None and trace_cores > cores:
+        raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
+    return trace_cores
 
 
 class _CoreRuns:
@@ -390,8 +422,7 @@ class _CoreRuns:
 
     __slots__ = ("faults", "times", "lats", "baseline_runtime_ns", "baseline_overhead_ns")
 
-    def __init__(self, trace: FaultTrace):
-        cores = trace.core_count
+    def __init__(self, trace: FaultTrace, cores: int):
         self.faults = len(trace)
         self.times = [array("q") for _ in range(cores)]
         self.lats = [array("q") for _ in range(cores)]
@@ -418,8 +449,6 @@ def _replay(
     n = runs.faults
     trace_cores = len(runs.times)
     cores = config.cores if config.cores is not None else max(1, trace_cores)
-    if trace_cores > cores:
-        raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
 
     consts = model_constants(config, params)
     echo = {
@@ -510,40 +539,68 @@ def _replay(
                 eff = key if key > prev else prev
                 if eff >= tick:
                     break
-                prev = eff
                 if not av:
-                    # A landing at the fault's own time counts: it sorts first.
+                    # A landing at the fault's own time counts: it sorts
+                    # first. land becomes the next landing after eff, or
+                    # the tick if none comes sooner.
                     got = landed_done[c]
                     full = 0
+                    land = tick
                     for start, step, count in ramps[c]:
                         k = (eff - start) // step
                         if k >= count:
                             full += count
                         elif k > 0:
                             got += k
+                            if start + (k + 1) * step < land:
+                                land = start + (k + 1) * step
+                        elif start + step < land:
+                            land = start + step
                     if full:
                         landed_done[c] += full
                         ramps[c] = [r for r in ramps[c] if (eff - r[0]) // r[1] < r[2]]
                     av = got + full - hc
+                    if not av:
+                        # A miss, and so is every later fault j whose key
+                        # times[j] + sh + (j - p) * miss_ns stays below
+                        # land (at most the tick): nothing lands first, so
+                        # each would recount to 0. Keys never decrease, so
+                        # the run ends at the first key that reaches land.
+                        lo = p + 1
+                        hi = end
+                        while lo < hi:
+                            mid = (lo + hi) // 2
+                            if times[mid] + sh + (mid - p) * miss_ns < land:
+                                lo = mid + 1
+                            else:
+                                hi = mid
+                        run = lo - p
+                        last = times[lo - 1] + sh + (run - 1) * miss_ns
+                        if keep_timeline:
+                            adj = list(map(add, times[p:lo], (
+                                range(sh, sh + run * miss_ns, miss_ns) if miss_ns
+                                else repeat(sh, run)
+                            )))
+                            w_adj += adj
+                            w_eff += [a if a > eff else eff for a in adj]
+                            w_out += repeat(OUTCOME_MISS, run)
+                            w_lat += map(add, lats[p:lo], repeat(miss_ns))
+                        misses += run
+                        sh += run * miss_ns
+                        prev = last if last > eff else eff
+                        p = lo
+                        continue
+                prev = eff
+                av -= 1
+                hc += 1
                 lat = lats[p]
-                if av:
-                    av -= 1
-                    hc += 1
-                    saved += lat - hit_ns
-                    sh -= lat - hit_ns
-                    if keep_timeline:
-                        add_eff(eff)
-                        add_adj(key)
-                        add_out(OUTCOME_HIT)
-                        add_lat(hit_ns)
-                else:
-                    misses += 1
-                    sh += miss_ns
-                    if keep_timeline:
-                        add_eff(eff)
-                        add_adj(key)
-                        add_out(OUTCOME_MISS)
-                        add_lat(lat + miss_ns)
+                saved += lat - hit_ns
+                sh -= lat - hit_ns
+                if keep_timeline:
+                    add_eff(eff)
+                    add_adj(key)
+                    add_out(OUTCOME_HIT)
+                    add_lat(hit_ns)
                 p += 1
             done += p - p0
             if keep_timeline:
@@ -795,7 +852,7 @@ def sweep(
     )
     if not width_list or not interval_list:
         raise ValueError("sweep grids must be nonempty")
-    runs = _CoreRuns(trace)
+    runs = _CoreRuns(trace, _trace_cores(trace, cores))
     cells = []
     for w in width_list:
         for iv in interval_list:

@@ -86,6 +86,32 @@ def test_model_missing_trace_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [f"{10**20},0,5", f"1000,{10**20},5", f"1000,0,{10**20}", f"{-(1 << 63) - 1},0,5"],
+    ids=["timestamp", "core", "latency", "timestamp-below"],
+)
+def test_field_outside_64_bits_is_a_clean_error(tmp_path, capsys, bad):
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n500,0,5\n{bad}\n")
+    for command in ("model", "sweep"):
+        assert run_cli(command, "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace_path}:3: field outside signed 64 bits"), err
+        assert "Traceback" not in err
+
+
+def test_too_many_cores_is_a_clean_error(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n500,0,5\n600,100000,5\n")
+    for command in ("model", "sweep"):
+        argv = (command, "--trace", str(trace_path), "--cores", "4", "--out-dir", str(tmp_path))
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: trace uses 100001 cores, model configured for 4\n"
+        )
+
+
 def test_sweep_grid_shape(tmp_path):
     assert run_cli(
         "synthesize", "--rate", "10000", "--duration", "0.02",

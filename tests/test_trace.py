@@ -13,6 +13,7 @@ import math
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from test_acceptance import _reference_replay
@@ -282,6 +283,30 @@ def test_chunked_ingest_matches_line_loop(tmp_path, render, newline):
     assert len(back) == _BODY_LINES
 
 
+_OUTSIDE_64_BITS = [
+    f"{10**20},0,5", f"1000,{10**20},5", f"1000,0,{10**20}", f"{-(1 << 63) - 1},0,5",
+]
+
+
+@pytest.mark.parametrize(
+    "bad", _OUTSIDE_64_BITS, ids=["timestamp", "core", "latency", "timestamp-below"]
+)
+def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    lines = _body_lines()
+    path.write_text("\n".join(lines) + "\n")
+    at = _chunk_starts(path)[5] + 100
+    lines[at - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match="outside signed 64 bits") as exc:
+        ingest(str(path))
+    assert exc.value.line_no == at
+    # The bulk parse gives up on such a chunk without touching the columns.
+    times, cores, lats = array("q", [1]), array("q", [0]), array("q", [5])
+    assert not trace_module._ingest_chunk(["2,0,5\n", bad + "\n"], {0: 1}, times, cores, lats)
+    assert (list(times), list(cores), list(lats)) == ([1], [0], [5])
+
+
 def test_ingest_memory_stays_bounded(tmp_path):
     # Measured: the peak is 1.19x the three output arrays at 100k lines,
     # chunk strings and array over-allocation included; reading the
@@ -415,6 +440,25 @@ def test_core_count_inferred_and_checked():
         apply_model(trace, TraceModelConfig(width=4, cores=2))
 
 
+def test_core_count_checked_before_per_core_split(monkeypatch):
+    # The per-core split allocates two columns per core id, so a trace
+    # with more cores than configured is refused before it is built.
+    built = []
+    real = trace_module._CoreRuns
+    monkeypatch.setattr(trace_module, "_CoreRuns", lambda *a: built.append(a) or real(*a))
+    wide = FaultTrace.from_records([(1000, 0, 10), (2000, 100_000, 10)])
+    message = "trace uses 100001 cores, model configured for 4"
+    with pytest.raises(ValueError, match=message):
+        apply_model(wide, TraceModelConfig(width=4, cores=4))
+    with pytest.raises(ValueError, match=message):
+        sweep(wide, [4], [2.0], cores=4)
+    assert built == []
+    fits = FaultTrace.from_records([(1000, 0, 10), (2000, 3, 10)])
+    apply_model(fits, TraceModelConfig(width=4, cores=4))
+    sweep(fits, [4, 8], [2.0], cores=4)
+    assert len(built) == 2
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="width"):
         apply_model(FaultTrace(), TraceModelConfig(width=0))
@@ -500,6 +544,67 @@ def test_window_boundaries_match_oracle():
         assert (report.hits, report.misses) == (hits, misses), context
         assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
     assert time.monotonic() - start < 5.0
+
+
+def test_long_miss_runs_match_oracle():
+    # Saturated replays, where a core misses in runs of up to hundreds of
+    # faults between ticks and landings: 2-3 cores with 300-1500 faults each,
+    # gaps of 0 to 3 us against a refill budget of 0-10 records a tick.
+    # A miss penalty of 1 cycle rounds to 0 ns; with hits whose latency
+    # equals hit_ns the recorded times are then the keys, so faults aimed
+    # at a landing or a tick hit the tie rules exactly. A penalty of
+    # 30000 cycles (10 us) moves each later fault of a run by its place in
+    # the run, and drives runs across several ticks.
+    start = time.monotonic()
+    rng = random.Random(40404)
+    param_choices = [
+        ModelParameters(mfoe_miss_penalty_cycles=1, background_throughput_pages_per_s=bg)
+        for bg in (1000, 1500, 5000)
+    ] + [
+        ModelParameters(mfoe_miss_penalty_cycles=30_000, background_throughput_pages_per_s=bg)
+        for bg in (1000, 1500, 5000)
+    ]
+    for case in range(36):
+        params = param_choices[case % len(param_choices)]
+        cores = rng.choice([2, 3])
+        width = rng.choice([1, 2, 4])
+        interval_ms = rng.choice([0.7, 2.0])
+        config = TraceModelConfig(width=width, refresh_interval_ms=interval_ms, cores=cores)
+        k = model_constants(config, params)
+        assert k["budget_per_tick"] <= 10
+        assert k["miss_penalty_ns"] in (0, 10_000)
+        ticks = [cores * width * k["init_page_ns"] + i * k["interval_ns"] for i in range(1, 40)]
+        marks = sorted(
+            [(p + 1) * k["init_page_ns"] for p in range(cores * width)]
+            + [t + j * k["record_ns"] for t in ticks for j in range(k["budget_per_tick"] + 2)]
+        )
+
+        records = []
+        for c in range(cores):
+            clock = rng.choice([0, rng.randint(0, 2_000_000)])
+            for _ in range(rng.randint(300, 1500)):
+                ahead = [m for m in marks if m >= clock][:3]
+                if ahead and rng.random() < 1 / 4:
+                    clock = rng.choice(ahead)
+                else:
+                    clock += rng.choice([0, 0, 0, 1, rng.randint(1, 3000)])
+                lat = rng.choice([k["hit_ns"], k["hit_ns"], rng.randint(1, 4000)])
+                records.append((clock, c, lat))
+        records.sort(key=lambda r: (r[0], r[1]))
+
+        report = apply_model(FaultTrace.from_records(records), config, params)
+        tl = report.timeline
+        got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes,
+                       tl.modeled_latency_ns))
+        want, hits, misses, saved, penalty = _reference_replay(
+            records, width, interval_ms, cores, params
+        )
+        context = f"case {case}: w={width} iv={interval_ms} p={params}"
+        assert misses > 4 * hits, context
+        assert got == want, context
+        assert (report.hits, report.misses) == (hits, misses), context
+        assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
+    assert time.monotonic() - start < 20.0
 
 
 @pytest.mark.parametrize(
