@@ -29,7 +29,7 @@ class OutcomeKind(Enum):
     PROTECTION_FAULT = "protection_fault"
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultOutcome:
     kind: OutcomeKind
     cycles: int
@@ -245,11 +245,13 @@ class MfoeEngine:
 
         leaf = proc.page_table.walk(va)
         if leaf is not None and leaf.present:
-            if is_write and not leaf.rw:
+            pfn = leaf.pfn_or_tgid
+            rw = leaf.rw
+            if is_write and not rw:
                 self.kernel.record_protection_fault(proc.tgid, va, now)
-                return FaultOutcome(OutcomeKind.PROTECTION_FAULT, 0, pfn=leaf.pfn_or_tgid)
-            self.tlb.insert(proc.tgid, vpn, leaf.pfn_or_tgid, leaf.rw)
-            return FaultOutcome(OutcomeKind.WALK_HIT, 0, pfn=leaf.pfn_or_tgid)
+                return FaultOutcome(OutcomeKind.PROTECTION_FAULT, 0, pfn=pfn)
+            self.tlb.insert(proc.tgid, vpn, pfn, rw)
+            return FaultOutcome(OutcomeKind.WALK_HIT, 0, pfn=pfn)
 
         vma = proc.find_vma(va)
         if vma is None:

@@ -10,8 +10,10 @@ import math
 import random
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
@@ -31,9 +33,6 @@ class VMA:
     end: int
     writable: bool = True
     vm_mfoe: bool = False
-
-    def contains(self, va: int) -> bool:
-        return self.start <= va < self.end
 
     def pages(self) -> int:
         return (self.end - self.start) // PAGE_SIZE
@@ -70,9 +69,12 @@ class ProcessModel:
         self.next_region_va = REGION_BASE_VA
 
     def find_vma(self, va: int) -> Optional[VMA]:
-        for vma in self.vmas:
-            if vma.contains(va):
-                return vma
+        # region_create only appends, each VMA above the last, and VMAs do
+        # not overlap; so the starts ascend and only the last VMA starting
+        # at or below va can hold it.
+        i = bisect_right(self.vmas, va, key=attrgetter("start"))
+        if i and va < self.vmas[i - 1].end:
+            return self.vmas[i - 1]
         return None
 
 
@@ -226,6 +228,11 @@ class KernelModel:
         return proc
 
     def region_create(self, proc: ProcessModel, length: int, writable: bool = True) -> VMA:
+        """Map a new region above every existing one, after a guard page.
+
+        proc.vmas stays in ascending, non-overlapping order, which
+        ProcessModel.find_vma relies on.
+        """
         if length < 0:
             raise ValueError("negative region length")
         pages = math.ceil(length / PAGE_SIZE)

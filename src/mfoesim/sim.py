@@ -100,8 +100,11 @@ class SimConfig:
 _FAULT_KINDS = (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT)
 OUTCOMES = _FAULT_KINDS + tuple(kind for kind in OutcomeKind if kind not in _FAULT_KINDS)
 _FAULT_CODES = len(_FAULT_KINDS)
-_HIT_CODE = OUTCOMES.index(OutcomeKind.MFOE_HIT)
-_OUTCOME_CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
+_HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
+    OUTCOMES.index,
+    (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT,
+     OutcomeKind.TLB_HIT, OutcomeKind.WALK_HIT),
+)
 
 
 class FaultLog:
@@ -199,9 +202,10 @@ class Simulation:
         self.kernel.mfoe_enable(self.proc, config.table_width)
 
         wl = config.workload
+        self.region_pages = wl.region_pages()
         self.region_starts: list[int] = []
         for _ in range(wl.threads):
-            vma = self.kernel.region_create(self.proc, wl.region_pages() * PAGE_SIZE)
+            vma = self.kernel.region_create(self.proc, self.region_pages * PAGE_SIZE)
             # Path construction happens before the run; it is off the
             # fault critical path and the touch loop starts afterwards.
             self.kernel.prefault_construct(self.proc, vma)
@@ -296,27 +300,34 @@ class Simulation:
         """Serve one touch; the cycle of the thread's next touch, or None."""
         wl = self.config.workload
         stats = self.stats[core]
-        page = (stats.touches * wl.stride_pages) % wl.region_pages()
+        page = (stats.touches * wl.stride_pages) % self.region_pages
         va = self.region_starts[core] + page * PAGE_SIZE
         out = self.engine.access(core, va, is_write=True, now=t)
         stats.touches += 1
         stats.compute_cycles += wl.interarrival_cycles
         stats.fault_cycles += out.cycles
         kind = out.kind
-        if kind is OutcomeKind.MFOE_HIT:
-            stats.mfoe_hits += 1
-        elif kind is OutcomeKind.MFOE_MISS:
-            stats.mfoe_misses += 1
-        elif kind is OutcomeKind.KERNEL_FAULT:
-            stats.kernel_faults += 1
+        if kind is OutcomeKind.WALK_HIT:
+            stats.walk_hits += 1
+            code = _WALK_CODE
         elif kind is OutcomeKind.TLB_HIT:
             stats.tlb_hits += 1
-        elif kind is OutcomeKind.WALK_HIT:
-            stats.walk_hits += 1
+            code = _TLB_CODE
+        elif kind is OutcomeKind.MFOE_HIT:
+            stats.mfoe_hits += 1
+            code = _HIT_CODE
+        elif kind is OutcomeKind.MFOE_MISS:
+            stats.mfoe_misses += 1
+            code = _MISS_CODE
+        elif kind is OutcomeKind.KERNEL_FAULT:
+            stats.kernel_faults += 1
+            code = _KERNEL_CODE
+        else:
+            code = OUTCOMES.index(kind)
         log_t, log_core, log_outcome, log_cycles = self._log
         log_t(t)
         log_core(core)
-        log_outcome(_OUTCOME_CODE[kind])
+        log_outcome(code)
         log_cycles(out.cycles)
         completion = t + out.cycles
         if stats.touches < wl.faults_per_thread:

@@ -88,6 +88,11 @@ OUTCOME_NAMES = ("miss", "hit")
 TRACE_HEADER = "timestamp_ns,core,latency_ns"
 TIMELINE_HEADER = "orig_timestamp_ns,adjusted_timestamp_ns,core,outcome,modeled_latency_ns"
 
+# The most cores a replay models. It keeps columns and state per core id,
+# so one stray core id must not size the run; no modeled machine comes
+# near this.
+MAX_CORES = 1024
+
 DEFAULT_WIDTHS = (128, 256, 512, 1024)
 DEFAULT_INTERVALS_MS = (2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -316,6 +321,8 @@ class TraceModelConfig:
         check_finite_positive("refresh interval", self.refresh_interval_ms)
         if self.cores is not None and self.cores < 1:
             raise ValueError("cores must be positive")
+        if self.cores is not None and self.cores > MAX_CORES:
+            raise ValueError(f"cores must be at most {MAX_CORES}, got {self.cores}")
 
 
 @dataclass
@@ -408,11 +415,16 @@ def apply_model(
 
 
 def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
-    """The trace's core count, checked against the configured one before
-    anything is sized by it: the per-core split allocates per core id."""
+    """The trace's core count, checked against the configured one and
+    MAX_CORES before anything is sized by either: the per-core split
+    allocates per core id, and the replay per configured core."""
     trace_cores = trace.core_count
     if cores is not None and trace_cores > cores:
         raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
+    if cores is not None and cores > MAX_CORES:
+        raise ValueError(f"cores must be at most {MAX_CORES}, got {cores}")
+    if trace_cores > MAX_CORES:
+        raise ValueError(f"trace uses {trace_cores} cores, more than the {MAX_CORES} a replay models")
     return trace_cores
 
 
@@ -620,9 +632,13 @@ def _replay(
                 # interleaves them into the order the faults are served in.
                 pick = itemgetter(*sorted(range(len(w_eff)), key=w_eff.__getitem__))
                 window = map(pick, window)
-            for col, part in zip(columns, window):
-                # (array.extend grows per item from a tuple; array() sizes once)
-                col += array("q", part)
+            try:
+                for col, part in zip(columns, window):
+                    # (array.extend grows per item from a tuple; array() sizes once)
+                    col += array("q", part)
+            except OverflowError:
+                bad = next(v for v in (*w_adj, *w_lat) if not _INT64_MIN <= v <= _INT64_MAX)
+                raise ValueError(f"timeline value {bad} is outside signed 64 bits") from None
             for part in (w_orig, w_eff, w_adj, w_core, w_out, w_lat):
                 del part[:]
         if done == n:

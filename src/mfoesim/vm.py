@@ -1,5 +1,5 @@
-"""Virtual address handling, page table entries, the 4-level radix table,
-and the physical frame allocator."""
+"""Virtual address handling, page table entries, the page table, and the
+physical frame allocator."""
 from __future__ import annotations
 
 from collections import deque
@@ -7,9 +7,6 @@ from typing import Iterator, Optional
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
-LEVELS = 4
-LEVEL_BITS = 9
-INDEX_MASK = (1 << LEVEL_BITS) - 1
 OFFSET_MASK = PAGE_SIZE - 1
 
 # User-space canonical addresses keep bits 63..48 clear.
@@ -36,31 +33,6 @@ def check_canonical(va: int) -> int:
     if va < 0 or va >= USER_VA_LIMIT:
         raise CanonicalityError(f"address {va:#x} is not a canonical user address")
     return va
-
-
-def decompose(va: int) -> tuple[int, int, int, int, int]:
-    """Split a canonical address into (root..leaf indices, page offset).
-
-    Index order is root first: bits 47..39, 38..30, 29..21, 20..12,
-    then the 12-bit offset.
-    """
-    check_canonical(va)
-    return (
-        (va >> 39) & INDEX_MASK,
-        (va >> 30) & INDEX_MASK,
-        (va >> 21) & INDEX_MASK,
-        (va >> 12) & INDEX_MASK,
-        va & OFFSET_MASK,
-    )
-
-
-def recompose(i4: int, i3: int, i2: int, i1: int, offset: int = 0) -> int:
-    for idx in (i4, i3, i2, i1):
-        if not 0 <= idx <= INDEX_MASK:
-            raise ValueError(f"table index {idx} out of range")
-    if not 0 <= offset < PAGE_SIZE:
-        raise ValueError(f"offset {offset} out of range")
-    return (i4 << 39) | (i3 << 30) | (i2 << 21) | (i1 << 12) | offset
 
 
 class PageTableEntry:
@@ -125,48 +97,34 @@ class PageTableEntry:
 
 
 class PageTable:
-    """4-level radix tree of dict nodes with PageTableEntry leaves.
+    """The leaf entries of one address space, in one dict keyed by virtual
+    page number.
 
-    Intermediate nodes are modeled as dicts and draw no frames from the
-    frame allocator.
+    It stands in for the hardware's four-level radix tree. A walk costs a
+    constant number of cycles in the model and no output reads the
+    tree's shape, so its inner nodes are not modeled and take no frames.
     """
 
     def __init__(self) -> None:
-        self.root: dict = {}
+        self.entries: dict[int, PageTableEntry] = {}
 
     def construct_path(self, va: int) -> PageTableEntry:
-        """Walk to the leaf for va, creating intermediate nodes as needed."""
-        i4, i3, i2, i1, _ = decompose(va)
-        node = self.root
-        for idx in (i4, i3, i2):
-            nxt = node.get(idx)
-            if nxt is None:
-                nxt = {}
-                node[idx] = nxt
-            node = nxt
-        leaf = node.get(i1)
+        """Return the leaf for va, creating it if it is not built yet."""
+        vpn = check_canonical(va) >> PAGE_SHIFT
+        leaf = self.entries.get(vpn)
         if leaf is None:
-            leaf = PageTableEntry()
-            node[i1] = leaf
+            leaf = self.entries[vpn] = PageTableEntry()
         return leaf
 
     def walk(self, va: int) -> Optional[PageTableEntry]:
-        """Return the leaf entry for va, or None while the path is unbuilt."""
-        i4, i3, i2, i1, _ = decompose(va)
-        node = self.root
-        for idx in (i4, i3, i2):
-            node = node.get(idx)
-            if node is None:
-                return None
-        return node.get(i1)
+        """Return the leaf entry for va, or None while it is unbuilt."""
+        return self.entries.get(check_canonical(va) >> PAGE_SHIFT)
 
     def iter_leaves(self) -> Iterator[tuple[int, PageTableEntry]]:
-        """Yield (va, entry) for every constructed leaf."""
-        for i4, n3 in self.root.items():
-            for i3, n2 in n3.items():
-                for i2, n1 in n2.items():
-                    for i1, leaf in n1.items():
-                        yield recompose(i4, i3, i2, i1), leaf
+        """Yield (va, entry) for every constructed leaf, lowest address first."""
+        entries = self.entries
+        for vpn in sorted(entries):
+            yield vpn << PAGE_SHIFT, entries[vpn]
 
 
 class FrameAllocator:

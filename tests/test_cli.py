@@ -112,6 +112,41 @@ def test_too_many_cores_is_a_clean_error(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "rows, extra, message",
+    [
+        ("500,0,5\n600,1024,5\n", (), "trace uses 1025 cores, more than the 1024 a replay models"),
+        ("500,0,5\n", ("--cores", "1025"), "cores must be at most 1024, got 1025"),
+    ],
+    ids=["core-id", "cores-flag"],
+)
+def test_core_count_above_the_cap_is_a_clean_error(tmp_path, capsys, monkeypatch, rows, extra,
+                                                   message):
+    assert trace.MAX_CORES == 1024
+
+    def no_split(*args):
+        raise AssertionError("the trace was split per core before the cap was checked")
+
+    monkeypatch.setattr(trace, "_CoreRuns", no_split)
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n{rows}")
+    for command in ("model", "sweep"):
+        argv = (command, "--trace", str(trace_path), *extra, "--out-dir", str(tmp_path))
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_timeline_value_outside_64_bits_is_a_clean_error(tmp_path, capsys):
+    # both fields fit, but the miss penalty pushes the adjusted time and
+    # the modeled latency past 2**63 - 1
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n0,0,100\n9223372036854775807,0,5\n")
+    assert run_cli("model", "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: timeline value 92233720368547758"), err
+    assert err.rstrip().endswith("is outside signed 64 bits"), err
+
+
 def test_sweep_grid_shape(tmp_path):
     assert run_cli(
         "synthesize", "--rate", "10000", "--duration", "0.02",

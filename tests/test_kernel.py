@@ -66,6 +66,23 @@ def test_region_create_rounds_and_separates():
         kernel.region_create(proc, -1)
 
 
+def test_find_vma_at_region_edges_and_gaps():
+    kernel = KernelModel()
+    proc = kernel.create_process()
+    assert proc.find_vma(0x5000_0000) is None, "no regions yet"
+    a, b, c = (kernel.region_create(proc, n * PAGE_SIZE) for n in (3, 1, 5))
+    for vma in (a, b, c):
+        assert proc.find_vma(vma.start) is vma
+        assert proc.find_vma(vma.end - PAGE_SIZE) is vma, "first byte of the last page"
+        assert proc.find_vma(vma.end - 1) is vma
+    for gap in (a.end, b.start - 1, b.end, c.start - 1):
+        assert proc.find_vma(gap) is None, "guard page"
+    assert proc.find_vma(a.start - 1) is None
+    assert proc.find_vma(0) is None
+    assert proc.find_vma(c.end) is None
+    assert proc.find_vma(c.end + 100 * PAGE_SIZE) is None
+
+
 def test_regions_inherit_offload_opt_in():
     kernel = KernelModel()
     proc = kernel.create_process()

@@ -239,12 +239,18 @@ _PINNED = [
       "--seed", "5"],
      "56ed8c406d21b5b96f45064f7381b40ec0330227ceb0dfd96ac01000f965d428",
      "85c3c86bee104d147f4452a7c0179747cb50ca2af01949189e95108e324535af"),
+    # a stride of 3 over 700-page regions revisits every page through the
+    # walker, three regions, and a fourth core with no thread
+    (["--threads", "3", "--cores", "4", "--faults-per-thread", "1500", "--region-pages", "700",
+      "--stride", "3", "--table-width", "16", "--seed", "11"],
+     "a49a24172392064948033e77ae06811b8dc7341a3e1a21ce89368b18468468f3",
+     "131512a632f72eb1da6629ced9c8ece7f91f49f8b9c0275886f7bc2505931e0c"),
 ]
 
 
 @pytest.mark.parametrize("argv, faults_csv, report_json", _PINNED,
                          ids=["criterion-9", "idle-passes", "tick-meets-pass-step",
-                              "quota-trip"])
+                              "quota-trip", "stride-spare-cores"])
 def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_json):
     # a refactor of the fault protocol, the deferred pass or the event
     # loop must leave both files byte-identical

@@ -1,4 +1,4 @@
-"""Address math, leaf entry bit protocol, radix table, frame allocator."""
+"""Address checks, leaf entry bit protocol, page table, frame allocator."""
 import random
 
 import pytest
@@ -17,32 +17,10 @@ from mfoesim.vm import (
     PageTable,
     PageTableEntry,
     check_canonical,
-    decompose,
-    recompose,
 )
 
 
-# address decomposition
-
-
-def test_decompose_known_values():
-    # last page under the 47-bit boundary: top half of PML4 slot 255
-    assert decompose(0x7FFF_FFFF_F000) == (255, 511, 511, 511, 0)
-    # 2 MiB + 4 KiB: one step into both the PD and the PT
-    assert decompose(0x0020_1000) == (0, 0, 1, 1, 0)
-    assert decompose(0) == (0, 0, 0, 0, 0)
-    assert decompose(0xFFF) == (0, 0, 0, 0, 0xFFF)
-
-
-def test_recompose_inverts_decompose():
-    rng = random.Random(42)
-    for _ in range(500):
-        va = rng.randrange(USER_VA_LIMIT)
-        assert recompose(*decompose(va)) == va
-
-
-def test_recompose_default_offset():
-    assert recompose(255, 511, 511, 511) == 0x7FFF_FFFF_F000
+# addresses
 
 
 def test_canonicality():
@@ -52,8 +30,13 @@ def test_canonicality():
         check_canonical(USER_VA_LIMIT)
     with pytest.raises(CanonicalityError):
         check_canonical(-1)
-    with pytest.raises(CanonicalityError):
-        decompose(1 << 63)
+    pt = PageTable()
+    for va in (1 << 63, USER_VA_LIMIT, -PAGE_SIZE):
+        with pytest.raises(CanonicalityError):
+            pt.walk(va)
+        with pytest.raises(CanonicalityError):
+            pt.construct_path(va)
+    assert not pt.entries
 
 
 # leaf entries
@@ -119,44 +102,16 @@ def test_pfn_field_masks_to_36_bits():
     assert e.raw & ~(PFN_MASK | PTE_PRESENT | PTE_RW) == 0
 
 
-# radix table
+# page table
 
 
-def node_count(pt: PageTable) -> int:
-    """Dict nodes of the tree, the root included."""
-    count = 1
-    for n3 in pt.root.values():
-        count += 1
-        for n2 in n3.values():
-            count += 1 + len(n2)
-    return count
-
-
-def test_construct_path_builds_three_inner_nodes():
-    pt = PageTable()
-    assert node_count(pt) == 1
-    leaf = pt.construct_path(0x0020_1000)
-    assert node_count(pt) == 4
-    assert pt.walk(0x0020_1000) is leaf
-
-
-def test_construct_path_idempotent():
+def test_construct_path_returns_the_same_leaf():
     pt = PageTable()
     a = pt.construct_path(0x5000_0000)
-    b = pt.construct_path(0x5000_0000)
-    assert a is b
-    assert node_count(pt) == 4
-
-
-def test_sibling_pages_share_interior_nodes():
-    pt = PageTable()
-    pt.construct_path(0x5000_0000)
-    pt.construct_path(0x5000_1000)  # same PT node
-    assert node_count(pt) == 4
-    pt.construct_path(0x5000_0000 + (1 << 21))  # new PT node
-    assert node_count(pt) == 5
-    pt.construct_path(0x5000_0000 + (1 << 30))  # new PD + PT
-    assert node_count(pt) == 7
+    assert pt.construct_path(0x5000_0000) is a
+    # any address within the page reaches its leaf
+    assert pt.construct_path(0x5000_0FFF) is a
+    assert pt.walk(0x5000_0ABC) is a
 
 
 def test_walk_unbuilt_returns_none():
@@ -175,6 +130,15 @@ def test_iter_leaves_round_trips_addresses():
     seen = {va: leaf for va, leaf in pt.iter_leaves()}
     assert set(seen) == set(vas)
     assert all(leaf.mfoeable for leaf in seen.values())
+
+
+def test_iter_leaves_ascends_by_address():
+    # terminate frees frames in this order, so the free list's order and
+    # every later allocation depend on it
+    pt = PageTable()
+    vas = [0x5000_3000, 0x7FFF_FFFF_F000, 0x1000, 0x5000_0000 + (1 << 30), 0x5000_2000]
+    leaves = {va: pt.construct_path(va) for va in vas}
+    assert [(va, leaf) for va, leaf in pt.iter_leaves()] == sorted(leaves.items())
 
 
 # frame allocator
