@@ -4,9 +4,9 @@ under the per-entry bit lock, and fallback into the kernel model.
 The whole minor-fault protocol lives in PteFaultSm as one generator that
 yields at each atomic-action boundary, and yields a wait predicate where
 a handler spins on another's lock. The serialized simulator drives each
-handler to completion with one run() call; the concurrency tests instead
-interleave step() calls from several handlers aimed at the same leaf to
-exercise the lock protocol.
+handler to completion with one run() call, which resumes the generator
+itself; the concurrency tests instead interleave step() calls from
+several handlers aimed at the same leaf to exercise the lock protocol.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Generator, Optional
 
 from .kernel import KernelModel, ProcessModel, VMA
-from .vm import check_canonical, PAGE_SHIFT
+from .vm import check_canonical, PAGE_SHIFT, PTE_MFOEABLE, PTE_PRESENT
 
 
 class OutcomeKind(Enum):
@@ -101,8 +101,14 @@ class PteFaultSm:
     yields the predicate _lock_clear_and_present, elsewhere None. step()
     advances it by one action; runnable() is False while a yielded
     predicate is false, so a scheduler only advances handlers that can
-    make progress. run() calls step() until the handler is done.
+    make progress. run() drives a handler with no concurrent owner: it
+    resumes the generator itself, from wherever step() left it, and raises
+    RuntimeError at a false predicate, which nothing else can make true.
     """
+
+    __slots__ = ("kernel", "proc", "core", "va", "vma", "mfoe_eligible", "leaf", "done",
+                 "result", "pfn", "consumed_from_table", "allocated_inline", "mfoe_missed",
+                 "_protocol_gen", "_wait")
 
     def __init__(
         self,
@@ -139,36 +145,40 @@ class PteFaultSm:
         try:
             self._wait = next(self._protocol_gen)
         except StopIteration as stop:
-            self._finish(stop.value)
+            self.result, self.done = stop.value, True
 
     def run(self) -> SmResult:
         """Drive to completion; callers must guarantee no concurrent owner."""
-        while not self.done:
-            if not self.runnable():
-                raise RuntimeError("handler blocked with no concurrent progress")
-            self.step()
+        if self.done:
+            return self.result
+        gen, wait = self._protocol_gen, self._wait
+        try:
+            while True:
+                if wait is not None and not wait():
+                    # Left suspended where it waits, so runnable() says False.
+                    self._wait = wait
+                    raise RuntimeError("handler blocked with no concurrent progress")
+                wait = next(gen)
+        except StopIteration as stop:
+            self.result, self.done = stop.value, True
         return self.result
-
-    def _finish(self, result: SmResult) -> None:
-        self.result = result
-        self.done = True
 
     def _lock_clear_and_present(self) -> bool:
         return not self.leaf.locked and self.leaf.present
 
     def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, SmResult]:
         leaf = self.leaf
-        if leaf is not None and leaf.present:
+        if leaf is not None and leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             return SmResult.REUSE
-        if self.mfoe_eligible and leaf is not None and leaf.mfoeable:
+        if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
             if not leaf.try_lock():
                 yield self._lock_clear_and_present
                 self.pfn = leaf.pfn_or_tgid
                 return SmResult.WAITED
             yield
-            if leaf.present:
+            if leaf.raw & PTE_PRESENT:
                 # Resolved while we raced for the lock; nothing to consume.
                 self.pfn = leaf.pfn_or_tgid
                 leaf.unlock()
@@ -195,7 +205,7 @@ class PteFaultSm:
             self.pfn = leaf.pfn_or_tgid
             return SmResult.WAITED
         yield
-        if leaf.present:
+        if leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             leaf.unlock()
             return SmResult.REUSE
@@ -244,7 +254,7 @@ class MfoeEngine:
             return FaultOutcome(OutcomeKind.TLB_HIT, 0, pfn=pfn)
 
         leaf = proc.page_table.walk(va)
-        if leaf is not None and leaf.present:
+        if leaf is not None and leaf.raw & PTE_PRESENT:
             pfn = leaf.pfn_or_tgid
             rw = leaf.rw
             if is_write and not rw:

@@ -13,11 +13,10 @@ import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
-from .prealloc import EntryState, HarvestRecord, PreallocTable, ProduceStatus
+from .prealloc import HarvestRecord, PreallocTable, ProduceStatus
 from .vm import PAGE_SIZE, FrameAllocator, OutOfMemory, PageTable
 
 NS_PER_S = 1_000_000_000
@@ -63,6 +62,7 @@ class ProcessModel:
         self.tgid = tgid
         self.page_table = PageTable()
         self.vmas: list[VMA] = []
+        self._starts: list[int] = []  # vmas[i].start for every i
         self.mfoe_enabled = False
         self.allocated_pages = 0
         self.quota_frames = quota_frames
@@ -71,8 +71,9 @@ class ProcessModel:
     def find_vma(self, va: int) -> Optional[VMA]:
         # region_create only appends, each VMA above the last, and VMAs do
         # not overlap; so the starts ascend and only the last VMA starting
-        # at or below va can hold it.
-        i = bisect_right(self.vmas, va, key=attrgetter("start"))
+        # at or below va can hold it. region_create appends to _starts in
+        # the same step as to vmas, so _starts[i] is always vmas[i].start.
+        i = bisect_right(self._starts, va)
         if i and va < self.vmas[i - 1].end:
             return self.vmas[i - 1]
         return None
@@ -148,7 +149,7 @@ class InitFillTask:
             table = kernel.tables[self.core]
             if (
                 self.produced_in_core >= table.capacity
-                or table.entry_state(table.head_index) is not EntryState.EMPTY
+                or not table.head_is_empty()
             ):
                 self.core += 1
                 self.produced_in_core = 0
@@ -231,7 +232,8 @@ class KernelModel:
         """Map a new region above every existing one, after a guard page.
 
         proc.vmas stays in ascending, non-overlapping order, which
-        ProcessModel.find_vma relies on.
+        ProcessModel.find_vma relies on; proc._starts gets each new
+        VMA's start in the same step, so the two lists stay in lockstep.
         """
         if length < 0:
             raise ValueError("negative region length")
@@ -239,6 +241,7 @@ class KernelModel:
         start = proc.next_region_va
         vma = VMA(start, start + pages * PAGE_SIZE, writable, vm_mfoe=proc.mfoe_enabled)
         proc.vmas.append(vma)
+        proc._starts.append(start)
         proc.next_region_va = vma.end + PAGE_SIZE
         return vma
 
@@ -327,10 +330,9 @@ class KernelModel:
         self._acquire_cleanup_lock(table)
         try:
             head = table.head_index
-            if table.entry_state(head) is not EntryState.USED:
+            record = table.take_used(head)
+            if record is None:
                 return None
-            record = table.record_at(head)
-            table.clear_entry(head)
             self.apply_bookkeeping(record.tgid, record.va, record.pfn)
             self._refill_slot(table, head)
             return record
@@ -422,15 +424,11 @@ class KernelModel:
             self._acquire_cleanup_lock(table)
             try:
                 for i in table.data_indices():
-                    if table.entry_state(i) is not EntryState.USED:
-                        continue
-                    record = table.record_at(i)
-                    if record.tgid != tgid:
-                        continue
-                    table.clear_entry(i)
-                    self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-                    self._refill_slot(table, i)
-                    removed += 1
+                    record = table.take_used(i, tgid)
+                    if record is not None:
+                        self.apply_bookkeeping(record.tgid, record.va, record.pfn)
+                        self._refill_slot(table, i)
+                        removed += 1
             finally:
                 table.release_cleanup_lock()
         return removed

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 MAX_NUM_ENTRIES = 1 << 16
 
@@ -62,8 +61,7 @@ class EntryState(Enum):
     USED = "used"
 
 
-@dataclass(frozen=True)
-class HarvestRecord:
+class HarvestRecord(NamedTuple):
     va: int
     tgid: int
     pfn: int
@@ -196,12 +194,20 @@ class PreallocTable:
             raise ValueError(f"entry {index} is not used")
         return self._record_at(i, w1)
 
-    def clear_entry(self, index: int) -> None:
+    def take_used(self, index: int, tgid: Optional[int] = None) -> Optional[HarvestRecord]:
+        """Empty a used slot and return its record; None, changing nothing,
+        when the slot is not used or, with tgid given, is another's."""
         i = self._check_index(index)
-        if self._w1[i] & W1_USED:
-            self.released += 1
+        w1 = self._w1[i]
+        if not w1 & W1_USED:
+            return None
+        record = self._record_at(i, w1)
+        if tgid is not None and record.tgid != tgid:
+            return None
         self._w1[i] = 0
         self._w0[i] = 0
+        self.released += 1
+        return record
 
     def fill_entry(self, index: int, pfn: int) -> None:
         """Re-stock one emptied slot in place, off the head path."""
@@ -210,9 +216,12 @@ class PreallocTable:
             raise ValueError(f"entry {index} is not empty")
         self._w1[i] = pack_word1(pfn, 0, used=False, valid=True)
 
+    def head_is_empty(self) -> bool:
+        return not self._w1[self.head_index] & (W1_VALID | W1_USED)
+
     def skip_head(self) -> None:
         """Advance head past an emptied slot when no frame is on hand."""
-        if self._w1[self.head_index] & (W1_VALID | W1_USED):
+        if not self.head_is_empty():
             raise ValueError("head entry is not empty")
         self.head_index = self._next(self.head_index)
 

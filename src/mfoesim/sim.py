@@ -127,7 +127,7 @@ class FaultLog:
             yield f"{t},{core},{names[code]},{cycles}"
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreStats:
     core: int
     touches: int = 0

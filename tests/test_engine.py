@@ -257,3 +257,62 @@ def test_stepping_finished_handler_rejected():
     sm.run()
     with pytest.raises(RuntimeError):
         sm.step()
+
+
+# run() drives the generator itself; step() stays the interleaving path
+
+
+def _handler(scenario):
+    kernel, engine, proc, vma = make_env(fill=scenario != "table-miss")
+    if scenario == "unbuilt-leaf":
+        # a region without prefault_construct: no leaf until the kernel
+        # handler builds one
+        vma = kernel.region_create(proc, 4 * PAGE_SIZE)
+        assert proc.page_table.walk(vma.start) is None
+    return PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+
+
+def _observed(sm):
+    return (sm.result, sm.pfn, sm.consumed_from_table, sm.allocated_inline,
+            sm.mfoe_missed, sm.leaf.raw)
+
+
+@pytest.mark.parametrize("scenario, result", [
+    ("table-hit", SmResult.MFOE_HIT),
+    ("table-miss", SmResult.MFOE_MISS_KERNEL),
+    ("unbuilt-leaf", SmResult.KERNEL),
+])
+def test_run_finishes_a_handler_stepped_any_part_of_the_way(scenario, result):
+    stepped = _handler(scenario)
+    steps = 0
+    while not stepped.done:
+        assert stepped.runnable()
+        stepped.step()
+        steps += 1
+    assert stepped.result is result
+    for k in range(steps + 1):
+        sm = _handler(scenario)
+        for _ in range(k):
+            sm.step()
+        assert sm.done == (k == steps)
+        assert sm.run() is result
+        assert sm.done and _observed(sm) == _observed(stepped), f"stepped {k} times first"
+        assert sm.run() is result, "run() on a finished handler returns its result"
+
+
+def test_run_on_a_handler_spinning_on_a_held_lock_raises_until_the_holder_finishes():
+    kernel, engine, proc, vma = make_env(cores=2)
+    holder = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    spinner = PteFaultSm(kernel, proc, 1, vma.start, vma, mfoe_eligible=True)
+    holder.step()
+    holder.step()  # takes the lock
+    spinner.step()
+    spinner.step()  # loses the race and spins
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            spinner.run()
+        assert not spinner.runnable() and not spinner.done
+    assert holder.run() is SmResult.MFOE_HIT
+    assert spinner.runnable()
+    assert spinner.run() is SmResult.WAITED
+    assert spinner.pfn == holder.pfn

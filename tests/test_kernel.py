@@ -361,7 +361,7 @@ def test_used_count_tracks_every_transition():
         elif roll < 0.8:
             kernel.error_cleanup(rng.choice(procs).tgid)
         elif roll < 0.86:
-            table.clear_entry(rng.randrange(1, table.num_entries))
+            table.take_used(rng.randrange(1, table.num_entries))
         elif roll < 0.88:
             for proc in procs:
                 kernel.mfoe_disable(proc)

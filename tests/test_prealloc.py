@@ -63,6 +63,29 @@ def test_consume_leaves_used_record():
     assert t.record_at(1) == HarvestRecord(va=0x5000_0000, tgid=77, pfn=100)
 
 
+def test_take_used_books_one_used_slot():
+    t = full_table()
+    t.consume(0x5000_0000, 77)
+    t.consume(0x5000_1000, 77)
+    assert t.take_used(2) == HarvestRecord(va=0x5000_1000, tgid=77, pfn=101)
+    assert t.entry_state(2) is EntryState.EMPTY
+    assert t.used == t.used_count() == 1
+    assert t.take_used(1, tgid=77) == HarvestRecord(va=0x5000_0000, tgid=77, pfn=100)
+    assert t.used == t.used_count() == 0
+
+
+@pytest.mark.parametrize("index, tgid", [(2, None), (4, None), (1, 78)],
+                         ids=["valid", "empty", "another-tgid"])
+def test_take_used_leaves_a_slot_it_does_not_book_alone(index, tgid):
+    t = PreallocTable(5)
+    for pfn in (100, 101, 102):
+        t.produce(pfn)
+    t.consume(0x5000_0000, 77)  # slot 1 used by 77, 2 and 3 valid, 4 empty
+    before = (t.to_bytes(), t.consumed, t.released)
+    assert t.take_used(index, tgid) is None
+    assert (t.to_bytes(), t.consumed, t.released) == before
+
+
 def test_produce_onto_used_slot_wants_harvest():
     t = full_table()
     for i in range(4):
@@ -164,6 +187,8 @@ def test_entry_index_bounds():
     for bad in (0, 5, -1):
         with pytest.raises(IndexError):
             t.entry_state(bad)
+        with pytest.raises(IndexError):
+            t.take_used(bad)
     with pytest.raises(ValueError):
         t.record_at(1)  # empty, not used
 

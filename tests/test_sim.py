@@ -291,6 +291,32 @@ def test_idle_pass_is_not_polled(monkeypatch):
     assert len(table_calls) == report.background_processed
 
 
+def test_saturated_teardown_conserves_frames_and_free_list_order():
+    # a saturated run ends with consumed entries the pass has not booked;
+    # terminate's error_cleanup books them and refills their slots before
+    # the tables drain, so the free list's order pins that cleanup FIFO
+    simulation = Simulation(small_config(threads=4, faults_per_thread=512, table_width=16,
+                                         total_frames=1 << 14, seed=3))
+    report = simulation.run()
+    assert 0 < report.hit_rate < 0.6
+    kernel = simulation.kernel
+    census = kernel.frame_census()
+    assert census["free"] + census["outstanding"] == census["total"]
+    assert census["outstanding"] == (
+        census["table_valid"] + census["table_storage"] + census["mapped"])
+    used = sum(t.used_count() for t in kernel.tables)
+    assert used, "nothing left for error_cleanup to book"
+    assert len(kernel.ledger.rmap) + used == census["mapped"]
+
+    assert kernel.terminate(simulation.proc) == census["mapped"]
+    after = kernel.frame_census()
+    assert after["outstanding"] == after["table_storage"]
+    assert after["free"] + after["outstanding"] == after["total"]
+    order = ",".join(map(str, kernel.allocator.free_list)).encode()
+    assert hashlib.sha256(order).hexdigest() == (
+        "9b0db05c7fc69649e3b533c3971321b6701b34d356288a7d77b8c3b271b756d5")
+
+
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota
 # trip, revisited regions with TLB and walk hits, and a changed hit cost
 _FIELD_MATRIX = [
