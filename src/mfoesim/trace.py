@@ -22,6 +22,12 @@ Mechanics:
   plus the miss penalty, and later same-core faults move later by the
   penalty.
 
+Storage. A FaultTrace keeps its core ids in trace order and, for each
+core id that occurs, that core's timestamps and latencies as two columns:
+the per-core split the replay runs on. One routine checks per-core order
+and splits the records, for ingest and the constructor alike; synthesize
+builds the columns core by core. Interleaved columns are built on request.
+
 How the replay computes this, exactly and without an event queue:
 
 - Windows. Ticks fire at fill_end + k * interval (k >= 1) whatever the
@@ -76,7 +82,7 @@ import random
 from array import array
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, mod, mul
 from typing import Iterable, Iterator, Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
@@ -108,11 +114,14 @@ class TraceFormatError(ValueError):
 class FaultTrace:
     """Ordered minor-fault records with per-core wall-clock timestamps.
 
-    Stored as parallel integer arrays; traces run to millions of
-    records and per-record objects would dominate memory.
+    Stored as integer arrays (see Storage in the module docstring):
+    core_ids, and core_times[id] and core_lats[id] per core id. That is
+    three columns plus two arrays per distinct core id, whatever the ids'
+    values. timestamps_ns and latencies_ns build an interleaved column on
+    each read.
     """
 
-    __slots__ = ("timestamps_ns", "core_ids", "latencies_ns", "source")
+    __slots__ = ("core_ids", "core_times", "core_lats", "source")
 
     def __init__(
         self,
@@ -120,60 +129,104 @@ class FaultTrace:
         core_ids: Iterable[int] = (),
         latencies_ns: Iterable[int] = (),
         source: str = "",
-        validate: bool = True,
     ):
-        self.timestamps_ns = array("q", timestamps_ns)
-        self.core_ids = array("q", core_ids)
-        self.latencies_ns = array("q", latencies_ns)
+        self.core_ids = array("q")
+        self.core_times, self.core_lats = {}, {}
         self.source = source
-        if validate:
-            self.validate()
+        ts, cs, ls = list(timestamps_ns), list(core_ids), list(latencies_ns)
+        if not (len(ts) == len(cs) == len(ls)):
+            raise ValueError("trace arrays have mismatched lengths")
+        if not _split(self, ts, cs, ls):
+            raise _bad_record(ts, cs, ls)
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[int, int, int]], source: str = "") -> "FaultTrace":
-        rows = list(records)
-        return cls(
-            (r[0] for r in rows),
-            (r[1] for r in rows),
-            (r[2] for r in rows),
-            source=source,
-        )
+        return cls(*zip(*records), source=source)
 
     def validate(self) -> None:
-        if not (len(self.timestamps_ns) == len(self.core_ids) == len(self.latencies_ns)):
-            raise ValueError("trace arrays have mismatched lengths")
-        last_per_core: dict[int, int] = {}
-        for i in range(len(self.timestamps_ns)):
-            core = self.core_ids[i]
-            if core < 0:
-                raise ValueError(f"record {i}: negative core id")
-            if self.latencies_ns[i] <= 0:
-                raise ValueError(f"record {i}: latency must be positive")
-            t = self.timestamps_ns[i]
-            prev = last_per_core.get(core)
-            if prev is not None and t < prev:
-                raise ValueError(f"record {i}: timestamp regresses on core {core}")
-            last_per_core[core] = t
+        """Check the records again, as the constructor does."""
+        FaultTrace(self.timestamps_ns, self.core_ids, self.latencies_ns)
 
     def __len__(self) -> int:
-        return len(self.timestamps_ns)
+        return len(self.core_ids)
+
+    @property
+    def timestamps_ns(self) -> array:
+        return self._interleave(self.core_times)
+
+    @property
+    def latencies_ns(self) -> array:
+        return self._interleave(self.core_lats)
+
+    def _interleave(self, columns: dict[int, array]) -> array:
+        # one iterator per core, advanced by each record's core id
+        heads = {c: iter(col) for c, col in columns.items()}
+        return array("q", map(next, map(heads.__getitem__, self.core_ids)))
 
     @property
     def core_count(self) -> int:
-        return max(self.core_ids) + 1 if self.core_ids else 0
+        return max(self.core_times) + 1 if self.core_times else 0
 
     @property
     def total_runtime_ns(self) -> int:
         """First fault to the completion of the latest-finishing fault."""
-        if not self.timestamps_ns:
-            return 0
-        end = max(map(add, self.timestamps_ns, self.latencies_ns))
-        return end - min(self.timestamps_ns)
+        times = self.core_times
+        end = max((max(map(add, t, self.core_lats[c])) for c, t in times.items()), default=0)
+        return end - min((t[0] for t in times.values()), default=0)
 
     def csv_rows(self) -> Iterator[str]:
         yield TRACE_HEADER
-        for t, core, lat in zip(self.timestamps_ns, self.core_ids, self.latencies_ns):
-            yield f"{t},{core},{lat}"
+        rows = {
+            c: map(f"%d,{c},%d".__mod__, zip(t, self.core_lats[c]))
+            for c, t in self.core_times.items()
+        }
+        yield from map(next, map(rows.__getitem__, self.core_ids))
+
+
+def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
+    """Append the records to trace, each to its core's columns; False, with
+    nothing changed, unless every core id is non-negative, every latency
+    positive, every field within 64 bits and no core's timestamps regress."""
+    if min(cs, default=0) < 0 or min(ls, default=1) <= 0:
+        return False
+    tparts = {c: [] for c in set(cs)}
+    lparts = {c: [] for c in tparts}
+    tadd = {c: part.append for c, part in tparts.items()}
+    ladd = {c: part.append for c, part in lparts.items()}
+    for t, c, lat in zip(ts, cs, ls):
+        tadd[c](t)
+        ladd[c](lat)
+    # (all arrays are built before any column grows: an overflow changes nothing)
+    new = {}
+    try:
+        cores = array("q", cs)
+        for c, part in tparts.items():
+            col = trace.core_times.get(c)
+            if part != sorted(part) or col and part[0] < col[-1]:
+                return False
+            new[c] = array("q", part), array("q", lparts[c])
+    except OverflowError:
+        return False
+    trace.core_ids += cores
+    for c, (t, lat) in new.items():
+        trace.core_times.setdefault(c, array("q")).extend(t)
+        trace.core_lats.setdefault(c, array("q")).extend(lat)
+    return True
+
+
+def _bad_record(ts: list, cs: list, ls: list) -> ValueError:
+    """The error for the first record that _split refuses."""
+    last_per_core: dict[int, int] = {}
+    for i, (t, core, lat) in enumerate(zip(ts, cs, ls)):
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (t, core, lat)):
+            return ValueError(f"record {i}: field outside signed 64 bits")
+        if core < 0:
+            return ValueError(f"record {i}: negative core id")
+        if lat <= 0:
+            return ValueError(f"record {i}: latency must be positive")
+        if t < last_per_core.get(core, t):
+            return ValueError(f"record {i}: timestamp regresses on core {core}")
+        last_per_core[core] = t
 
 
 # ingest reads data lines in chunks of about this many characters. A
@@ -195,16 +248,13 @@ def ingest(path: str) -> FaultTrace:
     """Load a trace CSV; empty or comment-only files yield an empty trace.
 
     The lines up to the header are read one at a time. The data lines
-    are then read in chunks, and each chunk is parsed and checked in
-    bulk. A chunk that fails a bulk check, or holds a comment or blank
-    line, is read again line by line, which accepts the comment and
-    blank lines and raises TraceFormatError on the first bad line. The
+    are then read in chunks, and each chunk is parsed, checked and split
+    by core in bulk. A chunk that fails a bulk check, or holds a comment
+    or blank line, is read again line by line, which accepts the comment
+    and blank lines and raises TraceFormatError on the first bad line. The
     per-core regression check carries across chunks.
     """
-    times = array("q")
-    cores = array("q")
-    lats = array("q")
-    last_per_core: dict[int, int] = {}
+    trace = FaultTrace(source=path)
     with open(path, encoding="utf-8") as fh:
         line_no = 0
         for line_no, raw in enumerate(fh, 1):
@@ -217,53 +267,34 @@ def ingest(path: str) -> FaultTrace:
                 )
             break
         while lines := fh.readlines(_INGEST_CHUNK_BYTES):
-            if not _ingest_chunk(lines, last_per_core, times, cores, lats):
-                _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats)
+            if not _ingest_chunk(lines, trace):
+                _ingest_lines(path, lines, line_no, trace)
             line_no += len(lines)
-    trace = FaultTrace(source=path, validate=False)
-    trace.timestamps_ns = times
-    trace.core_ids = cores
-    trace.latencies_ns = lats
     return trace
 
 
-def _ingest_chunk(lines, last_per_core, times, cores, lats) -> bool:
-    """Parse a chunk of data lines in bulk; False, with nothing changed,
-    when any line is not a valid record."""
-    # Exactly two commas per line: joining the chunk and splitting on
-    # commas alone would let "1,2" then "3,4,5,6" through as two records.
-    if {*map(str.count, lines, repeat(","))} != {2}:
+def _ingest_chunk(lines: list[str], trace: FaultTrace) -> bool:
+    """Parse a chunk of data lines in bulk onto trace; False, with nothing
+    changed, when any line is not a valid record."""
+    # Both tests pass only if each of the n lines has 3 fields. Joined
+    # with commas and split on them, the lines' fields follow in turn, and
+    # each newline ends a field. n newlines at fields 2 mod 3 put every
+    # line's end after a multiple of 3 fields: each line has a positive
+    # multiple of 3, so with 3n in all, exactly 3. (Splitting alone would
+    # let "1,2" then "3,4,5,6" through as two records.) A chunk without a
+    # final newline has n - 1 newlines, so it goes to the line loop.
+    fields = ",".join(lines).split(",")
+    if len(fields) != 3 * len(lines) or "".join(fields[2::3]).count("\n") != len(lines):
         return False
     try:
-        ints = list(map(int, ",".join(lines).split(",")))
+        ints = list(map(int, fields))
     except ValueError:
         return False
-    ts, cs, ls = ints[0::3], ints[1::3], ints[2::3]
-    if min(cs) < 0 or min(ls) <= 0:
-        return False
-    # (a plain loop: one compress() pass per core ran slower even on a
-    # one-core chunk, and grows with the core count)
-    last = dict(last_per_core)
-    for t, c in zip(ts, cs):
-        if t < last.get(c, t):
-            return False
-        last[c] = t
-    # (array.extend grows per item from a list; array() sizes once; all
-    # three are built before any is extended, so a field outside 64 bits
-    # leaves the columns as they were)
-    try:
-        ts, cs, ls = array("q", ts), array("q", cs), array("q", ls)
-    except OverflowError:
-        return False
-    times += ts
-    cores += cs
-    lats += ls
-    last_per_core.update(last)
-    return True
+    return _split(trace, ints[0::3], ints[1::3], ints[2::3])
 
 
-def _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats) -> None:
-    """Parse data lines one at a time, the first numbered line_no + 1."""
+def _ingest_lines(path: str, lines: list[str], line_no: int, trace: FaultTrace) -> None:
+    """Parse data lines onto trace one at a time, the first numbered line_no + 1."""
     for line_no, raw in enumerate(lines, line_no + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -281,13 +312,12 @@ def _ingest_lines(path, lines, line_no, last_per_core, times, cores, lats) -> No
             raise TraceFormatError(path, line_no, "negative core id")
         if lat <= 0:
             raise TraceFormatError(path, line_no, "latency must be positive")
-        prev = last_per_core.get(core)
-        if prev is not None and t < prev:
+        times = trace.core_times.setdefault(core, array("q"))
+        if times and t < times[-1]:
             raise TraceFormatError(path, line_no, f"timestamp regresses on core {core}")
-        last_per_core[core] = t
         times.append(t)
-        cores.append(core)
-        lats.append(lat)
+        trace.core_lats.setdefault(core, array("q")).append(lat)
+        trace.core_ids.append(core)
 
 
 def write_rows(path, rows: Iterable[str]) -> None:
@@ -416,8 +446,8 @@ def apply_model(
 
 def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
     """The trace's core count, checked against the configured one and
-    MAX_CORES before anything is sized by either: the per-core split
-    allocates per core id, and the replay per configured core."""
+    MAX_CORES before anything is sized by either: _CoreRuns lists columns
+    up to the highest core id, and the replay keeps state per core."""
     trace_cores = trace.core_count
     if cores is not None and trace_cores > cores:
         raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
@@ -429,22 +459,17 @@ def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
 
 
 class _CoreRuns:
-    """A trace split into per-core timestamp and latency columns, with the
+    """A trace's timestamp and latency columns indexed by core, with the
     baseline totals every replay of it reports; a sweep builds it once."""
 
     __slots__ = ("faults", "times", "lats", "baseline_runtime_ns", "baseline_overhead_ns")
 
     def __init__(self, trace: FaultTrace, cores: int):
         self.faults = len(trace)
-        self.times = [array("q") for _ in range(cores)]
-        self.lats = [array("q") for _ in range(cores)]
-        times = [col.append for col in self.times]
-        lats = [col.append for col in self.lats]
-        for t, c, lat in zip(trace.timestamps_ns, trace.core_ids, trace.latencies_ns):
-            times[c](t)
-            lats[c](lat)
+        self.times = [trace.core_times.get(c, array("q")) for c in range(cores)]
+        self.lats = [trace.core_lats.get(c, array("q")) for c in range(cores)]
         self.baseline_runtime_ns = trace.total_runtime_ns
-        self.baseline_overhead_ns = sum(trace.latencies_ns)
+        self.baseline_overhead_ns = sum(map(sum, trace.core_lats.values()))
 
 
 def _replay(
@@ -767,32 +792,32 @@ def synthesize(
     sampler = LatencySampler(latency_mean_ns, latency_p95_ns)
     duration_ns = round(duration_s * 1e9)
 
-    events: list[tuple[int, int, int]] = []
+    trace = FaultTrace(source=source)
+    # Each record's (timestamp, core) packed as timestamp * cores + core,
+    # which sorts as the pair does: the sorted keys give core_ids.
+    keys: list[int] = []
     for c in range(cores):
         rng = random.Random(f"{seed}:{c}")
         if dist == "uniform":
-            spacing = max(1, round(1e9 / rate_per_core))
-            t = 0
-            while t < duration_ns:
-                events.append((t, c, sampler.sample_int(rng)))
-                t += spacing
+            times = range(0, duration_ns, max(1, round(1e9 / rate_per_core)))
+            lats = [sampler.sample_int(rng) for _ in times]
         else:
             gap_scale = 1e9 / rate_per_core
-            acc = 0.0
+            acc, times, lats = 0.0, [], []
             while True:
                 acc += rng.expovariate(1.0) * gap_scale
                 t = round(acc)
                 if t >= duration_ns:
                     break
-                events.append((t, c, sampler.sample_int(rng)))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return FaultTrace(
-        (e[0] for e in events),
-        (e[1] for e in events),
-        (e[2] for e in events),
-        source=source,
-        validate=False,
-    )
+                times.append(t)
+                lats.append(sampler.sample_int(rng))
+        if times:
+            trace.core_times[c] = array("q", times)
+            trace.core_lats[c] = array("q", lats)
+            keys += map(add, map(mul, times, repeat(cores)), repeat(c))
+    keys.sort()
+    trace.core_ids = array("q", map(mod, keys, repeat(cores)))
+    return trace
 
 
 def synthesize_profile(

@@ -63,8 +63,10 @@ def test_validate_rejects_malformed_traces():
         FaultTrace([1], [-1], [5])
     with pytest.raises(ValueError, match="latency"):
         FaultTrace([1], [0], [0])
-    with pytest.raises(ValueError, match="regresses"):
-        FaultTrace([100, 50], [0, 0], [5, 5])
+    with pytest.raises(ValueError, match="record 2: timestamp regresses on core 0"):
+        FaultTrace([100, 7, 50], [0, 1, 0], [5, 5, 5])
+    with pytest.raises(ValueError, match="record 1: field outside signed 64 bits"):
+        FaultTrace([1, 1 << 63], [0, 0], [5, 5])
     # regression check is per core; interleaved cores may go backwards
     FaultTrace([100, 50], [0, 1], [5, 5])
 
@@ -200,6 +202,11 @@ def _bad_two_then_four(lines, at):
     lines[at - 1 : at + 1] = [f"{10 * at},{at % 4}", f"5,{10 * at + 10},{(at + 1) % 4},5"]
 
 
+def _bad_four_then_two(lines, at):
+    # Six fields over two lines, with the line break after the fourth.
+    lines[at - 1 : at + 1] = [f"{10 * at},{at % 4},5,{10 * at + 10}", f"{(at + 1) % 4},5"]
+
+
 def _bad_negative_core(lines, at):
     lines[at - 1] = f"{10 * at},-1,5"
 
@@ -223,6 +230,7 @@ def _bad_regression_across_edge(lines, at):
     "corrupt,where,fragment",
     [
         (_bad_two_then_four, "mid", "expected 3 fields, got 2"),
+        (_bad_four_then_two, "mid", "expected 3 fields, got 4"),
         (_bad_negative_core, "mid", "negative core"),
         (_bad_zero_latency, "edge", "latency must be positive"),
         (_bad_non_integer, "mid", "non-integer"),
@@ -301,10 +309,81 @@ def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
     with pytest.raises(TraceFormatError, match="outside signed 64 bits") as exc:
         ingest(str(path))
     assert exc.value.line_no == at
-    # The bulk parse gives up on such a chunk without touching the columns.
-    times, cores, lats = array("q", [1]), array("q", [0]), array("q", [5])
-    assert not trace_module._ingest_chunk(["2,0,5\n", bad + "\n"], {0: 1}, times, cores, lats)
-    assert (list(times), list(cores), list(lats)) == ([1], [0], [5])
+    # The bulk parse gives up on such a chunk without touching any column,
+    # the per-core ones included, even where a valid line opens a new core.
+    trace = FaultTrace([1], [0], [5])
+    assert not trace_module._ingest_chunk(["2,0,5\n", "3,1,5\n", bad + "\n"], trace)
+    assert (list(trace.core_ids), trace.core_times, trace.core_lats) == (
+        [0], {0: array("q", [1])}, {0: array("q", [5])}
+    )
+
+
+def _random_records(rng):
+    """1-6 cores with sparse ids, and timestamps that repeat within and
+    across cores; per core they never regress."""
+    ids = rng.sample([0, 1, 2, 3, 7, 12, 40, 999], rng.randint(1, 6))
+    last = dict.fromkeys(ids, 0)
+    clock = 0
+    records = []
+    for _ in range(rng.randint(7000, 9000)):
+        c = rng.choice(ids)
+        clock += rng.choice((0, 0, 3))
+        last[c] = max(last[c], clock - rng.choice((0, 0, 5)))
+        records.append((last[c], c, rng.randint(1, 9999)))
+    return records
+
+
+def _split_by_brute_force(records):
+    times, lats = {}, {}
+    for t, c, lat in records:
+        times.setdefault(c, []).append(t)
+        lats.setdefault(c, []).append(lat)
+    return [c for _, c, _ in records], times, lats
+
+
+def _columns(trace):
+    return (
+        list(trace.core_ids),
+        {c: list(col) for c, col in trace.core_times.items()},
+        {c: list(col) for c, col in trace.core_lats.items()},
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_by_core_agrees_everywhere(tmp_path, monkeypatch, seed):
+    rng = random.Random(seed)
+    records = _random_records(rng)
+    lines = [f"{t},{c},{lat}" for t, c, lat in records]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
+    # Notes and blank lines inside chunks send those chunks to the line
+    # loop; the other chunks stay bulk. Half the files end without a
+    # newline.
+    noisy_lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        noisy_lines.insert(rng.randrange(len(noisy_lines)), rng.choice(("# note, a, b", "", "  ")))
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("\n".join([TRACE_HEADER, *noisy_lines]) + ("\n" if seed % 2 else ""))
+
+    by_line = []
+    real_lines = trace_module._ingest_lines
+    monkeypatch.setattr(
+        trace_module, "_ingest_lines", lambda *a: by_line.append(a) or real_lines(*a)
+    )
+    want = _split_by_brute_force(records)
+    assert _columns(ingest(str(plain))) == want
+    assert by_line == []
+    got = ingest(str(noisy))
+    assert _columns(got) == want
+    assert 1 <= len(by_line) < len(_chunk_starts(noisy))
+    ts, cs, ls = (list(col) for col in zip(*records))
+    assert _columns(FaultTrace(ts, cs, ls)) == want
+    assert _columns(FaultTrace.from_records(records)) == want
+    assert (list(got.timestamps_ns), list(got.latencies_ns)) == (ts, ls)
+    assert got.core_count == max(cs) + 1
+    out = tmp_path / "out.csv"
+    write_trace(got, str(out))
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_ingest_memory_stays_bounded(tmp_path):
@@ -441,12 +520,14 @@ def test_core_count_inferred_and_checked():
 
 
 def test_core_count_checked_before_per_core_split(monkeypatch):
-    # The per-core split allocates two columns per core id, so a trace
-    # with more cores than configured is refused before it is built.
+    # The trace holds columns only for the core ids that occur, but the
+    # replay's _CoreRuns lists them up to the highest id, so a trace with
+    # more cores than configured is refused before that list is built.
     built = []
     real = trace_module._CoreRuns
     monkeypatch.setattr(trace_module, "_CoreRuns", lambda *a: built.append(a) or real(*a))
     wide = FaultTrace.from_records([(1000, 0, 10), (2000, 100_000, 10)])
+    assert sorted(wide.core_times) == sorted(wide.core_lats) == [0, 100_000]
     message = "trace uses 100001 cores, model configured for 4"
     with pytest.raises(ValueError, match=message):
         apply_model(wide, TraceModelConfig(width=4, cores=4))
