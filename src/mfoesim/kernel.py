@@ -3,7 +3,8 @@ teardown, the background refill machinery, deferred bookkeeping and exit
 cleanup.
 
 Offloading is on while mfoe_active is set: the engine consults the
-per-core tables only then."""
+per-core tables only then. Only the init fill and the deferred pass
+restock the tables, both at head; exit cleanup books and empties slots."""
 from __future__ import annotations
 
 import math
@@ -82,22 +83,20 @@ class ProcessModel:
 class BookkeepingLedger:
     """The per-fault kernel state that offloaded handling defers.
 
-    apply() performs, in order: anon_vma setup, the mm counter bump, the
-    reverse-map insert, the LRU append, and the memcg charge. The same
+    apply() performs, in order: the mm counter bump, the reverse-map
+    insert, the LRU append, and the memcg charge. The same
     routine serves the inline path and the deferred one, so runs are
     comparable record-for-record.
     """
 
     def __init__(self) -> None:
         self.mm_counter: Counter = Counter()
-        self.anon_vma_ready: set[int] = set()
         self.rmap: dict[int, tuple[int, int]] = {}
         # Insertion-ordered, so remove() is O(1); values are unused.
         self.lru: dict[int, None] = {}
         self.cgroup_charged: Counter = Counter()
 
     def apply(self, tgid: int, va: int, pfn: int) -> None:
-        self.anon_vma_ready.add(tgid)
         self.mm_counter[tgid] += 1
         if pfn in self.rmap:
             raise RuntimeError(f"frame {pfn} already reverse-mapped")
@@ -140,19 +139,17 @@ class InitFillTask:
     def __init__(self, cores: int):
         self.cores = cores
         self.core = 0
-        self.produced_in_core = 0
         self.done = cores == 0
 
     def step(self, kernel: "KernelModel") -> bool:
-        """Produce one page; False once every core's pass has finished."""
+        """Produce one page; False once every core's pass has finished.
+
+        A core's pass ends at its first non-empty head, so it also
+        restocks slots a cleanup empties while the fill runs."""
         while not self.done:
             table = kernel.tables[self.core]
-            if (
-                self.produced_in_core >= table.capacity
-                or not table.head_is_empty()
-            ):
+            if not table.head_is_empty():
                 self.core += 1
-                self.produced_in_core = 0
                 if self.core >= self.cores:
                     self.done = True
                 continue
@@ -163,7 +160,6 @@ class InitFillTask:
                 return False
             status = table.produce(pfn)
             assert status is ProduceStatus.PRODUCED
-            self.produced_in_core += 1
             return True
         return False
 
@@ -179,7 +175,6 @@ class KernelModel:
         seed: int = 0,
         refresh_interval_ms: float = 2.0,
         resource_threshold: float = 0.8,
-        allocator: Optional[FrameAllocator] = None,
     ):
         if cores < 1:
             raise ValueError("need at least one core")
@@ -190,7 +185,7 @@ class KernelModel:
         self.cores = cores
         self.refresh_interval_ms = refresh_interval_ms
         self.resource_threshold = resource_threshold
-        self.allocator = allocator or FrameAllocator(total_frames)
+        self.allocator = FrameAllocator(total_frames)
         self.rng = random.Random(seed)
         self.procs: dict[int, ProcessModel] = {}
         self.ledger = BookkeepingLedger()
@@ -325,16 +320,20 @@ class KernelModel:
         return interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
 
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:
-        """Handle the oldest consumed entry of one core's table, if any."""
+        """Book the oldest consumed entry of one core's table, if any.
+
+        The one restock path after the fill: while used entries remain,
+        empty head slots are restocked first, so head reaches the oldest."""
         table = self.tables[core]
         self._acquire_cleanup_lock(table)
         try:
-            head = table.head_index
-            record = table.take_used(head)
+            while table.used and table.head_is_empty():
+                self._refill_head(table)
+            record = table.take_used(table.head_index)
             if record is None:
                 return None
             self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-            self._refill_slot(table, head)
+            self._refill_head(table)
             return record
         finally:
             table.release_cleanup_lock()
@@ -393,29 +392,24 @@ class KernelModel:
             processed += 1
         return processed
 
-    def _refill_slot(self, table: PreallocTable, index: int) -> None:
-        """Re-stock one just-cleared slot, advancing head when it sits there."""
-        pfn = None
-        if self.mfoe_active:
-            try:
-                pfn = self.allocator.allocate()
-            except OutOfMemory:
-                pfn = None
-        if index == table.head_index:
-            if pfn is not None:
-                status = table.produce(pfn)
-                assert status is ProduceStatus.PRODUCED
-            else:
-                table.skip_head()
-        elif pfn is not None:
-            table.fill_entry(index, pfn)
+    def _refill_head(self, table: PreallocTable) -> None:
+        """Restock the empty head slot, or skip it with no frame on hand."""
+        try:
+            pfn = self.allocator.allocate() if self.mfoe_active else None
+        except OutOfMemory:
+            pfn = None
+        if pfn is None:
+            table.skip_head()
+        else:
+            status = table.produce(pfn)
+            assert status is ProduceStatus.PRODUCED
 
     def error_cleanup(self, tgid: int) -> int:
-        """Process every consumed entry a dying thread group left behind.
+        """Book every consumed entry a dying thread group left behind.
 
         Scans all cores' tables under the cleanup lock so nothing keeps a
-        reference to the dead tgid; each matching record gets the same
-        bookkeeping and refill treatment as the periodic pass.
+        reference to the dead tgid; each matching record is booked as the
+        pass would, and its slot left empty for the pass to restock.
         """
         if self.tables is None:
             return 0
@@ -427,7 +421,6 @@ class KernelModel:
                     record = table.take_used(i, tgid)
                     if record is not None:
                         self.apply_bookkeeping(record.tgid, record.va, record.pfn)
-                        self._refill_slot(table, i)
                         removed += 1
             finally:
                 table.release_cleanup_lock()

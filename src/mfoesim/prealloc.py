@@ -15,13 +15,16 @@ bits, so a table has fewer than MAX_NUM_ENTRIES slots.
 
 Entry life cycle: empty (valid=0, used=0) -> valid (producer published a
 frame) -> used (consumer took the frame, left va/tgid/pfn behind for the
-deferred bookkeeping pass) -> empty again after harvest.
+deferred bookkeeping pass) -> empty again once take_used books it.
+Only produce restocks a slot, always at head, so walking head forward
+over empty slots reaches the oldest used entry before any valid one.
 
 The produce and consume fast paths are single-producer single-consumer
 and lock free: full/empty decisions come from the entry state bits, never
 from comparing indices, and each transition is published with one word1
 store after any other fields are in place. The header cleanup lock only
-serializes the slow paths (harvest scans and exit cleanup).
+serializes the slow paths (harvest scans, the deferred pass and exit
+cleanup).
 
 A table also counts its used entries, so the deferred pass can pass over
 a table with nothing to book without reading it. The count is kept as two
@@ -132,17 +135,10 @@ class PreallocTable:
         """
         out: list[HarvestRecord] = []
         i = self.head_index
-        for _ in range(self.capacity):
-            if max_records is not None and len(out) >= max_records:
-                break
-            w1 = self._w1[i]
-            if not w1 & W1_USED:
-                break
-            out.append(self._record_at(i, w1))
-            self._w1[i] = 0
-            self._w0[i] = 0
+        limit = self.capacity if max_records is None else max_records
+        while len(out) < limit and (record := self.take_used(i)) is not None:
+            out.append(record)
             i = self._next(i)
-        self.released += len(out)
         return out
 
     # consumer side
@@ -208,13 +204,6 @@ class PreallocTable:
         self._w0[i] = 0
         self.released += 1
         return record
-
-    def fill_entry(self, index: int, pfn: int) -> None:
-        """Re-stock one emptied slot in place, off the head path."""
-        i = self._check_index(index)
-        if self._w1[i] & (W1_VALID | W1_USED):
-            raise ValueError(f"entry {index} is not empty")
-        self._w1[i] = pack_word1(pfn, 0, used=False, valid=True)
 
     def head_is_empty(self) -> bool:
         return not self._w1[self.head_index] & (W1_VALID | W1_USED)

@@ -325,10 +325,22 @@ def test_error_cleanup_targets_one_tgid_anywhere_in_ring():
     leftover = {table.record_at(i).tgid for i in table.data_indices()
                 if table.entry_state(i) is EntryState.USED}
     assert leftover == {b.tgid}
-    # mid-ring slots were restocked in place without moving head
-    assert table.valid_count() == 15 - 6 + 3
-    kernel.error_cleanup(b.tgid)
+    # cleanup only books: a's slots are left empty and head has not moved
+    assert [table.entry_state(i) for i in (2, 4, 6)] == [EntryState.EMPTY] * 3
+    assert table.head_index == 1
+    assert table.valid_count() == 15 - 6
+    # one pass books b's entries, restocking at head over the emptied
+    # slots; it stops at a's last slot, with nothing left behind it to book
+    assert kernel.postfault_tick() == 3
     assert table.used_count() == 0
+    assert kernel.ledger.records() == set(a_recs) | set(b_recs)
+    assert [table.entry_state(i) for i in range(1, 7)] == [EntryState.VALID] * 5 + [
+        EntryState.EMPTY]
+    assert table.head_index == 6
+    # the next consume gives the pass work, and it restocks that slot first
+    b_recs.extend(consume_pages(kernel, b, vma_b, 0, 1, offset=6))
+    assert kernel.postfault_tick() == 1
+    assert table.valid_count() == 15 and table.head_index == 8
     assert kernel.ledger.records() == set(a_recs) | set(b_recs)
 
 
@@ -376,6 +388,51 @@ def test_used_count_tracks_every_transition():
     assert mid_ring, "no step left used entries behind a non-used head"
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_passes_book_every_entry_a_cleanup_leaves_behind(cores):
+    # cleanups empty slots anywhere in the ring, some before the fill has
+    # finished; once the fill completes, passes restocking at head must
+    # still reach and book every used entry
+    rng = random.Random(cores)
+    early_cleanups = 0
+    for trial in range(150):
+        kernel = KernelModel(cores=cores, total_frames=4096, seed=trial)
+        procs = [kernel.create_process() for _ in range(3)]
+        cursor = {}
+        for proc in procs:
+            kernel.mfoe_enable(proc, 16)
+            vma = kernel.region_create(proc, 256 * PAGE_SIZE)
+            kernel.prefault_construct(proc, vma)
+            cursor[proc.tgid] = vma.start
+        for _ in range(rng.randrange(10, 120)):
+            roll = rng.random()
+            if roll < 0.45:
+                proc = rng.choice(procs)
+                va = cursor[proc.tgid]
+                pfn = kernel.tables[rng.randrange(cores)].consume(va, proc.tgid)
+                if pfn is not None:
+                    proc.page_table.walk(va).install_frame(pfn, True)
+                    cursor[proc.tgid] += PAGE_SIZE
+            elif roll < 0.6:
+                early_cleanups += not kernel.fill_task.done
+                kernel.error_cleanup(rng.choice(procs).tgid)
+            elif roll < 0.7:
+                kernel.postfault_tick()
+            else:
+                kernel.fill_task.step(kernel)
+        kernel.run_init_fill()
+        while kernel.postfault_tick():
+            pass
+        for table in kernel.tables:
+            assert table.used_count() == 0, f"trial {trial} left entries unbooked"
+        census = kernel.frame_census()
+        assert census["free"] + census["outstanding"] == census["total"]
+        assert census["outstanding"] == (
+            census["table_valid"] + census["table_storage"] + census["mapped"])
+        assert len(kernel.ledger.rmap) == census["mapped"]
+    assert early_cleanups, "no cleanup ran before the fill finished"
+
+
 def test_cleanup_and_tick_share_tables_safely_across_threads():
     kernel, proc, vma = make_kernel(width=64, total_frames=1 << 15)
     stop = threading.Event()
@@ -396,10 +453,10 @@ def test_cleanup_and_tick_share_tables_safely_across_threads():
     finally:
         stop.set()
         th.join()
-    # ticks drain only the contiguous run at head; consumes that raced a
-    # cleanup scan can sit behind a restocked slot, so the completeness
-    # pass is a final full-scan cleanup
-    kernel.error_cleanup(proc.tgid)
+    # cleanups leave their slots empty and the passes restock them at
+    # head, so passes alone book whatever the last tick left behind
+    while kernel.postfault_tick():
+        pass
     # the ledger write raises on any double-processed frame, so surviving
     # to this point with every fault booked exactly once is the assertion
     assert len(kernel.ledger.records()) == total

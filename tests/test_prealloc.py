@@ -159,19 +159,17 @@ def test_random_traffic_keeps_fifo_and_counts():
     assert len({r.pfn for r in harvested}) == len(harvested)
 
 
-def test_fill_entry_and_skip_head():
+def test_skip_head_advances_only_over_an_empty_slot():
     t = full_table()
-    t.consume(0x1000, 5)
-    t.harvest()
-    t.fill_entry(1, 500)
-    assert t.entry_state(1) is EntryState.VALID
-    with pytest.raises(ValueError):
-        t.fill_entry(1, 501)  # occupied now
     with pytest.raises(ValueError):
         t.skip_head()  # head slot holds a frame
-    t2 = PreallocTable(5)
-    t2.skip_head()
-    assert t2.head_index == 2
+    t.consume(0x1000, 5)
+    with pytest.raises(ValueError):
+        t.skip_head()  # head slot holds a used record
+    t.harvest()
+    t.skip_head()
+    assert t.head_index == 2
+    assert t.entry_state(1) is EntryState.EMPTY
 
 
 def test_drain_valid_empties_table():

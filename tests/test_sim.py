@@ -291,10 +291,11 @@ def test_idle_pass_is_not_polled(monkeypatch):
     assert len(table_calls) == report.background_processed
 
 
-def test_saturated_teardown_conserves_frames_and_free_list_order():
+def test_saturated_teardown_conserves_frames_and_free_list_order(monkeypatch):
     # a saturated run ends with consumed entries the pass has not booked;
-    # terminate's error_cleanup books them and refills their slots before
-    # the tables drain, so the free list's order pins that cleanup FIFO
+    # terminate's error_cleanup books them and leaves their slots empty,
+    # allocating nothing, so the free list's order pins the unmap and
+    # table drain FIFO
     simulation = Simulation(small_config(threads=4, faults_per_thread=512, table_width=16,
                                          total_frames=1 << 14, seed=3))
     report = simulation.run()
@@ -308,13 +309,21 @@ def test_saturated_teardown_conserves_frames_and_free_list_order():
     assert used, "nothing left for error_cleanup to book"
     assert len(kernel.ledger.rmap) + used == census["mapped"]
 
+    allocate, allocated = kernel.allocator.allocate, []
+
+    def counted():
+        allocated.append(allocate())
+        return allocated[-1]
+
+    monkeypatch.setattr(kernel.allocator, "allocate", counted)
     assert kernel.terminate(simulation.proc) == census["mapped"]
+    assert allocated == [], "exit cleanup restocks no slot"
     after = kernel.frame_census()
     assert after["outstanding"] == after["table_storage"]
     assert after["free"] + after["outstanding"] == after["total"]
     order = ",".join(map(str, kernel.allocator.free_list)).encode()
     assert hashlib.sha256(order).hexdigest() == (
-        "9b0db05c7fc69649e3b533c3971321b6701b34d356288a7d77b8c3b271b756d5")
+        "84545a7bda0a6280f541751cb5291e692a0cfab48c647beec9809d23fbd4207e")
 
 
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota
