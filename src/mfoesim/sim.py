@@ -11,7 +11,8 @@ Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: four columns (cycle, core, outcome code, latency cycles), with
 the outcome stored as an index into OUTCOMES, so the log costs a few
 bytes per touch instead of one object. The report summarises the log in
-one pass, and faults.csv is written from it row by row.
+one pass, and faults.csv is formatted from its columns a block of rows
+at a time (trace.csv_blocks).
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from typing import Iterator, Optional
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
 from .params import ModelParameters, check_finite_positive
+from .trace import block_rows, csv_blocks
 from .vm import PAGE_SIZE
 
 # A background clock that is not running.
@@ -120,11 +122,17 @@ class FaultLog:
     def __len__(self) -> int:
         return len(self.t)
 
+    def csv_blocks(self) -> Iterator[str]:
+        """faults.csv as text blocks (see trace.csv_blocks)."""
+        return csv_blocks(
+            "timestamp_cycles,core,outcome,latency_cycles",
+            "%d,%d,%s,%d\n",
+            (self.t, self.core, self.outcome, self.cycles),
+            {2: [kind.value for kind in OUTCOMES]},
+        )
+
     def csv_rows(self) -> Iterator[str]:
-        yield "timestamp_cycles,core,outcome,latency_cycles"
-        names = [kind.value for kind in OUTCOMES]
-        for t, core, code, cycles in zip(self.t, self.core, self.outcome, self.cycles):
-            yield f"{t},{core},{names[code]},{cycles}"
+        return block_rows(self.csv_blocks())
 
 
 @dataclass(slots=True)

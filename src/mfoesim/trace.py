@@ -65,9 +65,11 @@ How the replay computes this, exactly and without an event queue:
   effective time, then core index, then per-core order. A window keeps
   its timeline as columns, one core's run after another in core order,
   and each run is already ordered. So a stable sort of the window's
-  positions on effective time merges them, and one itemgetter takes
-  every column in that order. sweep keeps no timeline and skips the
-  merge.
+  positions on effective time merges them, one itemgetter takes every
+  column in that order, and each gathered column is packed onto the
+  timeline's arrays in bulk (_pack). sweep keeps no timeline and skips
+  the merge. timeline.csv is formatted a block of rows per % call
+  (csv_blocks) straight from the arrays.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -79,11 +81,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from array import array
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, itemgetter, mod, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .params import LatencySampler, ModelParameters, check_finite_positive
 
@@ -199,12 +202,12 @@ def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
     # (all arrays are built before any column grows: an overflow changes nothing)
     new = {}
     try:
-        cores = array("q", cs)
+        cores = _pack(cs)
         for c, part in tparts.items():
             col = trace.core_times.get(c)
             if part != sorted(part) or col and part[0] < col[-1]:
                 return False
-            new[c] = array("q", part), array("q", lparts[c])
+            new[c] = _pack(part), _pack(lparts[c])
     except OverflowError:
         return False
     trace.core_ids += cores
@@ -239,9 +242,26 @@ _INGEST_CHUNK_BYTES = 1 << 14
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-# Rows joined per write() call; one join of every row held a command's
-# peak memory.
-_WRITE_BATCH_ROWS = 4096
+# Rows joined per write() call, rows formatted per % call, and values
+# packed per struct.pack call: one join, format or pack of every row
+# held a command's peak memory.
+_BLOCK_ROWS = 4096
+
+
+def _pack(values: Sequence[int]) -> array:
+    """values as an array("q"), packed _BLOCK_ROWS at a time (array() of a
+    list converts one value at a time). OverflowError, as from array(), if
+    a value is outside signed 64 bits."""
+    out = array("q")
+    for s in range(0, len(values), _BLOCK_ROWS):
+        part = values[s:s + _BLOCK_ROWS]
+        try:
+            out.frombytes(struct.pack(f"{len(part)}q", *part))
+        except struct.error:
+            # array() raises what it would have: OverflowError for a value
+            # outside 64 bits, TypeError for one that is not an integer
+            out.extend(array("q", part))
+    return out
 
 
 def ingest(path: str) -> FaultTrace:
@@ -324,13 +344,43 @@ def write_rows(path, rows: Iterable[str]) -> None:
     """Write rows as newline-terminated lines, a batch of rows per write."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
-        while batch := list(islice(rows, _WRITE_BATCH_ROWS)):
+        while batch := list(islice(rows, _BLOCK_ROWS)):
             batch.append("")  # the last row's newline
             fh.write("\n".join(batch))
 
 
+def write_blocks(path, blocks: Iterable[str]) -> None:
+    """Write text blocks, such as csv_blocks yields, one write per block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(blocks)
+
+
 def write_trace(trace: FaultTrace, path: str) -> None:
     write_rows(path, trace.csv_rows())
+
+
+def csv_blocks(
+    header: str, row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Sequence[str]]
+) -> Iterator[str]:
+    """A CSV file as text blocks: the header line, then up to _BLOCK_ROWS
+    newline-terminated rows per block, formatted with one % call. row is
+    one line's format, its field i taken from columns[i]; a column i in
+    labels holds codes, written as labels[i][code]."""
+    yield header + "\n"
+    width = len(columns)
+    n = len(columns[0])
+    for s in range(0, n, _BLOCK_ROWS):
+        e = min(s + _BLOCK_ROWS, n)
+        flat = [None] * ((e - s) * width)
+        for i, col in enumerate(columns):
+            part = col[s:e]
+            flat[i::width] = map(labels[i].__getitem__, part) if i in labels else part
+        yield (row * (e - s)) % tuple(flat)
+
+
+def block_rows(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of csv_blocks' blocks, without their newlines."""
+    return chain.from_iterable(map(str.splitlines, blocks))
 
 
 @dataclass
@@ -368,13 +418,17 @@ class Timeline:
     def __len__(self) -> int:
         return len(self.orig_ns)
 
+    def csv_blocks(self) -> Iterator[str]:
+        """timeline.csv as text blocks (see csv_blocks)."""
+        return csv_blocks(
+            TIMELINE_HEADER,
+            "%d,%d,%d,%s,%d\n",
+            (self.orig_ns, self.adjusted_ns, self.core_ids, self.outcomes, self.modeled_latency_ns),
+            {3: OUTCOME_NAMES},
+        )
+
     def csv_rows(self) -> Iterator[str]:
-        yield TIMELINE_HEADER
-        for o, a, c, out, lat in zip(
-            self.orig_ns, self.adjusted_ns, self.core_ids, self.outcomes,
-            self.modeled_latency_ns,
-        ):
-            yield f"{o},{a},{c},{OUTCOME_NAMES[out]},{lat}"
+        return block_rows(self.csv_blocks())
 
 
 def _empty_timeline() -> Timeline:
@@ -659,8 +713,7 @@ def _replay(
                 window = map(pick, window)
             try:
                 for col, part in zip(columns, window):
-                    # (array.extend grows per item from a tuple; array() sizes once)
-                    col += array("q", part)
+                    col += _pack(part)
             except OverflowError:
                 bad = next(v for v in (*w_adj, *w_lat) if not _INT64_MIN <= v <= _INT64_MAX)
                 raise ValueError(f"timeline value {bad} is outside signed 64 bits") from None

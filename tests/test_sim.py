@@ -2,6 +2,8 @@
 import hashlib
 import json
 import math
+import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -12,12 +14,14 @@ from mfoesim.kernel import KernelModel
 from mfoesim.params import ModelParameters
 from mfoesim.sim import (
     OUTCOMES,
+    FaultLog,
     SimConfig,
     Simulation,
     WorkloadSpec,
     percentile,
     run,
 )
+from mfoesim.trace import write_blocks
 from mfoesim.vm import OutOfMemory
 
 
@@ -207,6 +211,24 @@ def test_report_csv_layout():
     assert int(t) == 1500 and core == "0"
     assert outcome in ("mfoe_hit", "mfoe_miss", "kernel_fault")
     int(cycles)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_fault_log_csv_matches_per_row_reference(tmp_path, rows):
+    rng = random.Random(rows)
+    log = FaultLog()
+    log.t = array("q", sorted(rng.randrange(1 << 62) for _ in range(rows)))
+    log.core = array("q", [rng.randrange(64) for _ in range(rows)])
+    log.outcome = array("B", [rng.randrange(len(OUTCOMES)) for _ in range(rows)])
+    log.cycles = array("q", [rng.randrange(1, 1 << 40) for _ in range(rows)])
+    lines = ["timestamp_cycles,core,outcome,latency_cycles"] + [
+        f"{t},{core},{OUTCOMES[code].value},{cycles}"
+        for t, core, code, cycles in zip(log.t, log.core, log.outcome, log.cycles)
+    ]
+    path = tmp_path / "faults.csv"
+    write_blocks(path, log.csv_blocks())
+    assert path.read_text() == "".join(line + "\n" for line in lines)
+    assert list(log.csv_rows()) == lines
 
 
 def test_frame_exhaustion_raises_out_of_memory():

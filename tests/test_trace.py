@@ -25,9 +25,11 @@ from mfoesim.trace import (
     DEFAULT_WIDTHS,
     OUTCOME_HIT,
     OUTCOME_MISS,
+    OUTCOME_NAMES,
     TIMELINE_HEADER,
     TRACE_HEADER,
     FaultTrace,
+    Timeline,
     TraceFormatError,
     TraceModelConfig,
     WORKLOAD_PROFILES,
@@ -37,6 +39,7 @@ from mfoesim.trace import (
     sweep,
     synthesize,
     synthesize_profile,
+    write_blocks,
     write_trace,
 )
 
@@ -293,11 +296,13 @@ def test_chunked_ingest_matches_line_loop(tmp_path, render, newline):
 
 _OUTSIDE_64_BITS = [
     f"{10**20},0,5", f"1000,{10**20},5", f"1000,0,{10**20}", f"{-(1 << 63) - 1},0,5",
+    f"{1 << 63},0,5",
 ]
 
 
 @pytest.mark.parametrize(
-    "bad", _OUTSIDE_64_BITS, ids=["timestamp", "core", "latency", "timestamp-below"]
+    "bad", _OUTSIDE_64_BITS,
+    ids=["timestamp", "core", "latency", "timestamp-below", "timestamp-one-above"],
 )
 def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
     path = tmp_path / "bad.csv"
@@ -316,6 +321,27 @@ def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
     assert (list(trace.core_ids), trace.core_times, trace.core_lats) == (
         [0], {0: array("q", [1])}, {0: array("q", [5])}
     )
+
+
+def test_pack_keeps_every_64_bit_value_across_blocks(tmp_path):
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    values = [lo, hi, 0, -1] * 2049  # 8196 values: two full blocks and a partial one
+    assert trace_module._pack(values) == array("q", values)
+    assert trace_module._pack(tuple(values)) == array("q", values)
+    assert trace_module._pack([]) == array("q")
+    for bad in (1 << 63, lo - 1):
+        with pytest.raises(OverflowError):
+            trace_module._pack([0] * 5000 + [bad])
+    # a value that is not an integer is refused as array() refuses it
+    with pytest.raises(TypeError):
+        FaultTrace([1.5], [0], [5])
+    # the edges themselves are valid fields
+    path = tmp_path / "edges.csv"
+    path.write_text(f"{TRACE_HEADER}\n{lo},{hi},{hi}\n{hi},{hi},1\n{lo},0,{hi}\n")
+    trace = ingest(str(path))
+    assert list(trace.core_ids) == [hi, hi, 0]
+    assert trace.core_times == {hi: array("q", [lo, hi]), 0: array("q", [lo])}
+    assert trace.core_lats == {hi: array("q", [hi, 1]), 0: array("q", [hi])}
 
 
 def _random_records(rng):
@@ -725,6 +751,48 @@ def test_timeline_merge_edges_match_oracle(records, width, cores, core_order):
     assert got == want
     assert (report.hits, report.misses) == (hits, misses)
     assert list(tl.core_ids) == core_order
+
+
+def test_window_over_one_pack_block_matches_oracle():
+    # 5200 faults on two cores, all served before the first tick: one
+    # window, merged and packed in a full block and a partial one. The
+    # 64-frame pools give the window hits, which pull a core's later
+    # faults earlier and reorder the merge, as well as misses.
+    records = sorted(
+        [(20_000 + 350 * i, 0, 851 + i % 7) for i in range(2600)]
+        + [(20_175 + 350 * i, 1, 900) for i in range(2600)]
+    )
+    params = ModelParameters()
+    config = TraceModelConfig(width=64, cores=2)
+    report = apply_model(FaultTrace.from_records(records), config, params)
+    tl = report.timeline
+    k = model_constants(config, params)
+    assert max(tl.adjusted_ns) < 2 * 64 * k["init_page_ns"] + k["interval_ns"]
+    got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes, tl.modeled_latency_ns))
+    want, hits, misses, _, _ = _reference_replay(records, 64, 2.0, 2, params)
+    assert got == want
+    assert (report.hits, report.misses) == (hits, misses)
+    assert 0 < hits < len(records)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_timeline_csv_matches_per_row_reference(tmp_path, rows):
+    rng = random.Random(rows)
+    edges = [-(1 << 63), (1 << 63) - 1, 0, -1]
+    cols = [
+        array("q", [rng.choice(edges) if rng.random() < 0.1 else rng.randrange(-10**15, 10**15)
+                    for _ in range(rows)])
+        for _ in range(5)
+    ]
+    cols[3] = array("q", [rng.choice((OUTCOME_MISS, OUTCOME_HIT)) for _ in range(rows)])
+    tl = Timeline(*cols)
+    lines = [TIMELINE_HEADER] + [
+        f"{o},{a},{c},{OUTCOME_NAMES[out]},{lat}" for o, a, c, out, lat in zip(*cols)
+    ]
+    path = tmp_path / "timeline.csv"
+    write_blocks(path, tl.csv_blocks())
+    assert path.read_text() == "".join(line + "\n" for line in lines)
+    assert list(tl.csv_rows()) == lines
 
 
 def test_degenerate_overlap_reports_infinite_speedup():
