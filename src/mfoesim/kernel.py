@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import LatencySampler, ModelParameters, check_finite_positive
+from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
 from .prealloc import HarvestRecord, PreallocTable, ProduceStatus
 from .vm import PAGE_SIZE, FrameAllocator, OutOfMemory, PageTable
 
@@ -184,6 +184,7 @@ class KernelModel:
         check_finite_positive("resource threshold", resource_threshold)
         self.cores = cores
         self.refresh_interval_ms = refresh_interval_ms
+        self._interval_ns = checked_int("refresh interval", refresh_interval_ms * 1_000_000, "ns")
         self.resource_threshold = resource_threshold
         self.allocator = FrameAllocator(total_frames)
         self.rng = random.Random(seed)
@@ -203,11 +204,12 @@ class KernelModel:
         self.protection_faults: list[ProtectionFaultEvent] = []
         self._next_tgid = 1000
 
-        self._baseline = LatencySampler(
+        # sample_baseline_cycles() draws one software fault cost in cycles
+        self.sample_baseline_cycles = LatencySampler(
             self.params.baseline_fault_mean_cycles,
             self.params.baseline_fault_p95_cycles,
             self.params.baseline_fault_dist,
-        )
+        ).drawer(self.rng)
 
     # process and region management
 
@@ -316,8 +318,7 @@ class KernelModel:
         return count
 
     def budget_pages(self) -> int:
-        interval_ns = round(self.refresh_interval_ms * 1_000_000)
-        return interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
+        return self._interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
 
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:
         """Book the oldest consumed entry of one core's table, if any.
@@ -468,9 +469,6 @@ class KernelModel:
         leaf.install_frame(pfn, writable)
         self.apply_bookkeeping(proc.tgid, va, pfn)
         return pfn
-
-    def sample_baseline_cycles(self) -> int:
-        return self._baseline.sample_int(self.rng)
 
     def record_segv(self, tgid: int, va: int, when: int = 0) -> None:
         self.segv_events.append(SegvEvent(tgid, va, when))

@@ -1,17 +1,34 @@
 """Model parameters and latency samplers shared by the simulator and replay model."""
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, fields
+from math import exp, isfinite, log, sqrt
+from random import NV_MAGICCONST
+from typing import Callable
 
 # 95th percentile z-score of the standard normal, used to fit lognormal tails.
 Z95 = 1.6448536269514722
 
+# Times, counts and trace fields are signed 64-bit integers wherever they
+# are stored.
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
 
 def check_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    if not (isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def checked_int(name: str, value: float, unit: str) -> int:
+    """round(value), a float setting already scaled to integer ns or
+    cycles; ValueError naming the setting unless that fits in signed 64
+    bits. (round() of an infinite float raises OverflowError, and an int
+    past 64 bits fails later, where an array stores it.)"""
+    if not INT64_MIN <= value <= INT64_MAX:  # also false for nan
+        raise ValueError(f"{name} out of range: {value:g} {unit} does not fit in signed 64 bits")
+    return round(value)
 
 
 @dataclass
@@ -44,13 +61,20 @@ class ModelParameters:
 
 
 class LatencySampler:
-    """Draws latencies from a distribution fit to a (mean, p95) pair.
+    """Draws integer latencies from a distribution fit to a (mean, p95) pair.
 
     The lognormal fit solves sigma from
         ln(p95 / mean) = z95 * sigma - sigma^2 / 2
     taking the smaller root so the body of the distribution stays near the
     mean. two_point puts 5% of the mass at p95 and the rest at the value
-    that preserves the mean. constant always returns the mean.
+    that preserves the mean. constant always returns the mean. Every draw
+    is rounded to an int of at least 1.
+
+    drawer(rng) is the one implementation of a draw. Its lognormal branch
+    is random.lognormvariate inlined: the same Kinderman-Monahan loop on
+    rng.random, with the same float operations in the same order, so each
+    draw equals max(1, round(rng.lognormvariate(mu, sigma))) and consumes
+    the same random numbers. The tests check it against the stdlib call.
     """
 
     def __init__(self, mean: float, p95: float, dist: str = "lognormal"):
@@ -63,12 +87,12 @@ class LatencySampler:
             if p95 == mean:
                 self.dist = "constant"
             else:
-                spread = math.log(p95 / mean)
+                spread = log(p95 / mean)
                 disc = Z95 * Z95 - 2.0 * spread
                 if disc < 0:
                     raise ValueError("p95/mean ratio too large for a lognormal fit")
-                self._sigma = Z95 - math.sqrt(disc)
-                self._mu = math.log(mean) - self._sigma * self._sigma / 2.0
+                self._sigma = Z95 - sqrt(disc)
+                self._mu = log(mean) - self._sigma * self._sigma / 2.0
         elif dist == "two_point":
             lo = (mean - 0.05 * p95) / 0.95
             if lo <= 0:
@@ -77,12 +101,28 @@ class LatencySampler:
         elif dist != "constant":
             raise ValueError(f"unknown distribution {dist!r}")
 
-    def sample(self, rng: random.Random) -> float:
+    def drawer(self, rng: random.Random) -> Callable[[], int]:
+        """A function that draws one latency from rng per call."""
         if self.dist == "constant":
-            return self.mean
+            value = max(1, round(self.mean))
+            return lambda: value
+        rnd = rng.random
         if self.dist == "two_point":
-            return self.p95 if rng.random() < 0.05 else self._lo
-        return rng.lognormvariate(self._mu, self._sigma)
+            hi, lo = max(1, round(self.p95)), max(1, round(self._lo))
+            return lambda: hi if rnd() < 0.05 else lo
+        mu, sigma = self._mu, self._sigma
+
+        def draw() -> int:
+            while True:
+                u1 = rnd()
+                u2 = 1.0 - rnd()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    v = round(exp(mu + z * sigma))
+                    return v if v > 1 else 1
+
+        return draw
 
     def sample_int(self, rng: random.Random) -> int:
-        return max(1, round(self.sample(rng)))
+        """One draw from rng; a caller that draws repeatedly keeps a drawer."""
+        return self.drawer(rng)()

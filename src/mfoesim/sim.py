@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
-from .params import ModelParameters, check_finite_positive
+from .params import ModelParameters, check_finite_positive, checked_int
 from .trace import block_rows, csv_blocks
 from .vm import PAGE_SIZE
 
@@ -221,7 +221,9 @@ class Simulation:
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
-        self.interval_cycles = max(1, round(config.refresh_interval_ms * 1e-3 * params.clock_hz))
+        self.interval_cycles = max(1, checked_int(
+            "refresh interval", config.refresh_interval_ms * 1e-3 * params.clock_hz, "cycles"
+        ))
         self.fill_cost = max(1, round(params.clock_hz / params.init_throughput_pages_per_s))
         self.record_cost = max(
             1, round(params.clock_hz / params.background_throughput_pages_per_s)

@@ -26,7 +26,9 @@ Storage. A FaultTrace keeps its core ids in trace order and, for each
 core id that occurs, that core's timestamps and latencies as two columns:
 the per-core split the replay runs on. One routine checks per-core order
 and splits the records, for ingest and the constructor alike; synthesize
-builds the columns core by core. Interleaved columns are built on request.
+builds the columns core by core. Interleaved columns are built on request,
+and trace.csv is written from the per-core columns: each core's rows are
+formatted a block per % call, and core_ids interleaves their lines.
 
 How the replay computes this, exactly and without an event queue:
 
@@ -85,10 +87,18 @@ import struct
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
-from operator import add, itemgetter, mod, mul
+from math import log
+from operator import add, itemgetter, methodcaller, mod, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .params import LatencySampler, ModelParameters, check_finite_positive
+from .params import (
+    INT64_MAX,
+    INT64_MIN,
+    LatencySampler,
+    ModelParameters,
+    check_finite_positive,
+    checked_int,
+)
 
 OUTCOME_MISS = 0
 OUTCOME_HIT = 1
@@ -177,13 +187,20 @@ class FaultTrace:
         end = max((max(map(add, t, self.core_lats[c])) for c, t in times.items()), default=0)
         return end - min((t[0] for t in times.values()), default=0)
 
-    def csv_rows(self) -> Iterator[str]:
-        yield TRACE_HEADER
-        rows = {
-            c: map(f"%d,{c},%d".__mod__, zip(t, self.core_lats[c]))
-            for c, t in self.core_times.items()
-        }
-        yield from map(next, map(rows.__getitem__, self.core_ids))
+    def csv_blocks(self) -> Iterator[str]:
+        """trace.csv as text blocks: the header line, then up to
+        _BLOCK_ROWS rows per block in trace order. Each core's rows are
+        formatted a block per % call (row_blocks) and split into lines,
+        and core_ids takes them in turn, so each core holds at most one
+        block of lines at a time."""
+        lines = {}
+        for c, t in self.core_times.items():
+            blocks = row_blocks(f"%d,{c},%d\n", (t, self.core_lats[c]), {})
+            lines[c] = chain.from_iterable(map(_keepends, blocks))
+        yield TRACE_HEADER + "\n"
+        ids = self.core_ids
+        for s in range(0, len(ids), _BLOCK_ROWS):
+            yield "".join(map(next, map(lines.__getitem__, ids[s:s + _BLOCK_ROWS])))
 
 
 def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
@@ -221,7 +238,7 @@ def _bad_record(ts: list, cs: list, ls: list) -> ValueError:
     """The error for the first record that _split refuses."""
     last_per_core: dict[int, int] = {}
     for i, (t, core, lat) in enumerate(zip(ts, cs, ls)):
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (t, core, lat)):
+        if not all(INT64_MIN <= v <= INT64_MAX for v in (t, core, lat)):
             return ValueError(f"record {i}: field outside signed 64 bits")
         if core < 0:
             return ValueError(f"record {i}: negative core id")
@@ -237,10 +254,6 @@ def _bad_record(ts: list, cs: list, ls: list) -> ValueError:
 # the chunk stays small: on a 100k-line trace the traced peak was 1.2x the
 # arrays at 16 KB and 3x at 256 KB, and larger chunks ran no faster.
 _INGEST_CHUNK_BYTES = 1 << 14
-
-# Trace columns are signed 64-bit arrays.
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 # Rows joined per write() call, rows formatted per % call, and values
 # packed per struct.pack call: one join, format or pack of every row
@@ -326,7 +339,7 @@ def _ingest_lines(path: str, lines: list[str], line_no: int, trace: FaultTrace) 
             t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in (t, core, lat)):
+        if not all(INT64_MIN <= v <= INT64_MAX for v in (t, core, lat)):
             raise TraceFormatError(path, line_no, f"field outside signed 64 bits in {line!r}")
         if core < 0:
             raise TraceFormatError(path, line_no, "negative core id")
@@ -356,17 +369,24 @@ def write_blocks(path, blocks: Iterable[str]) -> None:
 
 
 def write_trace(trace: FaultTrace, path: str) -> None:
-    write_rows(path, trace.csv_rows())
+    write_blocks(path, trace.csv_blocks())
 
 
 def csv_blocks(
     header: str, row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Sequence[str]]
 ) -> Iterator[str]:
-    """A CSV file as text blocks: the header line, then up to _BLOCK_ROWS
-    newline-terminated rows per block, formatted with one % call. row is
-    one line's format, its field i taken from columns[i]; a column i in
-    labels holds codes, written as labels[i][code]."""
+    """A CSV file as text blocks: the header line, then row_blocks."""
     yield header + "\n"
+    yield from row_blocks(row, columns, labels)
+
+
+def row_blocks(
+    row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Sequence[str]]
+) -> Iterator[str]:
+    """Up to _BLOCK_ROWS newline-terminated rows per text block, formatted
+    with one % call. row is one line's format, its field i taken from
+    columns[i]; a column i in labels holds codes, written as
+    labels[i][code]."""
     width = len(columns)
     n = len(columns[0])
     for s in range(0, n, _BLOCK_ROWS):
@@ -381,6 +401,10 @@ def csv_blocks(
 def block_rows(blocks: Iterable[str]) -> Iterator[str]:
     """The lines of csv_blocks' blocks, without their newlines."""
     return chain.from_iterable(map(str.splitlines, blocks))
+
+
+# A block's lines with their newlines.
+_keepends = methodcaller("splitlines", True)
 
 
 @dataclass
@@ -475,17 +499,14 @@ MODEL_PARAMETERS = (
 def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
     """Integer-ns constants the replay runs on; also echoed in reports."""
     clock = params.clock_hz
+    interval_ns = max(1, checked_int("refresh interval", config.refresh_interval_ms * 1e6, "ns"))
     return {
         "hit_ns": max(0, round(params.mfoe_hit_cycles * 1e9 / clock)),
         "miss_penalty_ns": max(0, round(params.mfoe_miss_penalty_cycles * 1e9 / clock)),
         "init_page_ns": max(1, round(1e9 / params.init_throughput_pages_per_s)),
         "record_ns": max(1, round(1e9 / params.background_throughput_pages_per_s)),
-        "interval_ns": max(1, round(config.refresh_interval_ms * 1e6)),
-        "budget_per_tick": (
-            max(1, round(config.refresh_interval_ms * 1e6))
-            * round(params.background_throughput_pages_per_s)
-            // 10**9
-        ),
+        "interval_ns": interval_ns,
+        "budget_per_tick": interval_ns * round(params.background_throughput_pages_per_s) // 10**9,
     }
 
 
@@ -715,7 +736,7 @@ def _replay(
                 for col, part in zip(columns, window):
                     col += _pack(part)
             except OverflowError:
-                bad = next(v for v in (*w_adj, *w_lat) if not _INT64_MIN <= v <= _INT64_MAX)
+                bad = next(v for v in (*w_adj, *w_lat) if not INT64_MIN <= v <= INT64_MAX)
                 raise ValueError(f"timeline value {bad} is outside signed 64 bits") from None
             for part in (w_orig, w_eff, w_adj, w_core, w_out, w_lat):
                 del part[:]
@@ -782,6 +803,11 @@ def _replay(
 
 # Synthetic trace generation.
 #
+# The most faults synthesize writes: rate x duration x cores, checked
+# before anything is drawn. The README's largest example, the gcc profile
+# for 10 s, is about 3.65M faults.
+MAX_SYNTHESIZED_FAULTS = 40_000_000
+#
 # Reference workload profiles: steady-state fault rate and the fraction
 # of runtime the recorded workload spent in minor-fault handling. Mean
 # per-fault latency falls out as overhead_fraction / rate.
@@ -826,13 +852,31 @@ def synthesize(
     uniform spaces faults exactly round(1e9 / rate) ns apart starting at
     zero; poisson draws exponential gaps. Latencies come from the usual
     lognormal two-statistic fit (constant when mean == p95).
+
+    Each core draws from its own random.Random. A gap is computed inline
+    as -log(1 - random()) * (1e9 / rate), which is rng.expovariate(1.0)
+    times the scale to the bit (expovariate divides by lambd, here 1.0),
+    and a latency is one call of LatencySampler.drawer; the tests check
+    both against the stdlib calls.
     """
     check_finite_positive("rate", rate_per_core)
     check_finite_positive("duration", duration_s)
     if cores < 1:
         raise ValueError("need at least one core")
+    if cores > MAX_CORES:
+        raise ValueError(f"cores must be at most {MAX_CORES}, got {cores}")
     if dist not in ("uniform", "poisson"):
         raise ValueError(f"unknown distribution {dist!r}")
+    # Every timestamp is below duration_ns, so the columns fit in 64 bits.
+    duration_ns = checked_int("duration", duration_s * 1e9, "ns")
+    gap_scale = 1e9 / rate_per_core
+    spacing = max(1, checked_int("rate", gap_scale, "ns between faults"))
+    expected = rate_per_core * duration_s * cores
+    if expected > MAX_SYNTHESIZED_FAULTS:
+        raise ValueError(
+            f"rate x duration x cores is {expected:g} faults, "
+            f"more than the {MAX_SYNTHESIZED_FAULTS} synthesize writes"
+        )
 
     defaults = ModelParameters()
     if latency_mean_ns is None:
@@ -843,7 +887,6 @@ def synthesize(
             round(defaults.baseline_fault_p95_cycles * 1e9 / defaults.clock_hz),
         )
     sampler = LatencySampler(latency_mean_ns, latency_p95_ns)
-    duration_ns = round(duration_s * 1e9)
 
     trace = FaultTrace(source=source)
     # Each record's (timestamp, core) packed as timestamp * cores + core,
@@ -851,22 +894,24 @@ def synthesize(
     keys: list[int] = []
     for c in range(cores):
         rng = random.Random(f"{seed}:{c}")
+        draw = sampler.drawer(rng)
         if dist == "uniform":
-            times = range(0, duration_ns, max(1, round(1e9 / rate_per_core)))
-            lats = [sampler.sample_int(rng) for _ in times]
+            times = range(0, duration_ns, spacing)
+            lats = [draw() for _ in times]
         else:
-            gap_scale = 1e9 / rate_per_core
+            rnd = rng.random
             acc, times, lats = 0.0, [], []
+            add_time, add_lat = times.append, lats.append
             while True:
-                acc += rng.expovariate(1.0) * gap_scale
+                acc += -log(1.0 - rnd()) * gap_scale
                 t = round(acc)
                 if t >= duration_ns:
                     break
-                times.append(t)
-                lats.append(sampler.sample_int(rng))
+                add_time(t)
+                add_lat(draw())
         if times:
-            trace.core_times[c] = array("q", times)
-            trace.core_lats[c] = array("q", lats)
+            trace.core_times[c] = _pack(times)
+            trace.core_lats[c] = _pack(lats)
             keys += map(add, map(mul, times, repeat(cores)), repeat(c))
     keys.sort()
     trace.core_ids = array("q", map(mod, keys, repeat(cores)))

@@ -10,6 +10,7 @@ import pytest
 
 from mfoesim import trace
 from mfoesim.cli import CONFIG_ENV_VAR, build_parser, main
+from mfoesim.params import LatencySampler
 
 
 def run_cli(*argv):
@@ -228,6 +229,25 @@ def test_synthesize_without_dist_uses_the_library_default(tmp_path, argv, genera
     assert (tmp_path / "cli" / "trace.csv").read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--rate", "1000", "--cores", "5000"), "cores must be at most 1024, got 5000"),
+    (("--rate", "1e300", "--duration", "1", "--dist", "uniform"),
+     "rate x duration x cores is 1e+300 faults, more than the 40000000 synthesize writes"),
+    (("--profile", "gcc", "--duration", "100", "--cores", "2"),
+     "rate x duration x cores is 7.3062e+07 faults, more than the 40000000 synthesize writes"),
+], ids=["cores", "rate", "profile-duration"])
+def test_synthesize_caps_are_checked_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
+    # a trace with more cores than a replay models, or a fault count that
+    # would run for hours, is refused before a single latency is drawn
+    def no_draw(*args):
+        raise AssertionError("a latency was drawn before the cap was checked")
+
+    monkeypatch.setattr(LatencySampler, "drawer", no_draw)
+    assert run_cli("synthesize", *argv, "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_synthesize_rejects_zero_rate(tmp_path, capsys):
     assert run_cli(
         "synthesize", "--rate", "0", "--out-dir", str(tmp_path)
@@ -348,6 +368,15 @@ BAD_VALUES = [
     # nan, not inf: without the check an infinite rate spaces faults 1 ns
     # apart and synthesizes a billion of them per second of duration
     (("synthesize", "--duration", "0.001"), "--rate", "nan", "rate"),
+    # finite values whose scaled int is infinite, or past 64 bits: each was
+    # an OverflowError traceback
+    (("synthesize", "--duration", "0.001"), "--rate", "1e-320", "rate out of range"),
+    (("synthesize", "--rate", "1000"), "--duration", "1e300", "duration out of range"),
+    (("synthesize", "--rate", "1e-9"), "--duration", "1e12", "duration out of range"),
+    (("model", "--trace", "{trace}"), "--refresh-interval-ms", "1e303",
+     "refresh interval out of range"),
+    (("sweep", "--trace", "{trace}"), "--intervals-ms", "1e303", "refresh interval out of range"),
+    (("simulate",), "--refresh-interval-ms", "1e305", "refresh interval out of range"),
 ]
 
 

@@ -1,11 +1,12 @@
 """Sampler fit checks: the (mean, p95) pair is the contract, so every
-distribution is verified against those two statistics directly."""
+distribution is verified against those two statistics directly, and
+each draw against the stdlib call it reproduces."""
 import math
 import random
 
 import pytest
 
-from mfoesim.params import Z95, LatencySampler, ModelParameters
+from mfoesim.params import Z95, LatencySampler, ModelParameters, checked_int
 
 
 def test_defaults_validate():
@@ -50,7 +51,8 @@ def test_lognormal_reproduces_mean_and_p95():
     sampler = LatencySampler(2552.0, 6432.0)
     rng = random.Random(20260201)
     n = 200_000
-    xs = sorted(sampler.sample(rng) for _ in range(n))
+    draw = sampler.drawer(rng)
+    xs = sorted(draw() for _ in range(n))
     mean = sum(xs) / n
     p95 = xs[math.ceil(0.95 * n) - 1]
     assert abs(mean - 2552.0) / 2552.0 < 0.02
@@ -62,7 +64,8 @@ def test_lognormal_smaller_root_keeps_body_below_p95():
     # above zero; the larger root would push the median to a tiny value.
     sampler = LatencySampler(2552.0, 6432.0)
     rng = random.Random(7)
-    xs = sorted(sampler.sample(rng) for _ in range(50_000))
+    draw = sampler.drawer(rng)
+    xs = sorted(draw() for _ in range(50_000))
     median = xs[len(xs) // 2]
     assert 1500 < median < 2552
 
@@ -71,13 +74,14 @@ def test_lognormal_degenerates_to_constant():
     sampler = LatencySampler(500.0, 500.0)
     rng = random.Random(0)
     assert sampler.dist == "constant"
-    assert all(sampler.sample(rng) == 500.0 for _ in range(10))
+    draw = sampler.drawer(rng)
+    assert all(draw() == 500 for _ in range(10))
 
 
 def test_constant_distribution():
     sampler = LatencySampler(795.0, 1757.0, dist="constant")
     rng = random.Random(0)
-    assert sampler.sample(rng) == 795.0
+    assert sampler.drawer(rng)() == 795
     assert sampler.sample_int(rng) == 795
 
 
@@ -85,13 +89,15 @@ def test_two_point_mass_and_mean():
     sampler = LatencySampler(1000.0, 4000.0, dist="two_point")
     rng = random.Random(99)
     n = 100_000
-    xs = [sampler.sample(rng) for _ in range(n)]
+    draw = sampler.drawer(rng)
+    xs = [draw() for _ in range(n)]
     values = sorted(set(xs))
     assert len(values) == 2
     lo, hi = values
-    assert hi == 4000.0
-    # the low point is chosen so the weighted mean is exact
-    assert math.isclose(0.95 * lo + 0.05 * hi, 1000.0, rel_tol=1e-12)
+    assert hi == 4000
+    # the low point is chosen so the weighted mean is exact, up to the
+    # rounding of each draw to an int
+    assert abs(0.95 * lo + 0.05 * hi - 1000.0) <= 0.95 * 0.5
     hi_frac = xs.count(hi) / n
     # 3 sigma for a Bernoulli(0.05) at n=1e5 is ~0.002
     assert abs(hi_frac - 0.05) < 0.003
@@ -124,3 +130,56 @@ def test_sample_int_is_at_least_one():
     sampler = LatencySampler(0.2, 0.2)
     rng = random.Random(0)
     assert sampler.sample_int(rng) == 1
+
+
+def _lognormal_fit(mean, p95):
+    sigma = Z95 - math.sqrt(Z95 * Z95 - 2.0 * math.log(p95 / mean))
+    return math.log(mean) - sigma * sigma / 2.0, sigma
+
+
+@pytest.mark.parametrize("mean, p95", [(2552, 6432), (851, 2144), (796, 2007), (0.3, 0.9)])
+def test_lognormal_draws_equal_the_stdlib_call(mean, p95):
+    # the drawer inlines random.lognormvariate; each draw, and the random
+    # numbers it consumed, must equal the stdlib call's ((0.3, 0.9) rounds
+    # most draws to 0, so the floor of 1 applies)
+    mu, sigma = _lognormal_fit(mean, p95)
+    sampler = LatencySampler(mean, p95)
+    for seed in range(5):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        draw = sampler.drawer(rng)
+        for _ in range(2000):
+            assert draw() == max(1, round(oracle.lognormvariate(mu, sigma)))
+        assert rng.getstate() == oracle.getstate()
+        assert sampler.sample_int(random.Random(seed)) == sampler.drawer(random.Random(seed))()
+
+
+def test_two_point_and_constant_draws_equal_their_definition():
+    two_point = LatencySampler(1000.0, 4000.0, dist="two_point")
+    lo = (1000.0 - 0.05 * 4000.0) / 0.95
+    constant = LatencySampler(795.4, 1757.0, dist="constant")
+    for seed in range(5):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        draw = two_point.drawer(rng)
+        for _ in range(2000):
+            assert draw() == max(1, round(4000.0 if oracle.random() < 0.05 else lo))
+        assert rng.getstate() == oracle.getstate()
+        assert two_point.sample_int(random.Random(seed)) == two_point.drawer(random.Random(seed))()
+        # a constant draws no random number
+        rng = random.Random(seed)
+        state = rng.getstate()
+        draw = constant.drawer(rng)
+        assert [draw() for _ in range(10)] == [795] * 10
+        assert constant.sample_int(rng) == 795
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.0 ** 63, -(2.0 ** 64)])
+def test_checked_int_names_the_setting(value):
+    with pytest.raises(ValueError, match="refresh interval out of range: .* ns does not fit"):
+        checked_int("refresh interval", value, "ns")
+
+
+def test_checked_int_rounds_values_that_fit():
+    assert checked_int("x", 2.5, "ns") == 2
+    assert checked_int("x", -(2.0 ** 63), "ns") == -(1 << 63)
+    assert checked_int("x", 2.0 ** 62, "ns") == 1 << 62

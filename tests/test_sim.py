@@ -267,12 +267,25 @@ _PINNED = [
       "--stride", "3", "--table-width", "16", "--seed", "11"],
      "a49a24172392064948033e77ae06811b8dc7341a3e1a21ce89368b18468468f3",
      "131512a632f72eb1da6629ced9c8ece7f91f49f8b9c0275886f7bc2505931e0c"),
+    # the two other baseline latency distributions, with most faults
+    # missing so that each draws its baseline latency
+    (["--threads", "3", "--faults-per-thread", "2000", "--interarrival", "800",
+      "--table-width", "16", "--refresh-interval-ms", "0.05",
+      "--params-baseline-fault-dist", "two_point", "--seed", "9"],
+     "285398d73e1c54d3f95455878e88bbb0346439e1080e00e54ee96d6286d98302",
+     "13a390e2742580ea95b5eeeb56a25d4d0d8ef862ff345e69e314f68d8cabeb2a"),
+    (["--threads", "3", "--faults-per-thread", "2000", "--interarrival", "800",
+      "--table-width", "16", "--refresh-interval-ms", "0.05",
+      "--params-baseline-fault-dist", "constant", "--seed", "9"],
+     "70cf89d9abbd947d12528b5730fe36b814693cdb872e4a41b8bf180b07411b41",
+     "ff7b5e882f4f2974b38b1a48165f5bb219c3eee393e276188da6ecd74463cf1e"),
 ]
 
 
 @pytest.mark.parametrize("argv, faults_csv, report_json", _PINNED,
                          ids=["criterion-9", "idle-passes", "tick-meets-pass-step",
-                              "quota-trip", "stride-spare-cores"])
+                              "quota-trip", "stride-spare-cores", "two-point-baseline",
+                              "constant-baseline"])
 def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_json):
     # a refactor of the fault protocol, the deferred pass or the event
     # loop must leave both files byte-identical

@@ -8,6 +8,7 @@ starting core), a stocked fault costs hit_ns and pulls later same-core
 faults earlier by (latency - hit_ns), an empty-pool fault pushes them
 later by miss_penalty_ns.
 """
+import hashlib
 import json
 import math
 import random
@@ -19,7 +20,8 @@ import pytest
 from test_acceptance import _reference_replay
 
 from mfoesim import trace as trace_module
-from mfoesim.params import ModelParameters
+from mfoesim.cli import main as cli_main
+from mfoesim.params import Z95, LatencySampler, ModelParameters
 from mfoesim.trace import (
     DEFAULT_INTERVALS_MS,
     DEFAULT_WIDTHS,
@@ -871,6 +873,90 @@ def test_default_latency_statistics():
     trace = synthesize(100_000, 1.0, dist="uniform", seed=2)
     mean = sum(trace.latencies_ns) / len(trace)
     assert abs(mean - 851) / 851 < 0.02
+
+
+def test_poisson_synthesis_equals_the_stdlib_draws():
+    # the generator inlines rng.expovariate(1.0) and draws latencies through
+    # LatencySampler.drawer; the stdlib calls, in the same order, are the
+    # oracle for every timestamp and latency
+    rate, duration_ns, mean, p95 = 200_000, 10_000_000, 800, 2000
+    trace = synthesize(rate, duration_ns / 1e9, dist="poisson", cores=3, seed=4,
+                       latency_mean_ns=mean, latency_p95_ns=p95)
+    sigma = Z95 - math.sqrt(Z95 * Z95 - 2.0 * math.log(p95 / mean))
+    mu = math.log(mean) - sigma * sigma / 2.0
+    for c in range(3):
+        rng = random.Random(f"4:{c}")
+        acc, times, lats = 0.0, [], []
+        while True:
+            acc += rng.expovariate(1.0) * (1e9 / rate)
+            if round(acc) >= duration_ns:
+                break
+            times.append(round(acc))
+            lats.append(max(1, round(rng.lognormvariate(mu, sigma))))
+        assert len(times) > 1500
+        assert list(trace.core_times[c]) == times
+        assert list(trace.core_lats[c]) == lats
+
+
+class _Drawn(Exception):
+    pass
+
+
+def _no_draw(self, rng):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(rate_per_core=1000, duration_s=1.0, cores=5000), "cores must be at most 1024, got 5000"),
+    (dict(rate_per_core=1e300, duration_s=1.0), "1e\\+300 faults, more than the 40000000"),
+    (dict(rate_per_core=1e7, duration_s=5.0), "5e\\+07 faults, more than the 40000000"),
+    (dict(rate_per_core=1e6, duration_s=1.0, cores=41), "4.1e\\+07 faults"),
+    (dict(rate_per_core=1e-320, duration_s=1.0), "rate out of range: inf ns"),
+    (dict(rate_per_core=1000, duration_s=1e300), "duration out of range: inf ns"),
+    (dict(rate_per_core=1e-9, duration_s=1e12), "duration out of range: 1e\\+21 ns"),
+], ids=["cores", "rate-1e300", "rate-x-duration", "rate-x-cores", "rate-1e-320", "duration-1e300",
+        "timestamps-past-64-bits"])
+@pytest.mark.parametrize("dist", ["uniform", "poisson"])
+def test_synthesize_limits_are_checked_before_any_draw(monkeypatch, kwargs, message, dist):
+    # each refused case would size columns by an absurd count or overflow
+    # a timestamp; the spy proves it is refused before anything is drawn
+    monkeypatch.setattr(LatencySampler, "drawer", _no_draw)
+    with pytest.raises(ValueError, match=message):
+        synthesize(dist=dist, **kwargs)
+
+
+def test_largest_documented_synthesis_is_under_the_cap(monkeypatch):
+    # the README's largest example, the gcc profile for 10 s, gets as far
+    # as its first draw (the spy stops it there)
+    assert trace_module.MAX_SYNTHESIZED_FAULTS >= 10 * 10 * WORKLOAD_PROFILES["gcc"].faults_per_s
+    assert trace_module.MAX_CORES == 1024
+    monkeypatch.setattr(LatencySampler, "drawer", _no_draw)
+    with pytest.raises(_Drawn):
+        synthesize_profile("gcc", 10.0)
+    with pytest.raises(_Drawn):
+        synthesize(1.0, 1.0, cores=1024)
+
+
+# trace.csv digests from the CLI, pinned before the generator's draw and
+# writer were rewritten: any change to what synthesize writes moves one
+_TRACE_PINS = [
+    (["--profile", "gcc", "--cores", "4", "--seed", "7", "--duration", "0.01"], 14_674,
+     "a65a09d1c8d531d4b825d85cb1b13220285cae28fc0ca0395894ef7929b860d4"),
+    (["--rate", "50000", "--dist", "uniform", "--cores", "2"], 100_000,
+     "b226ab23304f75c033812ff624ed48cc7755f0c68412d5aa925bfa33f1dd090d"),
+    (["--rate", "20000", "--dist", "poisson", "--cores", "3", "--duration", "0.05",
+      "--latency-mean-ns", "900", "--latency-p95-ns", "900", "--seed", "3"], 3_023,
+     "5649ad3286626666189334390b18a1658a70a7647b2baf9f28107abca39f41d8"),
+]
+
+
+@pytest.mark.parametrize("argv, events, digest", _TRACE_PINS,
+                         ids=["poisson-gcc", "uniform", "constant-latency"])
+def test_synthesized_trace_digests_are_pinned(tmp_path, argv, events, digest):
+    assert cli_main(["synthesize", *argv, "--out-dir", str(tmp_path)]) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data.count(b"\n") == events + 1
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_synthesize_argument_validation():
