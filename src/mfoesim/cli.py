@@ -68,7 +68,6 @@ def _add_param_overrides(parser: argparse.ArgumentParser, names: tuple[str, ...]
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
 
 
@@ -90,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the event-driven simulator")
     _add_common(p_sim)
     _add_param_overrides(p_sim, sim.SIM_PARAMETERS)
+    p_sim.add_argument("--seed", type=int, default=0, help="seed for the latency draws")
     p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--faults-per-thread", type=int, default=32768)
     p_sim.add_argument("--interarrival", type=int, default=21000,
@@ -127,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synthesize", help="generate a synthetic fault trace")
     _add_common(p_synth)
+    p_synth.add_argument("--seed", type=int, default=0,
+                         help="seed for the arrival and latency draws")
     p_synth.add_argument("--rate", type=float, default=None, help="faults per second per core")
     p_synth.add_argument("--duration", type=float, default=1.0, help="seconds")
     p_synth.add_argument("--dist", choices=("uniform", "poisson"), default=None,
@@ -193,26 +195,18 @@ def _build_params(args: argparse.Namespace, names: tuple[str, ...]) -> ModelPara
     return params
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_rows(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    trace.write_rows(path, rows)
-
-
-def _write_blocks(path: Path, blocks) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    trace.write_blocks(path, blocks)
-
-
-def _validate_json(path: Path, required_keys) -> None:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    missing = [k for k in required_keys if k not in data]
+def _write_reports(
+    json_path: Path, doc: str, keys, csv_path: Path, blocks, header: str, rows: int
+) -> None:
+    """Write a command's JSON report and its CSV from text blocks, then
+    read both back: the JSON must hold keys, the CSV header and rows rows."""
+    json_path.parent.mkdir(parents=True, exist_ok=True)
+    json_path.write_text(doc, encoding="utf-8")
+    trace.write_blocks(csv_path, blocks)
+    missing = [k for k in keys if k not in json.loads(json_path.read_text(encoding="utf-8"))]
     if missing:
-        raise CliError(f"{path}: report missing keys {missing}")
+        raise CliError(f"{json_path}: report missing keys {missing}")
+    _validate_csv(csv_path, header, rows)
 
 
 # Bytes per read when counting a written CSV's rows. Each read is one
@@ -221,17 +215,16 @@ def _validate_json(path: Path, required_keys) -> None:
 _VALIDATE_READ_BYTES = 1 << 16
 
 
-def _validate_csv(path: Path, header: str, expect_rows: Optional[int] = None) -> None:
+def _validate_csv(path: Path, header: str, expect_rows: int) -> None:
     with open(path, "rb") as fh:
         first = fh.readline().rstrip(b"\n")
         if first != header.encode("utf-8"):
             raise CliError(f"{path}: expected header {header!r}")
-        if expect_rows is not None:
-            # every row the writers emit ends in a newline
-            reads = iter(lambda: fh.read(_VALIDATE_READ_BYTES), b"")
-            count = sum(block.count(b"\n") for block in reads)
-            if count != expect_rows:
-                raise CliError(f"{path}: expected {expect_rows} rows, found {count}")
+        # every row the writers emit ends in a newline
+        reads = iter(lambda: fh.read(_VALIDATE_READ_BYTES), b"")
+        count = sum(block.count(b"\n") for block in reads)
+        if count != expect_rows:
+            raise CliError(f"{path}: expected {expect_rows} rows, found {count}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -260,10 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     json_path = out / "report.json"
     csv_path = out / "faults.csv"
-    _write(json_path, report.to_json())
-    _write_blocks(csv_path, report.records.csv_blocks())
-    _validate_json(json_path, SIM_REPORT_KEYS)
-    _validate_csv(csv_path, "timestamp_cycles,core,outcome,latency_cycles", len(report.records))
+    _write_reports(json_path, report.to_json(), SIM_REPORT_KEYS,
+                   csv_path, report.records.csv_blocks(), sim.FAULTS_HEADER, len(report.records))
 
     print(f"threads={workload.threads} faults={report.mfoe_hits + report.mfoe_misses + report.kernel_faults}")
     print(f"hit_rate={report.hit_rate:.4f}")
@@ -290,10 +281,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     json_path = out / "model_report.json"
     csv_path = out / "timeline.csv"
-    _write(json_path, report.to_json())
-    _write_blocks(csv_path, report.timeline.csv_blocks())
-    _validate_json(json_path, MODEL_REPORT_KEYS)
-    _validate_csv(csv_path, trace.TIMELINE_HEADER, len(report.timeline))
+    _write_reports(json_path, report.to_json(), MODEL_REPORT_KEYS,
+                   csv_path, report.timeline.csv_blocks(), trace.TIMELINE_HEADER,
+                   len(report.timeline))
 
     print(f"faults={report.hits + report.misses}")
     print(f"hit_rate={report.hit_rate:.4f}")
@@ -311,10 +301,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     json_path = out / "sweep.json"
     csv_path = out / "sweep.csv"
-    _write(json_path, json.dumps(grid.to_json_dict(), sort_keys=True, indent=2) + "\n")
-    _write_rows(csv_path, grid.csv_rows())
-    _validate_json(json_path, ("schema", "cells"))
-    _validate_csv(csv_path, "width,interval_ms,hit_rate,overhead_pct,speedup", len(grid.cells))
+    _write_reports(json_path, json.dumps(grid.to_json_dict(), sort_keys=True, indent=2) + "\n",
+                   ("schema", "cells"), csv_path, grid.csv_blocks(), trace.SWEEP_HEADER,
+                   len(grid.cells))
 
     print(f"cells={len(grid.cells)}")
     print(f"csv={csv_path}")

@@ -54,6 +54,8 @@ class ModelParameters:
             value = getattr(self, f.name)
             if value <= 0:
                 raise ValueError(f"{f.name} must be positive, got {value!r}")
+            if value > INT64_MAX:
+                raise ValueError(f"{f.name} must be at most {INT64_MAX}, got {value!r}")
         if self.baseline_fault_p95_cycles < self.baseline_fault_mean_cycles:
             raise ValueError("baseline fault p95 below mean")
         if self.baseline_fault_dist not in ("lognormal", "two_point", "constant"):

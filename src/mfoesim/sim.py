@@ -32,6 +32,8 @@ from .vm import PAGE_SIZE
 # A background clock that is not running.
 NEVER = math.inf
 
+FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
+
 # A simulation reads every ModelParameters field; simulate accepts
 # --params-* for all of them.
 SIM_PARAMETERS = tuple(f.name for f in fields(ModelParameters))
@@ -125,7 +127,7 @@ class FaultLog:
     def csv_blocks(self) -> Iterator[str]:
         """faults.csv as text blocks (see trace.csv_blocks)."""
         return csv_blocks(
-            "timestamp_cycles,core,outcome,latency_cycles",
+            FAULTS_HEADER,
             "%d,%d,%s,%d\n",
             (self.t, self.core, self.outcome, self.cycles),
             {2: [kind.value for kind in OUTCOMES]},

@@ -24,8 +24,11 @@ Mechanics:
 
 Storage. A FaultTrace keeps its core ids in trace order and, for each
 core id that occurs, that core's timestamps and latencies as two columns:
-the per-core split the replay runs on. One routine checks per-core order
-and splits the records, for ingest and the constructor alike; synthesize
+the per-core split the replay runs on. Records enter a trace only through
+_split, which checks them and splits them by core; the constructor, the
+bulk chunk parse and the line loop of ingest all call it, and the line
+loop itself only skips comment and blank lines and parses integers. When
+_split refuses records, _bad_record names the first bad one. synthesize
 builds the columns core by core. Interleaved columns are built on request,
 and trace.csv is written from the per-core columns: each core's rows are
 formatted a block per % call, and core_ids interleaves their lines.
@@ -70,8 +73,9 @@ How the replay computes this, exactly and without an event queue:
   positions on effective time merges them, one itemgetter takes every
   column in that order, and each gathered column is packed onto the
   timeline's arrays in bulk (_pack). sweep keeps no timeline and skips
-  the merge. timeline.csv is formatted a block of rows per % call
-  (csv_blocks) straight from the arrays.
+  the merge. An empty trace ends the loop at once. timeline.csv is
+  formatted a block of rows per % call (csv_blocks) straight from the
+  arrays, and sweep.csv by the same routine from one list per column.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -86,7 +90,7 @@ import random
 import struct
 from array import array
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import log
 from operator import add, itemgetter, methodcaller, mod, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -106,6 +110,7 @@ OUTCOME_NAMES = ("miss", "hit")
 
 TRACE_HEADER = "timestamp_ns,core,latency_ns"
 TIMELINE_HEADER = "orig_timestamp_ns,adjusted_timestamp_ns,core,outcome,modeled_latency_ns"
+SWEEP_HEADER = "width,interval_ms,hit_rate,overhead_pct,speedup"
 
 # The most cores a replay models. It keeps columns and state per core id,
 # so one stray core id must not size the run; no modeled machine comes
@@ -150,7 +155,8 @@ class FaultTrace:
         if not (len(ts) == len(cs) == len(ls)):
             raise ValueError("trace arrays have mismatched lengths")
         if not _split(self, ts, cs, ls):
-            raise _bad_record(ts, cs, ls)
+            i, reason = _bad_record(ts, cs, ls, self)
+            raise ValueError(f"record {i}: {reason}")
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[int, int, int]], source: str = "") -> "FaultTrace":
@@ -234,18 +240,19 @@ def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
     return True
 
 
-def _bad_record(ts: list, cs: list, ls: list) -> ValueError:
-    """The error for the first record that _split refuses."""
-    last_per_core: dict[int, int] = {}
+def _bad_record(ts: list, cs: list, ls: list, trace: FaultTrace) -> tuple[int, str]:
+    """The index of the first record that _split refuses, and why. The
+    regression check starts from each core's last timestamp in trace."""
+    last_per_core = {c: col[-1] for c, col in trace.core_times.items()}
     for i, (t, core, lat) in enumerate(zip(ts, cs, ls)):
         if not all(INT64_MIN <= v <= INT64_MAX for v in (t, core, lat)):
-            return ValueError(f"record {i}: field outside signed 64 bits")
+            return i, "field outside signed 64 bits"
         if core < 0:
-            return ValueError(f"record {i}: negative core id")
+            return i, "negative core id"
         if lat <= 0:
-            return ValueError(f"record {i}: latency must be positive")
+            return i, "latency must be positive"
         if t < last_per_core.get(core, t):
-            return ValueError(f"record {i}: timestamp regresses on core {core}")
+            return i, f"timestamp regresses on core {core}"
         last_per_core[core] = t
 
 
@@ -327,39 +334,31 @@ def _ingest_chunk(lines: list[str], trace: FaultTrace) -> bool:
 
 
 def _ingest_lines(path: str, lines: list[str], line_no: int, trace: FaultTrace) -> None:
-    """Parse data lines onto trace one at a time, the first numbered line_no + 1."""
+    """Parse data lines onto trace one at a time, the first numbered
+    line_no + 1, skipping comment and blank lines; _split checks and
+    appends the records. TraceFormatError names the first bad line."""
+    ints, nos, error = [], [], None
     for line_no, raw in enumerate(lines, line_no + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
+            error = TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
+            break
         try:
-            t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
+            ints += list(map(int, parts))
         except ValueError:
-            raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
-        if not all(INT64_MIN <= v <= INT64_MAX for v in (t, core, lat)):
-            raise TraceFormatError(path, line_no, f"field outside signed 64 bits in {line!r}")
-        if core < 0:
-            raise TraceFormatError(path, line_no, "negative core id")
-        if lat <= 0:
-            raise TraceFormatError(path, line_no, "latency must be positive")
-        times = trace.core_times.setdefault(core, array("q"))
-        if times and t < times[-1]:
-            raise TraceFormatError(path, line_no, f"timestamp regresses on core {core}")
-        times.append(t)
-        trace.core_lats.setdefault(core, array("q")).append(lat)
-        trace.core_ids.append(core)
-
-
-def write_rows(path, rows: Iterable[str]) -> None:
-    """Write rows as newline-terminated lines, a batch of rows per write."""
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        while batch := list(islice(rows, _BLOCK_ROWS)):
-            batch.append("")  # the last row's newline
-            fh.write("\n".join(batch))
+            error = TraceFormatError(path, line_no, f"non-integer field in {line!r}")
+            break
+        nos.append(line_no)
+    # the records before a syntax error go first: one of them may be bad
+    ts, cs, ls = ints[0::3], ints[1::3], ints[2::3]
+    if not _split(trace, ts, cs, ls):
+        i, reason = _bad_record(ts, cs, ls, trace)
+        raise TraceFormatError(path, nos[i], reason)
+    if error:
+        raise error
 
 
 def write_blocks(path, blocks: Iterable[str]) -> None:
@@ -453,10 +452,6 @@ class Timeline:
 
     def csv_rows(self) -> Iterator[str]:
         return block_rows(self.csv_blocks())
-
-
-def _empty_timeline() -> Timeline:
-    return Timeline(array("q"), array("q"), array("q"), array("q"), array("q"))
 
 
 @dataclass
@@ -570,22 +565,6 @@ def _replay(
         "clock_hz": params.clock_hz,
         **consts,
     }
-
-    if n == 0:
-        return ModelReport(
-            config=echo,
-            hits=0,
-            misses=0,
-            hit_rate=0.0,
-            baseline_runtime_ns=0,
-            modeled_runtime_ns=0,
-            saved_ns=0,
-            penalty_ns=0,
-            speedup=1.0,
-            baseline_overhead_fraction=0.0,
-            residual_overhead_fraction=0.0,
-            timeline=_empty_timeline(),
-        )
 
     hit_ns = consts["hit_ns"]
     miss_ns = consts["miss_penalty_ns"]
@@ -778,14 +757,17 @@ def _replay(
     penalty = misses * miss_ns
     baseline_runtime = runs.baseline_runtime_ns
     modeled_runtime = baseline_runtime - saved + penalty
-    speedup = baseline_runtime / modeled_runtime if modeled_runtime > 0 else math.inf
+    if modeled_runtime > 0:
+        speedup = baseline_runtime / modeled_runtime
+    else:  # the model saved the whole runtime, or an empty trace has none
+        speedup = math.inf if n else 1.0
     baseline_overhead = runs.baseline_overhead_ns
     modeled_overhead = baseline_overhead - saved + penalty
     return ModelReport(
         config=echo,
         hits=hits,
         misses=misses,
-        hit_rate=hits / n,
+        hit_rate=hits / n if n else 0.0,
         baseline_runtime_ns=baseline_runtime,
         modeled_runtime_ns=modeled_runtime,
         saved_ns=saved,
@@ -886,6 +868,9 @@ def synthesize(
             latency_mean_ns,
             round(defaults.baseline_fault_p95_cycles * 1e9 / defaults.clock_hz),
         )
+    for name, value in (("latency mean", latency_mean_ns), ("latency p95", latency_p95_ns)):
+        if value > INT64_MAX:
+            raise ValueError(f"{name} must be at most {INT64_MAX} ns, got {value}")
     sampler = LatencySampler(latency_mean_ns, latency_p95_ns)
 
     trace = FaultTrace(source=source)
@@ -911,7 +896,10 @@ def synthesize(
                 add_lat(draw())
         if times:
             trace.core_times[c] = _pack(times)
-            trace.core_lats[c] = _pack(lats)
+            try:
+                trace.core_lats[c] = _pack(lats)
+            except OverflowError:
+                raise ValueError("a drawn latency is outside signed 64 bits") from None
             keys += map(add, map(mul, times, repeat(cores)), repeat(c))
     keys.sort()
     trace.core_ids = array("q", map(mod, keys, repeat(cores)))
@@ -954,14 +942,24 @@ class SweepCell:
 class SweepGrid:
     cells: list[SweepCell]
 
+    def csv_blocks(self) -> Iterator[str]:
+        """sweep.csv as text blocks (see csv_blocks)."""
+        reports = [cell.report for cell in self.cells]
+        return csv_blocks(
+            SWEEP_HEADER,
+            "%d,%g,%.6f,%.4f,%.6f\n",
+            (
+                [cell.width for cell in self.cells],
+                [cell.interval_ms for cell in self.cells],
+                [r.hit_rate for r in reports],
+                [100.0 * r.residual_overhead_fraction for r in reports],
+                [r.speedup for r in reports],
+            ),
+            {},
+        )
+
     def csv_rows(self) -> Iterator[str]:
-        yield "width,interval_ms,hit_rate,overhead_pct,speedup"
-        for cell in self.cells:
-            r = cell.report
-            yield (
-                f"{cell.width},{cell.interval_ms:g},{r.hit_rate:.6f},"
-                f"{100.0 * r.residual_overhead_fraction:.4f},{r.speedup:.6f}"
-            )
+        return block_rows(self.csv_blocks())
 
     def to_json_dict(self) -> dict:
         return {

@@ -511,13 +511,13 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     twice(
         "model",
         lambda d: ["model", "--trace", trace_path, "--width", "128",
-                   "--seed", "5", "--out-dir", str(d)],
+                   "--out-dir", str(d)],
         ["model_report.json", "timeline.csv"],
     )
     twice(
         "sweep",
         lambda d: ["sweep", "--trace", trace_path, "--widths", "128,256",
-                   "--intervals-ms", "1,2", "--seed", "5", "--out-dir", str(d)],
+                   "--intervals-ms", "1,2", "--out-dir", str(d)],
         ["sweep.json", "sweep.csv"],
     )
     _pass(9, "synthesize/simulate/model/sweep all byte-identical across reruns")

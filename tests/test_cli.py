@@ -197,6 +197,32 @@ def test_replay_report_digests_are_pinned(tmp_path):
         "61a6fc741902e2b2b4e53408b2d89083bf18150a30a7b2a74a55f303c86556b9")
 
 
+@pytest.mark.parametrize("extra, digests", [
+    ((), {
+        "model_report.json": "2cb5dfc51cdb92938fadb0a657299ad907fc10b507cab0a7b4a182bd68dd2cf4",
+        "timeline.csv": "c4ee738a6627c7413886ee1ee42c8ff4afdbbbfdbfe177336342c630cd734581",
+        "sweep.json": "7e7c2329abe51801b9960369b09dd405bc8e67dae8e7e991627e8c04bdbd1c2a",
+        "sweep.csv": "ac04a4306baebe5088d779421926dc3fbed1434368ec9d40488c48a52baca81c",
+    }),
+    (("--cores", "3"), {
+        "model_report.json": "08ffa99c45c42c2318999beaeb01db9c5fb7516d5f8224223265e5709e623bb0",
+        "timeline.csv": "c4ee738a6627c7413886ee1ee42c8ff4afdbbbfdbfe177336342c630cd734581",
+        "sweep.json": "60ba2e800a17dcbfc00a22e571cbb88ed45e81a5327dec0291b77a00266a0301",
+        "sweep.csv": "ac04a4306baebe5088d779421926dc3fbed1434368ec9d40488c48a52baca81c",
+    }),
+], ids=["default", "cores-3"])
+def test_empty_trace_report_digests_are_pinned(tmp_path, extra, digests):
+    # a header-only trace: no faults, speedup 1.0, a header-only timeline
+    trace_path = tmp_path / "empty.csv"
+    trace_path.write_text(trace.TRACE_HEADER + "\n")
+    for command in ("model", "sweep"):
+        assert run_cli(command, "--trace", str(trace_path), *extra,
+                       "--out-dir", str(tmp_path)) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests
+    } == digests
+
+
 def test_same_seed_gives_identical_trace_bytes(tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     base = ("synthesize", "--rate", "50000", "--duration", "0.02",
@@ -306,15 +332,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+REMOVED_CONFIG_KEYS = [
+    ("simulate", "redundant_accesses=0"),
+    ("simulate", "numa-nodes=2"),
+    ("simulate", "params-sw-emulation-mean-ns=900"),
+    # names a file that would never be read
+    ("simulate", "config=nonexistent.cfg"),
+    # nothing in the replay draws a random number
+    ("model", "seed=1"),
+]
+
+
 @pytest.mark.parametrize(
-    "line", ["redundant_accesses=0", "numa-nodes=2", "params-sw-emulation-mean-ns=900",
-             # names a file that would never be read
-             "config=nonexistent.cfg"]
+    "command, line", REMOVED_CONFIG_KEYS, ids=[line for _, line in REMOVED_CONFIG_KEYS]
 )
-def test_removed_config_key_rejected(tmp_path, capsys, line):
+def test_removed_config_key_rejected(tmp_path, capsys, command, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
-    assert run_cli(*simulate_args(tmp_path, "--config", str(cfg))) == 2
+    if command == "simulate":
+        argv = simulate_args(tmp_path, "--config", str(cfg))
+    else:
+        trace_path = tmp_path / "tiny.csv"
+        trace_path.write_text(f"{trace.TRACE_HEADER}\n0,0,900\n")
+        argv = (command, "--trace", str(trace_path), "--config", str(cfg),
+                "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == 2
     assert "unknown config key" in capsys.readouterr().err
 
 
@@ -343,12 +385,16 @@ def test_config_key_of_another_command_rejected(tmp_path, capsys, monkeypatch, v
 @pytest.mark.parametrize("argv", [
     ("simulate", "--numa-nodes", "2"),
     ("synthesize", "--params-clock-hz", "1"),
+    ("model", "--seed", "1"),
+    ("sweep", "--seed", "1"),
 ], ids=lambda argv: argv[0] + argv[1])
 def test_removed_flag_is_a_usage_error(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, "--out-dir", str(tmp_path))
     assert exc.value.code == 2
 
+
+_HUGE = "1" + "0" * 400
 
 BAD_VALUES = [
     # (command and its required arguments, flag, value, expected in the message)
@@ -377,12 +423,21 @@ BAD_VALUES = [
      "refresh interval out of range"),
     (("sweep", "--trace", "{trace}"), "--intervals-ms", "1e303", "refresh interval out of range"),
     (("simulate",), "--refresh-interval-ms", "1e305", "refresh interval out of range"),
+    # integers past 64 bits: each was an OverflowError traceback
+    (("model", "--trace", "{trace}"), "--params-mfoe-hit-cycles", _HUGE, "mfoe_hit_cycles"),
+    (("simulate",), "--params-clock-hz", _HUGE, "clock_hz"),
+    (("synthesize", "--rate", "1000", "--duration", "0.001", "--latency-p95-ns", _HUGE),
+     "--latency-mean-ns", _HUGE, "latency mean"),
+    # a lognormal mean of 2**62 with p95 2**63 - 1 draws latencies past 64 bits
+    (("synthesize", "--rate", "10000", "--duration", "0.01",
+      "--latency-mean-ns", "4611686018427387904"),
+     "--latency-p95-ns", "9223372036854775807", "a drawn latency is outside signed 64 bits"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, flag, value, fragment", BAD_VALUES,
-    ids=[f"{c[0]}{flag}={value}" for c, flag, value, _ in BAD_VALUES],
+    ids=[f"{c[0]}{flag}={value[:8]}" for c, flag, value, _ in BAD_VALUES],
 )
 def test_out_of_range_value_is_a_clean_error(tmp_path, capsys, command, flag, value, fragment):
     trace_path = tmp_path / "tiny.csv"
@@ -425,8 +480,9 @@ def test_invalid_param_override_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# One valid, output-changing value per model parameter; a --params-* flag
-# whose value changes none of its command's computed output is a dead knob.
+# One valid, output-changing value per model parameter, and per model and
+# sweep flag other than --config, --out-dir and --trace; a flag whose value
+# changes none of its command's computed output is a dead knob.
 PARAM_PERTURBATIONS = {
     "mfoe_hit_cycles": "100",
     "mfoe_miss_penalty_cycles": "30",
@@ -436,6 +492,13 @@ PARAM_PERTURBATIONS = {
     "background_throughput_pages_per_s": "300000",
     "init_throughput_pages_per_s": "500000",
     "clock_hz": "2000000000",
+}
+REPLAY_FLAG_PERTURBATIONS = {
+    "--width": "32",
+    "--refresh-interval-ms": "0.2",
+    "--widths": "32",
+    "--intervals-ms": "0.2",
+    "--cores": "4",
 }
 
 
@@ -468,14 +531,18 @@ def test_every_params_flag_changes_output(tmp_path):
 
     dead = []
     for command, parser in parsers.items():
+        replay = command in ("model", "sweep")
         flags = [
             opt for action in parser._actions for opt in action.option_strings
             if opt.startswith("--params-")
+            or replay and opt not in ("-h", "--help", "--config", "--out-dir", "--trace")
         ]
         base = output(command, command)
         for flag in flags:
-            field = flag[len("--params-"):].replace("-", "_")
-            value = PARAM_PERTURBATIONS[field]
+            if flag.startswith("--params-"):
+                value = PARAM_PERTURBATIONS[flag[len("--params-"):].replace("-", "_")]
+            else:
+                value = REPLAY_FLAG_PERTURBATIONS[flag]
             if output(command, f"{command}{flag}", flag, value) == base:
                 dead.append(f"{command} {flag}")
     assert dead == []

@@ -261,6 +261,34 @@ def test_chunked_ingest_reports_offending_line(tmp_path, corrupt, where, fragmen
     assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
 
 
+@pytest.mark.parametrize(
+    "first,second,fragment",
+    [
+        (_bad_regression_across_edge, _bad_non_integer, "regresses on core 0"),
+        (_bad_non_integer, _bad_regression_across_edge, "non-integer"),
+    ],
+    ids=["regression-then-syntax", "syntax-then-regression"],
+)
+def test_first_bad_line_of_a_noted_chunk_is_reported(tmp_path, first, second, fragment):
+    # A note sends the chunk to the line loop, which must report the first
+    # bad line in file order, whether a record rule or the syntax fails it.
+    path = tmp_path / "bad.csv"
+    lines = _body_lines()
+    path.write_text("\n".join(lines) + "\n")
+    at = _chunk_starts(path)[5] + 100
+    lines[at - 51] = "# note"
+    first(lines, at)
+    second(lines, at + 5)
+    path.write_text("\n".join(lines) + "\n")
+    assert not any(at - 50 < start <= at + 5 for start in _chunk_starts(path))
+    with pytest.raises(TraceFormatError, match=fragment) as want:
+        _ingest_by_line(str(path))
+    with pytest.raises(TraceFormatError) as got:
+        ingest(str(path))
+    assert want.value.line_no == at
+    assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+
+
 def _with_notes(lines):
     lines[5000:5000] = ["# note, with, commas", "", "   ", "# note"]
     return "\n".join(lines) + "\n"
