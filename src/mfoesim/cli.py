@@ -199,11 +199,17 @@ def _write_reports(
     json_path: Path, doc: str, keys, csv_path: Path, blocks, header: str, rows: int
 ) -> None:
     """Write a command's JSON report and its CSV from text blocks, then
-    read both back: the JSON must hold keys, the CSV header and rows rows."""
+    read both back: the JSON must be strict (no NaN or Infinity) and hold
+    keys, the CSV must hold header and rows rows."""
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(doc, encoding="utf-8")
     trace.write_blocks(csv_path, blocks)
-    missing = [k for k in keys if k not in json.loads(json_path.read_text(encoding="utf-8"))]
+
+    def refuse(constant: str):
+        raise CliError(f"{json_path}: {constant} is not JSON")
+
+    report = json.loads(json_path.read_text(encoding="utf-8"), parse_constant=refuse)
+    missing = [k for k in keys if k not in report]
     if missing:
         raise CliError(f"{json_path}: report missing keys {missing}")
     _validate_csv(csv_path, header, rows)
@@ -301,9 +307,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     json_path = out / "sweep.json"
     csv_path = out / "sweep.csv"
-    _write_reports(json_path, json.dumps(grid.to_json_dict(), sort_keys=True, indent=2) + "\n",
-                   ("schema", "cells"), csv_path, grid.csv_blocks(), trace.SWEEP_HEADER,
-                   len(grid.cells))
+    _write_reports(json_path, grid.to_json(), ("schema", "cells"),
+                   csv_path, grid.csv_blocks(), trace.SWEEP_HEADER, len(grid.cells))
 
     print(f"cells={len(grid.cells)}")
     print(f"csv={csv_path}")

@@ -349,9 +349,26 @@ class KernelModel:
         self.apply_pending_bit_clears()
         for proc in list(self.procs.values()):
             self.resource_check(proc)
+        self.advance_passes(1)
+
+    def passes_idle(self) -> bool:
+        """True when begin_pass would only rotate the start core and grant
+        the budget, and its pass would book nothing: no bit clear pending,
+        no process over its quota threshold and no table holding a used
+        entry. Only a fault can change that."""
+        return (
+            not self.pending_bit_clears
+            and not any(map(self._over_quota, self.procs.values()))
+            and not (self.tables and any(table.used for table in self.tables))
+        )
+
+    def advance_passes(self, count: int) -> None:
+        """Start count passes in turn, granting each the budget and the
+        next start core, without begin_pass's quota and bit-clear work:
+        count begin_pass calls at once while passes_idle()."""
         self.pass_budget = self.budget_pages()
-        self._pass_core = self.tick_index % self.cores
-        self.tick_index += 1
+        self._pass_core = (self.tick_index + count - 1) % self.cores
+        self.tick_index += count
 
     def pass_step(self) -> Optional[HarvestRecord]:
         """Book one record of the current pass; None once it has nothing to do.
@@ -433,14 +450,18 @@ class KernelModel:
         The eligibility bits of its untouched pages are cleared at the
         start of the next pass.
         """
-        if not proc.mfoe_enabled:
-            return False
-        quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
-        if proc.allocated_pages <= self.resource_threshold * quota:
+        if not self._over_quota(proc):
             return False
         self.mfoe_disable(proc)
         self.pending_bit_clears.append(proc)
         return True
+
+    def _over_quota(self, proc: ProcessModel) -> bool:
+        """Whether resource_check would disable offloading for proc."""
+        if not proc.mfoe_enabled:
+            return False
+        quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
+        return proc.allocated_pages > self.resource_threshold * quota
 
     def apply_pending_bit_clears(self) -> None:
         for proc in self.pending_bit_clears:

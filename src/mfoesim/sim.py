@@ -17,7 +17,6 @@ at a time (trace.csv_blocks).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -25,14 +24,27 @@ from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
-from .params import ModelParameters, check_finite_positive, checked_int
-from .trace import block_rows, csv_blocks
+from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
+from .trace import MAX_CORES, block_rows, csv_blocks, json_text
 from .vm import PAGE_SIZE
 
 # A background clock that is not running.
 NEVER = math.inf
 
 FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
+
+# Caps on what a run builds before its first touch, checked before
+# anything is sized by them. Every page of every thread's region gets a
+# page-table leaf (about 150 bytes and 1.5 us each on CPython 3.11), so
+# threads x region pages is capped at 16x criterion 1's top point
+# (8 x 32,768 pages); the frame allocator holds every frame number
+# (about 40 bytes each), so the pool is capped at 4x the default
+# million frames; and each core gets a table, so cores are capped as
+# the replay caps them.
+MAX_MAPPED_PAGES = 1 << 22
+MAX_TOTAL_FRAMES = 1 << 22
+
+_PAST_64_BITS = f"a simulated cycle count passed {INT64_MAX}, the signed 64-bit limit"
 
 # A simulation reads every ModelParameters field; simulate accepts
 # --params-* for all of them.
@@ -94,6 +106,18 @@ class SimConfig:
         check_finite_positive("resource threshold", self.resource_threshold)
         if self.cores is not None and self.cores < self.workload.threads:
             raise ValueError("fewer cores than threads")
+        mapped = self.workload.threads * self.workload.region_pages()
+        if mapped > MAX_MAPPED_PAGES:
+            raise ValueError(
+                f"threads x region pages is {mapped}, more than the {MAX_MAPPED_PAGES} "
+                "pages a run maps"
+            )
+        if self.total_frames > MAX_TOTAL_FRAMES:
+            raise ValueError(
+                f"total frames must be at most {MAX_TOTAL_FRAMES}, got {self.total_frames}"
+            )
+        if self.effective_cores() > MAX_CORES:
+            raise ValueError(f"cores must be at most {MAX_CORES}, got {self.effective_cores()}")
 
     def effective_cores(self) -> int:
         return self.cores or self.workload.threads
@@ -178,7 +202,7 @@ class SimReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     def csv_rows(self) -> Iterator[str]:
         return self.records.csv_rows()
@@ -258,14 +282,20 @@ class Simulation:
         # same-cycle touches run in core order.
         first = self.config.workload.interarrival_cycles
         heap = [(first, core) for core in range(len(self.region_starts))]
-        while heap:
-            t, core = heap[0]
-            self._advance_background(t)
-            after = self._on_fault(t, core)
-            if after is None:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (after, core))
+        try:
+            while heap:
+                t, core = heap[0]
+                self._advance_background(t)
+                after = self._on_fault(t, core)
+                if after is None:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (after, core))
+        except OverflowError:
+            # the FaultLog's columns refuse a cycle or latency past 64 bits
+            raise ValueError(_PAST_64_BITS) from None
+        if any(s.end_time > INT64_MAX for s in self.stats):
+            raise ValueError(_PAST_64_BITS)
         return self._build_report()
 
     def _advance_background(self, t: int) -> None:
@@ -292,6 +322,9 @@ class Simulation:
             if tick <= step:
                 if tick > t:
                     return
+                if kernel.passes_idle():
+                    self._skip_idle_ticks(tick, step, t)
+                    return
                 kernel.begin_pass()
                 self._tick_at = tick + self.interval_cycles
                 if step == NEVER:
@@ -307,6 +340,24 @@ class Simulation:
                 # t would book nothing: skip to the first step after them.
                 wake = min(tick, t + 1)
                 self._pass_at = step + -(-(wake - step) // self.record_cost) * self.record_cost
+
+    def _skip_idle_ticks(self, tick: int, step: int, t: int) -> None:
+        """Run every tick and pass step up to the fault at t at once.
+
+        Only a fault changes kernel state between ticks, so when the tick
+        at tick finds the pass idle, so does every later tick up to t, and
+        every pass step books nothing. The ticks only rotate the start
+        core, and the pass clock ends at its first step after t, as the
+        idle-step skip in _advance_background leaves it.
+        """
+        count = (t - tick) // self.interval_cycles + 1
+        self.kernel.advance_passes(count)
+        self._tick_at = tick + count * self.interval_cycles
+        if step == NEVER:
+            step = tick + self.record_cost
+        if step <= t:
+            step += -(-(t + 1 - step) // self.record_cost) * self.record_cost
+        self._pass_at = step
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None."""

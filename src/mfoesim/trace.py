@@ -24,14 +24,19 @@ Mechanics:
 
 Storage. A FaultTrace keeps its core ids in trace order and, for each
 core id that occurs, that core's timestamps and latencies as two columns:
-the per-core split the replay runs on. Records enter a trace only through
-_split, which checks them and splits them by core; the constructor, the
-bulk chunk parse and the line loop of ingest all call it, and the line
-loop itself only skips comment and blank lines and parses integers. When
-_split refuses records, _bad_record names the first bad one. synthesize
-builds the columns core by core. Interleaved columns are built on request,
-and trace.csv is written from the per-core columns: each core's rows are
-formatted a block per % call, and core_ids interleaves their lines.
+the per-core split the replay runs on. With them it carries each core's
+totals, its latest completion (timestamp plus latency) and its latency
+sum, which give the baseline runtime and overhead a replay reports.
+Records enter a trace only through _split, which checks them, splits them
+by core and adds each chunk's totals; the constructor, the bulk chunk
+parse and the line loop of ingest all call it, and the line loop itself
+only skips comment and blank lines and parses integers. When _split
+refuses records, _bad_record names the first bad one. synthesize builds
+the columns core by core and leaves the totals to be counted on first
+read, so generating and writing a trace never pays for them. Interleaved
+columns are built on request, and trace.csv is written from the per-core
+columns: each core's rows are formatted a block per % call, and core_ids
+interleaves their lines.
 
 How the replay computes this, exactly and without an event queue:
 
@@ -136,10 +141,10 @@ class FaultTrace:
     core_ids, and core_times[id] and core_lats[id] per core id. That is
     three columns plus two arrays per distinct core id, whatever the ids'
     values. timestamps_ns and latencies_ns build an interleaved column on
-    each read.
+    each read. core_totals holds each core id's totals.
     """
 
-    __slots__ = ("core_ids", "core_times", "core_lats", "source")
+    __slots__ = ("core_ids", "core_times", "core_lats", "source", "_totals")
 
     def __init__(
         self,
@@ -150,6 +155,8 @@ class FaultTrace:
     ):
         self.core_ids = array("q")
         self.core_times, self.core_lats = {}, {}
+        # None until counted, for columns built without _split (synthesize)
+        self._totals: Optional[dict[int, tuple[int, int]]] = {}
         self.source = source
         ts, cs, ls = list(timestamps_ns), list(core_ids), list(latencies_ns)
         if not (len(ts) == len(cs) == len(ls)):
@@ -163,8 +170,11 @@ class FaultTrace:
         return cls(*zip(*records), source=source)
 
     def validate(self) -> None:
-        """Check the records again, as the constructor does."""
-        FaultTrace(self.timestamps_ns, self.core_ids, self.latencies_ns)
+        """Check the records again, as the constructor does, and the
+        carried totals against them."""
+        again = FaultTrace(self.timestamps_ns, self.core_ids, self.latencies_ns)
+        if self.core_totals != again.core_totals:
+            raise ValueError("per-core totals do not match the records")
 
     def __len__(self) -> int:
         return len(self.core_ids)
@@ -187,11 +197,19 @@ class FaultTrace:
         return max(self.core_times) + 1 if self.core_times else 0
 
     @property
+    def core_totals(self) -> dict[int, tuple[int, int]]:
+        """Each core id's latest completion (max of timestamp + latency)
+        and latency sum. _split keeps them current; a trace whose columns
+        were built without it counts them here once, on first read."""
+        if self._totals is None:
+            self._totals = _count_totals(self.core_times, self.core_lats)
+        return self._totals
+
+    @property
     def total_runtime_ns(self) -> int:
         """First fault to the completion of the latest-finishing fault."""
-        times = self.core_times
-        end = max((max(map(add, t, self.core_lats[c])) for c, t in times.items()), default=0)
-        return end - min((t[0] for t in times.values()), default=0)
+        end = max((e for e, _ in self.core_totals.values()), default=0)
+        return end - min((t[0] for t in self.core_times.values()), default=0)
 
     def csv_blocks(self) -> Iterator[str]:
         """trace.csv as text blocks: the header line, then up to
@@ -209,10 +227,18 @@ class FaultTrace:
             yield "".join(map(next, map(lines.__getitem__, ids[s:s + _BLOCK_ROWS])))
 
 
+def _count_totals(
+    times: Mapping[int, Sequence[int]], lats: Mapping[int, Sequence[int]]
+) -> dict[int, tuple[int, int]]:
+    """Each core's (latest completion, latency sum) over its columns."""
+    return {c: (max(map(add, t, lats[c])), sum(lats[c])) for c, t in times.items()}
+
+
 def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
-    """Append the records to trace, each to its core's columns; False, with
-    nothing changed, unless every core id is non-negative, every latency
-    positive, every field within 64 bits and no core's timestamps regress."""
+    """Append the records to trace, each to its core's columns, and add
+    them to its core's totals; False, with nothing changed, unless every
+    core id is non-negative, every latency positive, every field within 64
+    bits and no core's timestamps regress."""
     if min(cs, default=0) < 0 or min(ls, default=1) <= 0:
         return False
     tparts = {c: [] for c in set(cs)}
@@ -233,10 +259,16 @@ def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
             new[c] = _pack(part), _pack(lparts[c])
     except OverflowError:
         return False
+    # read first: a trace yet to count its totals counts its columns, which
+    # must not hold these records yet
+    totals = trace.core_totals
     trace.core_ids += cores
     for c, (t, lat) in new.items():
         trace.core_times.setdefault(c, array("q")).extend(t)
         trace.core_lats.setdefault(c, array("q")).extend(lat)
+    for c, (end, lat_sum) in _count_totals(tparts, lparts).items():
+        old_end, old_sum = totals.get(c, (end, 0))
+        totals[c] = max(old_end, end), old_sum + lat_sum
     return True
 
 
@@ -470,14 +502,23 @@ class ModelReport:
     timeline: Timeline
 
     def to_json_dict(self) -> dict:
-        """Every field but the timeline, which goes to timeline.csv."""
+        """Every field but the timeline, which goes to timeline.csv. An
+        infinite speedup is None (JSON null): JSON has no infinity."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timeline"}
+        if not math.isfinite(self.speedup):
+            d["speedup"] = None
         d["faults"] = self.hits + self.misses
         d["schema"] = "mfoesim.modelreport/1"
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
+
+
+def json_text(doc: dict) -> str:
+    """A report as strict JSON (RFC 8259); a float left non-finite raises
+    ValueError rather than writing NaN or Infinity."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # The ModelParameters fields the replay reads, all through model_constants
@@ -530,7 +571,10 @@ def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
 
 class _CoreRuns:
     """A trace's timestamp and latency columns indexed by core, with the
-    baseline totals every replay of it reports; a sweep builds it once."""
+    baseline totals every replay of it reports. The totals come from the
+    trace's per-core totals, so building this is O(cores), not a pass over
+    the faults. It is the one place a replay's per-core state is sized,
+    after _trace_cores; a sweep builds it once."""
 
     __slots__ = ("faults", "times", "lats", "baseline_runtime_ns", "baseline_overhead_ns")
 
@@ -539,7 +583,7 @@ class _CoreRuns:
         self.times = [trace.core_times.get(c, array("q")) for c in range(cores)]
         self.lats = [trace.core_lats.get(c, array("q")) for c in range(cores)]
         self.baseline_runtime_ns = trace.total_runtime_ns
-        self.baseline_overhead_ns = sum(map(sum, trace.core_lats.values()))
+        self.baseline_overhead_ns = sum(s for _, s in trace.core_totals.values())
 
 
 def _replay(
@@ -903,6 +947,7 @@ def synthesize(
             keys += map(add, map(mul, times, repeat(cores)), repeat(c))
     keys.sort()
     trace.core_ids = array("q", map(mod, keys, repeat(cores)))
+    trace._totals = None
     return trace
 
 
@@ -960,6 +1005,9 @@ class SweepGrid:
 
     def csv_rows(self) -> Iterator[str]:
         return block_rows(self.csv_blocks())
+
+    def to_json(self) -> str:
+        return json_text(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
         return {

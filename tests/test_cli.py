@@ -5,6 +5,7 @@ config-layering, and report-validation path a shell invocation gets.
 """
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -146,6 +147,37 @@ def test_timeline_value_outside_64_bits_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: timeline value 92233720368547758"), err
     assert err.rstrip().endswith("is outside signed 64 bits"), err
+
+
+def test_infinite_speedup_is_written_as_null(tmp_path):
+    # both faults hit and overlap, so the modeled runtime is below 0 and
+    # the speedup infinite; JSON has no Infinity, so the reports hold null
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n1000000,0,5000000\n1000010,0,5000000\n")
+
+    def strict(name):
+        def refuse(constant):
+            raise AssertionError(f"{name} holds {constant}")
+        return json.loads((tmp_path / name).read_text(), parse_constant=refuse)
+
+    assert run_cli("model", "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 0
+    report = strict("model_report.json")
+    assert report["modeled_runtime_ns"] < 0 and report["speedup"] is None
+    assert run_cli("sweep", "--trace", str(trace_path), "--widths", "4", "--intervals-ms", "2",
+                   "--out-dir", str(tmp_path)) == 0
+    assert [cell["speedup"] for cell in strict("sweep.json")["cells"]] == [None]
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1].endswith(",inf")
+
+
+def test_report_read_back_refuses_non_json_constants(tmp_path, capsys, monkeypatch):
+    # a report that still held NaN or Infinity would fail its read-back
+    monkeypatch.setattr(trace.ModelReport, "to_json", lambda self: json.dumps(
+        {"schema": "s", "hit_rate": 1.0, "speedup": math.inf, "modeled_runtime_ns": 0}))
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n1000000,0,5000000\n1000010,0,5000000\n")
+    assert run_cli("model", "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'model_report.json'}: Infinity is not JSON\n")
 
 
 def test_sweep_grid_shape(tmp_path):
@@ -432,6 +464,19 @@ BAD_VALUES = [
     (("synthesize", "--rate", "10000", "--duration", "0.01",
       "--latency-mean-ns", "4611686018427387904"),
      "--latency-p95-ns", "9223372036854775807", "a drawn latency is outside signed 64 bits"),
+    # simulated cycles past 64 bits: each was an OverflowError traceback, and
+    # the first two ran ticks one at a time for minutes before it
+    (("simulate",), "--interarrival", "9223372036854775807", "simulated cycle count passed"),
+    (("simulate",), "--params-mfoe-hit-cycles", "9223372036854775807",
+     "simulated cycle count passed"),
+    (("simulate", "--refresh-interval-ms", "1000000000"), "--interarrival",
+     "5000000000000000000", "simulated cycle count passed"),
+    # sizes over the caps, refused before anything is built
+    (("simulate",), "--region-pages", "99999999999999999", "pages a run maps"),
+    (("simulate",), "--faults-per-thread", "99999999999999999", "pages a run maps"),
+    (("simulate",), "--threads", "5000000", "pages a run maps"),
+    (("simulate",), "--total-frames", "99999999999", "total frames must be at most"),
+    (("simulate",), "--cores", "1025", "cores must be at most 1024"),
 ]
 
 

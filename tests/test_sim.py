@@ -8,11 +8,14 @@ from dataclasses import replace
 
 import pytest
 
+from mfoesim import sim as sim_module
 from mfoesim.cli import main as cli_main
 from mfoesim.engine import OutcomeKind
 from mfoesim.kernel import KernelModel
 from mfoesim.params import ModelParameters
 from mfoesim.sim import (
+    MAX_MAPPED_PAGES,
+    MAX_TOTAL_FRAMES,
     OUTCOMES,
     FaultLog,
     SimConfig,
@@ -296,6 +299,111 @@ def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_j
 
     assert digest("faults.csv") == faults_csv
     assert digest("report.json") == report_json
+
+
+def _background_states(config):
+    """A run's report files, and the background clocks and pass state,
+    pending bit clears included, as each touch begins."""
+    simulation = Simulation(config)
+    kernel, serve, states = simulation.kernel, simulation._on_fault, []
+
+    def noted(t, core):
+        states.append((t, simulation._tick_at, simulation._pass_at, kernel.tick_index,
+                       kernel._pass_core, kernel.pass_budget, len(kernel.pending_bit_clears),
+                       simulation.background_processed))
+        return serve(t, core)
+
+    simulation._on_fault = noted
+    report = simulation.run()
+    return report.to_json(), "".join(report.records.csv_blocks()), states
+
+
+@pytest.mark.parametrize("kw", [
+    # every tick finds the pass idle: each touch is booked before the next tick
+    dict(threads=1, faults_per_thread=40, interarrival_cycles=20_000_000, seed=1),
+    dict(threads=2, faults_per_thread=400, interarrival_cycles=300_000,
+         refresh_interval_ms=0.05, seed=3),
+    # the quota trips on a tick between idle runs; bit clears are pending on the next
+    dict(threads=2, faults_per_thread=300, interarrival_cycles=100_000,
+         refresh_interval_ms=0.02, quota_frames=100, seed=5),
+    dict(threads=2, faults_per_thread=600, interarrival_cycles=3000,
+         refresh_interval_ms=0.1, quota_frames=300, seed=5),
+    # revisited pages and a spare core
+    dict(threads=3, cores=4, faults_per_thread=500, region_pages_per_thread=40,
+         interarrival_cycles=1_000_000, refresh_interval_ms=0.1, table_width=8, seed=7),
+], ids=["idle", "two-cores", "quota-idle", "quota-tight", "revisit"])
+def test_idle_tick_skip_matches_the_tick_by_tick_loop(monkeypatch, kw):
+    kw.setdefault("table_width", 16)
+    skipped, trips = [], []
+    skip, check = Simulation._skip_idle_ticks, KernelModel.resource_check
+    monkeypatch.setattr(Simulation, "_skip_idle_ticks",
+                        lambda self, *a: skipped.append(a) or skip(self, *a))
+    monkeypatch.setattr(KernelModel, "resource_check",
+                        lambda self, proc: trips.append(check(self, proc)) or trips[-1])
+    fast = _background_states(small_config(**kw))
+    assert skipped, "no run of idle ticks was skipped"
+    assert any(trips) == ("quota_frames" in kw)
+    # the reference: begin_pass on every tick, one pass step at a time
+    monkeypatch.setattr(KernelModel, "passes_idle", lambda self: False)
+    skipped.clear()
+    assert _background_states(small_config(**kw)) == fast
+    assert skipped == []
+
+
+def test_long_idle_span_is_skipped_at_once(tmp_path, monkeypatch):
+    # about 667,000 ticks fall before each of 3 touches 4e12 cycles
+    # apart; each run of them is applied in one step, and the reports are
+    # those of the tick-by-tick loop
+    begun, skipped = [], []
+    begin, advance = KernelModel.begin_pass, KernelModel.advance_passes
+    monkeypatch.setattr(KernelModel, "begin_pass", lambda self: begun.append(1) or begin(self))
+    monkeypatch.setattr(KernelModel, "advance_passes",
+                        lambda self, count: skipped.append(count) or advance(self, count))
+    assert cli_main(["simulate", "--threads", "1", "--faults-per-thread", "3",
+                     "--interarrival", "4000000000000", "--out-dir", str(tmp_path)]) == 0
+    assert begun == [] and len(skipped) == 3 and sum(skipped) > 1_900_000
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert digest("faults.csv") == (
+        "2c8375cc936790bca1de8d8acd26bdc767ae5ff1d192d9a1750532db48415df9")
+    assert digest("report.json") == (
+        "e0e3e327825ffb67667897a55373fedd6034ff2ae9dca24b33ab0b93a30ec3e6")
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(region_pages_per_thread=99_999_999_999_999_999), "pages a run maps"),
+    # the region defaults to one page per fault
+    (dict(faults_per_thread=99_999_999_999_999_999), "pages a run maps"),
+    (dict(threads=200, faults_per_thread=32_768), "pages a run maps"),
+    (dict(total_frames=99_999_999_999), "total frames"),
+    (dict(threads=1, cores=1025), "cores"),
+], ids=["region", "faults", "threads", "frames", "cores"])
+def test_sizes_are_capped_before_anything_is_built(monkeypatch, kw, message):
+    built = []
+    real = sim_module.KernelModel
+    monkeypatch.setattr(sim_module, "KernelModel", lambda **a: built.append(a) or real(**a))
+    with pytest.raises(ValueError, match=message):
+        Simulation(small_config(**kw))
+    assert built == []
+    Simulation(small_config(threads=2, faults_per_thread=64))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("faults", [1, 2], ids=["last-completion", "logged-touch"])
+def test_simulated_time_past_64_bits_is_a_value_error(faults):
+    # one touch at cycle 2**63 - 1 completes past it; a second touch
+    # would be logged past it
+    with pytest.raises(ValueError, match="simulated cycle count passed 9223372036854775807"):
+        run(small_config(threads=1, faults_per_thread=faults,
+                         interarrival_cycles=(1 << 63) - 1))
+
+
+def test_caps_admit_criterion_1_and_a_million_frame_pool():
+    top = small_config(threads=8, faults_per_thread=32_768, total_frames=1 << 20)
+    top.validate()
+    assert 8 * 32_768 <= MAX_MAPPED_PAGES and 1 << 20 <= MAX_TOTAL_FRAMES
 
 
 def test_idle_pass_is_not_polled(monkeypatch):

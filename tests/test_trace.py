@@ -77,12 +77,23 @@ def test_validate_rejects_malformed_traces():
 
 
 def test_runtime_brackets_first_start_to_last_end():
+    # the core's latest completion is its first fault's, not its last's
     trace = FaultTrace([100, 120], [0, 0], [50, 10])
+    assert trace.core_totals == {0: (150, 60)}
     assert trace.total_runtime_ns == 150 - 100
     assert sum(trace.latencies_ns) / trace.total_runtime_ns == pytest.approx(60 / 50)
     empty = FaultTrace()
+    assert empty.core_totals == {}
     assert empty.total_runtime_ns == 0
     assert empty.core_count == 0
+
+
+def test_validate_checks_the_carried_totals():
+    trace = FaultTrace([100, 120, 130], [0, 0, 1], [50, 10, 5])
+    trace.validate()
+    trace.core_totals[0] = (150, 61)
+    with pytest.raises(ValueError, match="totals"):
+        trace.validate()
 
 
 # file I/O
@@ -353,6 +364,76 @@ def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
     )
 
 
+@pytest.mark.parametrize("corrupt, kept", [
+    (_bad_negative_core, "chunk"),  # the bad record's chunk is refused with it
+    (_bad_non_integer, "line"),  # the records before a syntax error are kept
+])
+def test_totals_before_a_bad_record_stay_as_they_were(tmp_path, monkeypatch, corrupt, kept):
+    path = tmp_path / "bad.csv"
+    lines = _body_lines()
+    path.write_text("\n".join(lines) + "\n")
+    start = _chunk_starts(path)[5]
+    at = start + 100
+    corrupt(lines, at)
+    path.write_text("\n".join(lines) + "\n")
+    traces = []
+    split = trace_module._split
+    monkeypatch.setattr(trace_module, "_split", lambda t, *a: traces.append(t) or split(t, *a))
+    with pytest.raises(TraceFormatError):
+        ingest(str(path))
+    trace = traces[-1]
+    good = lines[1:(start if kept == "chunk" else at) - 1]
+    records = [tuple(map(int, line.split(","))) for line in good]
+    assert _columns(trace) == _split_by_brute_force(records)
+    assert trace.core_totals == _brute_totals(trace)
+
+
+def test_synthesized_totals_are_counted_once_on_first_read(monkeypatch):
+    # the faults each call of _count_totals passes over
+    counted = []
+    count = trace_module._count_totals
+    monkeypatch.setattr(trace_module, "_count_totals", lambda times, lats: counted.append(
+        sum(map(len, times.values()))) or count(times, lats))
+    trace = synthesize(50_000, 0.02, dist="poisson", cores=3, seed=4)
+    assert sum(counted) == 0
+    assert trace.core_totals == _brute_totals(trace)
+    assert sum(counted) == len(trace)
+    assert trace.total_runtime_ns == (
+        max(e for e, _ in trace.core_totals.values()) - min(trace.timestamps_ns))
+    apply_model(trace, TraceModelConfig(width=16))
+    assert sum(counted) == len(trace)
+
+
+class _Unread(array):
+    """A column that refuses to be iterated: a pass over it fails."""
+
+    def __iter__(self):
+        raise AssertionError("a column was read in full before the replay loop")
+
+
+def test_replay_prelude_is_o_cores_on_an_ingested_trace(tmp_path, monkeypatch):
+    # apply_model and sweep read each core's carried totals and never
+    # iterate a column before the replay loop, nor count the totals again
+    path = tmp_path / "t.csv"
+    write_trace(synthesize(20_000, 0.05, dist="poisson", cores=4, seed=2), str(path))
+    trace = ingest(str(path))
+    want = apply_model(trace, TraceModelConfig(width=64))
+    overhead = sum(trace.latencies_ns)
+    for columns in (trace.core_times, trace.core_lats):
+        for c in columns:
+            columns[c] = _Unread("q", columns[c])
+    runs, counted = [], []
+    count = trace_module._count_totals
+    monkeypatch.setattr(trace_module, "_count_totals", lambda *a: counted.append(a) or count(*a))
+    monkeypatch.setattr(trace_module, "_replay", lambda r, *a, **k: runs.append(r))
+    apply_model(trace, TraceModelConfig(width=64))
+    sweep(trace, [16, 64], [2.0, 4.0])
+    assert counted == [] and len(runs) == 1 + 4
+    for r in runs:
+        assert (r.baseline_runtime_ns, r.baseline_overhead_ns) == (
+            want.baseline_runtime_ns, overhead)
+
+
 def test_pack_keeps_every_64_bit_value_across_blocks(tmp_path):
     lo, hi = -(1 << 63), (1 << 63) - 1
     values = [lo, hi, 0, -1] * 2049  # 8196 values: two full blocks and a partial one
@@ -397,6 +478,15 @@ def _split_by_brute_force(records):
     return [c for _, c, _ in records], times, lats
 
 
+def _brute_totals(trace):
+    """Each core's latest completion and latency sum, one record at a time."""
+    totals = {}
+    for t, c, lat in zip(trace.timestamps_ns, trace.core_ids, trace.latencies_ns):
+        end, lat_sum = totals.get(c, (t + lat, 0))
+        totals[c] = max(end, t + lat), lat_sum + lat
+    return totals
+
+
 def _columns(trace):
     return (
         list(trace.core_ids),
@@ -427,14 +517,21 @@ def test_split_by_core_agrees_everywhere(tmp_path, monkeypatch, seed):
         trace_module, "_ingest_lines", lambda *a: by_line.append(a) or real_lines(*a)
     )
     want = _split_by_brute_force(records)
-    assert _columns(ingest(str(plain))) == want
+    bulk = ingest(str(plain))
+    assert _columns(bulk) == want
     assert by_line == []
     got = ingest(str(noisy))
     assert _columns(got) == want
     assert 1 <= len(by_line) < len(_chunk_starts(noisy))
     ts, cs, ls = (list(col) for col in zip(*records))
-    assert _columns(FaultTrace(ts, cs, ls)) == want
+    built = FaultTrace(ts, cs, ls)
+    assert _columns(built) == want
     assert _columns(FaultTrace.from_records(records)) == want
+    # every way in carries the same per-core totals
+    totals = _brute_totals(bulk)
+    assert len(totals) == len(want[1])
+    for other in (got, built, FaultTrace.from_records(records)):
+        assert other.core_totals == totals
     assert (list(got.timestamps_ns), list(got.latencies_ns)) == (ts, ls)
     assert got.core_count == max(cs) + 1
     out = tmp_path / "out.csv"
