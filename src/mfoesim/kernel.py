@@ -354,12 +354,16 @@ class KernelModel:
     def passes_idle(self) -> bool:
         """True when begin_pass would only rotate the start core and grant
         the budget, and its pass would book nothing: no bit clear pending,
-        no process over its quota threshold and no table holding a used
-        entry. Only a fault can change that."""
+        no process over its quota threshold, and either a budget of zero
+        records or no table holding a used entry. Only a fault can change
+        that."""
         return (
             not self.pending_bit_clears
             and not any(map(self._over_quota, self.procs.values()))
-            and not (self.tables and any(table.used for table in self.tables))
+            and (
+                self.budget_pages() == 0
+                or not (self.tables and any(table.used for table in self.tables))
+            )
         )
 
     def advance_passes(self, count: int) -> None:

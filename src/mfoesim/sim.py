@@ -3,7 +3,7 @@
 One process, one faulting thread per core, all time in integer cycles.
 Threads alternate a fixed compute gap with a touch of the next page of
 their region; the touches are the only events. The background actors
-(initial table fill, the periodic deferred-processing pass) are clocks
+(initial table fill, refresh ticks, the pass steps between ticks) are
 on the same time line, caught up before each touch. Everything
 downstream of the seed is reproducible to the byte.
 
@@ -43,6 +43,9 @@ FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
 # the replay caps them.
 MAX_MAPPED_PAGES = 1 << 22
 MAX_TOTAL_FRAMES = 1 << 22
+# A small region is revisited, so touches are capped apart from pages:
+# 2**24 FaultLog rows, 64x criterion 1's top point, take about 400 MB.
+MAX_TOUCHES = 1 << 24
 
 _PAST_64_BITS = f"a simulated cycle count passed {INT64_MAX}, the signed 64-bit limit"
 
@@ -112,6 +115,9 @@ class SimConfig:
                 f"threads x region pages is {mapped}, more than the {MAX_MAPPED_PAGES} "
                 "pages a run maps"
             )
+        touches = self.workload.threads * self.workload.faults_per_thread
+        if touches > MAX_TOUCHES:
+            raise ValueError(f"{touches} touches, more than the {MAX_TOUCHES} a run logs")
         if self.total_frames > MAX_TOTAL_FRAMES:
             raise ValueError(
                 f"total frames must be at most {MAX_TOTAL_FRAMES}, got {self.total_frames}"
@@ -255,10 +261,11 @@ class Simulation:
             1, round(params.clock_hz / params.background_throughput_pages_per_s)
         )
 
-        # The background clocks: the next fill step, tick and pass step.
+        # The next fill step and tick, and the cycle up to which pass
+        # steps have run; none runs until the fill is done.
         self._fill_at = self.fill_cost if self.kernel.fill_task is not None else NEVER
         self._tick_at = NEVER
-        self._pass_at = NEVER
+        self._stepped = NEVER
         self.records = FaultLog()
         # The columns' appends, bound once: _on_fault runs once per touch.
         self._log = (
@@ -304,8 +311,8 @@ class Simulation:
         At equal cycles the fill step comes first, then the tick, then
         the pass step, and all of them before the fault at t. The fill
         steps every fill_cost cycles; once it is done, a tick comes every
-        interval_cycles, and from the first tick + record_cost the pass
-        steps every record_cost cycles.
+        interval_cycles. A tick that finds the pass idle stands for every
+        tick up to t, applied in one call: only a fault gives it work.
         """
         kernel = self.kernel
         # Only a tick's quota check clears fill_task, and ticks start
@@ -315,49 +322,35 @@ class Simulation:
                 self._fill_at += self.fill_cost
             else:
                 self.fill_complete_cycle = self._fill_at
-                self._tick_at = self._fill_at + self.interval_cycles
+                self._tick_at = self._stepped = self._fill_at + self.interval_cycles
                 self._fill_at = NEVER
-        while True:
-            tick, step = self._tick_at, self._pass_at
-            if tick <= step:
-                if tick > t:
-                    return
-                if kernel.passes_idle():
-                    self._skip_idle_ticks(tick, step, t)
-                    return
-                kernel.begin_pass()
-                self._tick_at = tick + self.interval_cycles
-                if step == NEVER:
-                    self._pass_at = tick + self.record_cost
-            elif step > t:
+        while self._tick_at <= t:
+            tick = self._tick_at
+            self._run_pass(tick - 1)
+            if kernel.passes_idle():
+                count = (t - tick) // self.interval_cycles + 1
+                kernel.advance_passes(count)
+                self._tick_at = tick + count * self.interval_cycles
+                self._stepped = t
                 return
-            elif kernel.pass_step() is not None:
-                self.background_processed += 1
-                self._pass_at = step + self.record_cost
-            else:
-                # Only a tick or a fault can give the pass work again, so
-                # every step before the next tick and up to the fault at
-                # t would book nothing: skip to the first step after them.
-                wake = min(tick, t + 1)
-                self._pass_at = step + -(-(wake - step) // self.record_cost) * self.record_cost
+            kernel.begin_pass()
+            self._tick_at = tick + self.interval_cycles
+        self._run_pass(t)
 
-    def _skip_idle_ticks(self, tick: int, step: int, t: int) -> None:
-        """Run every tick and pass step up to the fault at t at once.
-
-        Only a fault changes kernel state between ticks, so when the tick
-        at tick finds the pass idle, so does every later tick up to t, and
-        every pass step books nothing. The ticks only rotate the start
-        core, and the pass clock ends at its first step after t, as the
-        idle-step skip in _advance_background leaves it.
-        """
-        count = (t - tick) // self.interval_cycles + 1
-        self.kernel.advance_passes(count)
-        self._tick_at = tick + count * self.interval_cycles
-        if step == NEVER:
-            step = tick + self.record_cost
-        if step <= t:
-            step += -(-(t + 1 - step) // self.record_cost) * self.record_cost
-        self._pass_at = step
+    def _run_pass(self, until: int) -> None:
+        """Run the pass steps at cycles in (_stepped, until], which fall
+        every record_cost cycles from the first tick on, until one books
+        nothing: that leaves the kernel as it is until the next tick or
+        fault, so the later steps would book nothing either."""
+        stepped = self._stepped
+        if until <= stepped:
+            return
+        first = self.fill_complete_cycle + self.interval_cycles
+        due = (until - first) // self.record_cost - (stepped - first) // self.record_cost
+        self._stepped = until
+        while due and self.kernel.pass_step() is not None:
+            self.background_processed += 1
+            due -= 1
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None."""

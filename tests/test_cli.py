@@ -475,6 +475,8 @@ BAD_VALUES = [
     (("simulate",), "--region-pages", "99999999999999999", "pages a run maps"),
     (("simulate",), "--faults-per-thread", "99999999999999999", "pages a run maps"),
     (("simulate",), "--threads", "5000000", "pages a run maps"),
+    (("simulate", "--region-pages", "8"), "--faults-per-thread", "80000000000000",
+     "touches, more than"),
     (("simulate",), "--total-frames", "99999999999", "total frames must be at most"),
     (("simulate",), "--cores", "1025", "cores must be at most 1024"),
 ]
@@ -495,6 +497,39 @@ def test_out_of_range_value_is_a_clean_error(tmp_path, capsys, command, flag, va
     assert err.startswith("error: ")
     assert fragment in err
     assert "Traceback" not in err
+
+
+# Values at and past the edges of every numeric type: zero, negative, a
+# float that underflows to 0 once scaled, floats whose scaled ints pass 64
+# bits, the non-finite floats, and the first int past signed 64 bits.
+FUZZ_VALUES = ("0", "-1", "1e-320", "1e300", "nan", "inf", str(1 << 63))
+
+
+def test_simulate_flag_fuzz_exits_0_or_2(tmp_path, capsys):
+    # every simulate flag but the output paths, each value in turn, on a
+    # small base run: a run that completes exits 0, anything else a user
+    # can cause exits 2 with error: or a usage message, never a traceback
+    base = ["simulate", "--threads", "1", "--faults-per-thread", "50", "--seed", "3",
+            "--out-dir", str(tmp_path)]
+    flags = [
+        opt for action in build_parser().subcommand_parsers["simulate"]._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help", "--config", "--out-dir")
+    ]
+    assert len(flags) == 21
+    bad = []
+    for flag in flags:
+        for value in FUZZ_VALUES:
+            try:
+                code = main([*base, flag, value])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any escape is a finding; report them all
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2) or "Traceback" in err:
+                bad.append((flag, value, code))
+    assert bad == []
 
 
 def test_config_line_without_equals_rejected(tmp_path, capsys):

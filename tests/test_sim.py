@@ -16,6 +16,7 @@ from mfoesim.params import ModelParameters
 from mfoesim.sim import (
     MAX_MAPPED_PAGES,
     MAX_TOTAL_FRAMES,
+    MAX_TOUCHES,
     OUTCOMES,
     FaultLog,
     SimConfig,
@@ -302,13 +303,13 @@ def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_j
 
 
 def _background_states(config):
-    """A run's report files, and the background clocks and pass state,
-    pending bit clears included, as each touch begins."""
+    """A run's report files, and the tick clock, the pass cursor and the
+    pass state, pending bit clears included, as each touch begins."""
     simulation = Simulation(config)
     kernel, serve, states = simulation.kernel, simulation._on_fault, []
 
     def noted(t, core):
-        states.append((t, simulation._tick_at, simulation._pass_at, kernel.tick_index,
+        states.append((t, simulation._tick_at, simulation._stepped, kernel.tick_index,
                        kernel._pass_core, kernel.pass_budget, len(kernel.pending_bit_clears),
                        simulation.background_processed))
         return serve(t, core)
@@ -316,6 +317,18 @@ def _background_states(config):
     simulation._on_fault = noted
     report = simulation.run()
     return report.to_json(), "".join(report.records.csv_blocks()), states
+
+
+def _spy_passes(monkeypatch):
+    """Lists of begin_pass calls and of advance_passes counts. begin_pass
+    advances one pass, so any other advance_passes call is a run of idle
+    ticks applied at once."""
+    begun, advanced = [], []
+    begin, advance = KernelModel.begin_pass, KernelModel.advance_passes
+    monkeypatch.setattr(KernelModel, "begin_pass", lambda self: begun.append(1) or begin(self))
+    monkeypatch.setattr(KernelModel, "advance_passes",
+                        lambda self, count: advanced.append(count) or advance(self, count))
+    return begun, advanced
 
 
 @pytest.mark.parametrize("kw", [
@@ -334,31 +347,46 @@ def _background_states(config):
 ], ids=["idle", "two-cores", "quota-idle", "quota-tight", "revisit"])
 def test_idle_tick_skip_matches_the_tick_by_tick_loop(monkeypatch, kw):
     kw.setdefault("table_width", 16)
-    skipped, trips = [], []
-    skip, check = Simulation._skip_idle_ticks, KernelModel.resource_check
-    monkeypatch.setattr(Simulation, "_skip_idle_ticks",
-                        lambda self, *a: skipped.append(a) or skip(self, *a))
+    begun, advanced = _spy_passes(monkeypatch)
+    trips, check = [], KernelModel.resource_check
     monkeypatch.setattr(KernelModel, "resource_check",
                         lambda self, proc: trips.append(check(self, proc)) or trips[-1])
     fast = _background_states(small_config(**kw))
-    assert skipped, "no run of idle ticks was skipped"
+    assert len(advanced) > len(begun), "no run of idle ticks was skipped"
     assert any(trips) == ("quota_frames" in kw)
     # the reference: begin_pass on every tick, one pass step at a time
     monkeypatch.setattr(KernelModel, "passes_idle", lambda self: False)
-    skipped.clear()
+    begun.clear()
+    advanced.clear()
     assert _background_states(small_config(**kw)) == fast
-    assert skipped == []
+    assert len(advanced) == len(begun)
+
+
+def test_zero_budget_ticks_are_applied_at_once(monkeypatch):
+    # a 0.1 us interval grants each pass 0.058 records, rounded down to 0, so
+    # no pass books anything while used entries pile up; the ticks between
+    # touches are applied in one call, and the reports and background
+    # state are those of the tick-by-tick loop
+    kw = dict(threads=2, faults_per_thread=100, refresh_interval_ms=0.0001,
+              table_width=16, seed=3)
+    begun, advanced = _spy_passes(monkeypatch)
+    fast = _background_states(small_config(**kw))
+    touches = 2 * 100
+    ticks = fast[2][-1][3]
+    assert ticks > 10 * touches
+    assert len(begun) <= touches and len(advanced) - len(begun) <= touches
+    assert json.loads(fast[0])["background_processed"] == 0
+    monkeypatch.setattr(KernelModel, "passes_idle", lambda self: False)
+    begun.clear()
+    assert _background_states(small_config(**kw)) == fast
+    assert len(begun) == ticks
 
 
 def test_long_idle_span_is_skipped_at_once(tmp_path, monkeypatch):
     # about 667,000 ticks fall before each of 3 touches 4e12 cycles
     # apart; each run of them is applied in one step, and the reports are
     # those of the tick-by-tick loop
-    begun, skipped = [], []
-    begin, advance = KernelModel.begin_pass, KernelModel.advance_passes
-    monkeypatch.setattr(KernelModel, "begin_pass", lambda self: begun.append(1) or begin(self))
-    monkeypatch.setattr(KernelModel, "advance_passes",
-                        lambda self, count: skipped.append(count) or advance(self, count))
+    begun, skipped = _spy_passes(monkeypatch)
     assert cli_main(["simulate", "--threads", "1", "--faults-per-thread", "3",
                      "--interarrival", "4000000000000", "--out-dir", str(tmp_path)]) == 0
     assert begun == [] and len(skipped) == 3 and sum(skipped) > 1_900_000
@@ -377,9 +405,14 @@ def test_long_idle_span_is_skipped_at_once(tmp_path, monkeypatch):
     # the region defaults to one page per fault
     (dict(faults_per_thread=99_999_999_999_999_999), "pages a run maps"),
     (dict(threads=200, faults_per_thread=32_768), "pages a run maps"),
+    # a revisited region maps few pages however many touches log rows
+    (dict(faults_per_thread=80_000_000_000_000, region_pages_per_thread=8),
+     "touches, more than"),
+    (dict(threads=2, faults_per_thread=(1 << 23) + 1, region_pages_per_thread=8),
+     "touches, more than"),
     (dict(total_frames=99_999_999_999), "total frames"),
     (dict(threads=1, cores=1025), "cores"),
-], ids=["region", "faults", "threads", "frames", "cores"])
+], ids=["region", "faults", "threads", "touches", "threads-x-touches", "frames", "cores"])
 def test_sizes_are_capped_before_anything_is_built(monkeypatch, kw, message):
     built = []
     real = sim_module.KernelModel
@@ -404,6 +437,7 @@ def test_caps_admit_criterion_1_and_a_million_frame_pool():
     top = small_config(threads=8, faults_per_thread=32_768, total_frames=1 << 20)
     top.validate()
     assert 8 * 32_768 <= MAX_MAPPED_PAGES and 1 << 20 <= MAX_TOTAL_FRAMES
+    assert 8 * 32_768 <= MAX_TOUCHES
 
 
 def test_idle_pass_is_not_polled(monkeypatch):
