@@ -104,11 +104,12 @@ class PteFaultSm:
     make progress. run() drives a handler with no concurrent owner: it
     resumes the generator itself, from wherever step() left it, and raises
     RuntimeError at a false predicate, which nothing else can make true.
+    How the handler got its frame, from the table or inline, is read from
+    result, the one record of how it ended.
     """
 
     __slots__ = ("kernel", "proc", "core", "va", "vma", "mfoe_eligible", "leaf", "done",
-                 "result", "pfn", "consumed_from_table", "allocated_inline", "mfoe_missed",
-                 "_protocol_gen", "_wait")
+                 "result", "pfn", "_protocol_gen", "_wait")
 
     def __init__(
         self,
@@ -130,11 +131,16 @@ class PteFaultSm:
         self.done = False
         self.result: Optional[SmResult] = None
         self.pfn: Optional[int] = None
-        self.consumed_from_table = False
-        self.allocated_inline = False
-        self.mfoe_missed = False
         self._protocol_gen = self._protocol()
         self._wait: Optional[Callable[[], bool]] = None
+
+    @property
+    def consumed_from_table(self) -> bool:
+        return self.result is SmResult.MFOE_HIT
+
+    @property
+    def allocated_inline(self) -> bool:
+        return self.result in (SmResult.MFOE_MISS_KERNEL, SmResult.KERNEL)
 
     def runnable(self) -> bool:
         return not self.done and (self._wait is None or self._wait())
@@ -168,6 +174,7 @@ class PteFaultSm:
 
     def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, SmResult]:
         leaf = self.leaf
+        mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             return SmResult.REUSE
@@ -187,7 +194,6 @@ class PteFaultSm:
             pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
             if pfn is not None:
                 self.pfn = pfn
-                self.consumed_from_table = True
                 yield
                 leaf.install_frame(pfn, self.vma.writable)
                 yield
@@ -195,7 +201,7 @@ class PteFaultSm:
                 return SmResult.MFOE_HIT
             yield
             leaf.unlock()
-            self.mfoe_missed = True
+            mfoe_missed = True
         yield
         # The ordinary kernel handler, also the fallback on an empty table.
         if leaf is None:
@@ -211,10 +217,9 @@ class PteFaultSm:
             return SmResult.REUSE
         yield
         self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable)
-        self.allocated_inline = True
         yield
         leaf.unlock()
-        return SmResult.MFOE_MISS_KERNEL if self.mfoe_missed else SmResult.KERNEL
+        return SmResult.MFOE_MISS_KERNEL if mfoe_missed else SmResult.KERNEL
 
 
 class MfoeEngine:

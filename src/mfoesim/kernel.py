@@ -4,7 +4,9 @@ cleanup.
 
 Offloading is on while mfoe_active is set: the engine consults the
 per-core tables only then. Only the init fill and the deferred pass
-restock the tables, both at head; exit cleanup books and empties slots."""
+restock the tables, both at head; exit cleanup books and empties slots.
+A process's booked pages are counted once, in the ledger's mm_counter,
+which also serves as its memcg charge and as the count quotas read."""
 from __future__ import annotations
 
 import math
@@ -14,6 +16,7 @@ import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
@@ -53,7 +56,8 @@ class ProtectionFaultEvent:
 
 
 class ProcessModel:
-    """One address space plus the counters the kernel keeps for it."""
+    """One address space, its offload opt-in and its page quota. Its page
+    count is the ledger's mm_counter[tgid]."""
 
     def __init__(self, tgid: int, quota_frames: Optional[int] = None):
         if not 0 < tgid < (1 << 16):
@@ -63,18 +67,15 @@ class ProcessModel:
         self.tgid = tgid
         self.page_table = PageTable()
         self.vmas: list[VMA] = []
-        self._starts: list[int] = []  # vmas[i].start for every i
         self.mfoe_enabled = False
-        self.allocated_pages = 0
         self.quota_frames = quota_frames
         self.next_region_va = REGION_BASE_VA
 
     def find_vma(self, va: int) -> Optional[VMA]:
         # region_create only appends, each VMA above the last, and VMAs do
         # not overlap; so the starts ascend and only the last VMA starting
-        # at or below va can hold it. region_create appends to _starts in
-        # the same step as to vmas, so _starts[i] is always vmas[i].start.
-        i = bisect_right(self._starts, va)
+        # at or below va can hold it.
+        i = bisect_right(self.vmas, va, key=attrgetter("start"))
         if i and va < self.vmas[i - 1].end:
             return self.vmas[i - 1]
         return None
@@ -83,26 +84,22 @@ class ProcessModel:
 class BookkeepingLedger:
     """The per-fault kernel state that offloaded handling defers.
 
-    apply() performs, in order: the mm counter bump, the reverse-map
-    insert, the LRU append, and the memcg charge. The same
-    routine serves the inline path and the deferred one, so runs are
-    comparable record-for-record.
+    apply() inserts the reverse mapping and bumps the process's mm
+    counter. rmap's insertion order is the booking (LRU) order, and
+    mm_counter is also the memcg charge and the count quotas read, so
+    each fact has one home. The same routine serves the inline path and
+    the deferred one, so runs are comparable record-for-record.
     """
 
     def __init__(self) -> None:
         self.mm_counter: Counter = Counter()
         self.rmap: dict[int, tuple[int, int]] = {}
-        # Insertion-ordered, so remove() is O(1); values are unused.
-        self.lru: dict[int, None] = {}
-        self.cgroup_charged: Counter = Counter()
 
     def apply(self, tgid: int, va: int, pfn: int) -> None:
-        self.mm_counter[tgid] += 1
         if pfn in self.rmap:
             raise RuntimeError(f"frame {pfn} already reverse-mapped")
         self.rmap[pfn] = (tgid, va)
-        self.lru[pfn] = None
-        self.cgroup_charged[tgid] += 1
+        self.mm_counter[tgid] += 1
 
     def remove(self, pfn: int) -> None:
         """Reverse of apply(), run when a mapping is torn down.
@@ -113,24 +110,15 @@ class BookkeepingLedger:
         by a later process would collide with the stale entry.
         """
         tgid, _ = self.rmap.pop(pfn)
-        del self.lru[pfn]
         self.mm_counter[tgid] -= 1
         if not self.mm_counter[tgid]:
             del self.mm_counter[tgid]
-        self.cgroup_charged[tgid] -= 1
-        if not self.cgroup_charged[tgid]:
-            del self.cgroup_charged[tgid]
 
     def records(self) -> set[tuple[int, int, int]]:
         return {(tgid, va, pfn) for pfn, (tgid, va) in self.rmap.items()}
 
     def equivalent(self, other: "BookkeepingLedger") -> bool:
-        return (
-            self.records() == other.records()
-            and self.mm_counter == other.mm_counter
-            and self.cgroup_charged == other.cgroup_charged
-            and self.lru.keys() == other.lru.keys()
-        )
+        return self.records() == other.records() and self.mm_counter == other.mm_counter
 
 
 class InitFillTask:
@@ -183,7 +171,6 @@ class KernelModel:
         check_finite_positive("refresh interval", refresh_interval_ms)
         check_finite_positive("resource threshold", resource_threshold)
         self.cores = cores
-        self.refresh_interval_ms = refresh_interval_ms
         self._interval_ns = checked_int("refresh interval", refresh_interval_ms * 1_000_000, "ns")
         self.resource_threshold = resource_threshold
         self.allocator = FrameAllocator(total_frames)
@@ -229,8 +216,7 @@ class KernelModel:
         """Map a new region above every existing one, after a guard page.
 
         proc.vmas stays in ascending, non-overlapping order, which
-        ProcessModel.find_vma relies on; proc._starts gets each new
-        VMA's start in the same step, so the two lists stay in lockstep.
+        ProcessModel.find_vma relies on.
         """
         if length < 0:
             raise ValueError("negative region length")
@@ -238,7 +224,6 @@ class KernelModel:
         start = proc.next_region_va
         vma = VMA(start, start + pages * PAGE_SIZE, writable, vm_mfoe=proc.mfoe_enabled)
         proc.vmas.append(vma)
-        proc._starts.append(start)
         proc.next_region_va = vma.end + PAGE_SIZE
         return vma
 
@@ -343,23 +328,29 @@ class KernelModel:
         """Start one deferred-processing pass.
 
         Applies pending eligibility-bit clears, re-checks every quota,
-        grants the pass refresh_interval * background throughput records,
-        and picks the starting core, which rotates from pass to pass.
+        restocks every starved table, grants the pass refresh_interval *
+        background throughput records, and picks the starting core, which
+        rotates from pass to pass.
         """
         self.apply_pending_bit_clears()
         for proc in list(self.procs.values()):
             self.resource_check(proc)
+        for table in self._starved_tables():
+            # never skips head, so a run out of frames leaves it as it is
+            while table.head_is_empty() and self._restock_head(table):
+                pass
         self.advance_passes(1)
 
     def passes_idle(self) -> bool:
         """True when begin_pass would only rotate the start core and grant
         the budget, and its pass would book nothing: no bit clear pending,
-        no process over its quota threshold, and either a budget of zero
-        records or no table holding a used entry. Only a fault can change
-        that."""
+        no process over its quota threshold, no starved table to restock,
+        and either a budget of zero records or no table holding a used
+        entry. Only a fault can change that."""
         return (
             not self.pending_bit_clears
             and not any(map(self._over_quota, self.procs.values()))
+            and not self._starved_tables()
             and (
                 self.budget_pages() == 0
                 or not (self.tables and any(table.used for table in self.tables))
@@ -414,17 +405,32 @@ class KernelModel:
             processed += 1
         return processed
 
+    def _starved_tables(self) -> list[PreallocTable]:
+        """Tables that consume cannot take from and that no booking would
+        restock: an empty tail slot and no used entry. Listed only while
+        offloading is on and a frame is on hand, so a run out of frames
+        does not count them as work."""
+        if not (self.tables and self.mfoe_active and self.allocator.free_count()):
+            return []
+        return [t for t in self.tables if not t.used and t.tail_is_empty()]
+
+    def _restock_head(self, table: PreallocTable) -> bool:
+        """Produce a frame at the empty head slot; False, changing nothing,
+        while offloading is off or no frame is on hand."""
+        if not self.mfoe_active:
+            return False
+        try:
+            pfn = self.allocator.allocate()
+        except OutOfMemory:
+            return False
+        status = table.produce(pfn)
+        assert status is ProduceStatus.PRODUCED
+        return True
+
     def _refill_head(self, table: PreallocTable) -> None:
         """Restock the empty head slot, or skip it with no frame on hand."""
-        try:
-            pfn = self.allocator.allocate() if self.mfoe_active else None
-        except OutOfMemory:
-            pfn = None
-        if pfn is None:
+        if not self._restock_head(table):
             table.skip_head()
-        else:
-            status = table.produce(pfn)
-            assert status is ProduceStatus.PRODUCED
 
     def error_cleanup(self, tgid: int) -> int:
         """Book every consumed entry a dying thread group left behind.
@@ -465,7 +471,7 @@ class KernelModel:
         if not proc.mfoe_enabled:
             return False
         quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
-        return proc.allocated_pages > self.resource_threshold * quota
+        return self.ledger.mm_counter[proc.tgid] > self.resource_threshold * quota
 
     def apply_pending_bit_clears(self) -> None:
         for proc in self.pending_bit_clears:
@@ -483,9 +489,6 @@ class KernelModel:
 
     def apply_bookkeeping(self, tgid: int, va: int, pfn: int) -> None:
         self.ledger.apply(tgid, va, pfn)
-        proc = self.procs.get(tgid)
-        if proc is not None:
-            proc.allocated_pages += 1
 
     def inline_install(self, proc: ProcessModel, va: int, writable: bool) -> int:
         """Allocate, map, and book one page on the spot (the slow path)."""

@@ -208,6 +208,9 @@ class PreallocTable:
     def head_is_empty(self) -> bool:
         return not self._w1[self.head_index] & (W1_VALID | W1_USED)
 
+    def tail_is_empty(self) -> bool:
+        return not self._w1[self.tail_index] & (W1_VALID | W1_USED)
+
     def skip_head(self) -> None:
         """Advance head past an emptied slot when no frame is on hand."""
         if not self.head_is_empty():

@@ -10,22 +10,25 @@ downstream of the seed is reproducible to the byte.
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: four columns (cycle, core, outcome code, latency cycles), with
 the outcome stored as an index into OUTCOMES, so the log costs a few
-bytes per touch instead of one object. The report summarises the log in
-one pass, and faults.csv is formatted from its columns a block of rows
-at a time (trace.csv_blocks).
+bytes per touch instead of one object. The log is the one record of
+what each touch cost: the event loop keeps per core only its touch
+count and end time, and the report derives every other CoreStats field
+and every total from the log in one pass. faults.csv is formatted from
+its columns a block of rows at a time (trace.csv_blocks).
 """
 from __future__ import annotations
 
 import heapq
 import math
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
-from .trace import MAX_CORES, block_rows, csv_blocks, json_text
+from .trace import MAX_CORES, csv_blocks, json_text
 from .vm import PAGE_SIZE
 
 # A background clock that is not running.
@@ -139,6 +142,7 @@ _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
     (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT,
      OutcomeKind.TLB_HIT, OutcomeKind.WALK_HIT),
 )
+_CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
 
 
 class FaultLog:
@@ -163,12 +167,12 @@ class FaultLog:
             {2: [kind.value for kind in OUTCOMES]},
         )
 
-    def csv_rows(self) -> Iterator[str]:
-        return block_rows(self.csv_blocks())
-
 
 @dataclass(slots=True)
 class CoreStats:
+    """One core's totals. A run counts touches and sets end_time; the
+    report fills the rest from the FaultLog."""
+
     core: int
     touches: int = 0
     mfoe_hits: int = 0
@@ -209,9 +213,6 @@ class SimReport:
 
     def to_json(self) -> str:
         return json_text(self.to_json_dict())
-
-    def csv_rows(self) -> Iterator[str]:
-        return self.records.csv_rows()
 
 
 def percentile(values: list[int], fraction: float) -> int:
@@ -360,30 +361,10 @@ class Simulation:
         va = self.region_starts[core] + page * PAGE_SIZE
         out = self.engine.access(core, va, is_write=True, now=t)
         stats.touches += 1
-        stats.compute_cycles += wl.interarrival_cycles
-        stats.fault_cycles += out.cycles
-        kind = out.kind
-        if kind is OutcomeKind.WALK_HIT:
-            stats.walk_hits += 1
-            code = _WALK_CODE
-        elif kind is OutcomeKind.TLB_HIT:
-            stats.tlb_hits += 1
-            code = _TLB_CODE
-        elif kind is OutcomeKind.MFOE_HIT:
-            stats.mfoe_hits += 1
-            code = _HIT_CODE
-        elif kind is OutcomeKind.MFOE_MISS:
-            stats.mfoe_misses += 1
-            code = _MISS_CODE
-        elif kind is OutcomeKind.KERNEL_FAULT:
-            stats.kernel_faults += 1
-            code = _KERNEL_CODE
-        else:
-            code = OUTCOMES.index(kind)
         log_t, log_core, log_outcome, log_cycles = self._log
         log_t(t)
         log_core(core)
-        log_outcome(code)
+        log_outcome(_CODE[out.kind])
         log_cycles(out.cycles)
         completion = t + out.cycles
         if stats.touches < wl.faults_per_thread:
@@ -394,30 +375,43 @@ class Simulation:
     # reporting
 
     def _build_report(self) -> SimReport:
-        hits = sum(s.mfoe_hits for s in self.stats)
-        misses = sum(s.mfoe_misses for s in self.stats)
-        kernel_faults = sum(s.kernel_faults for s in self.stats)
-        hit_rate = hits / (hits + misses) if hits + misses else 0.0
-
+        log = self.records
+        counts = Counter(zip(log.core, log.outcome))
+        core_cycles = [0] * len(self.stats)
         hit_total = 0
         fault_cycles = []
-        for code, cycles in zip(self.records.outcome, self.records.cycles):
+        for core, code, cycles in zip(log.core, log.outcome, log.cycles):
+            core_cycles[core] += cycles
             if code < _FAULT_CODES:
                 fault_cycles.append(cycles)
                 if code == _HIT_CODE:
                     hit_total += cycles
-        penalty = self.config.params.mfoe_miss_penalty_cycles
-        mean_hit = hit_total / hits if hits else 0.0
-        baseline = self.config.params.baseline_fault_mean_cycles
-        speedup = baseline / mean_hit if mean_hit else 1.0
 
+        interarrival = self.config.workload.interarrival_cycles
         for stats in self.stats:
+            c = stats.core
+            stats.mfoe_hits = counts[c, _HIT_CODE]
+            stats.mfoe_misses = counts[c, _MISS_CODE]
+            stats.kernel_faults = counts[c, _KERNEL_CODE]
+            stats.tlb_hits = counts[c, _TLB_CODE]
+            stats.walk_hits = counts[c, _WALK_CODE]
+            stats.compute_cycles = stats.touches * interarrival
+            stats.fault_cycles = core_cycles[c]
+            # the log's cycles against the event chain's end time
             identity = stats.compute_cycles + stats.fault_cycles
             if stats.end_time != identity:
                 raise AssertionError(
                     f"core {stats.core} accounting mismatch: "
                     f"end={stats.end_time} parts={identity}"
                 )
+
+        hits = sum(s.mfoe_hits for s in self.stats)
+        misses = sum(s.mfoe_misses for s in self.stats)
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
+        penalty = self.config.params.mfoe_miss_penalty_cycles
+        mean_hit = hit_total / hits if hits else 0.0
+        baseline = self.config.params.baseline_fault_mean_cycles
+        speedup = baseline / mean_hit if mean_hit else 1.0
 
         return SimReport(
             config=asdict(self.config),
@@ -426,7 +420,7 @@ class Simulation:
             hit_rate=hit_rate,
             mfoe_hits=hits,
             mfoe_misses=misses,
-            kernel_faults=kernel_faults,
+            kernel_faults=sum(s.kernel_faults for s in self.stats),
             mean_hit_cycles=mean_hit,
             mean_miss_penalty_cycles=float(penalty) if misses else 0.0,
             mean_fault_cycles=sum(fault_cycles) / len(fault_cycles) if fault_cycles else 0.0,

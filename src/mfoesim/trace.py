@@ -482,9 +482,6 @@ class Timeline:
             {3: OUTCOME_NAMES},
         )
 
-    def csv_rows(self) -> Iterator[str]:
-        return block_rows(self.csv_blocks())
-
 
 @dataclass
 class ModelReport:
@@ -1002,9 +999,6 @@ class SweepGrid:
             ),
             {},
         )
-
-    def csv_rows(self) -> Iterator[str]:
-        return block_rows(self.csv_blocks())
 
     def to_json(self) -> str:
         return json_text(self.to_json_dict())

@@ -505,30 +505,107 @@ def test_out_of_range_value_is_a_clean_error(tmp_path, capsys, command, flag, va
 FUZZ_VALUES = ("0", "-1", "1e-320", "1e300", "nan", "inf", str(1 << 63))
 
 
-def test_simulate_flag_fuzz_exits_0_or_2(tmp_path, capsys):
-    # every simulate flag but the output paths, each value in turn, on a
-    # small base run: a run that completes exits 0, anything else a user
-    # can cause exits 2 with error: or a usage message, never a traceback
-    base = ["simulate", "--threads", "1", "--faults-per-thread", "50", "--seed", "3",
-            "--out-dir", str(tmp_path)]
+def _exit_code(argv, capsys):
+    """main's exit code, or the repr of anything that escaped it; and
+    whether stderr shows a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # any escape is a finding; report them all
+        code = repr(exc)
+    return code, "Traceback" in capsys.readouterr().err
+
+
+def _flag_fuzz(command, base, capsys):
+    """Each of command's flags but the paths and --config, with each of
+    FUZZ_VALUES, on a small base run: the flags tried and the cases that
+    neither exit 0 or 2 nor keep a traceback off stderr."""
+    assert _exit_code(base, capsys) == (0, False), "the base run must succeed"
+    paths = ("-h", "--help", "--config", "--out-dir", "--trace", "--trace-out")
     flags = [
-        opt for action in build_parser().subcommand_parsers["simulate"]._actions
-        for opt in action.option_strings
-        if opt not in ("-h", "--help", "--config", "--out-dir")
+        opt for action in build_parser().subcommand_parsers[command]._actions
+        for opt in action.option_strings if opt not in paths
     ]
-    assert len(flags) == 21
     bad = []
     for flag in flags:
         for value in FUZZ_VALUES:
-            try:
-                code = main([*base, flag, value])
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:  # any escape is a finding; report them all
-                code = repr(exc)
-            err = capsys.readouterr().err
-            if code not in (0, 2) or "Traceback" in err:
+            code, traceback = _exit_code([*base, flag, value], capsys)
+            if code not in (0, 2) or traceback:
                 bad.append((flag, value, code))
+    return flags, bad
+
+
+def test_simulate_flag_fuzz_exits_0_or_2(tmp_path, capsys):
+    # a run that completes exits 0, anything else a user can cause exits 2
+    # with error: or a usage message, never a traceback
+    base = ["simulate", "--threads", "1", "--faults-per-thread", "50", "--seed", "3",
+            "--out-dir", str(tmp_path)]
+    flags, bad = _flag_fuzz("simulate", base, capsys)
+    assert len(flags) == 21
+    assert bad == []
+
+
+def _tiny_trace(tmp_path):
+    """A 2-core, 40-fault trace."""
+    assert main(["synthesize", "--rate", "2000", "--duration", "0.01", "--cores", "2",
+                 "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    return str(tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("command", ["model", "sweep", "synthesize"])
+def test_flag_fuzz_exits_0_or_2(tmp_path, capsys, command):
+    # every case stays small: the base runs replay or write tens of faults,
+    # and a value that would size more work is refused by a cap first
+    out = ["--out-dir", str(tmp_path / "out")]
+    base = {
+        "model": ["model", "--trace", _tiny_trace(tmp_path), *out],
+        "sweep": ["sweep", "--trace", _tiny_trace(tmp_path), "--widths", "4,8",
+                  "--intervals-ms", "0.5,1", *out],
+        "synthesize": ["synthesize", "--rate", "1000", "--duration", "0.01", *out],
+    }[command]
+    flags, bad = _flag_fuzz(command, base, capsys)
+    assert len(flags) == 8
+    assert bad == []
+
+
+_MALFORMED_CONFIGS = [
+    b"\xff\xfe\x00 not text", b"width\n", b"=3\n", b"cores=\n", b"width=nan\n",
+    b"widths=a,b\n", b"seed=1.5\n", b"dist=zipf\n", b"config=other.cfg\n",
+    b"cores=99999999999999999999\n", b"refresh-interval-ms=inf\n", b"intervals-ms=1e303\n",
+]
+
+_MALFORMED_TRACES = [
+    b"\xff\xfe\x00", b"a,b,c\n1,2,3\n", b"{header}\n1,0\n", b"{header}\nx,0,5\n",
+    b"{header}\n1,0,-5\n", b"{header}\n%d,0,5\n" % (1 << 64), b"{header}\n1,0,5\n0,0,5\n",
+    b"{header}\nnan,0,5\n", b"{header}\n1,0,5,7\n", b"{header}\n1,5000,5\n",
+]
+
+
+def test_malformed_config_files_and_traces_exit_0_or_2(tmp_path, capsys):
+    trace_path = _tiny_trace(tmp_path)
+    out = ["--out-dir", str(tmp_path / "out")]
+    bases = [
+        ["simulate", "--faults-per-thread", "20", *out],
+        ["model", "--trace", trace_path, *out],
+        ["sweep", "--trace", trace_path, "--widths", "4", "--intervals-ms", "1", *out],
+        ["synthesize", "--rate", "1000", "--duration", "0.01", *out],
+    ]
+    bad = []
+    for i, text in enumerate(_MALFORMED_CONFIGS):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_bytes(text)
+        for base in bases:
+            code, traceback = _exit_code([*base, "--config", str(cfg)], capsys)
+            if code not in (0, 2) or traceback:
+                bad.append((text, base[0], code))
+    for i, text in enumerate(_MALFORMED_TRACES):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(text.replace(b"{header}", trace.TRACE_HEADER.encode()))
+        for command in ("model", "sweep"):
+            code, traceback = _exit_code([command, "--trace", str(path), *out], capsys)
+            if code != 2 or traceback:
+                bad.append((text, command, code))
     assert bad == []
 
 

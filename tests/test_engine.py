@@ -273,8 +273,7 @@ def _handler(scenario):
 
 
 def _observed(sm):
-    return (sm.result, sm.pfn, sm.consumed_from_table, sm.allocated_inline,
-            sm.mfoe_missed, sm.leaf.raw)
+    return (sm.result, sm.pfn, sm.consumed_from_table, sm.allocated_inline, sm.leaf.raw)
 
 
 @pytest.mark.parametrize("scenario, result", [

@@ -2,9 +2,11 @@
 quota enforcement, and frame accounting."""
 import random
 import threading
+from collections import Counter
 
 import pytest
 
+from mfoesim.engine import MfoeEngine
 from mfoesim.kernel import InitFillTask, KernelModel
 from mfoesim.params import ModelParameters
 from mfoesim.prealloc import EntryState
@@ -208,7 +210,7 @@ def test_process_one_record_books_and_refills():
     record = kernel.process_one_record(0)
     assert (record.tgid, record.va, record.pfn) == expected
     assert kernel.ledger.records() == {expected}
-    assert proc.allocated_pages == 1
+    assert kernel.ledger.mm_counter[proc.tgid] == 1
     assert kernel.tables[0].used_count() == 0
     assert kernel.tables[0].valid_count() == 7, "slot restocked immediately"
     assert kernel.process_one_record(0) is None
@@ -286,7 +288,7 @@ def test_quota_crossed_by_a_pass_trips_at_the_next_pass():
     consume_pages(kernel, proc, vma, 0, 9)
     # quotas are checked when a pass starts, before it books anything
     assert kernel.postfault_tick() == 9
-    assert proc.allocated_pages == 9
+    assert kernel.ledger.mm_counter[proc.tgid] == 9
     assert proc.mfoe_enabled
     assert kernel.postfault_tick() == 0
     assert not proc.mfoe_enabled
@@ -433,6 +435,115 @@ def test_passes_book_every_entry_a_cleanup_leaves_behind(cores):
     assert early_cleanups, "no cleanup ran before the fill finished"
 
 
+# starved tables: an empty tail slot and no used entry, so consume finds
+# nothing and no booking would restock the slot
+
+
+def test_pass_restocks_a_table_a_disable_and_enable_left_starved():
+    kernel, proc, vma = make_kernel(width=8)
+    consume_pages(kernel, proc, vma, 0, 3)
+    kernel.mfoe_disable(proc)  # drains the 4 valid frames, tail included
+    kernel.mfoe_enable(proc, 8)
+    kernel.run_init_fill()  # the head is used, so the fill passes the core by
+    while kernel.postfault_tick():
+        pass
+    table = kernel.tables[0]
+    assert table.consume(vma.start + 10 * PAGE_SIZE, proc.tgid) is not None
+    assert table.used == 1 and table.valid_count() == 6
+
+
+def test_pass_restocks_a_ring_an_exit_cleanup_emptied():
+    kernel, a, vma = make_kernel(width=8)
+    b = kernel.create_process()
+    kernel.mfoe_enable(b, 8)
+    consume_pages(kernel, a, vma, 0, 7)
+    assert kernel.error_cleanup(a.tgid) == 7
+    table = kernel.tables[0]
+    assert table.consume(vma.start, b.tgid) is None
+    starved_is_work = not kernel.passes_idle()
+    assert kernel.postfault_tick() == 0
+    assert table.consume(vma.start, b.tgid) is not None
+    assert starved_is_work, "a starved table is work for the pass"
+    assert table.used == 1 and table.valid_count() == 6
+
+
+def test_starved_table_waits_for_a_frame_without_moving():
+    # 1 storage frame and 7 filled slots use up the pool
+    kernel, a, vma = make_kernel(width=8, total_frames=8)
+    a.quota_frames = 100  # a's 7 pages stay under the quota threshold
+    b = kernel.create_process()
+    kernel.mfoe_enable(b, 8)
+    consume_pages(kernel, a, vma, 0, 7)
+    kernel.error_cleanup(a.tgid)
+    table = kernel.tables[0]
+    assert kernel.allocator.free_count() == 0
+    assert kernel.passes_idle(), "no frame on hand, so nothing to restock"
+    head = table.head_index
+    kernel.postfault_tick()
+    assert table.head_index == head and table.valid_count() == 0
+    kernel.terminate(a)  # frees a's 7 pages; b keeps offloading on
+    assert not kernel.passes_idle()
+    kernel.postfault_tick()
+    assert table.valid_count() == 7 and kernel.passes_idle()
+
+
+def test_mm_counter_is_present_pages_less_unbooked_entries():
+    # criterion 8's shape with quotas, touching through the engine: every
+    # present page is booked or still waits in a table as a used entry, so
+    # mm_counter alone is the page count the quota check reads
+    rng = random.Random(808)
+    kernel = KernelModel(cores=2, total_frames=4096, seed=31)
+    engine = MfoeEngine(kernel)
+    procs = []
+    for quota in (None, 40, 120, None, 80):
+        proc = kernel.create_process(quota_frames=quota)
+        kernel.mfoe_enable(proc, 32)
+        vma = kernel.region_create(proc, 300 * PAGE_SIZE)
+        kernel.prefault_construct(proc, vma)
+        procs.append([proc, vma, 0])
+    everyone = [proc for proc, _, _ in procs]
+    kernel.run_init_fill()
+
+    def check():
+        used = Counter(
+            table.record_at(i).tgid
+            for table in kernel.tables
+            for i in table.data_indices()
+            if table.entry_state(i) is EntryState.USED
+        )
+        for proc, _, _ in procs:
+            present = sum(leaf.present for _, leaf in proc.page_table.iter_leaves())
+            assert kernel.ledger.mm_counter[proc.tgid] == present - used[proc.tgid]
+
+    passes = 0
+    for _ in range(5000):
+        roll = rng.random()
+        if roll < 0.75:
+            entry = rng.choice(procs)
+            proc, vma, idx = entry
+            if idx >= vma.pages():
+                continue
+            core = rng.randrange(2)
+            engine.bind(core, proc)
+            engine.access(core, vma.start + idx * PAGE_SIZE, is_write=True)
+            entry[2] += 1
+        elif roll < 0.93:
+            kernel.postfault_tick()
+            passes += 1
+            check()
+        elif roll < 0.99:
+            kernel.error_cleanup(rng.choice(procs)[0].tgid)
+        elif len(procs) > 1:
+            proc = procs.pop(rng.randrange(len(procs)))[0]
+            kernel.terminate(proc)
+            engine.on_process_exit(proc.tgid)
+            assert proc.tgid not in kernel.ledger.mm_counter
+    check()
+    assert passes > 100
+    tripped = [p.tgid for p in everyone if p.quota_frames and not p.mfoe_enabled]
+    assert len(tripped) >= 2, "the quotas never tripped"
+
+
 def test_cleanup_and_tick_share_tables_safely_across_threads():
     kernel, proc, vma = make_kernel(width=64, total_frames=1 << 15)
     stop = threading.Event()
@@ -469,10 +580,11 @@ def test_resource_check_uses_strict_threshold():
     kernel = KernelModel()
     proc = kernel.create_process(quota_frames=10)
     kernel.mfoe_enable(proc, 8)
-    proc.allocated_pages = 8  # exactly 0.8 * 10
+    for pfn in range(8):  # exactly 0.8 * 10
+        kernel.apply_bookkeeping(proc.tgid, pfn * PAGE_SIZE, pfn)
     assert not kernel.resource_check(proc)
     assert proc.mfoe_enabled
-    proc.allocated_pages = 9
+    kernel.apply_bookkeeping(proc.tgid, 8 * PAGE_SIZE, 8)
     assert kernel.resource_check(proc)
     assert not proc.mfoe_enabled
     assert proc in kernel.pending_bit_clears
@@ -482,8 +594,8 @@ def test_resource_check_uses_strict_threshold():
 def test_bit_clears_spare_mapped_pages():
     kernel, proc, vma = make_kernel(width=8)
     consume_pages(kernel, proc, vma, 0, 2)
+    assert kernel.postfault_tick() == 2
     proc.quota_frames = 2
-    proc.allocated_pages = 2
     assert kernel.resource_check(proc)
     kernel.apply_pending_bit_clears()
     assert not vma.vm_mfoe

@@ -25,7 +25,7 @@ from mfoesim.sim import (
     percentile,
     run,
 )
-from mfoesim.trace import write_blocks
+from mfoesim.trace import block_rows, write_blocks
 from mfoesim.vm import OutOfMemory
 
 
@@ -174,12 +174,12 @@ def test_second_run_is_refused_and_leaves_the_first_report_alone():
     simulation = Simulation(small_config(threads=2, faults_per_thread=50,
                                          table_width=16))
     report = simulation.run()
-    doc, rows = report.to_json(), list(report.csv_rows())
+    doc, rows = report.to_json(), list(block_rows(report.records.csv_blocks()))
     with pytest.raises(RuntimeError, match="runs once"):
         simulation.run()
     assert len(report.records) == 100
     assert report.to_json() == doc, "per_core must not take the second run's touches"
-    assert list(report.csv_rows()) == rows
+    assert list(block_rows(report.records.csv_blocks())) == rows
 
 
 def test_seeds_agree_on_hit_rate_within_noise():
@@ -208,7 +208,7 @@ def test_report_json_schema():
 def test_report_csv_layout():
     report = run(small_config(faults_per_thread=25, interarrival_cycles=1500,
                               table_width=8))
-    rows = list(report.csv_rows())
+    rows = list(block_rows(report.records.csv_blocks()))
     assert rows[0] == "timestamp_cycles,core,outcome,latency_cycles"
     assert len(rows) == 26
     t, core, outcome, cycles = rows[1].split(",")
@@ -232,7 +232,7 @@ def test_fault_log_csv_matches_per_row_reference(tmp_path, rows):
     path = tmp_path / "faults.csv"
     write_blocks(path, log.csv_blocks())
     assert path.read_text() == "".join(line + "\n" for line in lines)
-    assert list(log.csv_rows()) == lines
+    assert list(block_rows(log.csv_blocks())) == lines
 
 
 def test_frame_exhaustion_raises_out_of_memory():
@@ -504,7 +504,8 @@ def test_saturated_teardown_conserves_frames_and_free_list_order(monkeypatch):
 
 
 # (a)-(f) reach slow and tight arrivals, narrow and wide tables, a quota
-# trip, revisited regions with TLB and walk hits, and a changed hit cost
+# trip, revisited regions with TLB and walk hits, and a changed hit cost;
+# (g) logs all five outcome kinds in one run and leaves a core spare
 _FIELD_MATRIX = [
     ["--interarrival", "3000", "--table-width", "16", "--refresh-interval-ms", "0.1"],
     ["--interarrival", "200000", "--table-width", "64"],
@@ -514,6 +515,8 @@ _FIELD_MATRIX = [
     ["--interarrival", "3000", "--region-pages", "128", "--tlb-entries", "16"],
     ["--interarrival", "200000", "--faults-per-thread", "300",
      "--params-mfoe-hit-cycles", "100"],
+    ["--cores", "3", "--interarrival", "600", "--region-pages", "40", "--table-width", "8",
+     "--quota-frames", "50", "--refresh-interval-ms", "0.01"],
 ]
 
 
@@ -543,7 +546,7 @@ def test_every_report_field_varies(tmp_path):
     assert not constant, f"report fields that never vary: {constant}"
 
 
-@pytest.mark.parametrize("extra", _FIELD_MATRIX, ids="abcdef")
+@pytest.mark.parametrize("extra", _FIELD_MATRIX, ids="abcdefg")
 def test_fault_summaries_match_a_recount_of_faults_csv(tmp_path, extra):
     _simulate_field_matrix(extra, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
@@ -559,3 +562,24 @@ def test_fault_summaries_match_a_recount_of_faults_csv(tmp_path, extra):
     assert doc["mean_fault_cycles"] == (sum(faults) / len(faults) if faults else 0.0)
     assert doc["p95_fault_cycles"] == (ordered[math.ceil(0.95 * len(ordered)) - 1]
                                        if ordered else 0)
+    # every per_core field, touches and end_time from the event loop included
+    interarrival = int(extra[extra.index("--interarrival") + 1])
+    fields = {"mfoe_hit": "mfoe_hits", "mfoe_miss": "mfoe_misses",
+              "kernel_fault": "kernel_faults", "tlb_hit": "tlb_hits", "walk_hit": "walk_hits"}
+    expected = []
+    for core in range(len(doc["per_core"])):
+        mine = [(int(t), outcome, int(cycles)) for t, c, outcome, cycles in rows
+                if int(c) == core]
+        counts = dict.fromkeys(fields.values(), 0)
+        for _, outcome, _ in mine:
+            counts[fields[outcome]] += 1
+        expected.append({
+            "core": core,
+            "touches": len(mine),
+            **counts,
+            "compute_cycles": len(mine) * interarrival,
+            "fault_cycles": sum(cycles for _, _, cycles in mine),
+            "end_time": max((t + cycles for t, _, cycles in mine), default=0),
+        })
+    assert doc["per_core"] == expected
+

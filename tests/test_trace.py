@@ -36,6 +36,7 @@ from mfoesim.trace import (
     TraceModelConfig,
     WORKLOAD_PROFILES,
     apply_model,
+    block_rows,
     ingest,
     model_constants,
     sweep,
@@ -919,7 +920,7 @@ def test_timeline_csv_matches_per_row_reference(tmp_path, rows):
     path = tmp_path / "timeline.csv"
     write_blocks(path, tl.csv_blocks())
     assert path.read_text() == "".join(line + "\n" for line in lines)
-    assert list(tl.csv_rows()) == lines
+    assert list(block_rows(tl.csv_blocks())) == lines
 
 
 def test_degenerate_overlap_reports_infinite_speedup():
@@ -947,7 +948,7 @@ def test_model_report_json_schema():
 def test_timeline_csv_layout():
     trace = FaultTrace.from_records([(100, 0, 50)])
     report = apply_model(trace, TraceModelConfig(width=4), GHZ1)
-    rows = list(report.timeline.csv_rows())
+    rows = list(block_rows(report.timeline.csv_blocks()))
     assert rows[0] == TIMELINE_HEADER
     assert rows[1] == "100,100,0,miss,64"
 
@@ -1127,7 +1128,7 @@ def test_sweep_covers_default_grid_row_major():
     assert [(c.width, c.interval_ms) for c in grid.cells] == [
         (w, iv) for w in DEFAULT_WIDTHS for iv in DEFAULT_INTERVALS_MS
     ]
-    rows = list(grid.csv_rows())
+    rows = list(block_rows(grid.csv_blocks()))
     assert rows[0] == "width,interval_ms,hit_rate,overhead_pct,speedup"
     assert len(rows) == 21
     doc = grid.to_json_dict()
