@@ -7,6 +7,12 @@ a handler spins on another's lock. The serialized simulator drives each
 handler to completion with one run() call, which resumes the generator
 itself; the concurrency tests instead interleave step() calls from
 several handlers aimed at the same leaf to exercise the lock protocol.
+
+MfoeEngine.resolve is the one dispatch of a touch (TLB, walk, then the
+handler) and returns a plain tuple; access() wraps that tuple in a
+FaultOutcome for library callers. The enum members the per-touch path
+compares or returns are bound to module names once, since a module
+global reads several times faster than an Enum class attribute.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from enum import Enum
 from typing import Callable, Generator, Optional
 
 from .kernel import KernelModel, ProcessModel, VMA
-from .vm import check_canonical, PAGE_SHIFT, PTE_MFOEABLE, PTE_PRESENT
+from .vm import check_canonical, PAGE_SHIFT, PFN_MASK, PFN_SHIFT, PTE_MFOEABLE, PTE_PRESENT, PTE_RW
 
 
 class OutcomeKind(Enum):
@@ -27,6 +33,19 @@ class OutcomeKind(Enum):
     KERNEL_FAULT = "kernel_fault"
     SEGV = "segv"
     PROTECTION_FAULT = "protection_fault"
+
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ runs in Python on every dict or set lookup.
+    __hash__ = object.__hash__
+
+
+TLB_HIT = OutcomeKind.TLB_HIT
+WALK_HIT = OutcomeKind.WALK_HIT
+MFOE_HIT = OutcomeKind.MFOE_HIT
+MFOE_MISS = OutcomeKind.MFOE_MISS
+KERNEL_FAULT = OutcomeKind.KERNEL_FAULT
+SEGV = OutcomeKind.SEGV
+PROTECTION_FAULT = OutcomeKind.PROTECTION_FAULT
 
 
 @dataclass(slots=True)
@@ -77,6 +96,13 @@ class SmResult(Enum):
     KERNEL = "kernel"
     REUSE = "reuse"  # another handler installed the page first
     WAITED = "waited"  # spun on the lock, then reused the installed page
+
+
+_SM_MFOE_HIT = SmResult.MFOE_HIT
+_SM_MFOE_MISS_KERNEL = SmResult.MFOE_MISS_KERNEL
+_SM_KERNEL = SmResult.KERNEL
+_SM_REUSE = SmResult.REUSE
+_SM_WAITED = SmResult.WAITED
 
 
 # Default for PteFaultSm's leaf argument: walk the page table for va.
@@ -136,11 +162,11 @@ class PteFaultSm:
 
     @property
     def consumed_from_table(self) -> bool:
-        return self.result is SmResult.MFOE_HIT
+        return self.result is _SM_MFOE_HIT
 
     @property
     def allocated_inline(self) -> bool:
-        return self.result in (SmResult.MFOE_MISS_KERNEL, SmResult.KERNEL)
+        return self.result in (_SM_MFOE_MISS_KERNEL, _SM_KERNEL)
 
     def runnable(self) -> bool:
         return not self.done and (self._wait is None or self._wait())
@@ -177,19 +203,19 @@ class PteFaultSm:
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
-            return SmResult.REUSE
+            return _SM_REUSE
         if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
             if not leaf.try_lock():
                 yield self._lock_clear_and_present
                 self.pfn = leaf.pfn_or_tgid
-                return SmResult.WAITED
+                return _SM_WAITED
             yield
             if leaf.raw & PTE_PRESENT:
                 # Resolved while we raced for the lock; nothing to consume.
                 self.pfn = leaf.pfn_or_tgid
                 leaf.unlock()
-                return SmResult.REUSE
+                return _SM_REUSE
             yield
             pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
             if pfn is not None:
@@ -198,7 +224,7 @@ class PteFaultSm:
                 leaf.install_frame(pfn, self.vma.writable)
                 yield
                 leaf.unlock()
-                return SmResult.MFOE_HIT
+                return _SM_MFOE_HIT
             yield
             leaf.unlock()
             mfoe_missed = True
@@ -209,17 +235,17 @@ class PteFaultSm:
         if not leaf.try_lock():
             yield self._lock_clear_and_present
             self.pfn = leaf.pfn_or_tgid
-            return SmResult.WAITED
+            return _SM_WAITED
         yield
         if leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             leaf.unlock()
-            return SmResult.REUSE
+            return _SM_REUSE
         yield
         self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable)
         yield
         leaf.unlock()
-        return SmResult.MFOE_MISS_KERNEL if mfoe_missed else SmResult.KERNEL
+        return _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
 
 
 class MfoeEngine:
@@ -240,7 +266,15 @@ class MfoeEngine:
             del self.core_proc[core]
 
     def access(self, core: int, va: int, is_write: bool = False, now: int = 0) -> FaultOutcome:
-        """Resolve one touch of va from core at time now (cycles).
+        """resolve() as a FaultOutcome."""
+        return FaultOutcome(*self.resolve(core, va, is_write, now))
+
+    def resolve(
+        self, core: int, va: int, is_write: bool = False, now: int = 0
+    ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
+        """Resolve one touch of va from core at time now (cycles), as the
+        fields of a FaultOutcome in order: (kind, cycles, penalty_cycles,
+        kernel_cycles, pfn).
 
         Dispatch: TLB, then the walker, then either the offload engine or
         the kernel. Any path that resolves the page leaves the
@@ -248,59 +282,51 @@ class MfoeEngine:
         """
         check_canonical(va)
         proc = self.core_proc[core]
+        tgid = proc.tgid
         vpn = va >> PAGE_SHIFT
 
-        tlb_hit = self.tlb.lookup(proc.tgid, vpn)
+        tlb_hit = self.tlb.lookup(tgid, vpn)
         if tlb_hit is not None:
             pfn, rw = tlb_hit
             if is_write and not rw:
-                self.kernel.record_protection_fault(proc.tgid, va, now)
-                return FaultOutcome(OutcomeKind.PROTECTION_FAULT, 0, pfn=pfn)
-            return FaultOutcome(OutcomeKind.TLB_HIT, 0, pfn=pfn)
+                self.kernel.record_protection_fault(tgid, va, now)
+                return PROTECTION_FAULT, 0, 0, 0, pfn
+            return TLB_HIT, 0, 0, 0, pfn
 
-        leaf = proc.page_table.walk(va)
-        if leaf is not None and leaf.raw & PTE_PRESENT:
-            pfn = leaf.pfn_or_tgid
-            rw = leaf.rw
-            if is_write and not rw:
-                self.kernel.record_protection_fault(proc.tgid, va, now)
-                return FaultOutcome(OutcomeKind.PROTECTION_FAULT, 0, pfn=pfn)
-            self.tlb.insert(proc.tgid, vpn, pfn, rw)
-            return FaultOutcome(OutcomeKind.WALK_HIT, 0, pfn=pfn)
+        # the walk: va is canonical, so the leaf is read straight off the table
+        leaf = proc.page_table.entries.get(vpn)
+        if leaf is not None:
+            raw = leaf.raw
+            if raw & PTE_PRESENT:
+                pfn = (raw & PFN_MASK) >> PFN_SHIFT
+                rw = bool(raw & PTE_RW)
+                if is_write and not rw:
+                    self.kernel.record_protection_fault(tgid, va, now)
+                    return PROTECTION_FAULT, 0, 0, 0, pfn
+                self.tlb.insert(tgid, vpn, pfn, rw)
+                return WALK_HIT, 0, 0, 0, pfn
 
         vma = proc.find_vma(va)
         if vma is None:
-            self.kernel.record_segv(proc.tgid, va, now)
-            return FaultOutcome(OutcomeKind.SEGV, 0)
+            self.kernel.record_segv(tgid, va, now)
+            return SEGV, 0, 0, 0, None
 
         sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active, leaf)
         result = sm.run()
-
-        if result is SmResult.MFOE_HIT:
-            cycles = self.params.mfoe_hit_cycles
-            outcome = FaultOutcome(OutcomeKind.MFOE_HIT, cycles, pfn=sm.pfn)
-        elif result is SmResult.MFOE_MISS_KERNEL:
+        pfn = sm.pfn
+        if result is _SM_MFOE_HIT:
+            out = MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
+        elif result is _SM_MFOE_MISS_KERNEL:
             kernel_cycles = self.kernel.sample_baseline_cycles()
             penalty = self.params.mfoe_miss_penalty_cycles
-            outcome = FaultOutcome(
-                OutcomeKind.MFOE_MISS,
-                penalty + kernel_cycles,
-                penalty_cycles=penalty,
-                kernel_cycles=kernel_cycles,
-                pfn=sm.pfn,
-            )
-        elif result is SmResult.KERNEL:
+            out = MFOE_MISS, penalty + kernel_cycles, penalty, kernel_cycles, pfn
+        elif result is _SM_KERNEL:
             kernel_cycles = self.kernel.sample_baseline_cycles()
-            outcome = FaultOutcome(
-                OutcomeKind.KERNEL_FAULT,
-                kernel_cycles,
-                kernel_cycles=kernel_cycles,
-                pfn=sm.pfn,
-            )
+            out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, pfn
         else:
             # REUSE/WAITED cannot happen in serialized use: a present leaf
             # resolves above as a TLB or walk hit before any handler starts.
             raise AssertionError(f"unexpected serialized handler result {result}")
 
-        self.tlb.insert(proc.tgid, vpn, sm.pfn, sm.leaf.rw)
-        return outcome
+        self.tlb.insert(tgid, vpn, pfn, sm.leaf.rw)
+        return out

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
-from .prealloc import HarvestRecord, PreallocTable, ProduceStatus
+from .prealloc import PRODUCED, HarvestRecord, PreallocTable
 from .vm import PAGE_SIZE, FrameAllocator, OutOfMemory, PageTable
 
 NS_PER_S = 1_000_000_000
@@ -147,7 +147,7 @@ class InitFillTask:
                 self.done = True
                 return False
             status = table.produce(pfn)
-            assert status is ProduceStatus.PRODUCED
+            assert status is PRODUCED
             return True
         return False
 
@@ -424,7 +424,7 @@ class KernelModel:
         except OutOfMemory:
             return False
         status = table.produce(pfn)
-        assert status is ProduceStatus.PRODUCED
+        assert status is PRODUCED
         return True
 
     def _refill_head(self, table: PreallocTable) -> None:

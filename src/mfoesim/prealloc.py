@@ -58,6 +58,10 @@ class ProduceStatus(Enum):
     NEEDS_HARVEST = "needs_harvest"
 
 
+# Bound once: every restock returns and checks it.
+PRODUCED = ProduceStatus.PRODUCED
+
+
 class EntryState(Enum):
     EMPTY = "empty"
     VALID = "valid"
@@ -124,7 +128,7 @@ class PreallocTable:
             return ProduceStatus.NEEDS_HARVEST
         self._w1[i] = pack_word1(pfn, 0, used=False, valid=True)
         self.head_index = self._next(i)
-        return ProduceStatus.PRODUCED
+        return PRODUCED
 
     def harvest(self, max_records: Optional[int] = None) -> list[HarvestRecord]:
         """Collect used entries starting at head, clearing them to empty.

@@ -4,8 +4,12 @@ One process, one faulting thread per core, all time in integer cycles.
 Threads alternate a fixed compute gap with a touch of the next page of
 their region; the touches are the only events. The background actors
 (initial table fill, refresh ticks, the pass steps between ticks) are
-on the same time line, caught up before each touch. Everything
-downstream of the seed is reproducible to the byte.
+on the same time line, caught up before each touch. A pass step that
+books nothing leaves the pass dry until the next tick or the next touch
+that is neither a TLB nor a walk hit: TLB and walk hits never wake the
+pass, since they change nothing it reads, so while it is dry and no
+tick is due the catch-up is skipped. Everything downstream of the seed
+is reproducible to the byte.
 
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: four columns (cycle, core, outcome code, latency cycles), with
@@ -25,7 +29,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Optional
 
-from .engine import MfoeEngine, OutcomeKind
+from .engine import TLB_HIT, WALK_HIT, MfoeEngine, OutcomeKind
 from .kernel import KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
 from .trace import MAX_CORES, csv_blocks, json_text
@@ -143,6 +147,12 @@ _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
      OutcomeKind.TLB_HIT, OutcomeKind.WALK_HIT),
 )
 _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
+
+# The outcomes after which the background pass stays dry: a TLB or walk
+# hit changes nothing a pass step reads (the budget, the tables, the
+# frame allocator, the quotas), so a pass that booked nothing before it
+# books nothing after it.
+_PASS_QUIET = frozenset((TLB_HIT, WALK_HIT))
 
 
 class FaultLog:
@@ -263,12 +273,17 @@ class Simulation:
         )
 
         # The next fill step and tick, and the cycle up to which pass
-        # steps have run; none runs until the fill is done.
+        # steps have run; none runs until the fill is done. The pass is
+        # dry from a step that books nothing to the next tick or the next
+        # touch outside _PASS_QUIET: steps until then would book nothing.
         self._fill_at = self.fill_cost if self.kernel.fill_task is not None else NEVER
         self._tick_at = NEVER
         self._stepped = NEVER
+        self._dry = False
         self.records = FaultLog()
-        # The columns' appends, bound once: _on_fault runs once per touch.
+        # The engine's dispatch and the columns' appends, bound once:
+        # _on_fault runs once per touch.
+        self._resolve = self.engine.resolve
         self._log = (
             self.records.t.append,
             self.records.core.append,
@@ -293,7 +308,11 @@ class Simulation:
         try:
             while heap:
                 t, core = heap[0]
-                self._advance_background(t)
+                if self._dry and t < self._tick_at:
+                    # a dry pass has nothing due before the next tick
+                    self._stepped = t
+                else:
+                    self._advance_background(t)
                 after = self._on_fault(t, core)
                 if after is None:
                     heapq.heappop(heap)
@@ -328,6 +347,7 @@ class Simulation:
         while self._tick_at <= t:
             tick = self._tick_at
             self._run_pass(tick - 1)
+            self._dry = False
             if kernel.passes_idle():
                 count = (t - tick) // self.interval_cycles + 1
                 kernel.advance_passes(count)
@@ -342,14 +362,20 @@ class Simulation:
         """Run the pass steps at cycles in (_stepped, until], which fall
         every record_cost cycles from the first tick on, until one books
         nothing: that leaves the kernel as it is until the next tick or
-        fault, so the later steps would book nothing either."""
+        fault, so the pass is dry and later steps would book nothing
+        either."""
         stepped = self._stepped
         if until <= stepped:
             return
+        self._stepped = until
+        if self._dry:
+            return
         first = self.fill_complete_cycle + self.interval_cycles
         due = (until - first) // self.record_cost - (stepped - first) // self.record_cost
-        self._stepped = until
-        while due and self.kernel.pass_step() is not None:
+        while due:
+            if self.kernel.pass_step() is None:
+                self._dry = True
+                return
             self.background_processed += 1
             due -= 1
 
@@ -359,14 +385,16 @@ class Simulation:
         stats = self.stats[core]
         page = (stats.touches * wl.stride_pages) % self.region_pages
         va = self.region_starts[core] + page * PAGE_SIZE
-        out = self.engine.access(core, va, is_write=True, now=t)
+        kind, cycles, _, _, _ = self._resolve(core, va, True, t)
+        if kind not in _PASS_QUIET:
+            self._dry = False
         stats.touches += 1
         log_t, log_core, log_outcome, log_cycles = self._log
         log_t(t)
         log_core(core)
-        log_outcome(_CODE[out.kind])
-        log_cycles(out.cycles)
-        completion = t + out.cycles
+        log_outcome(_CODE[kind])
+        log_cycles(cycles)
+        completion = t + cycles
         if stats.touches < wl.faults_per_thread:
             return completion + wl.interarrival_cycles
         stats.end_time = completion

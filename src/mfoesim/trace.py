@@ -325,12 +325,21 @@ def ingest(path: str) -> FaultTrace:
     or blank line, is read again line by line, which accepts the comment
     and blank lines and raises TraceFormatError on the first bad line. The
     per-core regression check carries across chunks.
+
+    A data field is an optional "-" and ASCII digits, nothing else: no
+    spaces, tabs or other whitespace, no "+" and no "_", all of which
+    int() would take. A line ends in "\n" or "\r\n", or at the end of
+    the file; a carriage return anywhere else is refused.
     """
     trace = FaultTrace(source=path)
-    with open(path, encoding="utf-8") as fh:
+    # newline="\n": only "\n" ends a line, and a "\r" reaches the checks
+    with open(path, encoding="utf-8", newline="\n") as fh:
         line_no = 0
         for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
+            body = _line_body(raw)
+            if body is None:
+                raise TraceFormatError(path, line_no, _STRAY_CR)
+            line = body.strip()
             if not line or line.startswith("#"):
                 continue
             if line != TRACE_HEADER:
@@ -345,6 +354,26 @@ def ingest(path: str) -> FaultTrace:
     return trace
 
 
+# Characters int() takes in an ASCII field that the trace grammar does
+# not: whitespace, which int() strips, a "+" sign and "_" digit separators.
+_LOOSE_CHARS = " \t\x0b\x0c+_"
+_STRAY_CR = "carriage return not before a newline"
+
+
+def _line_body(raw: str) -> Optional[str]:
+    """raw without its line ending, "\n" or "\r\n"; None if it holds any
+    other carriage return."""
+    if raw.endswith("\n"):
+        raw = raw[:-2] if raw.endswith("\r\n") else raw[:-1]
+    return None if "\r" in raw else raw
+
+
+def _is_field(text: str) -> bool:
+    """Whether text is an optional "-" and one or more ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _ingest_chunk(lines: list[str], trace: FaultTrace) -> bool:
     """Parse a chunk of data lines in bulk onto trace; False, with nothing
     changed, when any line is not a valid record."""
@@ -355,7 +384,18 @@ def _ingest_chunk(lines: list[str], trace: FaultTrace) -> bool:
     # multiple of 3, so with 3n in all, exactly 3. (Splitting alone would
     # let "1,2" then "3,4,5,6" through as two records.) A chunk without a
     # final newline has n - 1 newlines, so it goes to the line loop.
-    fields = ",".join(lines).split(",")
+    text = ",".join(lines)
+    # What int() takes beyond the grammar: characters outside ASCII, the
+    # _LOOSE_CHARS, and a "\r" not before a "\n". Membership scans, a few
+    # microseconds per chunk, not a regex (about a hundred); only a chunk
+    # with a "\r" pays for the two counts.
+    if (
+        not text.isascii()
+        or any(map(text.__contains__, _LOOSE_CHARS))
+        or "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return False
+    fields = text.split(",")
     if len(fields) != 3 * len(lines) or "".join(fields[2::3]).count("\n") != len(lines):
         return False
     try:
@@ -371,18 +411,21 @@ def _ingest_lines(path: str, lines: list[str], line_no: int, trace: FaultTrace) 
     appends the records. TraceFormatError names the first bad line."""
     ints, nos, error = [], [], None
     for line_no, raw in enumerate(lines, line_no + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _line_body(raw)
+        if line is None:
+            error = TraceFormatError(path, line_no, _STRAY_CR)
+            break
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != 3:
             error = TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
             break
-        try:
-            ints += list(map(int, parts))
-        except ValueError:
+        if not all(map(_is_field, parts)):
             error = TraceFormatError(path, line_no, f"non-integer field in {line!r}")
             break
+        ints += map(int, parts)
         nos.append(line_no)
     # the records before a syntax error go first: one of them may be bad
     ts, cs, ls = ints[0::3], ints[1::3], ints[2::3]

@@ -194,6 +194,54 @@ def test_process_exit_clears_engine_state():
         engine.access(0, vma.start)
 
 
+def _mixed_env():
+    """Two cores over three regions: one mapped before offloading was
+    enabled (its faults go to the kernel), one offload-eligible and one
+    read-only, with 4-slot tables and a 4-entry TLB."""
+    kernel = KernelModel(cores=2, total_frames=4096, seed=3)
+    engine = MfoeEngine(kernel, tlb_entries=4)
+    proc = kernel.create_process()
+    plain = kernel.region_create(proc, 16 * PAGE_SIZE)
+    kernel.mfoe_enable(proc, 4)
+    kernel.run_init_fill()
+    eligible = kernel.region_create(proc, 32 * PAGE_SIZE)
+    readonly = kernel.region_create(proc, 8 * PAGE_SIZE, writable=False)
+    for vma in (eligible, readonly):
+        kernel.prefault_construct(proc, vma)
+    for core in range(2):
+        engine.bind(core, proc)
+    # each region's guard page above it is a SEGV
+    vas = [va for vma in (plain, eligible, readonly)
+           for va in range(vma.start, vma.end + PAGE_SIZE, PAGE_SIZE)]
+    return kernel, engine, vas
+
+
+def test_access_is_resolve_as_a_fault_outcome():
+    # the same seeded touches through access() and through resolve() on
+    # two identical setups: the same outcomes, field by field, and the
+    # same kernel and TLB state after each
+    (kernel_a, engine_a, vas), (kernel_b, engine_b, _) = _mixed_env(), _mixed_env()
+    rng = random.Random(21)
+    kinds = set()
+    for step in range(600):
+        core, va, is_write = rng.randrange(2), rng.choice(vas), rng.random() < 0.5
+        if step % 100 == 99:
+            kernel_a.postfault_tick()
+            kernel_b.postfault_tick()
+        out = engine_a.access(core, va, is_write, step)
+        res = engine_b.resolve(core, va, is_write, step)
+        assert type(res) is tuple
+        assert out == FaultOutcome(*res)
+        assert (out.kind, out.cycles, out.penalty_cycles, out.kernel_cycles, out.pfn) == res
+        assert list(engine_a.tlb._map.items()) == list(engine_b.tlb._map.items())
+        kinds.add(out.kind)
+    assert kinds == set(OutcomeKind)
+    assert kernel_a.segv_events == kernel_b.segv_events
+    assert kernel_a.protection_faults == kernel_b.protection_faults
+    assert kernel_a.ledger.equivalent(kernel_b.ledger)
+    assert kernel_a.allocator.free_list == kernel_b.allocator.free_list
+
+
 # the handler state machine, stepped by hand
 
 

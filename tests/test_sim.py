@@ -316,6 +316,8 @@ def _background_states(config):
 
     simulation._on_fault = noted
     report = simulation.run()
+    # one state per touch: a run that bypassed _on_fault would record none
+    assert len(states) == config.workload.threads * config.workload.faults_per_thread
     return report.to_json(), "".join(report.records.csv_blocks()), states
 
 
@@ -360,6 +362,38 @@ def test_idle_tick_skip_matches_the_tick_by_tick_loop(monkeypatch, kw):
     advanced.clear()
     assert _background_states(small_config(**kw)) == fast
     assert len(advanced) == len(begun)
+
+
+@pytest.mark.parametrize("kw", [
+    # a backlog outlasts a pass's budget, and then only walk hits follow
+    dict(threads=2, faults_per_thread=3000, region_pages_per_thread=300, tlb_entries=4,
+         table_width=128, interarrival_cycles=500, refresh_interval_ms=0.02, seed=11),
+    dict(threads=2, faults_per_thread=1500, region_pages_per_thread=400, quota_frames=300,
+         interarrival_cycles=3000, refresh_interval_ms=0.1, seed=5),
+    dict(threads=3, faults_per_thread=1200, region_pages_per_thread=100, stride_pages=3,
+         tlb_entries=8, interarrival_cycles=2000, refresh_interval_ms=0.05, seed=13),
+], ids=["revisit-tiny-tlb", "quota", "short-interval"])
+def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
+    # TLB and walk hits leave a dry pass dry, so the loop skips the
+    # background catch-up until the next tick or other outcome; waking the
+    # pass on every touch instead gives the same reports and the same
+    # background state as each touch begins
+    kw.setdefault("table_width", 16)
+    caught_up, advance = [], Simulation._advance_background
+    monkeypatch.setattr(Simulation, "_advance_background",
+                        lambda self, t: caught_up.append(t) or advance(self, t))
+    fast = _background_states(small_config(**kw))
+    report = json.loads(fast[0])
+    touches = kw["threads"] * kw["faults_per_thread"]
+    assert sum(c["walk_hits"] + c["tlb_hits"] for c in report["per_core"]) > touches // 2
+    assert report["background_processed"] > 0
+    # the quota turns offloading off, after which faults go to the kernel
+    assert (report["kernel_faults"] > 0) == ("quota_frames" in kw)
+    assert len(caught_up) < touches, "no touch skipped the background catch-up"
+    monkeypatch.setattr(sim_module, "_PASS_QUIET", frozenset())
+    caught_up.clear()
+    assert _background_states(small_config(**kw)) == fast
+    assert len(caught_up) == touches
 
 
 def test_zero_budget_ticks_are_applied_at_once(monkeypatch):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from array import array
@@ -155,14 +156,18 @@ def test_ingest_reports_offending_line(tmp_path, body, line_no, fragment):
 
 
 def _ingest_by_line(path):
-    """Reference for the chunked ingest: the plain line-at-a-time loop.
-    Returns the three columns as lists, or raises its TraceFormatError."""
+    """Reference for the chunked ingest: the plain line-at-a-time loop,
+    with the field grammar as a regex. Returns the three columns as
+    lists, or raises its TraceFormatError."""
     times, cores, lats = [], [], []
     last_per_core = {}
     saw_header = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
+            body = re.sub(r"\r?\n\Z", "", raw)
+            if "\r" in body:
+                raise TraceFormatError(path, line_no, "carriage return not before a newline")
+            line = body.strip()
             if not line or line.startswith("#"):
                 continue
             if not saw_header:
@@ -172,13 +177,12 @@ def _ingest_by_line(path):
                     )
                 saw_header = True
                 continue
-            parts = line.split(",")
+            parts = body.split(",")
             if len(parts) != 3:
                 raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise TraceFormatError(path, line_no, f"non-integer field in {line!r}") from None
+            if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
+                raise TraceFormatError(path, line_no, f"non-integer field in {body!r}")
+            t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
             if core < 0:
                 raise TraceFormatError(path, line_no, "negative core id")
             if lat <= 0:
@@ -311,7 +315,8 @@ def _header_after_comments(lines):
 
 
 def _padded(lines):
-    padded = [" " + line.replace(",", " ,\t") + " " for line in lines[1:]]
+    # zero padding is the one padding the field grammar allows
+    padded = ["00" + line.replace(",", ",0") for line in lines[1:]]
     return "\n".join([lines[0]] + padded) + "\n"
 
 
@@ -334,6 +339,54 @@ def test_chunked_ingest_matches_line_loop(tmp_path, render, newline):
     got = (list(back.timestamps_ns), list(back.core_ids), list(back.latencies_ns))
     assert got == _ingest_by_line(str(path))
     assert len(back) == _BODY_LINES
+
+
+@pytest.mark.parametrize(
+    "bad,fragment",
+    [
+        ("{t},{c},1_0", "non-integer"),
+        ("{t},{c},\u0663", "non-integer"),
+        ("{t},{c},+7", "non-integer"),
+        ("{t},{c}, 9 ", "non-integer"),
+        ("{t},\t{c},5", "non-integer"),
+        ("{t},{c}\x0b,5", "non-integer"),
+        ("\x0c{t},{c},5", "non-integer"),
+        ("{t},{c}\r,5", "carriage return"),
+        # with the newline, a CR then a CRLF
+        ("{t},{c},5\r\r", "carriage return"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "plus", "spaces", "tab", "vertical-tab",
+         "form-feed", "cr-in-line", "cr-before-crlf"],
+)
+def test_ingest_refuses_what_int_would_take(tmp_path, bad, fragment):
+    # int() reads each of these as a number; the grammar refuses them in
+    # the bulk chunk check, and the line loop names the line
+    path = tmp_path / "bad.csv"
+    lines = _body_lines()
+    path.write_text("\n".join(lines) + "\n")
+    at = _chunk_starts(path)[5] + 100
+    lines[at - 1] = bad.format(t=10 * at, c=at % 4)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=fragment) as want:
+        _ingest_by_line(str(path))
+    with pytest.raises(TraceFormatError) as got:
+        ingest(str(path))
+    assert want.value.line_no == at
+    assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+
+
+@pytest.mark.parametrize("tail", ["\r", "\r\r\n"], ids=["cr-at-eof", "cr-before-crlf"])
+def test_ingest_refuses_a_carriage_return_at_the_end_of_a_line(tmp_path, tail):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{TRACE_HEADER}\r\n1000,0,5\r\n2000,0,5{tail}")
+    with pytest.raises(TraceFormatError, match="carriage return") as exc:
+        ingest(str(path))
+    assert exc.value.line_no == 3
+    # the same lines with CRLF endings load
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{TRACE_HEADER}\r\n1000,0,5\r\n2000,0,5\r\n")
+    assert list(ingest(str(path)).timestamps_ns) == [1000, 2000]
 
 
 _OUTSIDE_64_BITS = [
