@@ -3,8 +3,11 @@ teardown, the background refill machinery, deferred bookkeeping and exit
 cleanup.
 
 Offloading is on while mfoe_active is set: the engine consults the
-per-core tables only then. Only the init fill and the deferred pass
-restock the tables, both at head; exit cleanup books and empties slots.
+per-core tables only then. The tables are restocked at head by one
+routine, which the init fill (fill_step), the deferred pass and the
+restock of starved tables at a pass start all call; exit cleanup books
+and empties slots. begin_pass says whether its pass has work, which is
+the one rule a caller needs to skip idle passes (advance_passes).
 A process's booked pages are counted once, in the ledger's mm_counter,
 which also serves as its memcg charge and as the count quotas read."""
 from __future__ import annotations
@@ -121,37 +124,6 @@ class BookkeepingLedger:
         return self.records() == other.records() and self.mm_counter == other.mm_counter
 
 
-class InitFillTask:
-    """Populates the per-core tables core 0 upward, one page per step."""
-
-    def __init__(self, cores: int):
-        self.cores = cores
-        self.core = 0
-        self.done = cores == 0
-
-    def step(self, kernel: "KernelModel") -> bool:
-        """Produce one page; False once every core's pass has finished.
-
-        A core's pass ends at its first non-empty head, so it also
-        restocks slots a cleanup empties while the fill runs."""
-        while not self.done:
-            table = kernel.tables[self.core]
-            if not table.head_is_empty():
-                self.core += 1
-                if self.core >= self.cores:
-                    self.done = True
-                continue
-            try:
-                pfn = kernel.allocator.allocate()
-            except OutOfMemory:
-                self.done = True
-                return False
-            status = table.produce(pfn)
-            assert status is PRODUCED
-            return True
-        return False
-
-
 class KernelModel:
     """System-wide kernel state: frame pool, per-core tables, processes."""
 
@@ -181,7 +153,8 @@ class KernelModel:
         self.tables: Optional[list[PreallocTable]] = None
         self.table_storage_frames: list[int] = []
         self.mfoe_active = False
-        self.fill_task: Optional[InitFillTask] = None
+        # the core the init fill is restocking; None when no fill runs
+        self.fill_core: Optional[int] = None
 
         self.tick_index = 0
         self.pass_budget = 0
@@ -267,7 +240,7 @@ class KernelModel:
             self.tables = tables
         if not self.mfoe_active:
             self.mfoe_active = True
-            self.fill_task = InitFillTask(self.cores)
+            self.fill_core = 0
 
     def mfoe_disable(self, proc: ProcessModel) -> int:
         """Drop proc out; the last participant drains tables and turns
@@ -282,7 +255,7 @@ class KernelModel:
         if any(p.mfoe_enabled for p in self.procs.values()):
             return 0
         self.mfoe_active = False
-        self.fill_task = None
+        self.fill_core = None
         freed = 0
         if self.tables:
             for table in self.tables:
@@ -293,12 +266,28 @@ class KernelModel:
 
     # fill and refill machinery
 
+    def fill_step(self) -> bool:
+        """Produce one page of the init fill, core 0 upward; False once
+        every core's pass has finished or no frame is on hand.
+
+        A core's pass ends at its first non-empty head, so it also
+        restocks slots a cleanup empties while the fill runs."""
+        while self.fill_core is not None:
+            table = self.tables[self.fill_core]
+            if table.head_is_empty():
+                if self._restock_head(table):
+                    return True
+                self.fill_core = None
+            elif self.fill_core + 1 < self.cores:
+                self.fill_core += 1
+            else:
+                self.fill_core = None
+        return False
+
     def run_init_fill(self) -> int:
         """Complete the whole initialization fill synchronously."""
-        if self.fill_task is None:
-            return 0
         count = 0
-        while self.fill_task.step(self):
+        while self.fill_step():
             count += 1
         return count
 
@@ -318,49 +307,48 @@ class KernelModel:
             record = table.take_used(table.head_index)
             if record is None:
                 return None
-            self.apply_bookkeeping(record.tgid, record.va, record.pfn)
+            self.ledger.apply(record.tgid, record.va, record.pfn)
             self._refill_head(table)
             return record
         finally:
             table.release_cleanup_lock()
 
-    def begin_pass(self) -> None:
-        """Start one deferred-processing pass.
+    def begin_pass(self) -> bool:
+        """Start one deferred-processing pass; True when it has work.
 
         Applies pending eligibility-bit clears, re-checks every quota,
-        restocks every starved table, grants the pass refresh_interval *
-        background throughput records, and picks the starting core, which
-        rotates from pass to pass.
+        restocks every starved table (an empty tail slot, which consume
+        cannot take from, and no used entry, whose booking would restock
+        it), grants the pass refresh_interval * background throughput
+        records, and picks the starting core, which rotates from pass to
+        pass. The pass is idle when it did nothing but grant the budget
+        and rotate the start core, and it can book nothing: the budget is
+        0 or no table holds a used entry. Only a fault can change that.
         """
+        work = bool(self.pending_bit_clears)
         self.apply_pending_bit_clears()
         for proc in list(self.procs.values()):
-            self.resource_check(proc)
-        for table in self._starved_tables():
-            # never skips head, so a run out of frames leaves it as it is
-            while table.head_is_empty() and self._restock_head(table):
-                pass
+            work |= self.resource_check(proc)
+        # with no frame on hand a starved table waits, which is no work;
+        # _restock_head never skips head, so running out leaves it as it is
+        if self.tables and self.mfoe_active and self.allocator.free_count():
+            for table in self.tables:
+                if not table.used and table.tail_is_empty():
+                    work = True
+                    while table.head_is_empty() and self._restock_head(table):
+                        pass
         self.advance_passes(1)
-
-    def passes_idle(self) -> bool:
-        """True when begin_pass would only rotate the start core and grant
-        the budget, and its pass would book nothing: no bit clear pending,
-        no process over its quota threshold, no starved table to restock,
-        and either a budget of zero records or no table holding a used
-        entry. Only a fault can change that."""
-        return (
-            not self.pending_bit_clears
-            and not any(map(self._over_quota, self.procs.values()))
-            and not self._starved_tables()
-            and (
-                self.budget_pages() == 0
-                or not (self.tables and any(table.used for table in self.tables))
-            )
+        return work or bool(
+            self.pass_budget and self.tables and any(table.used for table in self.tables)
         )
 
     def advance_passes(self, count: int) -> None:
         """Start count passes in turn, granting each the budget and the
         next start core, without begin_pass's quota and bit-clear work:
-        count begin_pass calls at once while passes_idle()."""
+        count begin_pass calls at once after one returned False. A count
+        of 0 changes nothing."""
+        if not count:
+            return
         self.pass_budget = self.budget_pages()
         self._pass_core = (self.tick_index + count - 1) % self.cores
         self.tick_index += count
@@ -405,15 +393,6 @@ class KernelModel:
             processed += 1
         return processed
 
-    def _starved_tables(self) -> list[PreallocTable]:
-        """Tables that consume cannot take from and that no booking would
-        restock: an empty tail slot and no used entry. Listed only while
-        offloading is on and a frame is on hand, so a run out of frames
-        does not count them as work."""
-        if not (self.tables and self.mfoe_active and self.allocator.free_count()):
-            return []
-        return [t for t in self.tables if not t.used and t.tail_is_empty()]
-
     def _restock_head(self, table: PreallocTable) -> bool:
         """Produce a frame at the empty head slot; False, changing nothing,
         while offloading is off or no frame is on hand."""
@@ -448,7 +427,7 @@ class KernelModel:
                 for i in table.data_indices():
                     record = table.take_used(i, tgid)
                     if record is not None:
-                        self.apply_bookkeeping(record.tgid, record.va, record.pfn)
+                        self.ledger.apply(record.tgid, record.va, record.pfn)
                         removed += 1
             finally:
                 table.release_cleanup_lock()
@@ -460,18 +439,14 @@ class KernelModel:
         The eligibility bits of its untouched pages are cleared at the
         start of the next pass.
         """
-        if not self._over_quota(proc):
+        if not proc.mfoe_enabled:
+            return False
+        quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
+        if self.ledger.mm_counter[proc.tgid] <= self.resource_threshold * quota:
             return False
         self.mfoe_disable(proc)
         self.pending_bit_clears.append(proc)
         return True
-
-    def _over_quota(self, proc: ProcessModel) -> bool:
-        """Whether resource_check would disable offloading for proc."""
-        if not proc.mfoe_enabled:
-            return False
-        quota = self.allocator.total_frames if proc.quota_frames is None else proc.quota_frames
-        return self.ledger.mm_counter[proc.tgid] > self.resource_threshold * quota
 
     def apply_pending_bit_clears(self) -> None:
         for proc in self.pending_bit_clears:
@@ -487,15 +462,12 @@ class KernelModel:
 
     # fault-path services
 
-    def apply_bookkeeping(self, tgid: int, va: int, pfn: int) -> None:
-        self.ledger.apply(tgid, va, pfn)
-
     def inline_install(self, proc: ProcessModel, va: int, writable: bool) -> int:
         """Allocate, map, and book one page on the spot (the slow path)."""
         leaf = proc.page_table.construct_path(va)
         pfn = self.allocator.allocate()
         leaf.install_frame(pfn, writable)
-        self.apply_bookkeeping(proc.tgid, va, pfn)
+        self.ledger.apply(proc.tgid, va, pfn)
         return pfn
 
     def record_segv(self, tgid: int, va: int, when: int = 0) -> None:

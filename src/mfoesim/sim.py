@@ -4,12 +4,14 @@ One process, one faulting thread per core, all time in integer cycles.
 Threads alternate a fixed compute gap with a touch of the next page of
 their region; the touches are the only events. The background actors
 (initial table fill, refresh ticks, the pass steps between ticks) are
-on the same time line, caught up before each touch. A pass step that
+on the same time line, caught up before each touch. A pass start with
+no work (KernelModel.begin_pass returns False) or a pass step that
 books nothing leaves the pass dry until the next tick or the next touch
 that is neither a TLB nor a walk hit: TLB and walk hits never wake the
-pass, since they change nothing it reads, so while it is dry and no
-tick is due the catch-up is skipped. Everything downstream of the seed
-is reproducible to the byte.
+pass, since they change nothing it reads. A dry pass start stands for
+every tick up to the touch, applied in one call, and while the pass is
+dry and no tick is due the catch-up is skipped. Everything downstream
+of the seed is reproducible to the byte.
 
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: four columns (cycle, core, outcome code, latency cycles), with
@@ -149,9 +151,10 @@ _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
 _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
 
 # The outcomes after which the background pass stays dry: a TLB or walk
-# hit changes nothing a pass step reads (the budget, the tables, the
-# frame allocator, the quotas), so a pass that booked nothing before it
-# books nothing after it.
+# hit changes nothing a pass step or a pass start reads (the budget, the
+# tables, the frame allocator, the quotas, the pending bit clears), so a
+# pass that booked nothing, or started with no work, before it does the
+# same after it.
 _PASS_QUIET = frozenset((TLB_HIT, WALK_HIT))
 
 
@@ -274,9 +277,10 @@ class Simulation:
 
         # The next fill step and tick, and the cycle up to which pass
         # steps have run; none runs until the fill is done. The pass is
-        # dry from a step that books nothing to the next tick or the next
-        # touch outside _PASS_QUIET: steps until then would book nothing.
-        self._fill_at = self.fill_cost if self.kernel.fill_task is not None else NEVER
+        # dry from a pass start with no work or a step that books nothing
+        # to the next tick or the next touch outside _PASS_QUIET: steps
+        # until then would book nothing.
+        self._fill_at = self.fill_cost if self.kernel.fill_core is not None else NEVER
         self._tick_at = NEVER
         self._stepped = NEVER
         self._dry = False
@@ -331,14 +335,13 @@ class Simulation:
         At equal cycles the fill step comes first, then the tick, then
         the pass step, and all of them before the fault at t. The fill
         steps every fill_cost cycles; once it is done, a tick comes every
-        interval_cycles. A tick that finds the pass idle stands for every
-        tick up to t, applied in one call: only a fault gives it work.
+        interval_cycles. A tick whose pass start has no work leaves the
+        pass dry and stands for every tick up to t, applied in one
+        advance_passes call: only a fault gives a pass work.
         """
         kernel = self.kernel
-        # Only a tick's quota check clears fill_task, and ticks start
-        # once the fill is done.
         while self._fill_at <= t:
-            if kernel.fill_task.step(kernel):
+            if kernel.fill_step():
                 self._fill_at += self.fill_cost
             else:
                 self.fill_complete_cycle = self._fill_at
@@ -347,15 +350,13 @@ class Simulation:
         while self._tick_at <= t:
             tick = self._tick_at
             self._run_pass(tick - 1)
-            self._dry = False
-            if kernel.passes_idle():
-                count = (t - tick) // self.interval_cycles + 1
-                kernel.advance_passes(count)
-                self._tick_at = tick + count * self.interval_cycles
-                self._stepped = t
-                return
-            kernel.begin_pass()
+            self._dry = not kernel.begin_pass()
             self._tick_at = tick + self.interval_cycles
+            if self._dry:
+                # every tick left up to t would begin an idle pass too
+                count = (t - tick) // self.interval_cycles
+                kernel.advance_passes(count)
+                self._tick_at += count * self.interval_cycles
         self._run_pass(t)
 
     def _run_pass(self, until: int) -> None:

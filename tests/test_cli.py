@@ -6,6 +6,7 @@ config-layering, and report-validation path a shell invocation gets.
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -517,35 +518,6 @@ def _exit_code(argv, capsys):
     return code, "Traceback" in capsys.readouterr().err
 
 
-def _flag_fuzz(command, base, capsys):
-    """Each of command's flags but the paths and --config, with each of
-    FUZZ_VALUES, on a small base run: the flags tried and the cases that
-    neither exit 0 or 2 nor keep a traceback off stderr."""
-    assert _exit_code(base, capsys) == (0, False), "the base run must succeed"
-    paths = ("-h", "--help", "--config", "--out-dir", "--trace", "--trace-out")
-    flags = [
-        opt for action in build_parser().subcommand_parsers[command]._actions
-        for opt in action.option_strings if opt not in paths
-    ]
-    bad = []
-    for flag in flags:
-        for value in FUZZ_VALUES:
-            code, traceback = _exit_code([*base, flag, value], capsys)
-            if code not in (0, 2) or traceback:
-                bad.append((flag, value, code))
-    return flags, bad
-
-
-def test_simulate_flag_fuzz_exits_0_or_2(tmp_path, capsys):
-    # a run that completes exits 0, anything else a user can cause exits 2
-    # with error: or a usage message, never a traceback
-    base = ["simulate", "--threads", "1", "--faults-per-thread", "50", "--seed", "3",
-            "--out-dir", str(tmp_path)]
-    flags, bad = _flag_fuzz("simulate", base, capsys)
-    assert len(flags) == 21
-    assert bad == []
-
-
 def _tiny_trace(tmp_path):
     """A 2-core, 40-fault trace."""
     assert main(["synthesize", "--rate", "2000", "--duration", "0.01", "--cores", "2",
@@ -553,20 +525,85 @@ def _tiny_trace(tmp_path):
     return str(tmp_path / "trace.csv")
 
 
+def _fuzz_base(command, tmp_path):
+    """A small run of command that exits 0: the base the flag fuzz adds
+    its flags to. The base runs replay or write tens of faults, and a
+    value that would size more work is refused by a cap first."""
+    out = ["--out-dir", str(tmp_path / "out")]
+    if command == "simulate":
+        return ["simulate", "--threads", "1", "--faults-per-thread", "50", "--seed", "3", *out]
+    if command == "synthesize":
+        return ["synthesize", "--rate", "1000", "--duration", "0.01", *out]
+    trace_path = _tiny_trace(tmp_path)
+    if command == "model":
+        return ["model", "--trace", trace_path, *out]
+    return ["sweep", "--trace", trace_path, "--widths", "4,8", "--intervals-ms", "0.5,1", *out]
+
+
+def _fuzz_flags(command):
+    """Each of command's flags but the paths and --config."""
+    paths = ("-h", "--help", "--config", "--out-dir", "--trace", "--trace-out")
+    return [
+        opt for action in build_parser().subcommand_parsers[command]._actions
+        for opt in action.option_strings if opt not in paths
+    ]
+
+
+def _fuzz_failures(base, cases, capsys):
+    """The cases, each a list of arguments added to the base run, that
+    neither exit 0 or 2 nor keep a traceback off stderr."""
+    assert _exit_code(base, capsys) == (0, False), "the base run must succeed"
+    bad = []
+    for extra in cases:
+        code, traceback = _exit_code([*base, *extra], capsys)
+        if code not in (0, 2) or traceback:
+            bad.append((*extra, code))
+    return bad
+
+
+def _flag_fuzz(command, base, capsys):
+    """Each of command's flags with each of FUZZ_VALUES, on a small base
+    run: the flags tried and the cases that fail (_fuzz_failures)."""
+    flags = _fuzz_flags(command)
+    return flags, _fuzz_failures(
+        base, [(flag, value) for flag in flags for value in FUZZ_VALUES], capsys)
+
+
+def test_simulate_flag_fuzz_exits_0_or_2(tmp_path, capsys):
+    # a run that completes exits 0, anything else a user can cause exits 2
+    # with error: or a usage message, never a traceback
+    flags, bad = _flag_fuzz("simulate", _fuzz_base("simulate", tmp_path), capsys)
+    assert len(flags) == 21
+    assert bad == []
+
+
 @pytest.mark.parametrize("command", ["model", "sweep", "synthesize"])
 def test_flag_fuzz_exits_0_or_2(tmp_path, capsys, command):
-    # every case stays small: the base runs replay or write tens of faults,
-    # and a value that would size more work is refused by a cap first
-    out = ["--out-dir", str(tmp_path / "out")]
-    base = {
-        "model": ["model", "--trace", _tiny_trace(tmp_path), *out],
-        "sweep": ["sweep", "--trace", _tiny_trace(tmp_path), "--widths", "4,8",
-                  "--intervals-ms", "0.5,1", *out],
-        "synthesize": ["synthesize", "--rate", "1000", "--duration", "0.01", *out],
-    }[command]
-    flags, bad = _flag_fuzz(command, base, capsys)
+    flags, bad = _flag_fuzz(command, _fuzz_base(command, tmp_path), capsys)
     assert len(flags) == 8
     assert bad == []
+
+
+# Small in-range values. Half the values in a pair come from here, so
+# that often both flags pass their own checks and the pair reaches the run.
+IN_RANGE_VALUES = ("1", "2", "3", "0.5", "16")
+
+
+@pytest.mark.parametrize("command", ["simulate", "model", "sweep", "synthesize"])
+def test_flag_pair_fuzz_exits_0_or_2(tmp_path, capsys, command):
+    # two flags at once, each at an edge or in range: 60 seeded pairs
+    # per command, with the one-flag fuzz's assertion
+    rng = random.Random(f"flag pairs {command}")
+    flags = _fuzz_flags(command)
+
+    def value():
+        return rng.choice(IN_RANGE_VALUES if rng.random() < 0.5 else FUZZ_VALUES)
+
+    cases = []
+    for _ in range(60):
+        first, second = rng.sample(flags, 2)
+        cases.append((first, value(), second, value()))
+    assert _fuzz_failures(_fuzz_base(command, tmp_path), cases, capsys) == []
 
 
 _MALFORMED_CONFIGS = [

@@ -322,15 +322,24 @@ def _background_states(config):
 
 
 def _spy_passes(monkeypatch):
-    """Lists of begin_pass calls and of advance_passes counts. begin_pass
-    advances one pass, so any other advance_passes call is a run of idle
-    ticks applied at once."""
+    """Lists of what each begin_pass call returned and of advance_passes
+    counts. begin_pass advances one pass itself, so sum(advanced) counts
+    the ticks and sum(advanced) - len(begun) the idle ticks applied at
+    once."""
     begun, advanced = [], []
     begin, advance = KernelModel.begin_pass, KernelModel.advance_passes
-    monkeypatch.setattr(KernelModel, "begin_pass", lambda self: begun.append(1) or begin(self))
+    monkeypatch.setattr(KernelModel, "begin_pass",
+                        lambda self: begun.append(begin(self)) or begun[-1])
     monkeypatch.setattr(KernelModel, "advance_passes",
                         lambda self, count: advanced.append(count) or advance(self, count))
     return begun, advanced
+
+
+def _begin_every_pass(monkeypatch):
+    """The tick-by-tick reference: begin_pass reports work on every tick,
+    so the loop begins one pass per tick and applies none at once."""
+    begin = KernelModel.begin_pass
+    monkeypatch.setattr(KernelModel, "begin_pass", lambda self: begin(self) or True)
 
 
 @pytest.mark.parametrize("kw", [
@@ -354,14 +363,14 @@ def test_idle_tick_skip_matches_the_tick_by_tick_loop(monkeypatch, kw):
     monkeypatch.setattr(KernelModel, "resource_check",
                         lambda self, proc: trips.append(check(self, proc)) or trips[-1])
     fast = _background_states(small_config(**kw))
-    assert len(advanced) > len(begun), "no run of idle ticks was skipped"
+    assert False in begun, "no tick found the pass idle"
     assert any(trips) == ("quota_frames" in kw)
     # the reference: begin_pass on every tick, one pass step at a time
-    monkeypatch.setattr(KernelModel, "passes_idle", lambda self: False)
+    _begin_every_pass(monkeypatch)
     begun.clear()
     advanced.clear()
     assert _background_states(small_config(**kw)) == fast
-    assert len(advanced) == len(begun)
+    assert advanced == [1] * len(begun)
 
 
 @pytest.mark.parametrize("kw", [
@@ -376,8 +385,8 @@ def test_idle_tick_skip_matches_the_tick_by_tick_loop(monkeypatch, kw):
 def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     # TLB and walk hits leave a dry pass dry, so the loop skips the
     # background catch-up until the next tick or other outcome; waking the
-    # pass on every touch instead gives the same reports and the same
-    # background state as each touch begins
+    # pass on every touch and beginning one pass per tick instead gives
+    # the same reports and the same background state as each touch begins
     kw.setdefault("table_width", 16)
     caught_up, advance = [], Simulation._advance_background
     monkeypatch.setattr(Simulation, "_advance_background",
@@ -391,6 +400,7 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     assert (report["kernel_faults"] > 0) == ("quota_frames" in kw)
     assert len(caught_up) < touches, "no touch skipped the background catch-up"
     monkeypatch.setattr(sim_module, "_PASS_QUIET", frozenset())
+    _begin_every_pass(monkeypatch)
     caught_up.clear()
     assert _background_states(small_config(**kw)) == fast
     assert len(caught_up) == touches
@@ -410,7 +420,7 @@ def test_zero_budget_ticks_are_applied_at_once(monkeypatch):
     assert ticks > 10 * touches
     assert len(begun) <= touches and len(advanced) - len(begun) <= touches
     assert json.loads(fast[0])["background_processed"] == 0
-    monkeypatch.setattr(KernelModel, "passes_idle", lambda self: False)
+    _begin_every_pass(monkeypatch)
     begun.clear()
     assert _background_states(small_config(**kw)) == fast
     assert len(begun) == ticks
@@ -420,10 +430,11 @@ def test_long_idle_span_is_skipped_at_once(tmp_path, monkeypatch):
     # about 667,000 ticks fall before each of 3 touches 4e12 cycles
     # apart; each run of them is applied in one step, and the reports are
     # those of the tick-by-tick loop
-    begun, skipped = _spy_passes(monkeypatch)
+    begun, advanced = _spy_passes(monkeypatch)
     assert cli_main(["simulate", "--threads", "1", "--faults-per-thread", "3",
                      "--interarrival", "4000000000000", "--out-dir", str(tmp_path)]) == 0
-    assert begun == [] and len(skipped) == 3 and sum(skipped) > 1_900_000
+    # one idle pass begun per touch, and the ticks after it up to the touch
+    assert begun == [False] * 3 and sum(advanced) - len(begun) > 1_900_000
 
     def digest(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
