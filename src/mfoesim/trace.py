@@ -28,10 +28,14 @@ the per-core split the replay runs on. With them it carries each core's
 totals, its latest completion (timestamp plus latency) and its latency
 sum, which give the baseline runtime and overhead a replay reports.
 Records enter a trace only through _split, which checks them, splits them
-by core and adds each chunk's totals; the constructor, the bulk chunk
-parse and the line loop of ingest all call it, and the line loop itself
-only skips comment and blank lines and parses integers. When _split
-refuses records, _bad_record names the first bad one. synthesize builds
+by core (a chunk on one core keeps its columns as they are) and adds each
+chunk's totals; the constructor, the bulk chunk parse and the line loop
+of ingest all call it. ingest reads bytes. The bulk parse vouches for a
+chunk's grammar and line shape with one bytes.translate and a compare,
+and reads all its integers with one json.loads; the line loop decides
+every chunk the bulk parse refuses, and itself only decodes lines, skips
+comment and blank lines and parses integers. When _split refuses
+records, _bad_record names the first bad one. synthesize builds
 the columns core by core and leaves the totals to be counted on first
 read, so generating and writing a trace never pays for them. Interleaved
 columns are built on request, and trace.csv is written from the per-core
@@ -239,15 +243,21 @@ def _split(trace: FaultTrace, ts: list, cs: list, ls: list) -> bool:
     them to its core's totals; False, with nothing changed, unless every
     core id is non-negative, every latency positive, every field within 64
     bits and no core's timestamps regress."""
-    if min(cs, default=0) < 0 or min(ls, default=1) <= 0:
+    ids = set(cs)
+    if min(ids, default=0) < 0 or min(ls, default=1) <= 0:
         return False
-    tparts = {c: [] for c in set(cs)}
-    lparts = {c: [] for c in tparts}
-    tadd = {c: part.append for c, part in tparts.items()}
-    ladd = {c: part.append for c, part in lparts.items()}
-    for t, c, lat in zip(ts, cs, ls):
-        tadd[c](t)
-        ladd[c](lat)
+    if len(ids) == 1:
+        # one core: its columns are the records' own
+        (c,) = ids
+        tparts, lparts = {c: ts}, {c: ls}
+    else:
+        tparts = {c: [] for c in ids}
+        lparts = {c: [] for c in ids}
+        tadd = {c: part.append for c, part in tparts.items()}
+        ladd = {c: part.append for c, part in lparts.items()}
+        for t, c, lat in zip(ts, cs, ls):
+            tadd[c](t)
+            ladd[c](lat)
     # (all arrays are built before any column grows: an overflow changes nothing)
     new = {}
     try:
@@ -319,27 +329,30 @@ def _pack(values: Sequence[int]) -> array:
 def ingest(path: str) -> FaultTrace:
     """Load a trace CSV; empty or comment-only files yield an empty trace.
 
-    The lines up to the header are read one at a time. The data lines
-    are then read in chunks, and each chunk is parsed, checked and split
-    by core in bulk. A chunk that fails a bulk check, or holds a comment
-    or blank line, is read again line by line, which accepts the comment
-    and blank lines and raises TraceFormatError on the first bad line. The
-    per-core regression check carries across chunks.
+    The file is read as bytes. The lines up to the header are decoded and
+    checked one at a time. The data lines are then read in chunks, and
+    each chunk is checked, parsed and split by core in bulk (_ingest_chunk).
+    A chunk the bulk check refuses, for a comment or blank line, a syntax
+    error or any form it cannot vouch for, is read again line by line,
+    which accepts the comment and blank lines and raises TraceFormatError
+    on the first bad line. The per-core regression check carries across
+    chunks.
 
     A data field is an optional "-" and ASCII digits, nothing else: no
     spaces, tabs or other whitespace, no "+" and no "_", all of which
     int() would take. A line ends in "\n" or "\r\n", or at the end of
-    the file; a carriage return anywhere else is refused.
+    the file; a carriage return anywhere else is refused, and so is a
+    line that is not UTF-8.
     """
     trace = FaultTrace(source=path)
-    # newline="\n": only "\n" ends a line, and a "\r" reaches the checks
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    # binary: only b"\n" ends a line, and a "\r" reaches the checks
+    with open(path, "rb") as fh:
         line_no = 0
         for line_no, raw in enumerate(fh, 1):
-            body = _line_body(raw)
-            if body is None:
-                raise TraceFormatError(path, line_no, _STRAY_CR)
-            line = body.strip()
+            try:
+                line = _line_body(raw).strip()
+            except ValueError as exc:
+                raise TraceFormatError(path, line_no, str(exc)) from None
             if not line or line.startswith("#"):
                 continue
             if line != TRACE_HEADER:
@@ -348,24 +361,25 @@ def ingest(path: str) -> FaultTrace:
                 )
             break
         while lines := fh.readlines(_INGEST_CHUNK_BYTES):
-            if not _ingest_chunk(lines, trace):
+            if not _ingest_chunk(b"".join(lines), len(lines), trace):
                 _ingest_lines(path, lines, line_no, trace)
             line_no += len(lines)
     return trace
 
 
-# Characters int() takes in an ASCII field that the trace grammar does
-# not: whitespace, which int() strips, a "+" sign and "_" digit separators.
-_LOOSE_CHARS = " \t\x0b\x0c+_"
-_STRAY_CR = "carriage return not before a newline"
-
-
-def _line_body(raw: str) -> Optional[str]:
-    """raw without its line ending, "\n" or "\r\n"; None if it holds any
-    other carriage return."""
-    if raw.endswith("\n"):
-        raw = raw[:-2] if raw.endswith("\r\n") else raw[:-1]
-    return None if "\r" in raw else raw
+def _line_body(raw: bytes) -> str:
+    """raw decoded, without its line ending, "\n" or "\r\n". ValueError,
+    with the reason, if it is not UTF-8 or holds any other carriage
+    return."""
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        raise ValueError("not UTF-8") from None
+    if text.endswith("\n"):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    if "\r" in text:
+        raise ValueError("carriage return not before a newline")
+    return text
 
 
 def _is_field(text: str) -> bool:
@@ -374,46 +388,38 @@ def _is_field(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def _ingest_chunk(lines: list[str], trace: FaultTrace) -> bool:
-    """Parse a chunk of data lines in bulk onto trace; False, with nothing
-    changed, when any line is not a valid record."""
-    # Both tests pass only if each of the n lines has 3 fields. Joined
-    # with commas and split on them, the lines' fields follow in turn, and
-    # each newline ends a field. n newlines at fields 2 mod 3 put every
-    # line's end after a multiple of 3 fields: each line has a positive
-    # multiple of 3, so with 3n in all, exactly 3. (Splitting alone would
-    # let "1,2" then "3,4,5,6" through as two records.) A chunk without a
-    # final newline has n - 1 newlines, so it goes to the line loop.
-    text = ",".join(lines)
-    # What int() takes beyond the grammar: characters outside ASCII, the
-    # _LOOSE_CHARS, and a "\r" not before a "\n". Membership scans, a few
-    # microseconds per chunk, not a regex (about a hundred); only a chunk
-    # with a "\r" pays for the two counts.
-    if (
-        not text.isascii()
-        or any(map(text.__contains__, _LOOSE_CHARS))
-        or "\r" in text and text.count("\r") != text.count("\r\n")
-    ):
+def _ingest_chunk(data: bytes, n: int, trace: FaultTrace) -> bool:
+    """Parse a chunk of n data lines in bulk onto trace; False, with nothing
+    changed, when the chunk holds any line the bulk check cannot vouch for
+    or any invalid record."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    # With the digits and "-" deleted, only ",,\n" per line may be left:
+    # every other byte (space, "+", "_", ".", "e", non-ASCII, a stray "\r")
+    # survives, and the compare makes each of the n lines three fields that
+    # end in "\n" (a chunk without a final newline goes to the line loop).
+    if data.translate(None, b"-0123456789") != b",,\n" * n:
         return False
-    fields = text.split(",")
-    if len(fields) != 3 * len(lines) or "".join(fields[2::3]).count("\n") != len(lines):
-        return False
+    # Of such fields JSON takes exactly -?(0|[1-9][0-9]*), to the value int()
+    # gives, and refuses the rest: "01", "-", "1-2", an empty field, over
+    # 4300 digits. The line loop decides those.
     try:
-        ints = list(map(int, fields))
+        ints = json.loads(b"[" + data.replace(b"\n", b",")[:-1] + b"]")
     except ValueError:
         return False
     return _split(trace, ints[0::3], ints[1::3], ints[2::3])
 
 
-def _ingest_lines(path: str, lines: list[str], line_no: int, trace: FaultTrace) -> None:
+def _ingest_lines(path: str, lines: list[bytes], line_no: int, trace: FaultTrace) -> None:
     """Parse data lines onto trace one at a time, the first numbered
     line_no + 1, skipping comment and blank lines; _split checks and
     appends the records. TraceFormatError names the first bad line."""
     ints, nos, error = [], [], None
     for line_no, raw in enumerate(lines, line_no + 1):
-        line = _line_body(raw)
-        if line is None:
-            error = TraceFormatError(path, line_no, _STRAY_CR)
+        try:
+            line = _line_body(raw)
+        except ValueError as exc:
+            error = TraceFormatError(path, line_no, str(exc))
             break
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -958,8 +964,9 @@ def synthesize(
     sampler = LatencySampler(latency_mean_ns, latency_p95_ns)
 
     trace = FaultTrace(source=source)
-    # Each record's (timestamp, core) packed as timestamp * cores + core,
-    # which sorts as the pair does: the sorted keys give core_ids.
+    # On several cores, each record's (timestamp, core) packed as
+    # timestamp * cores + core, which sorts as the pair does: the sorted
+    # keys give core_ids.
     keys: list[int] = []
     for c in range(cores):
         rng = random.Random(f"{seed}:{c}")
@@ -984,9 +991,14 @@ def synthesize(
                 trace.core_lats[c] = _pack(lats)
             except OverflowError:
                 raise ValueError("a drawn latency is outside signed 64 bits") from None
-            keys += map(add, map(mul, times, repeat(cores)), repeat(c))
-    keys.sort()
-    trace.core_ids = array("q", map(mod, keys, repeat(cores)))
+            if cores > 1:
+                keys += map(add, map(mul, times, repeat(cores)), repeat(c))
+    if cores == 1:
+        # every id is 0: a zero column, with no keys to sort
+        trace.core_ids = array("q", [0]) * len(trace.core_lats.get(0, ()))
+    else:
+        keys.sort()
+        trace.core_ids = array("q", map(mod, keys, repeat(cores)))
     trace._totals = None
     return trace
 

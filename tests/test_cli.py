@@ -104,6 +104,19 @@ def test_field_outside_64_bits_is_a_clean_error(tmp_path, capsys, bad):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body,line_no",
+    [(b"# h\xf4te\n{header}\n500,0,5\n", 1), (b"{header}\n500,0,5\n600,0,\xe95\n", 3)],
+    ids=["header", "data"],
+)
+def test_non_utf8_trace_is_a_clean_error(tmp_path, capsys, body, line_no):
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_bytes(body.replace(b"{header}", trace.TRACE_HEADER.encode()))
+    for command in ("model", "sweep"):
+        assert run_cli(command, "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {trace_path}:{line_no}: not UTF-8\n"
+
+
 def test_too_many_cores_is_a_clean_error(tmp_path, capsys):
     trace_path = tmp_path / "t.csv"
     trace_path.write_text(f"{trace.TRACE_HEADER}\n500,0,5\n600,100000,5\n")

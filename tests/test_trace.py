@@ -183,6 +183,8 @@ def _ingest_by_line(path):
             if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
                 raise TraceFormatError(path, line_no, f"non-integer field in {body!r}")
             t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
+            if not all(-(1 << 63) <= v < 1 << 63 for v in (t, core, lat)):
+                raise TraceFormatError(path, line_no, "field outside signed 64 bits")
             if core < 0:
                 raise TraceFormatError(path, line_no, "negative core id")
             if lat <= 0:
@@ -412,10 +414,89 @@ def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
     # The bulk parse gives up on such a chunk without touching any column,
     # the per-core ones included, even where a valid line opens a new core.
     trace = FaultTrace([1], [0], [5])
-    assert not trace_module._ingest_chunk(["2,0,5\n", "3,1,5\n", bad + "\n"], trace)
+    assert not trace_module._ingest_chunk(b"2,0,5\n3,1,5\n" + bad.encode() + b"\n", 3, trace)
     assert (list(trace.core_ids), trace.core_times, trace.core_lats) == (
         [0], {0: array("q", [1])}, {0: array("q", [5])}
     )
+
+
+# Field forms the bulk check and JSON must leave to the line loop, or
+# read as int() does; "\r" is a stray carriage return inside a line.
+_MUTANT_FIELDS = [
+    "01", "-0", "00", "-01", "1e5", "1.0", "NaN", "Infinity", "true", "null", "[1]", " 1",
+    "1_0", "+1", "\u0663", "--1", "1-", "", "-", str(1 << 63), "1" * 4301, "{v}\r", "\r{v}",
+]
+
+
+def _ingest_outcome(ingest_fn, path):
+    """The three columns ingest_fn reads from path, or what it raised: the
+    type, the line number of a TraceFormatError and the message."""
+    try:
+        got = ingest_fn(path)
+    except ValueError as exc:
+        return type(exc).__name__, getattr(exc, "line_no", None), str(exc)
+    if isinstance(got, FaultTrace):
+        got = got.timestamps_ns, got.core_ids, got.latencies_ns
+    return tuple(map(list, got))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bulk_ingest_matches_line_loop_on_mutated_fields(tmp_path, seed):
+    # One field of a multi-chunk trace mutated at a time, to every form in
+    # _MUTANT_FIELDS, then one line given a field too few or too many:
+    # ingest must read the same records as the line loop, or fail on the
+    # same line with the same message.
+    rng = random.Random(seed)
+    cores = rng.randint(1, 4)
+    clock = [0] * cores
+    lines = [TRACE_HEADER]
+    for _ in range(3000):
+        c = rng.randrange(cores)
+        clock[c] += rng.choice((0, 7, 300))
+        lines.append(f"{clock[c]},{c},{rng.randint(1, 9999)}")
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(_chunk_starts(path)) >= 3
+    mutants = []
+    for form in _MUTANT_FIELDS:
+        # a random field, and the latency, where any positive value is valid:
+        # a form the bulk parse read as a valid record would show there
+        for i in {rng.randrange(3), 2}:
+            at = rng.randrange(1, len(lines))
+            fields = lines[at].split(",")
+            fields[i] = form.format(v=fields[i])
+            mutants.append((at, ",".join(fields)))
+    at = rng.randrange(1, len(lines))
+    mutants.append((at, lines[at].rsplit(",", 1)[0]))
+    at = rng.randrange(1, len(lines))
+    mutants.append((at, lines[at] + ",5"))
+    outcomes = set()
+    for at, line in mutants:
+        mutated = lines[:at] + [line] + lines[at + 1:]
+        path.write_text("\n".join(mutated) + "\n", encoding="utf-8", newline="")
+        want = _ingest_outcome(_ingest_by_line, str(path))
+        assert _ingest_outcome(ingest, str(path)) == want, line[:40]
+        outcomes.add(want[0] if isinstance(want[0], str) else "records")
+    # each seed reaches both the error and the accepting ends
+    assert {"records", "TraceFormatError"} <= outcomes
+
+
+@pytest.mark.parametrize("where", ["header", "data"])
+def test_non_utf8_byte_names_its_line(tmp_path, where):
+    lines = [line.encode() for line in _body_lines()]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    if where == "header":
+        # a Latin-1 comment before the header
+        at = 1
+        lines.insert(0, b"# captured on h\xf4te")
+    else:
+        at = _chunk_starts(path)[5] + 100
+        lines[at - 1] = lines[at - 1].replace(b",", b",\xe9", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(TraceFormatError) as exc:
+        ingest(str(path))
+    assert (exc.value.line_no, str(exc.value)) == (at, f"{path}:{at}: not UTF-8")
 
 
 @pytest.mark.parametrize("corrupt, kept", [
