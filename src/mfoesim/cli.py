@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: simulate, model, sweep, synthesize. Configuration comes
-from defaults, then an optional flat key=value config file (--config,
-or the MFOESIM_CONFIG environment variable), then command-line flags;
-later layers win. Config keys are the running command's flag names
-without the leading dashes; any other key is an error. Each command
+from the library's defaults, then an optional flat key=value config
+file (--config, or the MFOESIM_CONFIG environment variable), then
+command-line flags; later layers win. A flag that mirrors a library
+setting has no default of its own: unset, it reads None and is not
+passed on, so sim.WorkloadSpec, sim.SimConfig, trace.TraceModelConfig,
+params.ModelParameters, trace.sweep and trace.synthesize fill it in.
+Config keys are the running command's flag names without the leading
+dashes; any other key is an error. Each command
 accepts --params-<field> for exactly the model parameters its
 computation reads: simulate for sim.SIM_PARAMETERS, model and sweep for
 trace.MODEL_PARAMETERS, synthesize for none.
@@ -49,25 +53,17 @@ def _param_flag(name: str) -> str:
 
 def _add_param_overrides(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     for f in dataclasses.fields(ModelParameters):
-        if f.name not in names:
-            continue
-        if f.type == "str" or isinstance(f.default, str):
-            ftype = str
-        elif isinstance(f.default, int) and not isinstance(f.default, bool):
-            ftype = int
-        else:
-            ftype = float
-        parser.add_argument(
-            _param_flag(f.name),
-            dest="params_" + f.name,
-            type=ftype,
-            default=None,
-            help=f"override model parameter {f.name} (default {f.default})",
-        )
+        if f.name in names:
+            parser.add_argument(
+                _param_flag(f.name),
+                dest="params_" + f.name,
+                type=type(f.default),
+                help=f"override model parameter {f.name} (default {f.default})",
+            )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key=value config file")
+    parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out-dir", default=".", help="directory for report files")
 
 
@@ -89,56 +85,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the event-driven simulator")
     _add_common(p_sim)
     _add_param_overrides(p_sim, sim.SIM_PARAMETERS)
-    p_sim.add_argument("--seed", type=int, default=0, help="seed for the latency draws")
-    p_sim.add_argument("--threads", type=int, default=1)
-    p_sim.add_argument("--faults-per-thread", type=int, default=32768)
-    p_sim.add_argument("--interarrival", type=int, default=21000,
+    p_sim.add_argument("--seed", type=int, help="seed for the latency draws")
+    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument("--faults-per-thread", type=int)
+    p_sim.add_argument("--interarrival", dest="interarrival_cycles", type=int,
                        help="compute cycles between touches on one thread")
-    p_sim.add_argument("--region-pages", type=int, default=None)
-    p_sim.add_argument("--stride", type=int, default=1)
-    p_sim.add_argument("--cores", type=int, default=None)
-    p_sim.add_argument("--tlb-entries", type=int, default=64)
-    p_sim.add_argument("--table-width", type=int, default=256,
+    p_sim.add_argument("--region-pages", dest="region_pages_per_thread", type=int)
+    p_sim.add_argument("--stride", dest="stride_pages", type=int)
+    p_sim.add_argument("--cores", type=int)
+    p_sim.add_argument("--tlb-entries", type=int)
+    p_sim.add_argument("--table-width", type=int,
                        help="pre-allocation table slots per core, header included")
-    p_sim.add_argument("--refresh-interval-ms", type=float, default=2.0)
-    p_sim.add_argument("--total-frames", type=int, default=1 << 20)
-    p_sim.add_argument("--quota-frames", type=int, default=None)
-    p_sim.add_argument("--resource-threshold", type=float, default=0.8)
+    p_sim.add_argument("--refresh-interval-ms", type=float)
+    p_sim.add_argument("--total-frames", type=int)
+    p_sim.add_argument("--quota-frames", type=int)
+    p_sim.add_argument("--resource-threshold", type=float)
 
     p_model = sub.add_parser("model", help="replay a fault trace against a configuration")
     _add_common(p_model)
     _add_param_overrides(p_model, trace.MODEL_PARAMETERS)
     # not argparse-required so a config file can supply it
-    p_model.add_argument("--trace", default=None, help="trace CSV path")
-    p_model.add_argument("--width", type=int, default=256,
-                         help="pre-allocated frames per core")
-    p_model.add_argument("--refresh-interval-ms", type=float, default=2.0)
-    p_model.add_argument("--cores", type=int, default=None)
+    p_model.add_argument("--trace", help="trace CSV path")
+    p_model.add_argument("--width", type=int, help="pre-allocated frames per core")
+    p_model.add_argument("--refresh-interval-ms", type=float)
+    p_model.add_argument("--cores", type=int)
 
     p_sweep = sub.add_parser("sweep", help="replay a trace across a geometry grid")
     _add_common(p_sweep)
     _add_param_overrides(p_sweep, trace.MODEL_PARAMETERS)
-    p_sweep.add_argument("--trace", default=None)
-    p_sweep.add_argument("--widths", type=_csv_ints, default=list(trace.DEFAULT_WIDTHS))
-    p_sweep.add_argument(
-        "--intervals-ms", type=_csv_floats, default=list(trace.DEFAULT_INTERVALS_MS)
-    )
-    p_sweep.add_argument("--cores", type=int, default=None)
+    p_sweep.add_argument("--trace")
+    p_sweep.add_argument("--widths", type=_csv_ints)
+    p_sweep.add_argument("--intervals-ms", type=_csv_floats)
+    p_sweep.add_argument("--cores", type=int)
 
     p_synth = sub.add_parser("synthesize", help="generate a synthetic fault trace")
     _add_common(p_synth)
-    p_synth.add_argument("--seed", type=int, default=0,
-                         help="seed for the arrival and latency draws")
-    p_synth.add_argument("--rate", type=float, default=None, help="faults per second per core")
+    p_synth.add_argument("--seed", type=int, help="seed for the arrival and latency draws")
+    p_synth.add_argument("--rate", type=float, help="faults per second per core")
     p_synth.add_argument("--duration", type=float, default=1.0, help="seconds")
-    p_synth.add_argument("--dist", choices=("uniform", "poisson"), default=None,
+    p_synth.add_argument("--dist", choices=("uniform", "poisson"),
                          help="arrival process (default: uniform with --rate, "
                               "poisson with --profile)")
-    p_synth.add_argument("--cores", type=int, default=1)
-    p_synth.add_argument("--latency-mean-ns", type=int, default=None)
-    p_synth.add_argument("--latency-p95-ns", type=int, default=None)
-    p_synth.add_argument("--profile", default=None,
-                         help="named workload profile (overrides rate/latency)")
+    p_synth.add_argument("--cores", type=int)
+    p_synth.add_argument("--latency-mean-ns", type=int)
+    p_synth.add_argument("--latency-p95-ns", type=int)
+    p_synth.add_argument("--profile", help="named workload profile (overrides rate/latency)")
     p_synth.add_argument("--trace-out", default="trace.csv",
                          help="output file name under --out-dir")
     # argparse subparsers parse into a fresh namespace and copy the result
@@ -153,44 +144,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict[str, object]:
-    """Parse key=value lines; keys mirror the subcommand's flag names one-to-one.
+    """Parse key=value lines into {dest: value}; a key is one of the
+    subcommand's flag names without the leading dashes, "_" and "-" alike.
 
     A file cannot name another config file: it is read once, before the
     command line is parsed.
     """
-    dests = {
-        a.dest: a.type or str for a in subparser._actions if a.dest not in ("help", "config")
+    actions = {
+        opt[2:].replace("-", "_"): a
+        for a in subparser._actions if a.dest not in ("help", "config")
+        for opt in a.option_strings
     }
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError:
+            raise CliError(f"{path}:{line_no}: not UTF-8") from None
+        line = text.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
+        action = actions.get(key.strip().replace("-", "_"))
         value = value.strip()
-        if dest not in dests:
+        if action is None:
             raise CliError(
                 f"{path}:{line_no}: unknown config key {key.strip()!r} for {subparser.prog}"
             )
-        conv = dests[dest]
+        conv = action.type or str
         try:
-            values[dest] = conv(value)
+            values[action.dest] = conv(value)
         except (TypeError, ValueError) as exc:
             raise CliError(f"{path}:{line_no}: bad value for {key.strip()!r}: {exc}") from None
     return values
 
 
+def _given(args: argparse.Namespace, names, prefix: str = "") -> dict[str, object]:
+    """{name: value} for each of names whose flag, dest prefix + name, is
+    set: a flag nobody set reads None, and the library's default applies."""
+    return {n: v for n in names if (v := getattr(args, prefix + n, None)) is not None}
+
+
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _build_params(args: argparse.Namespace, names: tuple[str, ...]) -> ModelParameters:
-    overrides = {}
-    for name in names:
-        val = getattr(args, "params_" + name)
-        if val is not None:
-            overrides[name] = val
-    params = ModelParameters(**overrides) if overrides else ModelParameters()
+    params = ModelParameters(**_given(args, names, "params_"))
     params.validate()
     return params
 
@@ -235,24 +237,9 @@ def _validate_csv(path: Path, header: str, expect_rows: int) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args, sim.SIM_PARAMETERS)
-    workload = sim.WorkloadSpec(
-        threads=args.threads,
-        faults_per_thread=args.faults_per_thread,
-        interarrival_cycles=args.interarrival,
-        region_pages_per_thread=args.region_pages,
-        stride_pages=args.stride,
-    )
+    workload = sim.WorkloadSpec(**_given(args, _fields(sim.WorkloadSpec)))
     config = sim.SimConfig(
-        workload=workload,
-        params=params,
-        cores=args.cores,
-        tlb_entries=args.tlb_entries,
-        table_width=args.table_width,
-        refresh_interval_ms=args.refresh_interval_ms,
-        total_frames=args.total_frames,
-        seed=args.seed,
-        quota_frames=args.quota_frames,
-        resource_threshold=args.resource_threshold,
+        workload=workload, params=params, **_given(args, _fields(sim.SimConfig))
     )
     report = sim.run(config)
 
@@ -279,9 +266,7 @@ def _require_trace(args: argparse.Namespace) -> str:
 def cmd_model(args: argparse.Namespace) -> int:
     params = _build_params(args, trace.MODEL_PARAMETERS)
     fault_trace = trace.ingest(_require_trace(args))
-    config = trace.TraceModelConfig(
-        width=args.width, refresh_interval_ms=args.refresh_interval_ms, cores=args.cores
-    )
+    config = trace.TraceModelConfig(**_given(args, _fields(trace.TraceModelConfig)))
     report = trace.apply_model(fault_trace, config, params)
 
     out = Path(args.out_dir)
@@ -316,27 +301,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    # Without --dist, each generator's own default arrival process applies.
-    dist = {} if args.dist is None else {"dist": args.dist}
+    # Unset, --dist, --cores and --seed take each generator's own defaults.
+    given = _given(args, ("dist", "cores", "seed"))
     if args.profile is not None:
-        fault_trace = trace.synthesize_profile(
-            args.profile,
-            duration_s=args.duration,
-            cores=args.cores,
-            seed=args.seed,
-            **dist,
-        )
+        fault_trace = trace.synthesize_profile(args.profile, args.duration, **given)
     else:
         if args.rate is None:
             raise CliError("either --rate or --profile is required")
         fault_trace = trace.synthesize(
             args.rate,
             args.duration,
-            cores=args.cores,
             latency_mean_ns=args.latency_mean_ns,
             latency_p95_ns=args.latency_p95_ns,
-            seed=args.seed,
-            **dist,
+            **given,
         )
 
     out = Path(args.out_dir)

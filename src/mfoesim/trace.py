@@ -97,6 +97,7 @@ import json
 import math
 import random
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -340,9 +341,10 @@ def ingest(path: str) -> FaultTrace:
 
     A data field is an optional "-" and ASCII digits, nothing else: no
     spaces, tabs or other whitespace, no "+" and no "_", all of which
-    int() would take. A line ends in "\n" or "\r\n", or at the end of
-    the file; a carriage return anywhere else is refused, and so is a
-    line that is not UTF-8.
+    int() would take, and no more digits than int() converts (4300 by
+    default), leading zeros included. A line ends in "\n" or "\r\n", or
+    at the end of the file; a carriage return anywhere else is refused,
+    and so is a line that is not UTF-8.
     """
     trace = FaultTrace(source=path)
     # binary: only b"\n" ends a line, and a "\r" reaches the checks
@@ -402,11 +404,16 @@ def _ingest_chunk(data: bytes, n: int, trace: FaultTrace) -> bool:
         return False
     # Of such fields JSON takes exactly -?(0|[1-9][0-9]*), to the value int()
     # gives, and refuses the rest: "01", "-", "1-2", an empty field, over
-    # 4300 digits. The line loop decides those.
+    # 4300 digits. int() takes exactly the grammar's fields, "01" among
+    # them, and refuses the rest, which the line loop decides.
+    body = data.replace(b"\n", b",")[:-1]
     try:
-        ints = json.loads(b"[" + data.replace(b"\n", b",")[:-1] + b"]")
+        ints = json.loads(b"[" + body + b"]")
     except ValueError:
-        return False
+        try:
+            ints = list(map(int, body.split(b",")))
+        except ValueError:
+            return False
     return _split(trace, ints[0::3], ints[1::3], ints[2::3])
 
 
@@ -431,7 +438,14 @@ def _ingest_lines(path: str, lines: list[bytes], line_no: int, trace: FaultTrace
         if not all(map(_is_field, parts)):
             error = TraceFormatError(path, line_no, f"non-integer field in {line!r}")
             break
-        ints += map(int, parts)
+        try:
+            values = list(map(int, parts))
+        except ValueError:  # the one field int() refuses: too many digits
+            error = TraceFormatError(
+                path, line_no, f"field over {sys.get_int_max_str_digits()} digits"
+            )
+            break
+        ints += values
         nos.append(line_no)
     # the records before a syntax error go first: one of them may be bad
     ts, cs, ls = ints[0::3], ints[1::3], ints[2::3]

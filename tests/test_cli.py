@@ -3,6 +3,7 @@
 Everything goes through main(argv) so the tests exercise the same parse,
 config-layering, and report-validation path a shell invocation gets.
 """
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,9 +11,9 @@ import random
 
 import pytest
 
-from mfoesim import trace
+from mfoesim import sim, trace
 from mfoesim.cli import CONFIG_ENV_VAR, build_parser, main
-from mfoesim.params import LatencySampler
+from mfoesim.params import LatencySampler, ModelParameters
 
 
 def run_cli(*argv):
@@ -664,6 +665,74 @@ def test_config_line_without_equals_rejected(tmp_path, capsys):
     cfg.write_text("tablewidth 32\n")
     assert run_cli(*simulate_args(tmp_path, "--config", str(cfg))) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"table-width=32\n# caf\xe9\nseed=1\n")
+    assert run_cli(*simulate_args(tmp_path, "--config", str(cfg))) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: not UTF-8\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_keys_are_flag_names_where_the_dest_differs(tmp_path, capsys):
+    # --interarrival, --region-pages and --stride store into the
+    # WorkloadSpec field names; their config keys stay the flag names
+    flags = ("--interarrival", "900", "--region-pages", "64", "--stride", "2")
+    base = ("simulate", "--threads", "1", "--faults-per-thread", "100")
+    assert run_cli(*base, *flags, "--out-dir", str(tmp_path / "flags")) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("interarrival=900\nregion-pages=64\nstride=2\n")
+    assert run_cli(*base, "--config", str(cfg), "--out-dir", str(tmp_path / "file")) == 0
+    for name in ("report.json", "faults.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    cfg.write_text("interarrival_cycles=900\n")
+    assert run_cli(*base, "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    assert "unknown config key 'interarrival_cycles'" in capsys.readouterr().err
+
+
+# Flags that set no field of the command's config objects.
+_NOT_CONFIG_DESTS = ("help", "config", "out_dir", "trace")
+
+
+@pytest.mark.parametrize("command, classes", [
+    ("simulate", (sim.WorkloadSpec, sim.SimConfig)),
+    ("model", (trace.TraceModelConfig,)),
+])
+def test_every_setting_flag_names_a_config_field(command, classes):
+    # cmd_simulate and cmd_model build their configs from the flags whose
+    # dest is a field name; a flag with any other dest would be dropped
+    fields = {f.name for cls in classes for f in dataclasses.fields(cls)}
+    dests = {
+        action.dest for action in build_parser().subcommand_parsers[command]._actions
+        if action.dest not in _NOT_CONFIG_DESTS and not action.dest.startswith("params_")
+    }
+    assert dests
+    assert dests <= fields, dests - fields
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_unset_flags_leave_the_library_defaults(tmp_path, monkeypatch):
+    # with no setting flag given, the CLI builds exactly the library's
+    # default configs: it holds no defaults of its own
+    def capture(*args):
+        raise _Captured(*args)
+
+    out = ("--out-dir", str(tmp_path))
+    monkeypatch.setattr(sim, "run", capture)
+    with pytest.raises(_Captured) as got:
+        run_cli("simulate", *out)
+    assert got.value.args == (sim.SimConfig(),)
+
+    trace_path = tmp_path / "tiny.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n0,0,900\n")
+    monkeypatch.setattr(trace, "apply_model", capture)
+    with pytest.raises(_Captured) as got:
+        run_cli("model", "--trace", str(trace_path), *out)
+    assert got.value.args[1:] == (trace.TraceModelConfig(), ModelParameters())
 
 
 def test_param_override_changes_model(tmp_path):

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 from array import array
@@ -182,6 +183,9 @@ def _ingest_by_line(path):
                 raise TraceFormatError(path, line_no, f"expected 3 fields, got {len(parts)}")
             if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
                 raise TraceFormatError(path, line_no, f"non-integer field in {body!r}")
+            limit = sys.get_int_max_str_digits()
+            if any(len(part.lstrip("-")) > limit for part in parts):
+                raise TraceFormatError(path, line_no, f"field over {limit} digits")
             t, core, lat = int(parts[0]), int(parts[1]), int(parts[2])
             if not all(-(1 << 63) <= v < 1 << 63 for v in (t, core, lat)):
                 raise TraceFormatError(path, line_no, "field outside signed 64 bits")
@@ -424,7 +428,8 @@ def test_field_outside_64_bits_is_a_format_error(tmp_path, bad):
 # read as int() does; "\r" is a stray carriage return inside a line.
 _MUTANT_FIELDS = [
     "01", "-0", "00", "-01", "1e5", "1.0", "NaN", "Infinity", "true", "null", "[1]", " 1",
-    "1_0", "+1", "\u0663", "--1", "1-", "", "-", str(1 << 63), "1" * 4301, "{v}\r", "\r{v}",
+    "1_0", "+1", "\u0663", "--1", "1-", "", "-", str(1 << 63), "1" * 4301, "0" * 4300 + "{v}",
+    "{v}\r", "\r{v}",
 ]
 
 
@@ -441,11 +446,12 @@ def _ingest_outcome(ingest_fn, path):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_bulk_ingest_matches_line_loop_on_mutated_fields(tmp_path, seed):
+def test_bulk_ingest_matches_line_loop_on_mutated_fields(tmp_path, monkeypatch, seed):
     # One field of a multi-chunk trace mutated at a time, to every form in
     # _MUTANT_FIELDS, then one line given a field too few or too many:
     # ingest must read the same records as the line loop, or fail on the
-    # same line with the same message.
+    # same line with the same message. Last, the whole trace zero-padded
+    # must load in bulk, with no chunk left to the line loop.
     rng = random.Random(seed)
     cores = rng.randint(1, 4)
     clock = [0] * cores
@@ -479,6 +485,28 @@ def test_bulk_ingest_matches_line_loop_on_mutated_fields(tmp_path, seed):
         outcomes.add(want[0] if isinstance(want[0], str) else "records")
     # each seed reaches both the error and the accepting ends
     assert {"records", "TraceFormatError"} <= outcomes
+
+    path.write_text(_padded(lines), encoding="utf-8")
+    by_line = []
+    real_lines = trace_module._ingest_lines
+    monkeypatch.setattr(
+        trace_module, "_ingest_lines", lambda *a: by_line.append(a) or real_lines(*a)
+    )
+    want = _ingest_by_line(str(path))
+    assert len(want[0]) == len(lines) - 1
+    assert _ingest_outcome(ingest, str(path)) == want
+    assert by_line == []
+
+
+@pytest.mark.parametrize("field", ["1" * 4301, "0" * 4300 + "1"], ids=["ones", "zero-padded"])
+def test_field_over_the_int_digit_limit_names_its_line(tmp_path, field):
+    # int() refuses a string of more than 4300 digits, even one whose
+    # value fits in 64 bits; the field is a format error on its line
+    path = tmp_path / "big.csv"
+    path.write_text(f"{TRACE_HEADER}\n1000,0,5\n2000,0,{field}\n3000,0,5\n")
+    with pytest.raises(TraceFormatError) as exc:
+        ingest(str(path))
+    assert str(exc.value) == f"{path}:3: field over 4300 digits"
 
 
 @pytest.mark.parametrize("where", ["header", "data"])
