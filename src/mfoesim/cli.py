@@ -19,10 +19,10 @@ code is 0 only when the outputs parsed back cleanly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -52,7 +52,7 @@ def _param_flag(name: str) -> str:
 
 
 def _add_param_overrides(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
-    for f in dataclasses.fields(ModelParameters):
+    for f in fields(ModelParameters):
         if f.name in names:
             parser.add_argument(
                 _param_flag(f.name),
@@ -187,10 +187,6 @@ def _given(args: argparse.Namespace, names, prefix: str = "") -> dict[str, objec
     return {n: v for n in names if (v := getattr(args, prefix + n, None)) is not None}
 
 
-def _fields(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def _build_params(args: argparse.Namespace, names: tuple[str, ...]) -> ModelParameters:
     params = ModelParameters(**_given(args, names, "params_"))
     params.validate()
@@ -237,9 +233,9 @@ def _validate_csv(path: Path, header: str, expect_rows: int) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args, sim.SIM_PARAMETERS)
-    workload = sim.WorkloadSpec(**_given(args, _fields(sim.WorkloadSpec)))
+    workload = sim.WorkloadSpec(**_given(args, (f.name for f in fields(sim.WorkloadSpec))))
     config = sim.SimConfig(
-        workload=workload, params=params, **_given(args, _fields(sim.SimConfig))
+        workload=workload, params=params, **_given(args, (f.name for f in fields(sim.SimConfig)))
     )
     report = sim.run(config)
 
@@ -266,7 +262,7 @@ def _require_trace(args: argparse.Namespace) -> str:
 def cmd_model(args: argparse.Namespace) -> int:
     params = _build_params(args, trace.MODEL_PARAMETERS)
     fault_trace = trace.ingest(_require_trace(args))
-    config = trace.TraceModelConfig(**_given(args, _fields(trace.TraceModelConfig)))
+    config = trace.TraceModelConfig(**_given(args, (f.name for f in fields(trace.TraceModelConfig))))
     report = trace.apply_model(fault_trace, config, params)
 
     out = Path(args.out_dir)

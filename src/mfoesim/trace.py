@@ -404,16 +404,11 @@ def _ingest_chunk(data: bytes, n: int, trace: FaultTrace) -> bool:
         return False
     # Of such fields JSON takes exactly -?(0|[1-9][0-9]*), to the value int()
     # gives, and refuses the rest: "01", "-", "1-2", an empty field, over
-    # 4300 digits. int() takes exactly the grammar's fields, "01" among
-    # them, and refuses the rest, which the line loop decides.
-    body = data.replace(b"\n", b",")[:-1]
+    # 4300 digits. The line loop decides those.
     try:
-        ints = json.loads(b"[" + body + b"]")
+        ints = json.loads(b"[" + data.replace(b"\n", b",")[:-1] + b"]")
     except ValueError:
-        try:
-            ints = list(map(int, body.split(b",")))
-        except ValueError:
-            return False
+        return False
     return _split(trace, ints[0::3], ints[1::3], ints[2::3])
 
 
