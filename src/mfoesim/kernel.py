@@ -9,7 +9,14 @@ restock of starved tables at a pass start all call; exit cleanup books
 and empties slots. begin_pass says whether its pass has work, which is
 the one rule a caller needs to skip idle passes (advance_passes).
 A process's booked pages are counted once, in the ledger's mm_counter,
-which also serves as its memcg charge and as the count quotas read."""
+which also serves as its memcg charge and as the count quotas read.
+
+Work over a whole address space runs in bulk passes, not one call chain
+per page: prefault builds a region's missing leaves in one dict update,
+exit cleanup takes a tgid's entries from each table in one scan, the
+unmap frees frames and drops their bookings a block at a time, the
+drain frees every table's valid frames with one call, and the census
+counts present bits straight off the raw words."""
 from __future__ import annotations
 
 import math
@@ -19,18 +26,38 @@ import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Optional
+from itertools import filterfalse
+from operator import attrgetter, itemgetter
+from typing import Optional, Sequence, Union
 
 from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
 from .prealloc import PRODUCED, HarvestRecord, PreallocTable
-from .vm import PAGE_SIZE, FrameAllocator, OutOfMemory, PageTable
+from .vm import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PFN_MASK,
+    PFN_SHIFT,
+    PTE_LOCK,
+    PTE_MFOEABLE,
+    PTE_PRESENT,
+    FrameAllocator,
+    OutOfMemory,
+    PageTable,
+    PageTableEntry,
+    check_canonical,
+    prefault_word,
+)
 
 NS_PER_S = 1_000_000_000
 
 # Where anonymous regions get their addresses from; bump-allocated upward
 # with a one-page guard gap between regions.
 REGION_BASE_VA = 0x5000_0000
+
+# Leaves terminate unmaps per bulk free and ledger remove, so the frame
+# list and the sets those calls check it with stay small next to a whole
+# address space.
+_UNMAP_BLOCK = 1 << 12
 
 
 @dataclass
@@ -104,18 +131,33 @@ class BookkeepingLedger:
         self.rmap[pfn] = (tgid, va)
         self.mm_counter[tgid] += 1
 
-    def remove(self, pfn: int) -> None:
-        """Reverse of apply(), run when a mapping is torn down.
+    def remove(self, pfns: Union[Sequence[int], int]) -> None:
+        """Reverse of apply() for a sequence of frames (or one frame
+        number), run when mappings are torn down.
 
-        Every present page is booked by the time an exit reaches the
-        unmap loop, so an unknown frame here is an accounting bug and
-        raises. Freed frames must leave the reverse map or their reuse
+        Every present page is booked by the time an exit unmaps, so a
+        frame the reverse map lacks is an accounting bug: it raises
+        RuntimeError, and a repeated frame ValueError, before anything
+        changes. Freed frames must leave the reverse map or their reuse
         by a later process would collide with the stale entry.
         """
-        tgid, _ = self.rmap.pop(pfn)
-        self.mm_counter[tgid] -= 1
-        if not self.mm_counter[tgid]:
-            del self.mm_counter[tgid]
+        if isinstance(pfns, int):
+            pfns = (pfns,)
+        rmap = self.rmap
+        removed = set(pfns)
+        if len(removed) != len(pfns) or not rmap.keys() >= removed:
+            seen: set[int] = set()
+            for pfn in pfns:
+                if pfn not in rmap:
+                    raise RuntimeError(f"frame {pfn} is not reverse-mapped")
+                if pfn in seen:
+                    raise ValueError(f"frame {pfn} is removed twice")
+                seen.add(pfn)
+        mm_counter = self.mm_counter
+        for tgid, count in Counter(map(itemgetter(0), map(rmap.pop, pfns))).items():
+            mm_counter[tgid] -= count
+            if not mm_counter[tgid]:
+                del mm_counter[tgid]
 
     def records(self) -> set[tuple[int, int, int]]:
         return {(tgid, va, pfn) for pfn, (tgid, va) in self.rmap.items()}
@@ -201,22 +243,30 @@ class KernelModel:
         return vma
 
     def prefault_construct(self, proc: ProcessModel, vma: VMA) -> int:
-        """Build paths and stamp offload eligibility over vma's pages.
+        """Build leaves and stamp offload eligibility over vma's pages.
 
         Already-stamped and already-present leaves are skipped, which
-        makes re-runs idempotent. Returns the number of leaves newly
-        stamped.
+        makes re-runs idempotent; a stamp keeps a leaf's lock bit. Every
+        missing leaf is built in one dict update, in ascending address
+        order. A region that leaves the canonical range raises before any
+        leaf is built. Returns the number of leaves newly stamped.
         """
-        if not vma.vm_mfoe:
+        if not vma.vm_mfoe or vma.end <= vma.start:
             return 0
-        stamped = 0
-        for va in range(vma.start, vma.end, PAGE_SIZE):
-            leaf = proc.page_table.construct_path(va)
-            if leaf.present or leaf.mfoeable:
-                continue
-            leaf.stamp_prefault(proc.tgid, vma.writable)
-            stamped += 1
-        return stamped
+        check_canonical(vma.start)
+        check_canonical(vma.end - PAGE_SIZE)
+        entries = proc.page_table.entries
+        vpns = range(vma.start >> PAGE_SHIFT, vma.end >> PAGE_SHIFT)
+        word = prefault_word(proc.tgid, vma.writable)
+        stale = [
+            leaf for leaf in map(entries.get, vpns)
+            if leaf is not None and not leaf.raw & (PTE_PRESENT | PTE_MFOEABLE)
+        ]
+        for leaf in stale:
+            leaf.raw = (leaf.raw & PTE_LOCK) | word
+        new = list(filterfalse(entries.__contains__, vpns))
+        entries.update(zip(new, map(PageTableEntry, [word] * len(new))))
+        return len(stale) + len(new)
 
     # enable / disable
 
@@ -256,13 +306,9 @@ class KernelModel:
             return 0
         self.mfoe_active = False
         self.fill_core = None
-        freed = 0
-        if self.tables:
-            for table in self.tables:
-                for pfn in table.drain_valid():
-                    self.allocator.free(pfn)
-                    freed += 1
-        return freed
+        drained = [pfn for table in self.tables or () for pfn in table.drain_valid()]
+        self.allocator.free(drained)
+        return len(drained)
 
     # fill and refill machinery
 
@@ -414,23 +460,24 @@ class KernelModel:
     def error_cleanup(self, tgid: int) -> int:
         """Book every consumed entry a dying thread group left behind.
 
-        Scans all cores' tables under the cleanup lock so nothing keeps a
-        reference to the dead tgid; each matching record is booked as the
-        pass would, and its slot left empty for the pass to restock.
+        Scans each core's table once, under its cleanup lock, so nothing
+        keeps a reference to the dead tgid; each of its records is booked
+        as the pass would, in index order, and its slot left empty for the
+        pass to restock.
         """
         if self.tables is None:
             return 0
         removed = 0
+        apply = self.ledger.apply
         for table in self.tables:
             self._acquire_cleanup_lock(table)
             try:
-                for i in table.data_indices():
-                    record = table.take_used(i, tgid)
-                    if record is not None:
-                        self.ledger.apply(record.tgid, record.va, record.pfn)
-                        removed += 1
+                taken = table.take_used_of(tgid)
+                for va, pfn in taken:
+                    apply(tgid, va, pfn)
             finally:
                 table.release_cleanup_lock()
+            removed += len(taken)
         return removed
 
     def resource_check(self, proc: ProcessModel) -> bool:
@@ -449,15 +496,18 @@ class KernelModel:
         return True
 
     def apply_pending_bit_clears(self) -> None:
+        """Clear the eligible, not-yet-faulted leaves of every process a
+        quota check turned off, one pass over each region's pages."""
         for proc in self.pending_bit_clears:
+            entries = proc.page_table.entries
             for vma in proc.vmas:
                 if not vma.vm_mfoe:
                     continue
                 vma.vm_mfoe = False
-                for va in range(vma.start, vma.end, PAGE_SIZE):
-                    leaf = proc.page_table.walk(va)
-                    if leaf is not None and leaf.mfoeable and not leaf.present:
-                        leaf.clear()
+                vpns = range(vma.start >> PAGE_SHIFT, vma.end >> PAGE_SHIFT)
+                for leaf in map(entries.get, vpns):
+                    if leaf is not None and leaf.raw & (PTE_PRESENT | PTE_MFOEABLE) == PTE_MFOEABLE:
+                        leaf.raw = 0
         self.pending_bit_clears = []
 
     # fault-path services
@@ -479,15 +529,32 @@ class KernelModel:
     # teardown
 
     def terminate(self, proc: ProcessModel) -> int:
-        """Full exit path: cleanup, unmap everything, then disable."""
+        """Full exit path: cleanup, unmap everything, then disable.
+
+        error_cleanup books what proc left in the tables, so every present
+        page is in the ledger. The unmap walks the leaves in ascending
+        address order, _UNMAP_BLOCK at a time: it reads a block's present
+        frames off the raw words, frees them and drops their bookings with
+        one call each, then clears the block's leaves in place. Returns the
+        number of pages freed. A process the kernel does not hold raises
+        ValueError before anything changes.
+        """
+        if self.procs.get(proc.tgid) is not proc:
+            raise ValueError(f"tgid {proc.tgid} is not a live process of this kernel")
         self.error_cleanup(proc.tgid)
+        entries = proc.page_table.entries
+        vpns = sorted(entries)
         freed = 0
-        for _, leaf in proc.page_table.iter_leaves():
-            if leaf.present:
-                self.allocator.free(leaf.pfn_or_tgid)
-                self.ledger.remove(leaf.pfn_or_tgid)
-                freed += 1
-            leaf.clear()
+        for first in range(0, len(vpns), _UNMAP_BLOCK):
+            leaves = list(map(entries.__getitem__, vpns[first:first + _UNMAP_BLOCK]))
+            pfns = [
+                (leaf.raw & PFN_MASK) >> PFN_SHIFT for leaf in leaves if leaf.raw & PTE_PRESENT
+            ]
+            self.allocator.free(pfns)
+            self.ledger.remove(pfns)
+            for leaf in leaves:
+                leaf.raw = 0
+            freed += len(pfns)
         self.mfoe_disable(proc)
         del self.procs[proc.tgid]
         return freed
@@ -505,11 +572,11 @@ class KernelModel:
     def frame_census(self) -> dict[str, int]:
         """Partition of every frame; free + outstanding always totals the pool."""
         table_valid = sum(t.valid_count() for t in self.tables) if self.tables else 0
+        # present is bit 0, so raw & PTE_PRESENT counts one per mapped leaf
+        raw = attrgetter("raw")
         mapped = sum(
-            1
+            sum(map(PTE_PRESENT.__and__, map(raw, proc.page_table.entries.values())))
             for proc in self.procs.values()
-            for _, leaf in proc.page_table.iter_leaves()
-            if leaf.present
         )
         return {
             "free": self.allocator.free_count(),

@@ -15,7 +15,9 @@ bits, so a table has fewer than MAX_NUM_ENTRIES slots.
 
 Entry life cycle: empty (valid=0, used=0) -> valid (producer published a
 frame) -> used (consumer took the frame, left va/tgid/pfn behind for the
-deferred bookkeeping pass) -> empty again once take_used books it.
+deferred bookkeeping pass) -> empty again once take_used (one slot, the
+pass) or take_used_of (every slot of one tgid, exit cleanup) takes it.
+drain_valid empties the valid slots when offloading is turned off.
 Only produce restocks a slot, always at head, so walking head forward
 over empty slots reaches the oldest used entry before any valid one.
 
@@ -194,20 +196,34 @@ class PreallocTable:
             raise ValueError(f"entry {index} is not used")
         return self._record_at(i, w1)
 
-    def take_used(self, index: int, tgid: Optional[int] = None) -> Optional[HarvestRecord]:
+    def take_used(self, index: int) -> Optional[HarvestRecord]:
         """Empty a used slot and return its record; None, changing nothing,
-        when the slot is not used or, with tgid given, is another's."""
+        when the slot is not used."""
         i = self._check_index(index)
         w1 = self._w1[i]
         if not w1 & W1_USED:
             return None
         record = self._record_at(i, w1)
-        if tgid is not None and record.tgid != tgid:
-            return None
         self._w1[i] = 0
         self._w0[i] = 0
         self.released += 1
         return record
+
+    def take_used_of(self, tgid: int) -> list[tuple[int, int]]:
+        """Empty every used slot tgid left, in index order, and return
+        their (va, pfn) pairs (exit cleanup). One scan of word1 finds them."""
+        w0, w1s = self._w0, self._w1
+        # a used entry never has valid set; slot 0 (the header) is never
+        # written here, so its word1 stays 0 and cannot match
+        want = (tgid << W1_TGID_SHIFT) | W1_USED
+        mask = (W1_TGID_MASK << W1_TGID_SHIFT) | W1_USED
+        taken = [i for i, w1 in enumerate(w1s) if w1 & mask == want]
+        pairs = [(w0[i], (w1s[i] >> W1_PFN_SHIFT) & W1_PFN_MASK) for i in taken]
+        for i in taken:
+            w1s[i] = 0
+            w0[i] = 0
+        self.released += len(taken)
+        return pairs
 
     def head_is_empty(self) -> bool:
         return not self._w1[self.head_index] & (W1_VALID | W1_USED)

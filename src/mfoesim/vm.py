@@ -3,7 +3,7 @@ physical frame allocator."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -33,6 +33,11 @@ def check_canonical(va: int) -> int:
     if va < 0 or va >= USER_VA_LIMIT:
         raise CanonicalityError(f"address {va:#x} is not a canonical user address")
     return va
+
+
+def prefault_word(tgid: int, writable: bool) -> int:
+    """The raw word of a not-yet-faulted, offload-eligible leaf of tgid."""
+    return PTE_MFOEABLE | (PTE_RW if writable else 0) | ((tgid << PFN_SHIFT) & PFN_MASK)
 
 
 class PageTableEntry:
@@ -80,9 +85,7 @@ class PageTableEntry:
 
     def stamp_prefault(self, tgid: int, writable: bool) -> None:
         """Mark a not-yet-faulted page as offload-eligible for tgid."""
-        keep = self.raw & PTE_LOCK
-        self.raw = keep | PTE_MFOEABLE | (PTE_RW if writable else 0)
-        self.raw |= (tgid << PFN_SHIFT) & PFN_MASK
+        self.raw = (self.raw & PTE_LOCK) | prefault_word(tgid, writable)
 
     def install_frame(self, pfn: int, writable: bool) -> None:
         keep = self.raw & (PTE_LOCK | PTE_MFOEABLE)
@@ -130,8 +133,9 @@ class PageTable:
 class FrameAllocator:
     """A FIFO free list of physical frame numbers.
 
-    Frames are handed out lowest first, and freed frames rejoin at the
-    back of the list.
+    Frames are handed out one at a time, lowest first. They come back in
+    bulk: free() takes a sequence, checks all of it, then appends it to
+    the back of the list in the order given.
     """
 
     def __init__(self, total_frames: int):
@@ -148,11 +152,24 @@ class FrameAllocator:
         self.allocated.add(pfn)
         return pfn
 
-    def free(self, pfn: int) -> None:
-        if pfn not in self.allocated:
-            raise ValueError(f"frame {pfn} is not allocated")
-        self.allocated.remove(pfn)
-        self.free_list.append(pfn)
+    def free(self, pfns: Sequence[int]) -> None:
+        """Return pfns to the free list, in order; an unallocated or
+        repeated frame raises ValueError and changes nothing."""
+        freed = set(pfns)
+        if len(freed) != len(pfns) or not freed <= self.allocated:
+            seen: set[int] = set()
+            for pfn in pfns:
+                if pfn not in self.allocated:
+                    raise ValueError(f"frame {pfn} is not allocated")
+                if pfn in seen:
+                    raise ValueError(f"frame {pfn} is freed twice")
+                seen.add(pfn)
+        # one remove() at a time: a bulk difference_update would rehash the
+        # set smaller, and the new table beside the old raises peak memory
+        remove = self.allocated.remove
+        for pfn in pfns:
+            remove(pfn)
+        self.free_list.extend(pfns)
 
     def free_count(self) -> int:
         return len(self.free_list)

@@ -1,16 +1,19 @@
 """Kernel-side machinery: enablement, fill, deferred processing, cleanup,
 quota enforcement, and frame accounting."""
+import builtins
 import random
 import threading
+import types
 from collections import Counter
 
 import pytest
 
+from mfoesim import kernel as kernel_module
 from mfoesim.engine import MfoeEngine
-from mfoesim.kernel import KernelModel
+from mfoesim.kernel import VMA, BookkeepingLedger, KernelModel
 from mfoesim.params import ModelParameters
-from mfoesim.prealloc import EntryState
-from mfoesim.vm import PAGE_SIZE
+from mfoesim.prealloc import EntryState, PreallocTable
+from mfoesim.vm import PAGE_SIZE, PTE_LOCK, USER_VA_LIMIT, CanonicalityError
 
 
 def make_kernel(cores=1, width=8, total_frames=4096, **kw):
@@ -102,6 +105,35 @@ def test_prefault_stamps_every_page_once():
     leaf = proc.page_table.walk(vma.start)
     assert leaf.pfn_or_tgid == proc.tgid and not leaf.present
     assert kernel.prefault_construct(proc, vma) == 0, "second pass is a no-op"
+
+
+def test_prefault_stamps_only_unfaulted_ineligible_leaves():
+    kernel = KernelModel()
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    vma = kernel.region_create(proc, 6 * PAGE_SIZE, writable=False)
+    pt = proc.page_table
+    pt.construct_path(vma.start + 4 * PAGE_SIZE).raw = PTE_LOCK
+    pt.construct_path(vma.start + 2 * PAGE_SIZE).install_frame(77, True)
+    pt.construct_path(vma.start + PAGE_SIZE).stamp_prefault(9, True)
+    mapped, stamped = pt.walk(vma.start + 2 * PAGE_SIZE).raw, pt.walk(vma.start + PAGE_SIZE).raw
+    assert kernel.prefault_construct(proc, vma) == 4
+    fresh = pt.walk(vma.start).raw
+    assert fresh & PTE_LOCK == 0 and not pt.walk(vma.start).rw
+    assert pt.walk(vma.start + 4 * PAGE_SIZE).raw == fresh | PTE_LOCK, "keeps its lock bit"
+    assert [pt.walk(vma.start + k * PAGE_SIZE).raw for k in (1, 2)] == [stamped, mapped]
+    # the leaves it built join the table in ascending address order
+    assert list(pt.entries) == [vma.start // PAGE_SIZE + k for k in (4, 2, 1, 0, 3, 5)]
+
+
+def test_prefault_refuses_a_region_past_the_canonical_limit_before_building():
+    kernel = KernelModel()
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    vma = VMA(USER_VA_LIMIT - 2 * PAGE_SIZE, USER_VA_LIMIT + PAGE_SIZE, vm_mfoe=True)
+    with pytest.raises(CanonicalityError):
+        kernel.prefault_construct(proc, vma)
+    assert proc.page_table.entries == {}
 
 
 def test_prefault_skips_non_offload_regions():
@@ -401,57 +433,71 @@ def _pass_state(kernel):
     )
 
 
+def random_kernel_states(rng, trial, make=KernelModel):
+    """Build a kernel with make() and yield it after each of 120 seeded
+    random operations, with what the operation returned.
+
+    The operations are consumes, pass steps, cleanups, exits (each
+    followed by a new process), disable/enable and fill steps, on 1-3
+    cores, with quotas that trip at a pass start, a pool of 28, 48 or 4096
+    frames that can run out, and pass budgets of 0 and more records. The
+    first results also hold the two initial prefaults' counts, and an
+    exit's the raw words of the leaves it left.
+    """
+    kernel = make(cores=rng.randint(1, 3), total_frames=rng.choice([28, 48, 4096]),
+                  seed=trial, refresh_interval_ms=rng.choice([0.0001, 0.005, 2.0]))
+    cursor = {}
+
+    def spawn():
+        proc = kernel.create_process(quota_frames=rng.choice([None, 6, 20]))
+        kernel.mfoe_enable(proc, 8)
+        vma = kernel.region_create(proc, 64 * PAGE_SIZE)
+        cursor[proc.tgid] = (vma.start, vma.end)
+        return kernel.prefault_construct(proc, vma)
+
+    results = [spawn(), spawn()]
+    for _ in range(120):
+        procs = list(kernel.procs.values())
+        roll = rng.random()
+        if roll < 0.4:
+            proc = rng.choice(procs)
+            va, end = cursor[proc.tgid]
+            leaf = proc.page_table.walk(va) if va < end else None
+            if kernel.mfoe_active and leaf is not None and leaf.mfoeable:
+                pfn = kernel.tables[rng.randrange(kernel.cores)].consume(va, proc.tgid)
+                if pfn is not None:
+                    leaf.install_frame(pfn, True)
+                    cursor[proc.tgid] = (va + PAGE_SIZE, end)
+                results.append(pfn)
+        elif roll < 0.55:
+            results.extend(kernel.pass_step() for _ in range(rng.randrange(4)))
+        elif roll < 0.65:
+            results.append(kernel.error_cleanup(rng.choice(procs).tgid))
+        elif roll < 0.72:
+            proc = rng.choice(procs)
+            results.append(kernel.terminate(proc))
+            results.append([leaf.raw for leaf in proc.page_table.entries.values()])
+            results.append(spawn())
+        elif roll < 0.78:
+            results.extend(kernel.mfoe_disable(proc) for proc in procs)
+            for proc in procs:
+                kernel.mfoe_enable(proc, 8)
+        else:
+            results.append(kernel.fill_step())
+        yield kernel, results
+        results = []
+
+
 def test_a_pass_start_with_no_work_leaves_the_next_none():
     # the simulator applies the ticks after a pass start that has no work
     # in one advance_passes call; that is exact only if a second start
     # then changes nothing but the tick count and the start core, and the
-    # pass books nothing. Checked on seeded random kernel states reached
-    # by consumes, pass steps, cleanups, quota trips, exits,
-    # disable/enable and fill steps, with a pool that runs out and
-    # budgets of 0 and more records
+    # pass books nothing. Checked on seeded random kernel states
     rng = random.Random(22)
     seen = Counter()
     for trial in range(30):
-        kernel = KernelModel(cores=rng.randint(1, 3), total_frames=rng.choice([28, 48, 4096]),
-                             seed=trial, refresh_interval_ms=rng.choice([0.0001, 0.005, 2.0]))
-        cursor = {}
-
-        def spawn():
-            proc = kernel.create_process(quota_frames=rng.choice([None, 6, 20]))
-            kernel.mfoe_enable(proc, 8)
-            vma = kernel.region_create(proc, 64 * PAGE_SIZE)
-            kernel.prefault_construct(proc, vma)
-            cursor[proc.tgid] = (vma.start, vma.end)
-
-        spawn()
-        spawn()
-        for _ in range(120):
+        for kernel, _ in random_kernel_states(rng, trial):
             procs = list(kernel.procs.values())
-            roll = rng.random()
-            if roll < 0.4:
-                proc = rng.choice(procs)
-                va, end = cursor[proc.tgid]
-                leaf = proc.page_table.walk(va) if va < end else None
-                if kernel.mfoe_active and leaf is not None and leaf.mfoeable:
-                    pfn = kernel.tables[rng.randrange(kernel.cores)].consume(va, proc.tgid)
-                    if pfn is not None:
-                        leaf.install_frame(pfn, True)
-                        cursor[proc.tgid] = (va + PAGE_SIZE, end)
-            elif roll < 0.55:
-                for _ in range(rng.randrange(4)):
-                    kernel.pass_step()
-            elif roll < 0.65:
-                kernel.error_cleanup(rng.choice(procs).tgid)
-            elif roll < 0.72:
-                kernel.terminate(rng.choice(procs))
-                spawn()
-            elif roll < 0.78:
-                for proc in procs:
-                    kernel.mfoe_disable(proc)
-                for proc in procs:
-                    kernel.mfoe_enable(proc, 8)
-            else:
-                kernel.fill_step()
             enabled = [proc.mfoe_enabled for proc in procs]
             start = _pass_state(kernel)
             if kernel.begin_pass():
@@ -753,6 +799,215 @@ def test_frame_census_partitions_the_pool():
     assert c["outstanding"] == c["table_storage"] + c["table_valid"] + c["mapped"]
     assert c["mapped"] == 3
     assert c["table_valid"] == 5
+
+
+def test_terminate_refuses_a_process_the_kernel_does_not_hold():
+    kernel, proc, vma = make_kernel(width=8)
+    consume_pages(kernel, proc, vma, 0, 3)
+    other = KernelModel().create_process(tgid=proc.tgid)
+
+    def state():
+        return (list(kernel.allocator.free_list), list(kernel.ledger.rmap.items()),
+                [t.to_bytes() for t in kernel.tables], kernel.mfoe_active,
+                [leaf.raw for leaf in proc.page_table.entries.values()])
+
+    before = state()
+    with pytest.raises(ValueError, match="not a live process"):
+        kernel.terminate(other)
+    assert state() == before
+    assert kernel.terminate(proc) == 3
+    before = state()
+    with pytest.raises(ValueError, match="not a live process"):
+        kernel.terminate(proc)
+    assert state() == before
+
+
+def test_ledger_remove_drops_frames_of_several_tgids():
+    ledger = BookkeepingLedger()
+    for pfn, tgid in ((10, 1), (11, 2), (12, 1), (13, 3), (14, 2)):
+        ledger.apply(tgid, pfn * PAGE_SIZE, pfn)
+    ledger.remove([12, 11, 10])
+    assert list(ledger.rmap) == [13, 14]
+    assert list(ledger.mm_counter.items()) == [(2, 1), (3, 1)]
+    ledger.remove(13)  # one frame number stands for itself
+    assert list(ledger.mm_counter.items()) == [(2, 1)]
+
+
+@pytest.mark.parametrize("pfns, error, message", [
+    ([11, 12, 11], ValueError, "frame 11 is removed twice"),
+    ([10, 99, 11], RuntimeError, "frame 99 is not reverse-mapped"),
+], ids=["repeated", "unbooked"])
+def test_ledger_remove_refuses_a_bad_frame_changing_nothing(pfns, error, message):
+    ledger = BookkeepingLedger()
+    for pfn in (10, 11, 12):
+        ledger.apply(7, pfn * PAGE_SIZE, pfn)
+    before = (list(ledger.rmap.items()), list(ledger.mm_counter.items()))
+    with pytest.raises(error, match=message):
+        ledger.remove(pfns)
+    assert (list(ledger.rmap.items()), list(ledger.mm_counter.items())) == before
+
+
+# The per-page loops that prefault, exit cleanup, unmap, the table drain,
+# the bit clears and the census ran before they became bulk passes, kept
+# as the reference the kernel must match operation for operation.
+
+
+def _ref_prefault_construct(self, proc, vma):
+    if not vma.vm_mfoe:
+        return 0
+    stamped = 0
+    for va in range(vma.start, vma.end, PAGE_SIZE):
+        leaf = proc.page_table.construct_path(va)
+        if leaf.present or leaf.mfoeable:
+            continue
+        leaf.stamp_prefault(proc.tgid, vma.writable)
+        stamped += 1
+    return stamped
+
+
+def _ref_mfoe_disable(self, proc):
+    if not proc.mfoe_enabled:
+        return 0
+    proc.mfoe_enabled = False
+    if any(p.mfoe_enabled for p in self.procs.values()):
+        return 0
+    self.mfoe_active = False
+    self.fill_core = None
+    freed = 0
+    for table in self.tables or ():
+        for pfn in table.drain_valid():
+            self.allocator.free([pfn])
+            freed += 1
+    return freed
+
+
+def _ref_error_cleanup(self, tgid):
+    if self.tables is None:
+        return 0
+    removed = 0
+    for table in self.tables:
+        self._acquire_cleanup_lock(table)
+        try:
+            for i in table.data_indices():
+                if table.entry_state(i) is EntryState.USED and table.record_at(i).tgid == tgid:
+                    record = table.take_used(i)
+                    self.ledger.apply(record.tgid, record.va, record.pfn)
+                    removed += 1
+        finally:
+            table.release_cleanup_lock()
+    return removed
+
+
+def _ref_apply_pending_bit_clears(self):
+    for proc in self.pending_bit_clears:
+        for vma in proc.vmas:
+            if not vma.vm_mfoe:
+                continue
+            vma.vm_mfoe = False
+            for va in range(vma.start, vma.end, PAGE_SIZE):
+                leaf = proc.page_table.walk(va)
+                if leaf is not None and leaf.mfoeable and not leaf.present:
+                    leaf.clear()
+    self.pending_bit_clears = []
+
+
+def _ref_terminate(self, proc):
+    self.error_cleanup(proc.tgid)
+    freed = 0
+    for _, leaf in proc.page_table.iter_leaves():
+        if leaf.present:
+            self.allocator.free([leaf.pfn_or_tgid])
+            self.ledger.remove([leaf.pfn_or_tgid])
+            freed += 1
+        leaf.clear()
+    self.mfoe_disable(proc)
+    del self.procs[proc.tgid]
+    return freed
+
+
+def _ref_frame_census(self):
+    table_valid = sum(t.valid_count() for t in self.tables) if self.tables else 0
+    mapped = sum(
+        1
+        for proc in self.procs.values()
+        for _, leaf in proc.page_table.iter_leaves()
+        if leaf.present
+    )
+    return {
+        "free": self.allocator.free_count(),
+        "table_valid": table_valid,
+        "table_storage": len(self.table_storage_frames),
+        "mapped": mapped,
+        "outstanding": self.allocator.outstanding(),
+        "total": self.allocator.total_frames,
+    }
+
+
+def reference_kernel(**kw):
+    """A KernelModel whose bulk passes are the per-page reference loops;
+    its own calls among them (a quota trip's disable, an exit's cleanup)
+    reach the reference too."""
+    kernel = KernelModel(**kw)
+    for name, loop in (
+        ("prefault_construct", _ref_prefault_construct),
+        ("mfoe_disable", _ref_mfoe_disable),
+        ("error_cleanup", _ref_error_cleanup),
+        ("apply_pending_bit_clears", _ref_apply_pending_bit_clears),
+        ("terminate", _ref_terminate),
+        ("frame_census", _ref_frame_census),
+    ):
+        setattr(kernel, name, types.MethodType(loop, kernel))
+    return kernel
+
+
+def _twin_state(kernel):
+    return (
+        list(kernel.allocator.free_list), kernel.allocator.allocated,
+        list(kernel.ledger.rmap.items()), list(kernel.ledger.mm_counter.items()),
+        [(t.to_bytes(), t.consumed, t.released) for t in kernel.tables or ()],
+        [(tgid, [(vpn, leaf.raw) for vpn, leaf in proc.page_table.entries.items()],
+          proc.mfoe_enabled, [vma.vm_mfoe for vma in proc.vmas])
+         for tgid, proc in kernel.procs.items()],
+        [proc.tgid for proc in kernel.pending_bit_clears],
+        kernel.mfoe_active, kernel.fill_core, kernel.tick_index, kernel.pass_budget,
+        kernel.frame_census(),
+    )
+
+
+def _run_twins(trials):
+    """Drive a kernel and a reference kernel through the same seeded
+    operations, each followed by a pass start, and compare everything
+    either can show after every step."""
+    for trial in range(trials):
+        twins = zip(random_kernel_states(random.Random(trial), trial),
+                    random_kernel_states(random.Random(trial), trial, make=reference_kernel))
+        for step, ((kernel, results), (reference, expected)) in enumerate(twins):
+            where = f"trial {trial}, step {step}"
+            assert results == expected, where
+            assert _twin_state(kernel) == _twin_state(reference), where
+            assert kernel.begin_pass() == reference.begin_pass(), where
+            assert _twin_state(kernel) == _twin_state(reference), where
+
+
+def _take_every_used(table, tgid):
+    return [(record.va, record.pfn) for record in (
+        table.take_used(i) for i in table.data_indices()
+        if table.entry_state(i) is EntryState.USED)]
+
+
+@pytest.mark.parametrize("mutant", [None, "reversed unmap", "no tgid filter"])
+def test_bulk_passes_match_the_per_page_reference(mutant, monkeypatch):
+    # a seeded mutant of the bulk exit must show against the reference
+    if mutant is None:
+        _run_twins(30)
+        return
+    if mutant == "reversed unmap":
+        monkeypatch.setattr(kernel_module, "sorted", lambda keys: builtins.sorted(keys)[::-1],
+                            raising=False)
+    else:
+        monkeypatch.setattr(PreallocTable, "take_used_of", _take_every_used)
+    with pytest.raises(AssertionError):
+        _run_twins(30)
 
 
 def test_kernel_refuses_zero_cores():

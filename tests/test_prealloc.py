@@ -70,20 +70,38 @@ def test_take_used_books_one_used_slot():
     assert t.take_used(2) == HarvestRecord(va=0x5000_1000, tgid=77, pfn=101)
     assert t.entry_state(2) is EntryState.EMPTY
     assert t.used == t.used_count() == 1
-    assert t.take_used(1, tgid=77) == HarvestRecord(va=0x5000_0000, tgid=77, pfn=100)
+    assert t.take_used(1) == HarvestRecord(va=0x5000_0000, tgid=77, pfn=100)
     assert t.used == t.used_count() == 0
 
 
-@pytest.mark.parametrize("index, tgid", [(2, None), (4, None), (1, 78)],
-                         ids=["valid", "empty", "another-tgid"])
-def test_take_used_leaves_a_slot_it_does_not_book_alone(index, tgid):
+@pytest.mark.parametrize("take, nothing", [
+    (lambda t: t.take_used(2), None),
+    (lambda t: t.take_used(4), None),
+    (lambda t: t.take_used_of(78), []),
+], ids=["valid", "empty", "another-tgid"])
+def test_take_used_leaves_a_slot_it_does_not_book_alone(take, nothing):
     t = PreallocTable(5)
     for pfn in (100, 101, 102):
         t.produce(pfn)
     t.consume(0x5000_0000, 77)  # slot 1 used by 77, 2 and 3 valid, 4 empty
     before = (t.to_bytes(), t.consumed, t.released)
-    assert t.take_used(index, tgid) is None
+    assert take(t) == nothing
     assert (t.to_bytes(), t.consumed, t.released) == before
+
+
+def test_take_used_of_takes_one_tgids_slots_in_index_order():
+    t = full_table(n=8)
+    for k, tgid in enumerate((5, 6, 5, 5, 6, 7)):
+        t.consume(0x1000 * k, tgid)
+    t.take_used(3)  # slot 3 empty, 7 valid, the rest used
+    consumed, released = t.consumed, t.released
+    assert t.take_used_of(5) == [(0x0000, 100), (0x3000, 103)]
+    assert (t.consumed, t.released) == (consumed, released + 2)
+    assert [t.entry_state(i) for i in (1, 3, 4, 7)] == (
+        [EntryState.EMPTY] * 3 + [EntryState.VALID])
+    assert [t.record_at(i).tgid for i in (2, 5, 6)] == [6, 6, 7]
+    assert t.take_used_of(5) == []
+    assert t.used == t.used_count() == 3
 
 
 def test_produce_onto_used_slot_wants_harvest():

@@ -133,8 +133,8 @@ def test_iter_leaves_round_trips_addresses():
 
 
 def test_iter_leaves_ascends_by_address():
-    # terminate frees frames in this order, so the free list's order and
-    # every later allocation depend on it
+    # the per-page reference loops in tests/test_kernel.py unmap in this
+    # order, the order terminate's bulk unmap must keep
     pt = PageTable()
     vas = [0x5000_3000, 0x7FFF_FFFF_F000, 0x1000, 0x5000_0000 + (1 << 30), 0x5000_2000]
     leaves = {va: pt.construct_path(va) for va in vas}
@@ -161,10 +161,37 @@ def test_free_validates_ownership():
     fa = FrameAllocator(4)
     pfn = fa.allocate()
     with pytest.raises(ValueError):
-        fa.free(pfn + 1)
-    fa.free(pfn)
+        fa.free([pfn + 1])
+    fa.free([pfn])
     with pytest.raises(ValueError):
-        fa.free(pfn)  # double free
+        fa.free([pfn])  # double free
+
+
+def _allocator_state(fa):
+    return list(fa.free_list), set(fa.allocated)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda held: [held[1], held[0], held[1]], "frame 1 is freed twice"),
+    (lambda held: [held[0], 7], "frame 7 is not allocated"),
+], ids=["repeated", "unallocated"])
+def test_free_refuses_a_bad_frame_changing_nothing(bad, message):
+    fa = FrameAllocator(8)
+    held = [fa.allocate() for _ in range(4)]
+    before = _allocator_state(fa)
+    with pytest.raises(ValueError, match=message):
+        fa.free(bad(held))
+    assert _allocator_state(fa) == before
+
+
+def test_free_appends_frames_in_the_order_given():
+    fa = FrameAllocator(6)
+    held = [fa.allocate() for _ in range(5)]
+    fa.free([held[3], held[0], held[4]])
+    fa.free([])
+    assert list(fa.free_list) == [5, 3, 0, 4]
+    assert fa.allocated == {1, 2}
+    assert [fa.allocate() for _ in range(4)] == [5, 3, 0, 4]
 
 
 def test_conservation_under_random_traffic():
@@ -173,7 +200,7 @@ def test_conservation_under_random_traffic():
     held = []
     for _ in range(2000):
         if held and (rng.random() < 0.5 or fa.free_count() == 0):
-            fa.free(held.pop(rng.randrange(len(held))))
+            fa.free([held.pop(rng.randrange(len(held)))])
         else:
             held.append(fa.allocate())
         assert fa.free_count() + fa.outstanding() == 64
