@@ -4,9 +4,12 @@ under the per-entry bit lock, and fallback into the kernel model.
 The whole minor-fault protocol lives in PteFaultSm as one generator that
 yields at each atomic-action boundary, and yields a wait predicate where
 a handler spins on another's lock. The serialized simulator drives each
-handler to completion with one run() call, which resumes the generator
-itself; the concurrency tests instead interleave step() calls from
-several handlers aimed at the same leaf to exercise the lock protocol.
+handler to completion with one run() call, which iterates the generator
+in a for loop; the concurrency tests instead interleave step() calls
+from several handlers aimed at the same leaf to exercise the lock
+protocol. The generator records how the handler ended in its result
+attribute on its last action and returns nothing, so a finished fault
+costs no StopIteration carrying a value.
 
 MfoeEngine.resolve is the one dispatch of a touch (TLB, walk, then the
 handler) and returns a plain tuple; access() wraps that tuple in a
@@ -123,15 +126,19 @@ class PteFaultSm:
     and present is set, then reuses the installed translation.
 
     The protocol is the generator _protocol(), which yields after each
-    atomic action and returns the SmResult. In the two spin waits it
-    yields the predicate _lock_clear_and_present, elsewhere None. step()
-    advances it by one action; runnable() is False while a yielded
-    predicate is false, so a scheduler only advances handlers that can
-    make progress. run() drives a handler with no concurrent owner: it
-    resumes the generator itself, from wherever step() left it, and raises
-    RuntimeError at a false predicate, which nothing else can make true.
-    How the handler got its frame, from the table or inline, is read from
-    result, the one record of how it ended.
+    atomic action and, on its last one, sets result to the SmResult just
+    before it returns. In the two spin waits it yields the predicate
+    _lock_clear_and_present, elsewhere None. step() advances it by one
+    action and sets done when it ends; runnable() is False while a
+    yielded predicate is false, so a scheduler only advances handlers
+    that can make progress. run() drives a handler with no concurrent
+    owner: it iterates the generator in a for loop, from wherever step()
+    left it, checks every yielded predicate, and sets done after the
+    loop. At a false predicate, which nothing else can make true, it
+    leaves the generator suspended there and raises RuntimeError. So
+    result and done change only on the last action, whichever call runs
+    it. How the handler got its frame, from the table or inline, is read
+    from result, the one record of how it ended.
     """
 
     __slots__ = ("kernel", "proc", "core", "va", "vma", "mfoe_eligible", "leaf", "done",
@@ -176,46 +183,49 @@ class PteFaultSm:
             raise RuntimeError("stepping a finished handler")
         try:
             self._wait = next(self._protocol_gen)
-        except StopIteration as stop:
-            self.result, self.done = stop.value, True
+        except StopIteration:
+            self.done = True
 
     def run(self) -> SmResult:
         """Drive to completion; callers must guarantee no concurrent owner."""
         if self.done:
             return self.result
-        gen, wait = self._protocol_gen, self._wait
-        try:
-            while True:
+        wait = self._wait
+        if wait is None or wait():
+            for wait in self._protocol_gen:
                 if wait is not None and not wait():
-                    # Left suspended where it waits, so runnable() says False.
-                    self._wait = wait
-                    raise RuntimeError("handler blocked with no concurrent progress")
-                wait = next(gen)
-        except StopIteration as stop:
-            self.result, self.done = stop.value, True
-        return self.result
+                    break
+            else:
+                self.done = True
+                return self.result
+        # Left suspended where it waits, so runnable() says False.
+        self._wait = wait
+        raise RuntimeError("handler blocked with no concurrent progress")
 
     def _lock_clear_and_present(self) -> bool:
         return not self.leaf.locked and self.leaf.present
 
-    def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, SmResult]:
+    def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, None]:
         leaf = self.leaf
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
-            return _SM_REUSE
+            self.result = _SM_REUSE
+            return
         if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
             if not leaf.try_lock():
                 yield self._lock_clear_and_present
                 self.pfn = leaf.pfn_or_tgid
-                return _SM_WAITED
+                self.result = _SM_WAITED
+                return
             yield
             if leaf.raw & PTE_PRESENT:
                 # Resolved while we raced for the lock; nothing to consume.
                 self.pfn = leaf.pfn_or_tgid
                 leaf.unlock()
-                return _SM_REUSE
+                self.result = _SM_REUSE
+                return
             yield
             pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
             if pfn is not None:
@@ -224,7 +234,8 @@ class PteFaultSm:
                 leaf.install_frame(pfn, self.vma.writable)
                 yield
                 leaf.unlock()
-                return _SM_MFOE_HIT
+                self.result = _SM_MFOE_HIT
+                return
             yield
             leaf.unlock()
             mfoe_missed = True
@@ -235,17 +246,19 @@ class PteFaultSm:
         if not leaf.try_lock():
             yield self._lock_clear_and_present
             self.pfn = leaf.pfn_or_tgid
-            return _SM_WAITED
+            self.result = _SM_WAITED
+            return
         yield
         if leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             leaf.unlock()
-            return _SM_REUSE
+            self.result = _SM_REUSE
+            return
         yield
         self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable)
         yield
         leaf.unlock()
-        return _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
+        self.result = _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
 
 
 class MfoeEngine:
@@ -328,5 +341,5 @@ class MfoeEngine:
             # resolves above as a TLB or walk hit before any handler starts.
             raise AssertionError(f"unexpected serialized handler result {result}")
 
-        self.tlb.insert(tgid, vpn, pfn, sm.leaf.rw)
+        self.tlb.insert(tgid, vpn, pfn, bool(sm.leaf.raw & PTE_RW))
         return out

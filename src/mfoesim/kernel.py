@@ -344,17 +344,24 @@ class KernelModel:
         """Book the oldest consumed entry of one core's table, if any.
 
         The one restock path after the fill: while used entries remain,
-        empty head slots are restocked first, so head reaches the oldest."""
+        empty head slots are restocked first, so head reaches the oldest.
+        A restock with no frame on hand skips the slot instead, and the
+        slot the booking empties is restocked the same way."""
         table = self.tables[core]
-        self._acquire_cleanup_lock(table)
+        if not table.try_cleanup_lock():
+            # held: wait it out, or raise if no other thread can release it
+            self._acquire_cleanup_lock(table)
         try:
-            while table.used and table.head_is_empty():
-                self._refill_head(table)
             record = table.take_used(table.head_index)
+            while record is None and table.consumed != table.released and table.head_is_empty():
+                if not self._restock_head(table):
+                    table.skip_head()
+                record = table.take_used(table.head_index)
             if record is None:
                 return None
             self.ledger.apply(record.tgid, record.va, record.pfn)
-            self._refill_head(table)
+            if not self._restock_head(table):
+                table.skip_head()
             return record
         finally:
             table.release_cleanup_lock()
@@ -451,11 +458,6 @@ class KernelModel:
         status = table.produce(pfn)
         assert status is PRODUCED
         return True
-
-    def _refill_head(self, table: PreallocTable) -> None:
-        """Restock the empty head slot, or skip it with no frame on hand."""
-        if not self._restock_head(table):
-            table.skip_head()
 
     def error_cleanup(self, tgid: int) -> int:
         """Book every consumed entry a dying thread group left behind.

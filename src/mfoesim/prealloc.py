@@ -128,8 +128,9 @@ class PreallocTable:
             return ProduceStatus.FULL
         if w1 & W1_USED:
             return ProduceStatus.NEEDS_HARVEST
-        self._w1[i] = pack_word1(pfn, 0, used=False, valid=True)
-        self.head_index = self._next(i)
+        # pack_word1(pfn, 0, used=False, valid=True), and _next(i), inline
+        self._w1[i] = ((pfn & W1_PFN_MASK) << W1_PFN_SHIFT) | W1_VALID
+        self.head_index = 1 if i == self.num_entries - 1 else i + 1
         return PRODUCED
 
     def harvest(self, max_records: Optional[int] = None) -> list[HarvestRecord]:
@@ -163,9 +164,10 @@ class PreallocTable:
             return None
         pfn = (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
         self._w0[i] = va
-        self._w1[i] = pack_word1(pfn, tgid, used=True, valid=False)
+        # pack_word1(pfn, tgid, used=True, valid=False), and _next(i), inline
+        self._w1[i] = (pfn << W1_PFN_SHIFT) | ((tgid & W1_TGID_MASK) << W1_TGID_SHIFT) | W1_USED
         self.consumed += 1
-        self.tail_index = self._next(i)
+        self.tail_index = 1 if i == self.num_entries - 1 else i + 1
         return pfn
 
     # slow-path primitives (cleanup lock held)
@@ -194,18 +196,26 @@ class PreallocTable:
         w1 = self._w1[i]
         if not w1 & W1_USED:
             raise ValueError(f"entry {index} is not used")
-        return self._record_at(i, w1)
+        return HarvestRecord(
+            va=self._w0[i],
+            tgid=(w1 >> W1_TGID_SHIFT) & W1_TGID_MASK,
+            pfn=(w1 >> W1_PFN_SHIFT) & W1_PFN_MASK,
+        )
 
     def take_used(self, index: int) -> Optional[HarvestRecord]:
         """Empty a used slot and return its record; None, changing nothing,
-        when the slot is not used."""
-        i = self._check_index(index)
-        w1 = self._w1[i]
+        when the slot is not used. Every booking comes through here, so
+        the index check and record_at's decode are inline."""
+        if not 0 < index < self.num_entries:
+            self._check_index(index)  # raises IndexError
+        w1 = self._w1[index]
         if not w1 & W1_USED:
             return None
-        record = self._record_at(i, w1)
-        self._w1[i] = 0
-        self._w0[i] = 0
+        record = HarvestRecord(
+            self._w0[index], (w1 >> W1_TGID_SHIFT) & W1_TGID_MASK, (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
+        )
+        self._w1[index] = 0
+        self._w0[index] = 0
         self.released += 1
         return record
 
@@ -252,13 +262,6 @@ class PreallocTable:
         if not 1 <= index <= self.capacity:
             raise IndexError(f"entry index {index} out of range")
         return index
-
-    def _record_at(self, i: int, w1: int) -> HarvestRecord:
-        return HarvestRecord(
-            va=self._w0[i],
-            tgid=(w1 >> W1_TGID_SHIFT) & W1_TGID_MASK,
-            pfn=(w1 >> W1_PFN_SHIFT) & W1_PFN_MASK,
-        )
 
     # inspection and serialization
 

@@ -338,7 +338,20 @@ class Simulation:
         interval_cycles. A tick whose pass start has no work leaves the
         pass dry and stands for every tick up to t, applied in one
         advance_passes call: only a fault gives a pass work.
+
+        Most touches have neither a fill step, a tick nor a pass step due.
+        That case is decided here with _run_pass's step-bucket arithmetic,
+        and only moves the step cursor; _run_pass books every step.
         """
+        if t < self._fill_at and t < self._tick_at:
+            stepped = self._stepped
+            if t <= stepped:
+                return
+            first = self.fill_complete_cycle + self.interval_cycles
+            cost = self.record_cost
+            if (t - first) // cost == (stepped - first) // cost:
+                self._stepped = t
+                return
         kernel = self.kernel
         while self._fill_at <= t:
             if kernel.fill_step():

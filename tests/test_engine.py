@@ -363,3 +363,67 @@ def test_run_on_a_handler_spinning_on_a_held_lock_raises_until_the_holder_finish
     assert spinner.runnable()
     assert spinner.run() is SmResult.WAITED
     assert spinner.pfn == holder.pfn
+
+
+def test_run_blocked_on_a_held_lock_raises_and_changes_nothing():
+    # a fresh handler run() while another holds the leaf lock: the first
+    # yielded spin predicate is false and nothing else can make it true
+    kernel, engine, proc, vma = make_env(cores=2)
+    winner = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    loser = PteFaultSm(kernel, proc, 1, vma.start, vma, mfoe_eligible=True)
+    while not winner.leaf.locked:
+        winner.step()
+    leaf = winner.leaf
+
+    def state():
+        return ([t.to_bytes() for t in kernel.tables],
+                {vpn: e.raw for vpn, e in proc.page_table.entries.items()})
+
+    before = state()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no concurrent progress"):
+            loser.run()
+        assert not loser.runnable() and not loser.done and loser.result is None
+        assert loser.leaf is leaf and state() == before
+    assert winner.run() is SmResult.MFOE_HIT
+    assert loser.runnable()
+    assert loser.run() is SmResult.WAITED
+    assert loser.done and loser.pfn == winner.pfn
+
+
+def _step_to_the_end(sm, until=None):
+    """Step sm until it is done, or until until(sm) holds; result and
+    done stay unset after every step but the last."""
+    while not sm.done and not (until and until(sm)):
+        assert sm.result is None
+        sm.step()
+    assert (sm.result is not None) == sm.done
+    return sm.result
+
+
+@pytest.mark.parametrize("scenario, result", [
+    ("table-hit", SmResult.MFOE_HIT),
+    ("table-miss", SmResult.MFOE_MISS_KERNEL),
+    ("unbuilt-leaf", SmResult.KERNEL),
+])
+def test_result_appears_only_on_the_last_step(scenario, result):
+    assert _step_to_the_end(_handler(scenario)) is result
+
+
+def test_race_results_appear_only_on_the_last_step():
+    # REUSE: the fault is resolved between a handler's read and its lock
+    kernel, engine, proc, vma = make_env()
+    late = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    late.step()  # reads the leaf: not present yet
+    assert late.result is None and not late.done
+    early = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    assert _step_to_the_end(early) is SmResult.MFOE_HIT
+    assert _step_to_the_end(late) is SmResult.REUSE
+    # WAITED: the loser spins on the winner's lock, then reuses its frame
+    kernel, engine, proc, vma = make_env(cores=2)
+    winner = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    loser = PteFaultSm(kernel, proc, 1, vma.start, vma, mfoe_eligible=True)
+    _step_to_the_end(winner, until=lambda sm: sm.leaf.locked)
+    assert _step_to_the_end(loser, until=lambda sm: not sm.runnable()) is None
+    assert _step_to_the_end(winner) is SmResult.MFOE_HIT
+    assert _step_to_the_end(loser) is SmResult.WAITED

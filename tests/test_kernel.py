@@ -247,6 +247,22 @@ def test_process_one_record_books_and_refills():
     assert kernel.process_one_record(0) is None
 
 
+def test_process_one_record_with_nothing_to_book_changes_nothing():
+    # an empty head is restocked only on the way to a used entry: with
+    # none in the table (before the fill, and after a partial one) the
+    # call books nothing and produces nothing
+    kernel = KernelModel(cores=1, total_frames=4096, seed=1)
+    kernel.mfoe_enable(kernel.create_process(), 8)
+    table = kernel.tables[0]
+    for fill_steps in (0, 3):
+        for _ in range(fill_steps):
+            assert kernel.fill_step()
+        assert table.head_is_empty()
+        before = (table.to_bytes(), kernel.allocator.free_count())
+        assert kernel.process_one_record(0) is None
+        assert (table.to_bytes(), kernel.allocator.free_count()) == before
+
+
 def test_held_cleanup_lock_raises_instead_of_spinning():
     kernel, proc, vma = make_kernel()
     consume_pages(kernel, proc, vma, 0, 1)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from mfoesim.prealloc import EntryState, HarvestRecord, PreallocTable, ProduceStatus
+from mfoesim.prealloc import EntryState, HarvestRecord, PreallocTable, ProduceStatus, pack_word1
 
 
 def full_table(n=5, first_pfn=100):
@@ -225,6 +225,23 @@ def test_serialized_layout_golden():
     blob = t.to_bytes()
     assert len(blob) == 16 * t.num_entries
     assert blob == expected
+
+
+def test_produce_and_consume_write_the_words_pack_word1_packs():
+    # produce and consume build word1 inline; pfns and tgids past their
+    # fields are masked as pack_word1 masks them
+    rng = random.Random(4)
+    t = PreallocTable(6)
+    for _ in range(200):
+        pfn, tgid = rng.getrandbits(40), rng.getrandbits(20)
+        head = t.head_index
+        assert t.produce(pfn) is ProduceStatus.PRODUCED
+        assert t._w1[head] == pack_word1(pfn, 0, used=False, valid=True)
+        tail = t.tail_index
+        got = t.consume(0x1000, tgid)
+        assert t._w1[tail] == pack_word1(got, tgid, used=True, valid=False)
+        assert got == pfn & ((1 << 34) - 1)
+        assert t.take_used(tail) == HarvestRecord(0x1000, tgid & 0xFFFF, got)
 
 
 def test_cleanup_lock_is_test_and_set():
