@@ -16,6 +16,14 @@ handler) and returns a plain tuple; access() wraps that tuple in a
 FaultOutcome for library callers. The enum members the per-touch path
 compares or returns are bound to module names once, since a module
 global reads several times faster than an Enum class attribute.
+
+A touch costs as few Python calls as the layers allow. resolve tests
+canonicality with a range compare, calling check_canonical only to
+raise; it builds one (tgid, vpn) key and hands it to Tlb.lookup and,
+after a miss, to Tlb.insert. The handler sets and clears the lock bit
+on the leaf word in place, in the same atomic actions as
+PageTableEntry.try_lock and unlock, and its kernel path passes the leaf
+it holds to KernelModel.inline_install instead of walking to it again.
 """
 from __future__ import annotations
 
@@ -25,7 +33,17 @@ from enum import Enum
 from typing import Callable, Generator, Optional
 
 from .kernel import KernelModel, ProcessModel, VMA
-from .vm import check_canonical, PAGE_SHIFT, PFN_MASK, PFN_SHIFT, PTE_MFOEABLE, PTE_PRESENT, PTE_RW
+from .vm import (
+    PAGE_SHIFT,
+    PFN_MASK,
+    PFN_SHIFT,
+    PTE_LOCK,
+    PTE_MFOEABLE,
+    PTE_PRESENT,
+    PTE_RW,
+    USER_VA_LIMIT,
+    check_canonical,
+)
 
 
 class OutcomeKind(Enum):
@@ -61,8 +79,8 @@ class FaultOutcome:
 
 
 class Tlb:
-    """Fully associative, LRU, tagged by (tgid, vpn). Holds only present
-    translations."""
+    """Fully associative, LRU, tagged by the key (tgid, vpn). Holds only
+    present translations."""
 
     def __init__(self, entries: int = 64):
         if entries < 1:
@@ -70,15 +88,16 @@ class Tlb:
         self.entries = entries
         self._map: OrderedDict[tuple[int, int], tuple[int, bool]] = OrderedDict()
 
-    def lookup(self, tgid: int, vpn: int) -> Optional[tuple[int, bool]]:
-        key = (tgid, vpn)
+    def lookup(self, key: tuple[int, int]) -> Optional[tuple[int, bool]]:
+        """(pfn, rw) for key, now the most recently used; None on a miss."""
         hit = self._map.get(key)
         if hit is not None:
             self._map.move_to_end(key)
         return hit
 
-    def insert(self, tgid: int, vpn: int, pfn: int, rw: bool) -> None:
-        key = (tgid, vpn)
+    def insert(self, key: tuple[int, int], pfn: int, rw: bool) -> None:
+        """Map key, as the most recently used entry, whether or not it is
+        held; a new key evicts the least recently used one when full."""
         if key in self._map:
             self._map.move_to_end(key)
         elif len(self._map) >= self.entries:
@@ -107,6 +126,9 @@ _SM_KERNEL = SmResult.KERNEL
 _SM_REUSE = SmResult.REUSE
 _SM_WAITED = SmResult.WAITED
 
+
+# A leaf word with its lock bit cleared: raw & _UNLOCKED.
+_UNLOCKED = ~PTE_LOCK
 
 # Default for PteFaultSm's leaf argument: walk the page table for va.
 _WALK = object()
@@ -206,6 +228,8 @@ class PteFaultSm:
         return not self.leaf.locked and self.leaf.present
 
     def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, None]:
+        # The lock bit is set and cleared on leaf.raw in place, in the
+        # same atomic actions that leaf.try_lock() and leaf.unlock() take.
         leaf = self.leaf
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
@@ -214,16 +238,18 @@ class PteFaultSm:
             return
         if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
-            if not leaf.try_lock():
+            raw = leaf.raw
+            if raw & PTE_LOCK:
                 yield self._lock_clear_and_present
                 self.pfn = leaf.pfn_or_tgid
                 self.result = _SM_WAITED
                 return
+            leaf.raw = raw | PTE_LOCK
             yield
             if leaf.raw & PTE_PRESENT:
                 # Resolved while we raced for the lock; nothing to consume.
                 self.pfn = leaf.pfn_or_tgid
-                leaf.unlock()
+                leaf.raw &= _UNLOCKED
                 self.result = _SM_REUSE
                 return
             yield
@@ -233,31 +259,33 @@ class PteFaultSm:
                 yield
                 leaf.install_frame(pfn, self.vma.writable)
                 yield
-                leaf.unlock()
+                leaf.raw &= _UNLOCKED
                 self.result = _SM_MFOE_HIT
                 return
             yield
-            leaf.unlock()
+            leaf.raw &= _UNLOCKED
             mfoe_missed = True
         yield
         # The ordinary kernel handler, also the fallback on an empty table.
         if leaf is None:
             leaf = self.leaf = self.proc.page_table.construct_path(self.va)
-        if not leaf.try_lock():
+        raw = leaf.raw
+        if raw & PTE_LOCK:
             yield self._lock_clear_and_present
             self.pfn = leaf.pfn_or_tgid
             self.result = _SM_WAITED
             return
+        leaf.raw = raw | PTE_LOCK
         yield
         if leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
-            leaf.unlock()
+            leaf.raw &= _UNLOCKED
             self.result = _SM_REUSE
             return
         yield
-        self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable)
+        self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable, leaf)
         yield
-        leaf.unlock()
+        leaf.raw &= _UNLOCKED
         self.result = _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
 
 
@@ -293,12 +321,15 @@ class MfoeEngine:
         the kernel. Any path that resolves the page leaves the
         translation in the TLB.
         """
-        check_canonical(va)
+        if not 0 <= va < USER_VA_LIMIT:
+            check_canonical(va)  # raises CanonicalityError
         proc = self.core_proc[core]
         tgid = proc.tgid
         vpn = va >> PAGE_SHIFT
+        key = (tgid, vpn)
+        tlb = self.tlb
 
-        tlb_hit = self.tlb.lookup(tgid, vpn)
+        tlb_hit = tlb.lookup(key)
         if tlb_hit is not None:
             pfn, rw = tlb_hit
             if is_write and not rw:
@@ -312,11 +343,11 @@ class MfoeEngine:
             raw = leaf.raw
             if raw & PTE_PRESENT:
                 pfn = (raw & PFN_MASK) >> PFN_SHIFT
-                rw = bool(raw & PTE_RW)
+                rw = (raw & PTE_RW) != 0
                 if is_write and not rw:
                     self.kernel.record_protection_fault(tgid, va, now)
                     return PROTECTION_FAULT, 0, 0, 0, pfn
-                self.tlb.insert(tgid, vpn, pfn, rw)
+                tlb.insert(key, pfn, rw)
                 return WALK_HIT, 0, 0, 0, pfn
 
         vma = proc.find_vma(va)
@@ -341,5 +372,5 @@ class MfoeEngine:
             # resolves above as a TLB or walk hit before any handler starts.
             raise AssertionError(f"unexpected serialized handler result {result}")
 
-        self.tlb.insert(tgid, vpn, pfn, bool(sm.leaf.raw & PTE_RW))
+        tlb.insert(key, pfn, (sm.leaf.raw & PTE_RW) != 0)
         return out

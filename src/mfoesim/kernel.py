@@ -514,9 +514,18 @@ class KernelModel:
 
     # fault-path services
 
-    def inline_install(self, proc: ProcessModel, va: int, writable: bool) -> int:
-        """Allocate, map, and book one page on the spot (the slow path)."""
-        leaf = proc.page_table.construct_path(va)
+    def inline_install(
+        self, proc: ProcessModel, va: int, writable: bool, leaf: Optional[PageTableEntry] = None
+    ) -> int:
+        """Allocate, map, and book one page on the spot (the slow path).
+
+        leaf is va's leaf when the caller already holds it, as the fault
+        handler does; it is then used as given, with no second walk and no
+        canonicality check. Without one, PageTable.construct_path checks
+        va and finds or builds its leaf.
+        """
+        if leaf is None:
+            leaf = proc.page_table.construct_path(va)
         pfn = self.allocator.allocate()
         leaf.install_frame(pfn, writable)
         self.ledger.apply(proc.tgid, va, pfn)

@@ -29,6 +29,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Optional
 
 from .engine import TLB_HIT, WALK_HIT, MfoeEngine, OutcomeKind
@@ -285,9 +287,12 @@ class Simulation:
         self._stepped = NEVER
         self._dry = False
         self.records = FaultLog()
-        # The engine's dispatch and the columns' appends, bound once:
-        # _on_fault runs once per touch.
+        # The engine's dispatch, the columns' appends and the workload's
+        # per-touch settings, bound once: _on_fault runs once per touch.
         self._resolve = self.engine.resolve
+        self._stride_pages = wl.stride_pages
+        self._faults_per_thread = wl.faults_per_thread
+        self._interarrival = wl.interarrival_cycles
         self._log = (
             self.records.t.append,
             self.records.core.append,
@@ -307,7 +312,7 @@ class Simulation:
         self._ran = True
         # One pending touch per core, so (cycle, core) is unique and
         # same-cycle touches run in core order.
-        first = self.config.workload.interarrival_cycles
+        first = self._interarrival
         heap = [(first, core) for core in range(len(self.region_starts))]
         try:
             while heap:
@@ -395,22 +400,23 @@ class Simulation:
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None."""
-        wl = self.config.workload
         stats = self.stats[core]
-        page = (stats.touches * wl.stride_pages) % self.region_pages
+        touches = stats.touches
+        page = (touches * self._stride_pages) % self.region_pages
         va = self.region_starts[core] + page * PAGE_SIZE
         kind, cycles, _, _, _ = self._resolve(core, va, True, t)
         if kind not in _PASS_QUIET:
             self._dry = False
-        stats.touches += 1
+        touches += 1
+        stats.touches = touches
         log_t, log_core, log_outcome, log_cycles = self._log
         log_t(t)
         log_core(core)
         log_outcome(_CODE[kind])
         log_cycles(cycles)
         completion = t + cycles
-        if stats.touches < wl.faults_per_thread:
-            return completion + wl.interarrival_cycles
+        if touches < self._faults_per_thread:
+            return completion + self._interarrival
         stats.end_time = completion
         return None
 
@@ -418,7 +424,9 @@ class Simulation:
 
     def _build_report(self) -> SimReport:
         log = self.records
-        counts = Counter(zip(log.core, log.outcome))
+        # one int key per (core, outcome): core * len(OUTCOMES) + code
+        width = len(OUTCOMES)
+        counts = Counter(map(add, map(mul, log.core, repeat(width)), log.outcome))
         core_cycles = [0] * len(self.stats)
         hit_total = 0
         fault_cycles = []
@@ -429,15 +437,15 @@ class Simulation:
                 if code == _HIT_CODE:
                     hit_total += cycles
 
-        interarrival = self.config.workload.interarrival_cycles
         for stats in self.stats:
             c = stats.core
-            stats.mfoe_hits = counts[c, _HIT_CODE]
-            stats.mfoe_misses = counts[c, _MISS_CODE]
-            stats.kernel_faults = counts[c, _KERNEL_CODE]
-            stats.tlb_hits = counts[c, _TLB_CODE]
-            stats.walk_hits = counts[c, _WALK_CODE]
-            stats.compute_cycles = stats.touches * interarrival
+            base = c * width
+            stats.mfoe_hits = counts[base + _HIT_CODE]
+            stats.mfoe_misses = counts[base + _MISS_CODE]
+            stats.kernel_faults = counts[base + _KERNEL_CODE]
+            stats.tlb_hits = counts[base + _TLB_CODE]
+            stats.walk_hits = counts[base + _WALK_CODE]
+            stats.compute_cycles = stats.touches * self._interarrival
             stats.fault_cycles = core_cycles[c]
             # the log's cycles against the event chain's end time
             identity = stats.compute_cycles + stats.fault_cycles

@@ -74,7 +74,12 @@ class PageTableEntry:
         return (self.raw & PFN_MASK) >> PFN_SHIFT
 
     def try_lock(self) -> bool:
-        """Test-and-set the lock bit; True when this caller acquired it."""
+        """Test-and-set the lock bit; True when this caller acquired it.
+
+        The fault handler (engine.PteFaultSm) does not call this or
+        unlock(): it tests, sets and clears PTE_LOCK on the word in place,
+        in the same atomic actions. Only tests call these two methods.
+        """
         if self.raw & PTE_LOCK:
             return False
         self.raw |= PTE_LOCK

@@ -41,31 +41,70 @@ def test_tlb_requires_capacity():
 
 def test_tlb_lru_eviction():
     tlb = Tlb(2)
-    tlb.insert(1, 10, 100, True)
-    tlb.insert(1, 11, 101, True)
-    assert tlb.lookup(1, 10) == (100, True)  # refresh 10
-    tlb.insert(1, 12, 102, True)  # evicts 11, the stale one
-    assert tlb.lookup(1, 11) is None
-    assert tlb.lookup(1, 10) is not None
-    assert tlb.lookup(1, 12) is not None
+    tlb.insert((1, 10), 100, True)
+    tlb.insert((1, 11), 101, True)
+    assert tlb.lookup((1, 10)) == (100, True)  # refresh 10
+    tlb.insert((1, 12), 102, True)  # evicts 11, the stale one
+    assert tlb.lookup((1, 11)) is None
+    assert tlb.lookup((1, 10)) is not None
+    assert tlb.lookup((1, 12)) is not None
 
 
 def test_tlb_reinsert_updates_in_place():
     tlb = Tlb(2)
-    tlb.insert(1, 10, 100, True)
-    tlb.insert(1, 10, 200, False)
+    tlb.insert((1, 10), 100, True)
+    tlb.insert((1, 10), 200, False)
     assert len(tlb) == 1
-    assert tlb.lookup(1, 10) == (200, False)
+    assert tlb.lookup((1, 10)) == (200, False)
 
 
 def test_tlb_invalidate_by_tgid():
     tlb = Tlb(8)
-    tlb.insert(1, 10, 100, True)
-    tlb.insert(1, 11, 101, True)
-    tlb.insert(2, 10, 300, True)
+    tlb.insert((1, 10), 100, True)
+    tlb.insert((1, 11), 101, True)
+    tlb.insert((2, 10), 300, True)
     tlb.invalidate_asid(1)
     assert len(tlb) == 1
-    assert tlb.lookup(2, 10) == (300, True)
+    assert tlb.lookup((2, 10)) == (300, True)
+
+
+@pytest.mark.parametrize("entries", [1, 3, 8])
+def test_tlb_matches_a_list_lru_model(entries):
+    # seeded lookups, inserts and flushes against a plain list of
+    # (key, value), least recently used first; contents and LRU order
+    # must agree after every operation
+    rng = random.Random(f"tlb reference {entries}")
+    tlb, model = Tlb(entries), []
+
+    def held(key):
+        return next((i for i, (k, _) in enumerate(model) if k == key), None)
+
+    def place(key, value):
+        i = held(key)
+        if i is not None:
+            del model[i]
+        elif len(model) >= entries:
+            del model[0]
+        model.append((key, value))
+
+    for _ in range(3000):
+        op = rng.random()
+        key = (rng.randrange(1, 4), rng.randrange(6))
+        value = (rng.randrange(1 << 20), rng.random() < 0.5)
+        if op < 0.4:
+            i = held(key)
+            expected = None if i is None else model[i][1]
+            assert tlb.lookup(key) == expected
+            if i is not None:
+                model.append(model.pop(i))
+        elif op < 0.95:
+            tlb.insert(key, *value)
+            place(key, value)
+        else:
+            tlb.invalidate_asid(key[0])
+            model = [(k, v) for k, v in model if k[0] != key[0]]
+        assert list(tlb._map.items()) == model
+        assert len(tlb) == len(model)
 
 
 # access() dispatch

@@ -817,6 +817,50 @@ def test_frame_census_partitions_the_pool():
     assert c["table_valid"] == 5
 
 
+def _kernel_path_twin():
+    """A kernel, its engine and process, and three regions whose first
+    touches all take the kernel path: one mapped before offloading was
+    on (no leaves), one after with an empty table (eligible leaves whose
+    consume misses), and a read-only one."""
+    kernel = KernelModel(total_frames=1024, seed=1)
+    engine = MfoeEngine(kernel)
+    proc = kernel.create_process()
+    bare = kernel.region_create(proc, 24 * PAGE_SIZE)
+    kernel.mfoe_enable(proc, 8)  # no init fill, so every consume misses
+    stamped = kernel.region_create(proc, 24 * PAGE_SIZE)
+    readonly = kernel.region_create(proc, 16 * PAGE_SIZE, writable=False)
+    for vma in (stamped, readonly):
+        kernel.prefault_construct(proc, vma)
+    engine.bind(0, proc)
+    return kernel, engine, proc, (bare, stamped, readonly)
+
+
+def _kernel_state(kernel, proc):
+    """Leaf words in build order, the allocator, and the ledger in
+    booking order."""
+    return ([(vpn, leaf.raw) for vpn, leaf in proc.page_table.entries.items()],
+            list(kernel.allocator.free_list), kernel.allocator.allocated,
+            list(kernel.ledger.rmap.items()), kernel.ledger.mm_counter)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_path_fault_with_the_handlers_leaf_matches_inline_install(seed):
+    # the handler hands inline_install the leaf it holds; its twin calls
+    # inline_install(proc, va, writable), which walks through
+    # construct_path, for the same faults in the same seeded order
+    kernel, engine, proc, vmas = _kernel_path_twin()
+    twin, _, twin_proc, _ = _kernel_path_twin()
+    faults = [(va, vma.writable) for vma in vmas for va in range(vma.start, vma.end, PAGE_SIZE)]
+    random.Random(seed).shuffle(faults)
+    kinds = Counter()
+    for va, writable in faults:
+        out = engine.access(0, va)
+        kinds[out.kind.value] += 1
+        assert out.pfn == twin.inline_install(twin_proc, va, writable)
+        assert _kernel_state(kernel, proc) == _kernel_state(twin, twin_proc)
+    assert kinds == {"kernel_fault": 24, "mfoe_miss": 40}
+
+
 def test_terminate_refuses_a_process_the_kernel_does_not_hold():
     kernel, proc, vma = make_kernel(width=8)
     consume_pages(kernel, proc, vma, 0, 3)
