@@ -20,10 +20,10 @@ global reads several times faster than an Enum class attribute.
 A touch costs as few Python calls as the layers allow. resolve tests
 canonicality with a range compare, calling check_canonical only to
 raise; it builds one (tgid, vpn) key and hands it to Tlb.lookup and,
-after a miss, to Tlb.insert. The handler sets and clears the lock bit
-on the leaf word in place, in the same atomic actions as
-PageTableEntry.try_lock and unlock, and its kernel path passes the leaf
-it holds to KernelModel.inline_install instead of walking to it again.
+after a miss, to Tlb.insert. The handler is the lock bit's one
+owner: it tests, sets and clears PTE_LOCK on the leaf word in place,
+and its kernel path passes the leaf it holds to
+KernelModel.inline_install instead of walking to it again.
 """
 from __future__ import annotations
 
@@ -228,8 +228,8 @@ class PteFaultSm:
         return not self.leaf.locked and self.leaf.present
 
     def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, None]:
-        # The lock bit is set and cleared on leaf.raw in place, in the
-        # same atomic actions that leaf.try_lock() and leaf.unlock() take.
+        # The lock's test-and-set: each test of PTE_LOCK on leaf.raw and
+        # the write that sets it sit in one atomic action, between yields.
         leaf = self.leaf
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:

@@ -65,16 +65,29 @@ How the replay computes this, exactly and without an event queue:
 - Ties. A landing at a fault's effective time counts for that fault. A
   tick at T books the hits served before T; a fault served at T or
   later belongs to the next window.
-- Miss runs. A core's free count is cached and recounted from its ramps
-  only when it reads 0; the recount also finds the core's next landing.
-  If the count is still 0, the fault at p misses, and nothing lands
-  before that landing or the tick, whichever is first. Each miss moves
-  the core's later faults by exactly the penalty, so fault j's key is
+- Streaks. A core caches cap, its landings as last counted from its
+  ramps; its pool is empty when its hits reach cap, and only then are
+  the ramps recounted (arrivals only grow). When the recount finds new
+  frames, the next cap - hits faults are hits unless served at or after
+  the tick, so they are served as one streak: a loop over slices of the
+  core's columns in which only the fault's key and effective time, the
+  core's shift and the timeline move, and which stops at the first
+  fault served at or after the tick. The hit count grows by the
+  streak's length once it ends.
+- Miss runs. The recount also finds the core's next landing. If it
+  finds no new frame, the fault at p misses, and nothing lands before
+  that landing or the tick, whichever is first. Each miss moves the
+  core's later faults by exactly the penalty, so fault j's key is
   times[j] + shift + (j - p) * penalty, and keys never decrease. So
   every fault up to the first key that reaches the limit misses too; a
-  binary search finds it, and the run is booked in one step. Hits are
-  served one at a time, so the replay costs per hit and per miss run,
-  not per miss.
+  binary search finds it, and the run is booked in one step. Its
+  effective times are its first fault's for every key up to that time,
+  then the keys themselves (one bisect splits them). So the replay
+  costs per hit, per streak and per miss run, not per miss.
+- Savings. A core's shift is its misses times the penalty less what its
+  hits saved (latency minus hit time, which is negative for a latency
+  below the hit time), so saved_ns is the total penalty less the sum of
+  the final shifts, exactly; no hit adds to a running sum.
 - Order. The timeline lists faults in the order they are served: by
   effective time, then core index, then per-core order. A window keeps
   its timeline as columns, one core's run after another in core order,
@@ -99,6 +112,7 @@ import random
 import struct
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import log
@@ -487,11 +501,6 @@ def row_blocks(
         yield (row * (e - s)) % tuple(flat)
 
 
-def block_rows(blocks: Iterable[str]) -> Iterator[str]:
-    """The lines of csv_blocks' blocks, without their newlines."""
-    return chain.from_iterable(map(str.splitlines, blocks))
-
-
 # A block's lines with their newlines.
 _keepends = methodcaller("splitlines", True)
 
@@ -676,16 +685,16 @@ def _replay(
     # Per-core state. last_eff is the latest effective time served;
     # core_hits - taken is what the next tick can recycle. Landings are
     # ramps (start, step, count) whose frame j lands at start + j * step;
-    # fully landed ramps fold into landed_done, and avail caches landings
-    # minus hits as last counted, so ramps are recounted only when it
-    # reads empty (arrivals only grow).
+    # fully landed ramps fold into landed_done, and cap caches the
+    # landings as last counted, so ramps are recounted only when the
+    # core's hits reach it (arrivals only grow).
     active = [c for c in range(trace_cores) if runs.times[c]]
     pos = [0] * cores
     shift = [0] * cores
     last_eff = [-math.inf] * cores
     core_hits = [0] * cores
     taken = [0] * cores
-    avail = [0] * cores
+    caps = [0] * cores
     landed_done = [0] * cores
     ramps: list[list[tuple[int, int, int]]] = [
         [(c * width * init_ns, init_ns, width)] for c in range(cores)
@@ -704,7 +713,6 @@ def _replay(
     add_eff, add_adj, add_out, add_lat = w_eff.append, w_adj.append, w_out.append, w_lat.append
 
     misses = 0
-    saved = 0
     tick = cores * width * init_ns + interval_ns
     tick_index = 0
     done = 0
@@ -722,14 +730,14 @@ def _replay(
             sh = shift[c]
             prev = last_eff[c]
             hc = core_hits[c]
-            av = avail[c]
+            cap = caps[c]
             p0 = p
             while p < end:
-                key = times[p] + sh
-                eff = key if key > prev else prev
-                if eff >= tick:
-                    break
-                if not av:
+                if hc >= cap:
+                    key = times[p] + sh
+                    eff = key if key > prev else prev
+                    if eff >= tick:
+                        break
                     # A landing at the fault's own time counts: it sorts
                     # first. land becomes the next landing after eff, or
                     # the tick if none comes sooner.
@@ -749,13 +757,14 @@ def _replay(
                     if full:
                         landed_done[c] += full
                         ramps[c] = [r for r in ramps[c] if (eff - r[0]) // r[1] < r[2]]
-                    av = got + full - hc
-                    if not av:
+                    cap = got + full
+                    if hc >= cap:
                         # A miss, and so is every later fault j whose key
                         # times[j] + sh + (j - p) * miss_ns stays below
                         # land (at most the tick): nothing lands first, so
-                        # each would recount to 0. Keys never decrease, so
-                        # the run ends at the first key that reaches land.
+                        # each would find the pool empty. Keys never
+                        # decrease, so the run ends at the first key that
+                        # reaches land.
                         lo = p + 1
                         hi = end
                         while lo < hi:
@@ -771,8 +780,12 @@ def _replay(
                                 range(sh, sh + run * miss_ns, miss_ns) if miss_ns
                                 else repeat(sh, run)
                             )))
+                            # adj never decreases, so the faults served
+                            # at eff are its first k.
+                            k = bisect_right(adj, eff)
+                            w_eff += repeat(eff, k)
+                            w_eff += adj[k:]
                             w_adj += adj
-                            w_eff += [a if a > eff else eff for a in adj]
                             w_out += repeat(OUTCOME_MISS, run)
                             w_lat += map(add, lats[p:lo], repeat(miss_ns))
                         misses += run
@@ -780,18 +793,34 @@ def _replay(
                         prev = last if last > eff else eff
                         p = lo
                         continue
-                prev = eff
-                av -= 1
-                hc += 1
-                lat = lats[p]
-                saved += lat - hit_ns
-                sh -= lat - hit_ns
-                if keep_timeline:
-                    add_eff(eff)
-                    add_adj(key)
-                    add_out(OUTCOME_HIT)
-                    add_lat(hit_ns)
-                p += 1
+                # A streak: every fault until the pool empties is a hit,
+                # up to the first one served at or after the tick.
+                stop = p + cap - hc
+                if stop > end:
+                    stop = end
+                streak = iter(times[p:stop])
+                for t, lat in zip(streak, lats[p:stop]):
+                    key = t + sh
+                    eff = key if key > prev else prev
+                    if eff >= tick:
+                        break
+                    prev = eff
+                    sh += hit_ns - lat
+                    if keep_timeline:
+                        add_eff(eff)
+                        add_adj(key)
+                        add_out(OUTCOME_HIT)
+                        add_lat(hit_ns)
+                else:
+                    hc += stop - p
+                    p = stop
+                    continue
+                # The fault at the tick ends the core's window. streak
+                # holds the faults after it: count them off in C.
+                q = stop - 1 - len(array("q", streak))
+                hc += q - p
+                p = q
+                break
             done += p - p0
             if keep_timeline:
                 w_orig += times[p0:p]
@@ -800,7 +829,7 @@ def _replay(
             shift[c] = sh
             last_eff[c] = prev
             core_hits[c] = hc
-            avail[c] = av
+            caps[c] = cap
 
         if w_eff:
             window = (w_orig, w_adj, w_core, w_out, w_lat)
@@ -854,6 +883,9 @@ def _replay(
 
     hits = n - misses
     penalty = misses * miss_ns
+    # A core's shift is its misses times the penalty less what its hits
+    # saved, so the shifts' sum gives the savings exactly.
+    saved = penalty - sum(shift)
     baseline_runtime = runs.baseline_runtime_ns
     modeled_runtime = baseline_runtime - saved + penalty
     if modeled_runtime > 0:

@@ -73,21 +73,6 @@ class PageTableEntry:
     def pfn_or_tgid(self) -> int:
         return (self.raw & PFN_MASK) >> PFN_SHIFT
 
-    def try_lock(self) -> bool:
-        """Test-and-set the lock bit; True when this caller acquired it.
-
-        The fault handler (engine.PteFaultSm) does not call this or
-        unlock(): it tests, sets and clears PTE_LOCK on the word in place,
-        in the same atomic actions. Only tests call these two methods.
-        """
-        if self.raw & PTE_LOCK:
-            return False
-        self.raw |= PTE_LOCK
-        return True
-
-    def unlock(self) -> None:
-        self.raw &= ~PTE_LOCK
-
     def stamp_prefault(self, tgid: int, writable: bool) -> None:
         """Mark a not-yet-faulted page as offload-eligible for tgid."""
         self.raw = (self.raw & PTE_LOCK) | prefault_word(tgid, writable)

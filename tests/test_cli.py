@@ -244,6 +244,33 @@ def test_replay_report_digests_are_pinned(tmp_path):
         "61a6fc741902e2b2b4e53408b2d89083bf18150a30a7b2a74a55f303c86556b9")
 
 
+def test_long_streak_report_digests_are_pinned(tmp_path):
+    # the same 4-core gcc trace against wide pools and long intervals, so
+    # cores serve hits in streaks of hundreds between recounts
+    trace_path = str(tmp_path / "trace.csv")
+    assert run_cli(
+        "synthesize", "--profile", "gcc", "--dist", "poisson", "--cores", "4",
+        "--duration", "0.01", "--seed", "7", "--out-dir", str(tmp_path),
+    ) == 0
+    assert run_cli(
+        "sweep", "--trace", trace_path, "--widths", "512,1024",
+        "--intervals-ms", "2,8", "--out-dir", str(tmp_path),
+    ) == 0
+    assert run_cli(
+        "model", "--trace", trace_path, "--width", "1024",
+        "--refresh-interval-ms", "8", "--out-dir", str(tmp_path),
+    ) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model_report.json", "timeline.csv", "sweep.csv", "sweep.json")
+    } == {
+        "model_report.json": "6563c9284abd1bea3c4d3153223759ef959bcc812105b34c7cd2ec8d476ee760",
+        "timeline.csv": "afb681886fc1ba61eee405c48ba30cfb54f31700bdc64f351b1615c389471636",
+        "sweep.csv": "f228c50643fe099b1ea6e96f10ac0e3dc3d6eca543965863748603239882ab6d",
+        "sweep.json": "9ab4fe1626941283753ba52fa95e3cf7c2f4d35206e5e2a2d0b5e5ea9c6869f0",
+    }
+
+
 @pytest.mark.parametrize("extra, digests", [
     ((), {
         "model_report.json": "2cb5dfc51cdb92938fadb0a657299ad907fc10b507cab0a7b4a182bd68dd2cf4",

@@ -8,6 +8,7 @@ from array import array
 from dataclasses import replace
 
 import pytest
+from helpers import block_rows
 
 from mfoesim import sim as sim_module
 from mfoesim.cli import main as cli_main
@@ -26,7 +27,7 @@ from mfoesim.sim import (
     percentile,
     run,
 )
-from mfoesim.trace import block_rows, write_blocks
+from mfoesim.trace import write_blocks
 from mfoesim.vm import OutOfMemory
 
 

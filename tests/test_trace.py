@@ -19,6 +19,7 @@ import tracemalloc
 from array import array
 
 import pytest
+from helpers import block_rows
 from test_acceptance import _reference_replay
 
 from mfoesim import trace as trace_module
@@ -38,7 +39,6 @@ from mfoesim.trace import (
     TraceModelConfig,
     WORKLOAD_PROFILES,
     apply_model,
-    block_rows,
     ingest,
     model_constants,
     sweep,
@@ -996,6 +996,91 @@ def test_long_miss_runs_match_oracle():
         assert (report.hits, report.misses) == (hits, misses), context
         assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
     assert time.monotonic() - start < 20.0
+
+
+def _streak_ends(timeline, first_tick, interval_ns):
+    """How an oracle timeline's hit streaks end, per core: at the cap (a
+    hit followed by a miss in the same window), at a tick (two hits with
+    a tick between their effective times), or with the core's faults (its
+    last fault a hit). A core's effective time is the running maximum of
+    its adjusted times."""
+    ends = {"cap": 0, "tick": 0, "last": 0}
+    last: dict[int, tuple[int, int]] = {}
+    for _, adj, core, outcome, _ in timeline:
+        eff = max(adj, last[core][0]) if core in last else adj
+        window = max(0, (eff - first_tick) // interval_ns + 1)
+        if core in last:
+            prev_eff, prev_outcome = last[core]
+            prev_window = max(0, (prev_eff - first_tick) // interval_ns + 1)
+            if prev_outcome == OUTCOME_HIT and window == prev_window:
+                ends["cap"] += outcome == OUTCOME_MISS
+            elif prev_outcome == OUTCOME_HIT and outcome == OUTCOME_HIT:
+                ends["tick"] += 1
+        last[core] = (eff, outcome)
+    ends["last"] = sum(outcome == OUTCOME_HIT for _, outcome in last.values())
+    return ends
+
+
+def test_hit_streaks_match_oracle():
+    # Unsaturated replays on 2-4 cores: small pools and a refill budget of
+    # 29-116 records a tick, so a core serves hits in streaks that run to
+    # the pool's cap, stop at a tick, or end with the core's faults. Some
+    # cases record most latencies below hit_ns, so hits grow the shift and
+    # the savings, which come from the final shifts, go negative. Penalties
+    # of 0 ns and 10 us; each case is checked again as a one-cell sweep.
+    start = time.monotonic()
+    rng = random.Random(50505)
+    ends = {"cap": 0, "tick": 0, "last": 0}
+    negative = 0
+    for case in range(48):
+        params = ModelParameters(mfoe_miss_penalty_cycles=(1, 30_000)[case % 2])
+        cores = rng.choice([2, 3, 4])
+        width = rng.choice([2, 4, 8, 16])
+        interval_ms = rng.choice([0.05, 0.1, 0.2])
+        config = TraceModelConfig(width=width, refresh_interval_ms=interval_ms, cores=cores)
+        k = model_constants(config, params)
+        assert k["miss_penalty_ns"] in (0, 10_000)
+        hit_ns = k["hit_ns"]
+        first_tick = cores * width * k["init_page_ns"] + k["interval_ns"]
+        ticks = [first_tick + i * k["interval_ns"] for i in range(40)]
+        below = case % 3 == 0
+        records = []
+        for c in range(cores):
+            clock = rng.randint(0, first_tick)
+            for _ in range(rng.randint(60, 250)):
+                ahead = [t for t in ticks if t >= clock][:2]
+                if ahead and rng.random() < 1 / 8:
+                    clock = rng.choice(ahead) - rng.choice([0, 0, 1])
+                else:
+                    clock += rng.choice([0, 1, rng.randint(1, 2000), rng.randint(1, 20_000)])
+                lat = rng.choice(
+                    [1, hit_ns - 1, hit_ns - 1, rng.randint(1, 2 * hit_ns)] if below
+                    else [1, hit_ns, rng.randint(1, 4000), rng.randint(1, 4000)]
+                )
+                records.append((clock, c, lat))
+        records.sort(key=lambda r: (r[0], r[1]))
+        trace = FaultTrace.from_records(records)
+
+        report = apply_model(trace, config, params)
+        tl = report.timeline
+        got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes,
+                       tl.modeled_latency_ns))
+        want, hits, misses, saved, penalty = _reference_replay(
+            records, width, interval_ms, cores, params
+        )
+        context = f"case {case}: w={width} iv={interval_ms} p={params}"
+        assert got == want, context
+        assert (report.hits, report.misses) == (hits, misses), context
+        assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
+        cell = sweep(trace, [width], [interval_ms], params=params, cores=cores).cells[0].report
+        assert cell.to_json_dict() == report.to_json_dict(), context
+        assert len(cell.timeline) == 0, context
+        for name, count in _streak_ends(want, first_tick, k["interval_ns"]).items():
+            ends[name] += count
+        negative += saved < 0
+    assert min(ends.values()) >= 50, ends
+    assert negative >= 8
+    assert time.monotonic() - start < 10.0
 
 
 @pytest.mark.parametrize(
