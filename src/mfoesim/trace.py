@@ -66,21 +66,29 @@ How the replay computes this, exactly and without an event queue:
   tick at T books the hits served before T; a fault served at T or
   later belongs to the next window.
 - Streaks. A core caches cap, its landings as last counted from its
-  ramps; its pool is empty when its hits reach cap, and only then are
-  the ramps recounted (arrivals only grow). When the recount finds new
-  frames, the next cap - hits faults are hits unless served at or after
-  the tick, so they are served as one streak: a loop over slices of the
-  core's columns in which only the fault's key and effective time, the
-  core's shift and the timeline move, and which stops at the first
-  fault served at or after the tick. The hit count grows by the
-  streak's length once it ends.
-- Miss runs. The recount also finds the core's next landing. If it
-  finds no new frame, the fault at p misses, and nothing lands before
-  that landing or the tick, whichever is first. Each miss moves the
-  core's later faults by exactly the penalty, so fault j's key is
-  times[j] + shift + (j - p) * penalty, and keys never decrease. So
-  every fault up to the first key that reaches the limit misses too; a
-  binary search finds it, and the run is booked in one step. Its
+  ramps, and land, the next landing after that count or the tick if
+  none comes sooner. Its pool is empty when its hits reach cap, and
+  only then are the ramps recounted, and only once its effective time
+  reaches land: before it nothing new has landed, since arrivals only
+  grow and a tick adds only ramps that land after it. When the recount
+  finds new frames, the next cap - hits faults are hits unless served
+  at or after the tick, so they are served as one streak: a loop over
+  slices of the core's columns in which only the fault's key, the
+  core's effective time and shift, and the timeline move. Every fault
+  a window serves is served before its tick, so a fault is served at
+  or after the tick exactly when its key reaches it, and the streak
+  stops at the first such key. The hit count grows by the streak's
+  length once it ends.
+- Miss runs. When the pool is empty and nothing new has landed, the
+  fault at p misses, and nothing lands before land (at most the tick).
+  Each miss moves the core's later faults by exactly the penalty, so fault
+  j's key is times[j] + shift + (j - p) * penalty, and keys never
+  decrease. So every fault up to the first key that reaches land
+  misses too. That fault is no later than hi, the first recorded at or
+  after land - shift, and no earlier than the first recorded at or
+  after land - shift - (hi - p) * penalty; two bisects of the core's
+  times find both, a binary search between them finds the fault (no
+  step at a zero penalty), and the run is booked in one step. Its
   effective times are its first fault's for every key up to that time,
   then the keys themselves (one bisect splits them). So the replay
   costs per hit, per streak and per miss run, not per miss.
@@ -106,13 +114,14 @@ speedup is the ratio of the two.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 import struct
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import log
@@ -313,10 +322,11 @@ def _bad_record(ts: list, cs: list, ls: list, trace: FaultTrace) -> tuple[int, s
         last_per_core[core] = t
 
 
-# ingest reads data lines in chunks of about this many characters. A
-# chunk's strings and ints are all it holds beyond its output arrays, so
-# the chunk stays small: on a 100k-line trace the traced peak was 1.2x the
-# arrays at 16 KB and 3x at 256 KB, and larger chunks ran no faster.
+# ingest reads data lines in chunks of this many bytes and the rest of
+# the line they end in. A chunk's strings and ints are all it holds
+# beyond its output arrays, so the chunk stays small: on a 100k-line
+# trace the traced peak was 1.2x the arrays at 16 KB and 3x at 256 KB,
+# and larger chunks ran no faster.
 _INGEST_CHUNK_BYTES = 1 << 14
 
 # Rows joined per write() call, rows formatted per % call, and values
@@ -376,10 +386,14 @@ def ingest(path: str) -> FaultTrace:
                     path, line_no, f"expected header {TRACE_HEADER!r}, got {line!r}"
                 )
             break
-        while lines := fh.readlines(_INGEST_CHUNK_BYTES):
-            if not _ingest_chunk(b"".join(lines), len(lines), trace):
-                _ingest_lines(path, lines, line_no, trace)
-            line_no += len(lines)
+        # The size in bytes, then the rest of the line: a chunk ends after
+        # the line that takes it past the size, where readlines(size)
+        # would end it.
+        while data := fh.read(_INGEST_CHUNK_BYTES) + fh.readline():
+            n = data.count(b"\n") + (not data.endswith(b"\n"))
+            if not _ingest_chunk(data, n, trace):
+                _ingest_lines(path, io.BytesIO(data).readlines(), line_no, trace)
+            line_no += n
     return trace
 
 
@@ -685,9 +699,11 @@ def _replay(
     # Per-core state. last_eff is the latest effective time served;
     # core_hits - taken is what the next tick can recycle. Landings are
     # ramps (start, step, count) whose frame j lands at start + j * step;
-    # fully landed ramps fold into landed_done, and cap caches the
-    # landings as last counted, so ramps are recounted only when the
-    # core's hits reach it (arrivals only grow).
+    # fully landed ramps fold into landed_done, and cap and land cache the
+    # landings as last counted and the next landing after them (-inf
+    # before the first count), so ramps are recounted only when the core's
+    # hits reach cap and its effective time reaches land (arrivals only
+    # grow, and a tick adds only ramps that land after it).
     active = [c for c in range(trace_cores) if runs.times[c]]
     pos = [0] * cores
     shift = [0] * cores
@@ -695,6 +711,7 @@ def _replay(
     core_hits = [0] * cores
     taken = [0] * cores
     caps = [0] * cores
+    lands = [-math.inf] * cores
     landed_done = [0] * cores
     ramps: list[list[tuple[int, int, int]]] = [
         [(c * width * init_ns, init_ns, width)] for c in range(cores)
@@ -731,42 +748,49 @@ def _replay(
             prev = last_eff[c]
             hc = core_hits[c]
             cap = caps[c]
+            land = lands[c]
             p0 = p
             while p < end:
                 if hc >= cap:
+                    # Every fault served so far is served before the tick,
+                    # so this one is served at or after it exactly when
+                    # its key is.
                     key = times[p] + sh
-                    eff = key if key > prev else prev
-                    if eff >= tick:
+                    if key >= tick:
                         break
-                    # A landing at the fault's own time counts: it sorts
-                    # first. land becomes the next landing after eff, or
-                    # the tick if none comes sooner.
-                    got = landed_done[c]
-                    full = 0
-                    land = tick
-                    for start, step, count in ramps[c]:
-                        k = (eff - start) // step
-                        if k >= count:
-                            full += count
-                        elif k > 0:
-                            got += k
-                            if start + (k + 1) * step < land:
-                                land = start + (k + 1) * step
-                        elif start + step < land:
-                            land = start + step
-                    if full:
-                        landed_done[c] += full
-                        ramps[c] = [r for r in ramps[c] if (eff - r[0]) // r[1] < r[2]]
-                    cap = got + full
+                    eff = key if key > prev else prev
+                    if eff >= land:
+                        # A landing at the fault's own time counts: it
+                        # sorts first. land becomes the next landing after
+                        # eff, or the tick if none comes sooner.
+                        got = landed_done[c]
+                        full = 0
+                        land = tick
+                        for start, step, count in ramps[c]:
+                            k = (eff - start) // step
+                            if k >= count:
+                                full += count
+                            elif k > 0:
+                                got += k
+                                if start + (k + 1) * step < land:
+                                    land = start + (k + 1) * step
+                            elif start + step < land:
+                                land = start + step
+                        if full:
+                            landed_done[c] += full
+                            ramps[c] = [r for r in ramps[c] if (eff - r[0]) // r[1] < r[2]]
+                        cap = got + full
                     if hc >= cap:
                         # A miss, and so is every later fault j whose key
                         # times[j] + sh + (j - p) * miss_ns stays below
                         # land (at most the tick): nothing lands first, so
                         # each would find the pool empty. Keys never
                         # decrease, so the run ends at the first key that
-                        # reaches land.
-                        lo = p + 1
-                        hi = end
+                        # reaches land. A key is at least times[j] + sh,
+                        # and at most that plus (hi - p) * miss_ns before
+                        # hi, so two bisects leave the search [lo, hi).
+                        hi = bisect_left(times, land - sh, p + 1, end)
+                        lo = bisect_left(times, land - sh - (hi - p) * miss_ns, p + 1, hi)
                         while lo < hi:
                             mid = (lo + hi) // 2
                             if times[mid] + sh + (mid - p) * miss_ns < land:
@@ -801,13 +825,13 @@ def _replay(
                 streak = iter(times[p:stop])
                 for t, lat in zip(streak, lats[p:stop]):
                     key = t + sh
-                    eff = key if key > prev else prev
-                    if eff >= tick:
+                    if key >= tick:
                         break
-                    prev = eff
+                    if key > prev:
+                        prev = key
                     sh += hit_ns - lat
                     if keep_timeline:
-                        add_eff(eff)
+                        add_eff(prev)
                         add_adj(key)
                         add_out(OUTCOME_HIT)
                         add_lat(hit_ns)
@@ -830,6 +854,7 @@ def _replay(
             last_eff[c] = prev
             core_hits[c] = hc
             caps[c] = cap
+            lands[c] = land
 
         if w_eff:
             window = (w_orig, w_adj, w_core, w_out, w_lat)

@@ -8,6 +8,7 @@ starting core), a stocked fault costs hit_ns and pulls later same-core
 faults earlier by (latency - hit_ns), an empty-pool fault pushes them
 later by miss_penalty_ns.
 """
+import bisect
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from helpers import block_rows
+from helpers import block_rows, count_lines
 from test_acceptance import _reference_replay
 
 from mfoesim import trace as trace_module
@@ -1081,6 +1082,155 @@ def test_hit_streaks_match_oracle():
     assert min(ends.values()) >= 50, ends
     assert negative >= 8
     assert time.monotonic() - start < 10.0
+
+
+def test_miss_run_bounds_and_lean_hits_match_oracle(monkeypatch):
+    # Replays aimed at the edges of a miss run's two bisects and of the hit
+    # loop, at 1 GHz. Half the cases are saturated (pools of 1-4 frames,
+    # 5-20 records a tick, dense faults), for long miss runs, and half are
+    # not (a 100-record budget), for streaks that run into a tick. The
+    # penalty q divides the 50 us interval, and in two cases of three
+    # every hit's latency is hit_ns or hit_ns + q, so a
+    # core's shift stays a multiple of q. A fault aimed at a landing or a
+    # tick moved by a multiple of q then falls exactly at a run's limit
+    # less the shift, or 1 ns before it, and its key exactly at a tick.
+    # The other cases record most latencies below hit_ns. The replay's
+    # bisect_left calls are recorded: a miss run makes two, the upper bound
+    # over the core's remainder and the lower bound below it, and the
+    # run's end is found again by brute force. Each case is checked against
+    # the oracle, and again as a one-cell sweep.
+    calls = []
+
+    def recording(a, x, lo, hi):
+        i = bisect.bisect_left(a, x, lo, hi)
+        calls.append((a, x, lo, hi, i))
+        return i
+
+    monkeypatch.setattr(trace_module, "bisect_left", recording)
+    start = time.monotonic()
+    rng = random.Random(60606)
+    seen = dict.fromkeys(("inside", "at_limit", "below_limit", "tick_limit",
+                          "key_at_tick", "key_not_above", "lat_below"), 0)
+    for case in range(36):
+        saturated, below = case % 2 == 0, case % 3 == 2
+        q = rng.choice([2_500, 5_000] if saturated else [12_500, 25_000])
+        params = ModelParameters(
+            clock_hz=1_000_000_000, mfoe_miss_penalty_cycles=q,
+            background_throughput_pages_per_s=(
+                rng.choice([100_000, 160_000, 400_000]) if saturated else 2_000_000),
+        )
+        cores = rng.choice([2, 3])
+        width = rng.choice([1, 2, 4] if saturated else [4, 8, 16])
+        config = TraceModelConfig(width=width, refresh_interval_ms=0.05, cores=cores)
+        k = model_constants(config, params)
+        hit_ns, iv, miss_ns = k["hit_ns"], k["interval_ns"], k["miss_penalty_ns"]
+        assert miss_ns == q and iv % q == 0
+        first_tick = cores * width * k["init_page_ns"] + iv
+        bases = ([(p + 1) * k["init_page_ns"] for p in range(cores * width)]
+                 + [first_tick + j * k["record_ns"] for j in range(k["budget_per_tick"] + 2)])
+        records = []
+        for c in range(cores):
+            clock = rng.randint(0, first_tick)
+            for _ in range(rng.randint(100, 300)):
+                if rng.random() < 1 / 3:
+                    # the first point of a base's grid past the clock, or
+                    # the one after it, or 1 ns before either; half of
+                    # them on the ticks' grid
+                    b = first_tick if rng.random() < 1 / 2 else rng.choice(bases)
+                    clock = b - (b - clock - 1) // q * q + rng.choice([0, 0, q]) - rng.choice([0, 1])
+                elif saturated:
+                    clock += rng.choice([0, 0, 1, rng.randint(1, q // 4), rng.randint(1, q),
+                                         rng.randint(1, iv)])
+                else:
+                    clock += rng.choice([0, 1, rng.randint(1, 5_000), rng.randint(1, iv // 4)])
+                lat = rng.choice([1, hit_ns - 1, hit_ns, rng.randint(1, 2 * hit_ns)] if below
+                                 else [hit_ns, hit_ns, hit_ns, hit_ns + q])
+                records.append((clock, c, lat))
+        records.sort(key=lambda r: (r[0], r[1]))
+        trace = FaultTrace.from_records(records)
+
+        calls.clear()
+        report = apply_model(trace, config, params)
+        tl = report.timeline
+        got = list(zip(tl.orig_ns, tl.adjusted_ns, tl.core_ids, tl.outcomes,
+                       tl.modeled_latency_ns))
+        want, hits, misses, saved, penalty = _reference_replay(
+            records, width, 0.05, cores, params
+        )
+        context = f"case {case}: w={width} p={params}"
+        assert got == want, context
+        assert (report.hits, report.misses) == (hits, misses), context
+        assert (report.saved_ns, report.penalty_ns) == (saved, penalty), context
+
+        keys = {c: [] for c in range(cores)}
+        for _, adj, c, _, _ in want:
+            keys[c].append(adj)
+        core_of = {id(trace.core_times[c]): c for c in trace.core_times}
+        assert len(calls) % 2 == 0, context
+        for (a, x, lo, hi, top), (b, y, b_lo, b_hi, bottom) in zip(calls[::2], calls[1::2]):
+            assert (b, b_lo, b_hi, hi) == (a, lo, top, len(a)), context
+            p = lo - 1
+            assert x - y == (top - p) * miss_ns, context
+            end = next((j for j in range(lo, top) if a[j] + (j - p) * miss_ns >= x), top)
+            assert bottom <= end <= top, context
+            seen["inside"] += bottom < end < top
+            seen["at_limit"] += top < len(a) and a[top] == x
+            seen["below_limit"] += top - 1 > p and a[top - 1] == x - 1
+            # the limit is the next landing or the tick; one at a tick is
+            # still cached when the next window opens
+            limit = x + keys[core_of[id(a)]][p] - a[p]
+            seen["tick_limit"] += (end < len(a) and limit >= first_tick
+                                   and (limit - first_tick) % iv == 0)
+
+        lats = trace.core_lats
+        served = dict.fromkeys(lats, 0)
+        last = {}
+        for _, adj, c, outcome, _ in want:
+            hit = outcome == OUTCOME_HIT
+            seen["lat_below"] += hit and lats[c][served[c]] < hit_ns
+            served[c] += 1
+            if c in last:
+                prev, prev_hit = last[c]
+                seen["key_not_above"] += hit and adj <= prev
+                seen["key_at_tick"] += (hit and prev_hit and prev < adj and adj >= first_tick
+                                        and (adj - first_tick) % iv == 0)
+            last[c] = (max(adj, last[c][0]) if c in last else adj, hit)
+
+        cell = sweep(trace, [width], [0.05], params=params, cores=cores).cells[0].report
+        assert cell.to_json_dict() == report.to_json_dict(), context
+        assert len(cell.timeline) == 0, context
+    assert min(seen.values()) >= 50, seen
+    assert time.monotonic() - start < 10.0
+
+
+# Python lines _replay runs (sys.settrace "line" events in its own frame)
+# on a 4-core gcc trace of 0.01 s (14,624 faults, seed 1), swept over
+# widths 64 and 128 x intervals 0.5 and 2 ms (hit rates 0.09-0.35), and
+# replayed once with apply_model at width 64, 0.5 ms. Measured on CPython
+# 3.11: 175,112 lines for 58,496 cell-faults, 2.99 a cell-fault, and
+# 85,111 for 14,624 faults, 5.82 a fault (3.58 and 6.71 while a miss run's
+# end took a binary search over the core's remainder, a hit compared its
+# effective time with the tick, and a core with an empty pool recounted
+# its ramps before its next landing). The bounds are these plus the 10%
+# margin of the call guards in test_sim.py; a change that adds lines on
+# purpose re-pins both numbers here and says why.
+_REPLAY_LINES_PER_CELL_FAULT = 2.99
+_REPLAY_LINES_PER_FAULT = 5.82
+_LINES_MARGIN = 1.10
+
+
+def test_a_replayed_fault_costs_a_bounded_number_of_lines():
+    trace = synthesize_profile("gcc", 0.01, cores=4, seed=1)
+    grid, lines = count_lines(trace_module._replay, lambda: sweep(trace, [64, 128], [0.5, 2.0]))
+    cell_faults = len(trace) * len(grid.cells)
+    assert len(trace) == 14_624
+    assert lines / cell_faults <= _REPLAY_LINES_PER_CELL_FAULT * _LINES_MARGIN, (
+        f"{lines} lines for {cell_faults} cell-faults: {lines / cell_faults:.2f} a cell-fault")
+    config = TraceModelConfig(width=64, refresh_interval_ms=0.5)
+    report, lines = count_lines(trace_module._replay, lambda: apply_model(trace, config))
+    assert 0 < report.hit_rate < 1 and len(report.timeline) == len(trace)
+    assert lines / len(trace) <= _REPLAY_LINES_PER_FAULT * _LINES_MARGIN, (
+        f"{lines} lines for {len(trace)} faults: {lines / len(trace):.2f} a fault")
 
 
 @pytest.mark.parametrize(
