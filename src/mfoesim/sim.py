@@ -4,14 +4,15 @@ One process, one faulting thread per core, all time in integer cycles.
 Threads alternate a fixed compute gap with a touch of the next page of
 their region; the touches are the only events. The background actors
 (initial table fill, refresh ticks, the pass steps between ticks) are
-on the same time line, caught up before each touch. A pass start with
-no work (KernelModel.begin_pass returns False) or a pass step that
-books nothing leaves the pass dry until the next tick or the next touch
-that is neither a TLB nor a walk hit: TLB and walk hits never wake the
-pass, since they change nothing it reads. A dry pass start stands for
-every tick up to the touch, applied in one call, and while the pass is
-dry and no tick is due the catch-up is skipped. Everything downstream
-of the seed is reproducible to the byte.
+on the same time line. Each keeps the cycle it is next due at, and the
+loop keeps their minimum, so one compare per touch decides whether any
+background work comes before it. A pass start with no work
+(KernelModel.begin_pass returns False) or a pass step that books
+nothing leaves the pass dry, with no step due, until the next tick or
+the next touch that is neither a TLB nor a walk hit: TLB and walk hits
+never wake the pass, since they change nothing it reads. A dry pass
+start stands for every tick up to the touch, applied in one call.
+Everything downstream of the seed is reproducible to the byte.
 
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: four columns (cycle, core, outcome code, latency cycles), with
@@ -277,15 +278,15 @@ class Simulation:
             1, round(params.clock_hz / params.background_throughput_pages_per_s)
         )
 
-        # The next fill step and tick, and the cycle up to which pass
-        # steps have run; none runs until the fill is done. The pass is
-        # dry from a pass start with no work or a step that books nothing
-        # to the next tick or the next touch outside _PASS_QUIET: steps
-        # until then would book nothing.
+        # The cycles of the next fill step, tick and pass step, and the
+        # first of them: no background work falls before _due. No tick
+        # runs until the fill is done, and no step until the first tick.
+        # The pass is dry (_next_step is NEVER) from a pass start with no
+        # work or a step that books nothing to the next tick or the next
+        # touch outside _PASS_QUIET: steps until then would book nothing.
         self._fill_at = self.fill_cost if self.kernel.fill_core is not None else NEVER
-        self._tick_at = NEVER
-        self._stepped = NEVER
-        self._dry = False
+        self._first_tick = self._tick_at = self._next_step = NEVER
+        self._due = self._fill_at
         self.records = FaultLog()
         # The engine's dispatch, the columns' appends and the workload's
         # per-touch settings, bound once: _on_fault runs once per touch.
@@ -317,10 +318,7 @@ class Simulation:
         try:
             while heap:
                 t, core = heap[0]
-                if self._dry and t < self._tick_at:
-                    # a dry pass has nothing due before the next tick
-                    self._stepped = t
-                else:
+                if t >= self._due:
                     self._advance_background(t)
                 after = self._on_fault(t, core)
                 if after is None:
@@ -335,68 +333,59 @@ class Simulation:
         return self._build_report()
 
     def _advance_background(self, t: int) -> None:
-        """Run every background step due at or before cycle t.
+        """Run every background step due at or before cycle t, then set
+        _due to the next one.
 
         At equal cycles the fill step comes first, then the tick, then
         the pass step, and all of them before the fault at t. The fill
         steps every fill_cost cycles; once it is done, a tick comes every
-        interval_cycles. A tick whose pass start has no work leaves the
-        pass dry and stands for every tick up to t, applied in one
-        advance_passes call: only a fault gives a pass work.
-
-        Most touches have neither a fill step, a tick nor a pass step due.
-        That case is decided here with _run_pass's step-bucket arithmetic,
-        and only moves the step cursor; _run_pass books every step.
+        interval_cycles, and pass steps fall every record_cost cycles
+        after the first tick (never at it). A tick whose pass start has
+        work schedules the first step at or after it; one with no work
+        leaves the pass dry and stands for every tick up to t, applied in
+        one advance_passes call: only a fault gives a pass work.
         """
-        if t < self._fill_at and t < self._tick_at:
-            stepped = self._stepped
-            if t <= stepped:
-                return
-            first = self.fill_complete_cycle + self.interval_cycles
-            cost = self.record_cost
-            if (t - first) // cost == (stepped - first) // cost:
-                self._stepped = t
-                return
         kernel = self.kernel
         while self._fill_at <= t:
             if kernel.fill_step():
                 self._fill_at += self.fill_cost
             else:
                 self.fill_complete_cycle = self._fill_at
-                self._tick_at = self._stepped = self._fill_at + self.interval_cycles
+                self._first_tick = self._tick_at = self._fill_at + self.interval_cycles
                 self._fill_at = NEVER
         while self._tick_at <= t:
             tick = self._tick_at
             self._run_pass(tick - 1)
-            self._dry = not kernel.begin_pass()
             self._tick_at = tick + self.interval_cycles
-            if self._dry:
+            if kernel.begin_pass():
+                self._next_step = self._step_after(tick - 1)
+            else:
+                self._next_step = NEVER
                 # every tick left up to t would begin an idle pass too
                 count = (t - tick) // self.interval_cycles
                 kernel.advance_passes(count)
                 self._tick_at += count * self.interval_cycles
         self._run_pass(t)
+        self._due = min(self._fill_at, self._tick_at, self._next_step)
+
+    def _step_after(self, cycle: int) -> int:
+        """The cycle of the first pass step after cycle: steps fall at
+        the first tick + k * record_cost, for k >= 1."""
+        first, cost = self._first_tick, self.record_cost
+        return first + max(1, (cycle - first) // cost + 1) * cost
 
     def _run_pass(self, until: int) -> None:
-        """Run the pass steps at cycles in (_stepped, until], which fall
-        every record_cost cycles from the first tick on, until one books
-        nothing: that leaves the kernel as it is until the next tick or
-        fault, so the pass is dry and later steps would book nothing
-        either."""
-        stepped = self._stepped
-        if until <= stepped:
-            return
-        self._stepped = until
-        if self._dry:
-            return
-        first = self.fill_complete_cycle + self.interval_cycles
-        due = (until - first) // self.record_cost - (stepped - first) // self.record_cost
-        while due:
-            if self.kernel.pass_step() is None:
-                self._dry = True
-                return
-            self.background_processed += 1
-            due -= 1
+        """Run the pass steps due at or before cycle until, up to one
+        that books nothing: that leaves the kernel as it is until the next
+        tick or fault, so the pass is dry and later steps would book
+        nothing either."""
+        kernel = self.kernel
+        while self._next_step <= until:
+            if kernel.pass_step() is None:
+                self._next_step = NEVER
+            else:
+                self.background_processed += 1
+                self._next_step += self.record_cost
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None."""
@@ -405,8 +394,11 @@ class Simulation:
         page = (touches * self._stride_pages) % self.region_pages
         va = self.region_starts[core] + page * PAGE_SIZE
         kind, cycles, _, _, _ = self._resolve(core, va, True, t)
-        if kind not in _PASS_QUIET:
-            self._dry = False
+        if kind not in _PASS_QUIET and self._next_step == NEVER and t >= self._first_tick:
+            # wake the dry pass at its first step after this touch
+            self._next_step = step = self._step_after(t)
+            if step < self._due:
+                self._due = step
         touches += 1
         stats.touches = touches
         log_t, log_core, log_outcome, log_cycles = self._log

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import block_rows
+from test_cli import IN_RANGE_VALUES
 
 from mfoesim import sim as sim_module
 from mfoesim.cli import main as cli_main
@@ -19,6 +20,7 @@ from mfoesim.sim import (
     MAX_MAPPED_PAGES,
     MAX_TOTAL_FRAMES,
     MAX_TOUCHES,
+    NEVER,
     OUTCOMES,
     FaultLog,
     SimConfig,
@@ -304,14 +306,16 @@ def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_j
     assert digest("report.json") == report_json
 
 
-def _background_states(config):
-    """A run's report files, and the tick clock, the pass cursor and the
-    pass state, pending bit clears included, as each touch begins."""
-    simulation = Simulation(config)
+def _background_states(config, simulation_class=Simulation):
+    """A run's report files, and the tick clock and the pass state,
+    pending bit clears included, as each touch begins. The next pass
+    step's cycle is left out: a loop that wakes the pass on every touch
+    has one where a dry pass has none."""
+    simulation = simulation_class(config)
     kernel, serve, states = simulation.kernel, simulation._on_fault, []
 
     def noted(t, core):
-        states.append((t, simulation._tick_at, simulation._stepped, kernel.tick_index,
+        states.append((t, simulation._tick_at, kernel.tick_index,
                        kernel._pass_core, kernel.pass_budget, len(kernel.pending_bit_clears),
                        simulation.background_processed))
         return serve(t, core)
@@ -393,6 +397,15 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     caught_up, advance = [], Simulation._advance_background
     monkeypatch.setattr(Simulation, "_advance_background",
                         lambda self, t: caught_up.append(t) or advance(self, t))
+    # whether the pass has a step to come as each touch ends
+    awake, serve = [], Simulation._on_fault
+
+    def served(self, t, core):
+        after = serve(self, t, core)
+        awake.append(self._next_step != NEVER)
+        return after
+
+    monkeypatch.setattr(Simulation, "_on_fault", served)
     fast = _background_states(small_config(**kw))
     report = json.loads(fast[0])
     touches = kw["threads"] * kw["faults_per_thread"]
@@ -401,11 +414,153 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     # the quota turns offloading off, after which faults go to the kernel
     assert (report["kernel_faults"] > 0) == ("quota_frames" in kw)
     assert len(caught_up) < touches, "no touch skipped the background catch-up"
+    fast_awake = sum(awake)
+    assert fast_awake < touches, "no touch left the pass dry"
     monkeypatch.setattr(sim_module, "_PASS_QUIET", frozenset())
     _begin_every_pass(monkeypatch)
-    caught_up.clear()
+    awake.clear()
     assert _background_states(small_config(**kw)) == fast
-    assert len(caught_up) == touches
+    # the reference really stayed awake: its TLB and walk hits woke the
+    # pass where the loop under test left it dry
+    assert sum(awake) > fast_awake
+
+
+def test_background_is_caught_up_only_when_something_is_due():
+    # at a saturated point the pass stays awake, with a step due every
+    # 5,171 cycles, while 8 threads touch every 21,000 cycles each, about
+    # once per 2,600 cycles: most touches have no fill step, tick or pass
+    # step due before them and skip the catch-up, and each catch-up runs
+    # at least one fill step, pass start or pass step
+    caught_up, events = [], []
+    simulation = Simulation(small_config(threads=8, faults_per_thread=128, table_width=16,
+                                         refresh_interval_ms=0.1, seed=1))
+    kernel = simulation.kernel
+    advance = simulation._advance_background
+    simulation._advance_background = lambda t: caught_up.append(t) or advance(t)
+    for name in ("fill_step", "begin_pass", "pass_step"):
+        real = getattr(kernel, name)
+        setattr(kernel, name, lambda *a, real=real: events.append(None) or real(*a))
+    report = simulation.run()
+    touches = 8 * 128
+    assert 0 < report.hit_rate < 0.6 and report.background_processed > 0
+    assert len(caught_up) <= len(events)
+    assert len(caught_up) < touches // 2, f"{len(caught_up)} catch-ups for {touches} touches"
+
+
+class _EveryStep(Simulation):
+    """The tick-by-tick, wake-on-every-touch reference: every fill step,
+    tick and pass step in cycle order, none skipped or batched, before
+    each touch. At equal cycles the fill step comes first, then the tick,
+    then the pass step. Each tick begins its own pass, and a pass step
+    runs on every step cycle, first tick + k * record_cost for k >= 1,
+    whether or not the step before it booked anything."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        # the loop's one compare always catches up; the first tick is
+        # kept apart from _first_tick, so no touch wakes the loop's pass
+        self._due = 0
+        self._step_at = NEVER
+
+    def _advance_background(self, t):
+        kernel = self.kernel
+        while self._fill_at <= t:
+            if kernel.fill_step():
+                self._fill_at += self.fill_cost
+            else:
+                self.fill_complete_cycle = self._fill_at
+                self._tick_at = self._fill_at + self.interval_cycles
+                self._step_at = self._tick_at + self.record_cost
+                self._fill_at = NEVER
+        while min(self._tick_at, self._step_at) <= t:
+            if self._tick_at <= self._step_at:
+                kernel.begin_pass()
+                self._tick_at += self.interval_cycles
+            else:
+                if kernel.pass_step() is not None:
+                    self.background_processed += 1
+                self._step_at += self.record_cost
+
+
+def _clock_cases():
+    """Small configs for the background clock's differential test: 20
+    drawn from the CLI fuzz's in-range values, and four that place the
+    clock's edges."""
+    rng = random.Random("background clock")
+    values = [float(v) for v in IN_RANGE_VALUES]
+    counts = [int(v) for v in values if v == int(v)]
+    clock = ModelParameters().clock_hz
+    cases = {}
+    for i in range(20):
+        cases[f"draw-{i:02d}"] = dict(
+            threads=rng.choice([c for c in counts if c <= 3]),
+            faults_per_thread=rng.choice((16, 32, 64)),
+            interarrival_cycles=int(rng.choice(values) * 1000),
+            region_pages_per_thread=rng.choice((None, 16, 48)),
+            stride_pages=rng.choice([c for c in counts if c <= 3]),
+            tlb_entries=rng.choice(counts),
+            table_width=rng.choice([c for c in counts if c >= 2]),
+            refresh_interval_ms=rng.choice(values) / 100,
+            quota_frames=rng.choice((None, None, None, 40)),
+            params=ModelParameters(background_throughput_pages_per_s=rng.choice(
+                (580_169, 500_000, clock // 1000))),
+            seed=rng.randrange(1000),
+        )
+    # record_cost 6000 and interval 12000: every other step is on a tick
+    cases["step-on-tick"] = dict(
+        threads=3, faults_per_thread=64, interarrival_cycles=2000, region_pages_per_thread=48,
+        table_width=16, refresh_interval_ms=0.004,
+        params=ModelParameters(background_throughput_pages_per_s=500_000), seed=7)
+    # record_cost and fill_cost 1: every cycle is a step, and the tables
+    # stay full, so every fault hits and the threads touch in lockstep; a
+    # wake that took the waking touch's own cycle for a step after it
+    # would book that fault before the next core's touch at that cycle
+    cases["every-cycle"] = dict(
+        threads=3, faults_per_thread=32, interarrival_cycles=3000, table_width=16,
+        refresh_interval_ms=0.005, params=ModelParameters(
+            background_throughput_pages_per_s=clock, init_throughput_pages_per_s=clock),
+        seed=2)
+    # the fill ends at cycle 85,095 and the first tick comes 480,000
+    # cycles later, with faults in between
+    cases["before-first-tick"] = dict(
+        threads=2, faults_per_thread=64, interarrival_cycles=16000, table_width=16,
+        refresh_interval_ms=0.16, seed=3)
+    # 100 idle ticks between touches
+    cases["long-idle"] = dict(
+        threads=2, faults_per_thread=16, interarrival_cycles=3_000_000, table_width=3,
+        refresh_interval_ms=0.01, seed=4)
+    return cases
+
+
+_CLOCK_CASES = _clock_cases()
+
+
+@pytest.mark.parametrize("name", _CLOCK_CASES)
+def test_background_clock_matches_stepping_every_step(name):
+    # one next-due cycle per touch gives the reports and the background
+    # state, as each touch begins, of running every fill step, tick and
+    # pass step in turn and never letting the pass go dry
+    config = small_config(**_CLOCK_CASES[name])
+    fast = _background_states(config)
+    assert _background_states(config, _EveryStep) == fast
+    simulation = Simulation(config)
+    interval, cost = simulation.interval_cycles, simulation.record_cost
+    report = json.loads(fast[0])
+    fill_end = report["fill_complete_cycle"]
+    quiet = {OutcomeKind.TLB_HIT.value, OutcomeKind.WALK_HIT.value}
+    rows = [row.split(",") for row in fast[1].splitlines()[1:]]
+    touches = [int(t) for t, _, _, _ in rows]
+    faults = [int(t) for t, _, outcome, _ in rows if outcome not in quiet]
+    if name == "step-on-tick":
+        assert interval % cost == 0 < report["background_processed"]
+    elif name == "every-cycle":
+        assert cost == 1 and report["hit_rate"] == 1.0
+        assert len(set(touches)) == len(touches) // 3
+    elif name == "before-first-tick":
+        assert any(fill_end < t < fill_end + interval for t in faults)
+    elif name == "long-idle":
+        # each state holds the touch's cycle and the ticks begun by then
+        assert all(b[2] - a[2] >= 90 for a, b in zip(fast[2], fast[2][1:]) if b[0] > a[0])
 
 
 def test_zero_budget_ticks_are_applied_at_once(monkeypatch):
@@ -418,7 +573,7 @@ def test_zero_budget_ticks_are_applied_at_once(monkeypatch):
     begun, advanced = _spy_passes(monkeypatch)
     fast = _background_states(small_config(**kw))
     touches = 2 * 100
-    ticks = fast[2][-1][3]
+    ticks = fast[2][-1][2]
     assert ticks > 10 * touches
     assert len(begun) <= touches and len(advanced) - len(begun) <= touches
     assert json.loads(fast[0])["background_processed"] == 0
@@ -520,23 +675,26 @@ def test_idle_pass_is_not_polled(monkeypatch):
 # a 0.1 ms refresh interval so the background pass runs and saturates
 # (hit rate 0.534, 434 records booked); at the default 2 ms no tick falls
 # within the run and the booking path would go uncounted. Measured on
-# CPython 3.11: 25,497 calls for 1,024 faults, 24.90 a fault (30,477 and
-# 29.76 before the handler took and released its lock on the leaf word
-# in place and the kernel path stopped walking to the leaf it holds).
-# The bound is that plus a 10% margin. A change that adds calls on
-# purpose re-pins both numbers here and says why, as a pinned digest is
-# re-pinned.
-_CALLS_PER_FAULT = 24.90
+# CPython 3.11: 24,928 calls for 1,024 faults, 24.34 a fault (25,497 and
+# 24.90 while the background catch-up ran on every touch with the pass
+# awake; 30,477 and 29.76 before the handler took and released its lock
+# on the leaf word in place and the kernel path stopped walking to the
+# leaf it holds). The bound is that plus a 10% margin. A change that
+# adds calls on purpose re-pins both numbers here and says why, as a
+# pinned digest is re-pinned.
+_CALLS_PER_FAULT = 24.34
 _CALLS_MARGIN = 1.10
 
 # Python-level calls per touch, counted the same way, over 2 threads x
 # 4096 touches of 128-page regions at the defaults (64 TLB entries, seed
 # 1): each thread cycles through more pages than the TLB holds, so after
 # the 256 first touches every touch is a walk hit. Measured on CPython
-# 3.11: 42,074 calls for 8,192 touches, 5.14 a touch (50,894 and 6.21
-# with a call to check_canonical on every touch). Either count moves by
-# a few dozen one-time calls with the tests that ran before it.
-_CALLS_PER_WALK_TOUCH = 5.14
+# 3.11: 41,500 calls for 8,192 touches, 5.07 a touch (42,074 and 5.14
+# with a background catch-up on every touch while the pass was awake;
+# 50,894 and 6.21 with a call to check_canonical on every touch). Either
+# count moves by a few dozen one-time calls with the tests that ran
+# before it.
+_CALLS_PER_WALK_TOUCH = 5.07
 
 
 def _count_calls(simulation):
