@@ -99,13 +99,20 @@ How the replay computes this, exactly and without an event queue:
 - Order. The timeline lists faults in the order they are served: by
   effective time, then core index, then per-core order. A window keeps
   its timeline as columns, one core's run after another in core order,
-  and each run is already ordered. So a stable sort of the window's
-  positions on effective time merges them, one itemgetter takes every
-  column in that order, and each gathered column is packed onto the
-  timeline's arrays in bulk (_pack). sweep keeps no timeline and skips
-  the merge. An empty trace ends the loop at once. timeline.csv is
+  and each run is already ordered. A fault's core and outcome are one
+  code, 2 * core + outcome, so a hit appends only its effective and
+  shifted times; the codes and latencies of the hits a core served since
+  its last miss run go in as one repeat each, at its next miss run or
+  the end of its run, and a miss run's codes as one more. When two or
+  more cores served the window, a stable sort of its positions on
+  effective time merges their runs and one itemgetter takes every column
+  in that order; a window one core served is in that order already, and
+  skips both. Each column is then packed onto the timeline's arrays in
+  bulk (_pack). sweep keeps no timeline and skips the merge. An empty
+  trace ends the loop at once. timeline.csv is
   formatted a block of rows per % call (csv_blocks) straight from the
-  arrays, and sweep.csv by the same routine from one list per column.
+  arrays, one label per code giving the core and outcome fields, and
+  sweep.csv by the same routine from one list per column.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -114,6 +121,7 @@ speedup is the ratio of the two.
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -125,7 +133,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import log
-from operator import add, itemgetter, methodcaller, mod, mul
+from operator import add, and_, itemgetter, methodcaller, mod, mul, rshift
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .params import (
@@ -335,19 +343,20 @@ _INGEST_CHUNK_BYTES = 1 << 14
 _BLOCK_ROWS = 4096
 
 
-def _pack(values: Sequence[int]) -> array:
-    """values as an array("q"), packed _BLOCK_ROWS at a time (array() of a
-    list converts one value at a time). OverflowError, as from array(), if
-    a value is outside signed 64 bits."""
-    out = array("q")
+def _pack(values: Sequence[int], typecode: str = "q") -> array:
+    """values as an array of typecode ("q" by default; the timeline's codes
+    use "H"), packed _BLOCK_ROWS at a time (array() of a list converts one
+    value at a time). OverflowError, as from array(), if a value does not
+    fit the typecode."""
+    out = array(typecode)
     for s in range(0, len(values), _BLOCK_ROWS):
         part = values[s:s + _BLOCK_ROWS]
         try:
-            out.frombytes(struct.pack(f"{len(part)}q", *part))
+            out.frombytes(struct.pack(f"{len(part)}{typecode}", *part))
         except struct.error:
             # array() raises what it would have: OverflowError for a value
-            # outside 64 bits, TypeError for one that is not an integer
-            out.extend(array("q", part))
+            # that does not fit, TypeError for one that is not an integer
+            out.extend(array(typecode, part))
     return out
 
 
@@ -541,26 +550,47 @@ class TraceModelConfig:
             raise ValueError(f"cores must be at most {MAX_CORES}, got {self.cores}")
 
 
+@functools.cache
+def _code_labels() -> tuple[str, ...]:
+    """Each timeline code's core and outcome as timeline.csv writes them:
+    code 2 * core + outcome is labelled "core,outcome". Built on first
+    use, so commands that write no timeline do not hold it."""
+    return tuple(f"{c},{name}" for c in range(MAX_CORES) for name in OUTCOME_NAMES)
+
+
 @dataclass
 class Timeline:
-    """Shifted per-fault timeline in processing order."""
+    """Shifted per-fault timeline in the order the faults are served.
+
+    Each fault's core and outcome are one code, 2 * core + outcome, in an
+    array("H") (codes stay below 2 * MAX_CORES); the other columns are
+    array("q"). core_ids and outcomes build an array("q") from the codes
+    on each read."""
 
     orig_ns: array
     adjusted_ns: array
-    core_ids: array
-    outcomes: array
+    codes: array
     modeled_latency_ns: array
 
     def __len__(self) -> int:
         return len(self.orig_ns)
 
+    @property
+    def core_ids(self) -> array:
+        return array("q", map(rshift, self.codes, repeat(1)))
+
+    @property
+    def outcomes(self) -> array:
+        return array("q", map(and_, self.codes, repeat(1)))
+
     def csv_blocks(self) -> Iterator[str]:
-        """timeline.csv as text blocks (see csv_blocks)."""
+        """timeline.csv as text blocks (see csv_blocks); one label per code
+        writes the core and outcome fields."""
         return csv_blocks(
             TIMELINE_HEADER,
-            "%d,%d,%d,%s,%d\n",
-            (self.orig_ns, self.adjusted_ns, self.core_ids, self.outcomes, self.modeled_latency_ns),
-            {3: OUTCOME_NAMES},
+            "%d,%d,%s,%d\n",
+            (self.orig_ns, self.adjusted_ns, self.codes, self.modeled_latency_ns),
+            {2: _code_labels()},
         )
 
 
@@ -718,16 +748,18 @@ def _replay(
     ]
 
     # The timeline's columns, and the current window's, which hold each
-    # core's run in turn in core order; a window's original times and
-    # cores are sliced in after each run.
-    columns = [array("q") for _ in range(5)]
+    # core's run in turn in core order. A hit appends only its effective
+    # and shifted times. The codes (2 * core + outcome) and latencies of a
+    # core's hits go in as one repeat each, ahead of its next miss run's
+    # and at the end of its run, and a window's original times are sliced
+    # in after each run.
+    columns = [array("q"), array("q"), array("H"), array("q")]
     w_orig = array("q")
     w_eff: list[int] = []
     w_adj: list[int] = []
-    w_core: list[int] = []
-    w_out: list[int] = []
+    w_code: list[int] = []
     w_lat: list[int] = []
-    add_eff, add_adj, add_out, add_lat = w_eff.append, w_adj.append, w_out.append, w_lat.append
+    add_eff, add_adj = w_eff.append, w_adj.append
 
     misses = 0
     tick = cores * width * init_ns + interval_ns
@@ -809,9 +841,11 @@ def _replay(
                             k = bisect_right(adj, eff)
                             w_eff += repeat(eff, k)
                             w_eff += adj[k:]
-                            w_adj += adj
-                            w_out += repeat(OUTCOME_MISS, run)
+                            w_code += repeat(2 * c + OUTCOME_HIT, len(w_adj) - len(w_code))
+                            w_code += repeat(2 * c + OUTCOME_MISS, run)
+                            w_lat += repeat(hit_ns, len(w_adj) - len(w_lat))
                             w_lat += map(add, lats[p:lo], repeat(miss_ns))
+                            w_adj += adj
                         misses += run
                         sh += run * miss_ns
                         prev = last if last > eff else eff
@@ -833,8 +867,6 @@ def _replay(
                     if keep_timeline:
                         add_eff(prev)
                         add_adj(key)
-                        add_out(OUTCOME_HIT)
-                        add_lat(hit_ns)
                 else:
                     hc += stop - p
                     p = stop
@@ -848,7 +880,8 @@ def _replay(
             done += p - p0
             if keep_timeline:
                 w_orig += times[p0:p]
-                w_core += [c] * (p - p0)
+                w_code += repeat(2 * c + OUTCOME_HIT, len(w_adj) - len(w_code))
+                w_lat += repeat(hit_ns, len(w_adj) - len(w_lat))
             pos[c] = p
             shift[c] = sh
             last_eff[c] = prev
@@ -857,20 +890,21 @@ def _replay(
             lands[c] = land
 
         if w_eff:
-            window = (w_orig, w_adj, w_core, w_out, w_lat)
-            if len(w_eff) > 1:
+            window = (w_orig, w_adj, w_code, w_lat)
+            if w_code[0] >> 1 != w_code[-1] >> 1:
                 # Each core's run is in order and the runs sit in core
                 # order, so a stable sort of the positions on eff
-                # interleaves them into the order the faults are served in.
+                # interleaves them into the order the faults are served
+                # in. A window one core served is in that order already.
                 pick = itemgetter(*sorted(range(len(w_eff)), key=w_eff.__getitem__))
                 window = map(pick, window)
             try:
                 for col, part in zip(columns, window):
-                    col += _pack(part)
+                    col += _pack(part, col.typecode)
             except OverflowError:
                 bad = next(v for v in (*w_adj, *w_lat) if not INT64_MIN <= v <= INT64_MAX)
                 raise ValueError(f"timeline value {bad} is outside signed 64 bits") from None
-            for part in (w_orig, w_eff, w_adj, w_core, w_out, w_lat):
+            for part in (w_orig, w_eff, w_adj, w_code, w_lat):
                 del part[:]
         if done == n:
             break

@@ -29,6 +29,7 @@ from mfoesim.params import Z95, LatencySampler, ModelParameters
 from mfoesim.trace import (
     DEFAULT_INTERVALS_MS,
     DEFAULT_WIDTHS,
+    MAX_CORES,
     OUTCOME_HIT,
     OUTCOME_MISS,
     OUTCOME_NAMES,
@@ -1207,15 +1208,16 @@ def test_miss_run_bounds_and_lean_hits_match_oracle(monkeypatch):
 # on a 4-core gcc trace of 0.01 s (14,624 faults, seed 1), swept over
 # widths 64 and 128 x intervals 0.5 and 2 ms (hit rates 0.09-0.35), and
 # replayed once with apply_model at width 64, 0.5 ms. Measured on CPython
-# 3.11: 175,112 lines for 58,496 cell-faults, 2.99 a cell-fault, and
-# 85,111 for 14,624 faults, 5.82 a fault (3.58 and 6.71 while a miss run's
-# end took a binary search over the core's remainder, a hit compared its
-# effective time with the tick, and a core with an empty pool recounted
-# its ramps before its next landing). The bounds are these plus the 10%
-# margin of the call guards in test_sim.py; a change that adds lines on
-# purpose re-pins both numbers here and says why.
+# 3.11: 175,108 lines for 58,496 cell-faults, 2.99 a cell-fault, and
+# 76,460 for 14,624 faults, 5.23 a fault (5.82 while a hit appended its
+# core, outcome and latency to the timeline one at a time; 3.58 and 6.71
+# while a miss run's end took a binary search over the core's remainder,
+# a hit compared its effective time with the tick, and a core with an
+# empty pool recounted its ramps before its next landing). The bounds are
+# these plus the 10% margin of the call guards in test_sim.py; a change
+# that adds lines on purpose re-pins both numbers here and says why.
 _REPLAY_LINES_PER_CELL_FAULT = 2.99
-_REPLAY_LINES_PER_FAULT = 5.82
+_REPLAY_LINES_PER_FAULT = 5.23
 _LINES_MARGIN = 1.10
 
 
@@ -1296,18 +1298,29 @@ def test_window_over_one_pack_block_matches_oracle():
 
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
 def test_timeline_csv_matches_per_row_reference(tmp_path, rows):
+    # Signed 64-bit edges in the three time columns; cores over the whole
+    # range a replay models, the last core's hit (code 2047) among them.
     rng = random.Random(rows)
     edges = [-(1 << 63), (1 << 63) - 1, 0, -1]
-    cols = [
+    orig, adj, lat = (
         array("q", [rng.choice(edges) if rng.random() < 0.1 else rng.randrange(-10**15, 10**15)
                     for _ in range(rows)])
-        for _ in range(5)
-    ]
-    cols[3] = array("q", [rng.choice((OUTCOME_MISS, OUTCOME_HIT)) for _ in range(rows)])
-    tl = Timeline(*cols)
+        for _ in range(3)
+    )
+    cores = [rng.choice((0, MAX_CORES - 1)) if rng.random() < 0.1 else rng.randrange(MAX_CORES)
+             for _ in range(rows)]
+    outcomes = [rng.choice((OUTCOME_MISS, OUTCOME_HIT)) for _ in range(rows)]
+    if rows:
+        cores[-1], outcomes[-1] = MAX_CORES - 1, OUTCOME_HIT
+    codes = array("H", [2 * c + out for c, out in zip(cores, outcomes)])
+    tl = Timeline(orig, adj, codes, lat)
+    assert (list(tl.core_ids), list(tl.outcomes)) == (cores, outcomes)
     lines = [TIMELINE_HEADER] + [
-        f"{o},{a},{c},{OUTCOME_NAMES[out]},{lat}" for o, a, c, out, lat in zip(*cols)
+        f"{o},{a},{c},{OUTCOME_NAMES[out]},{la}"
+        for o, a, c, out, la in zip(orig, adj, cores, outcomes, lat)
     ]
+    if rows:
+        assert codes[-1] == 2047 and lines[-1].split(",")[2:4] == ["1023", "hit"]
     path = tmp_path / "timeline.csv"
     write_blocks(path, tl.csv_blocks())
     assert path.read_text() == "".join(line + "\n" for line in lines)
