@@ -15,13 +15,13 @@ start stands for every tick up to the touch, applied in one call.
 Everything downstream of the seed is reproducible to the byte.
 
 Every touch, TLB and walk hits included, is logged as one row of a
-FaultLog: four columns (cycle, core, outcome code, latency cycles), with
-the outcome stored as an index into OUTCOMES, so the log costs a few
-bytes per touch instead of one object. The log is the one record of
-what each touch cost: the event loop keeps per core only its touch
+FaultLog: three columns (cycle, code, latency cycles), the code being
+core * len(OUTCOMES) + the outcome's index in OUTCOMES, so the log costs
+a few bytes per touch instead of one object. The log is the one record
+of what each touch cost: the event loop keeps per core only its touch
 count and end time, and the report derives every other CoreStats field
-and every total from the log in one pass. faults.csv is formatted from
-its columns a block of rows at a time (trace.csv_blocks).
+and every total from each code's count and cycle sum. faults.csv is
+formatted from its columns a block of rows at a time (trace.csv_blocks).
 """
 from __future__ import annotations
 
@@ -30,14 +30,14 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import repeat
-from operator import add, mul
+from itertools import compress, repeat
+from operator import floordiv, mod
 from typing import Iterator, Optional
 
 from .engine import TLB_HIT, WALK_HIT, MfoeEngine, OutcomeKind
 from .kernel import KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
-from .trace import MAX_CORES, csv_blocks, json_text
+from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
 from .vm import PAGE_SIZE
 
 # A background clock that is not running.
@@ -56,7 +56,7 @@ FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
 MAX_MAPPED_PAGES = 1 << 22
 MAX_TOTAL_FRAMES = 1 << 22
 # A small region is revisited, so touches are capped apart from pages:
-# 2**24 FaultLog rows, 64x criterion 1's top point, take about 400 MB.
+# 2**24 FaultLog rows, 64x criterion 1's top point, take 288 MB.
 MAX_TOUCHES = 1 << 24
 
 _PAST_64_BITS = f"a simulated cycle count passed {INT64_MAX}, the signed 64-bit limit"
@@ -141,17 +141,17 @@ class SimConfig:
         return self.cores or self.workload.threads
 
 
-# A FaultLog stores an outcome as its index into OUTCOMES. The fault
-# kinds come first, so a code below _FAULT_CODES is a fault.
+# A FaultLog's code is core * _WIDTH + the outcome's index in OUTCOMES.
 _FAULT_KINDS = (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT)
 OUTCOMES = _FAULT_KINDS + tuple(kind for kind in OutcomeKind if kind not in _FAULT_KINDS)
-_FAULT_CODES = len(_FAULT_KINDS)
+_WIDTH = len(OUTCOMES)
 _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
     OUTCOMES.index,
     (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT,
      OutcomeKind.TLB_HIT, OutcomeKind.WALK_HIT),
 )
 _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
+_IS_FAULT = [kind in _FAULT_KINDS for kind in OUTCOMES]
 
 # The outcomes after which the background pass stays dry: a TLB or walk
 # hit changes nothing a pass step or a pass start reads (the budget, the
@@ -162,25 +162,33 @@ _PASS_QUIET = frozenset((TLB_HIT, WALK_HIT))
 
 
 class FaultLog:
-    """One row per touch, kept as columns: the touch's cycle, its core,
-    the code of its outcome in OUTCOMES, and its latency in cycles."""
+    """One row per touch, kept as columns: the touch's cycle, its code in
+    an array("H") (below MAX_CORES * _WIDTH), and its latency in cycles.
+    core and outcome build an array from the codes on each read."""
 
     def __init__(self) -> None:
         self.t = array("q")
-        self.core = array("q")
-        self.outcome = array("B")
+        self.codes = array("H")
         self.cycles = array("q")
 
     def __len__(self) -> int:
         return len(self.t)
 
+    @property
+    def core(self) -> array:
+        return array("q", map(floordiv, self.codes, repeat(_WIDTH)))
+
+    @property
+    def outcome(self) -> array:
+        return array("B", map(mod, self.codes, repeat(_WIDTH)))
+
     def csv_blocks(self) -> Iterator[str]:
         """faults.csv as text blocks (see trace.csv_blocks)."""
         return csv_blocks(
             FAULTS_HEADER,
-            "%d,%d,%s,%d\n",
-            (self.t, self.core, self.outcome, self.cycles),
-            {2: [kind.value for kind in OUTCOMES]},
+            "%d,%s,%d\n",
+            (self.t, self.codes, self.cycles),
+            {1: CodeLabels([kind.value for kind in OUTCOMES])},
         )
 
 
@@ -294,12 +302,7 @@ class Simulation:
         self._stride_pages = wl.stride_pages
         self._faults_per_thread = wl.faults_per_thread
         self._interarrival = wl.interarrival_cycles
-        self._log = (
-            self.records.t.append,
-            self.records.core.append,
-            self.records.outcome.append,
-            self.records.cycles.append,
-        )
+        self._log = (self.records.t.append, self.records.codes.append, self.records.cycles.append)
         self.stats = [CoreStats(core=c) for c in range(cores)]
         self.fill_complete_cycle = 0
         self.background_processed = 0
@@ -401,10 +404,9 @@ class Simulation:
                 self._due = step
         touches += 1
         stats.touches = touches
-        log_t, log_core, log_outcome, log_cycles = self._log
+        log_t, log_code, log_cycles = self._log
         log_t(t)
-        log_core(core)
-        log_outcome(_CODE[kind])
+        log_code(core * _WIDTH + _CODE[kind])
         log_cycles(cycles)
         completion = t + cycles
         if touches < self._faults_per_thread:
@@ -416,29 +418,23 @@ class Simulation:
 
     def _build_report(self) -> SimReport:
         log = self.records
-        # one int key per (core, outcome): core * len(OUTCOMES) + code
-        width = len(OUTCOMES)
-        counts = Counter(map(add, map(mul, log.core, repeat(width)), log.outcome))
-        core_cycles = [0] * len(self.stats)
-        hit_total = 0
-        fault_cycles = []
-        for core, code, cycles in zip(log.core, log.outcome, log.cycles):
-            core_cycles[core] += cycles
-            if code < _FAULT_CODES:
-                fault_cycles.append(cycles)
-                if code == _HIT_CODE:
-                    hit_total += cycles
+        counts = Counter(log.codes)
+        code_cycles = [0] * (len(self.stats) * _WIDTH)
+        for code, cycles in zip(log.codes, log.cycles):
+            code_cycles[code] += cycles
+        # the latencies of the touches that faulted, picked by code
+        is_fault = _IS_FAULT * len(self.stats)
+        fault_cycles = list(compress(log.cycles, map(is_fault.__getitem__, log.codes)))
 
         for stats in self.stats:
-            c = stats.core
-            base = c * width
+            base = stats.core * _WIDTH
             stats.mfoe_hits = counts[base + _HIT_CODE]
             stats.mfoe_misses = counts[base + _MISS_CODE]
             stats.kernel_faults = counts[base + _KERNEL_CODE]
             stats.tlb_hits = counts[base + _TLB_CODE]
             stats.walk_hits = counts[base + _WALK_CODE]
             stats.compute_cycles = stats.touches * self._interarrival
-            stats.fault_cycles = core_cycles[c]
+            stats.fault_cycles = sum(code_cycles[base:base + _WIDTH])
             # the log's cycles against the event chain's end time
             identity = stats.compute_cycles + stats.fault_cycles
             if stats.end_time != identity:
@@ -451,7 +447,7 @@ class Simulation:
         misses = sum(s.mfoe_misses for s in self.stats)
         hit_rate = hits / (hits + misses) if hits + misses else 0.0
         penalty = self.config.params.mfoe_miss_penalty_cycles
-        mean_hit = hit_total / hits if hits else 0.0
+        mean_hit = sum(code_cycles[_HIT_CODE::_WIDTH]) / hits if hits else 0.0
         baseline = self.config.params.baseline_fault_mean_cycles
         speedup = baseline / mean_hit if mean_hit else 1.0
 

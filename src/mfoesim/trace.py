@@ -107,12 +107,12 @@ How the replay computes this, exactly and without an event queue:
   more cores served the window, a stable sort of its positions on
   effective time merges their runs and one itemgetter takes every column
   in that order; a window one core served is in that order already, and
-  skips both. Each column is then packed onto the timeline's arrays in
-  bulk (_pack). sweep keeps no timeline and skips the merge. An empty
-  trace ends the loop at once. timeline.csv is
-  formatted a block of rows per % call (csv_blocks) straight from the
-  arrays, one label per code giving the core and outcome fields, and
-  sweep.csv by the same routine from one list per column.
+  skips both. List columns are then packed onto the timeline's arrays in
+  bulk (_pack), and the original times, an array, appended when unmerged.
+  sweep keeps no timeline and skips the merge. An empty trace ends the
+  loop at once. timeline.csv is formatted a block of rows per % call
+  (csv_blocks) from the arrays, one label per code (CodeLabels) giving the
+  core and outcome fields, and sweep.csv by the same routine from lists.
 
 Runtime accounting brackets the original trace from its first fault to
 the completion of its latest-finishing fault. The modeled runtime is
@@ -121,7 +121,6 @@ speedup is the ratio of the two.
 """
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
@@ -499,7 +498,7 @@ def write_trace(trace: FaultTrace, path: str) -> None:
 
 
 def csv_blocks(
-    header: str, row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Sequence[str]]
+    header: str, row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Mapping[int, str]]
 ) -> Iterator[str]:
     """A CSV file as text blocks: the header line, then row_blocks."""
     yield header + "\n"
@@ -507,7 +506,7 @@ def csv_blocks(
 
 
 def row_blocks(
-    row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Sequence[str]]
+    row: str, columns: Sequence[Sequence[int]], labels: Mapping[int, Mapping[int, str]]
 ) -> Iterator[str]:
     """Up to _BLOCK_ROWS newline-terminated rows per text block, formatted
     with one % call. row is one line's format, its field i taken from
@@ -550,12 +549,17 @@ class TraceModelConfig:
             raise ValueError(f"cores must be at most {MAX_CORES}, got {self.cores}")
 
 
-@functools.cache
-def _code_labels() -> tuple[str, ...]:
-    """Each timeline code's core and outcome as timeline.csv writes them:
-    code 2 * core + outcome is labelled "core,outcome". Built on first
-    use, so commands that write no timeline do not hold it."""
-    return tuple(f"{c},{name}" for c in range(MAX_CORES) for name in OUTCOME_NAMES)
+class CodeLabels(dict):
+    """Code core * len(names) + outcome's label, "core,names[outcome]", in
+    timeline.csv and faults.csv; built on the first read of its code."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = names
+
+    def __missing__(self, code: int) -> str:
+        core, outcome = divmod(code, len(self.names))
+        label = self[code] = f"{core},{self.names[outcome]}"
+        return label
 
 
 @dataclass
@@ -563,9 +567,9 @@ class Timeline:
     """Shifted per-fault timeline in the order the faults are served.
 
     Each fault's core and outcome are one code, 2 * core + outcome, in an
-    array("H") (codes stay below 2 * MAX_CORES); the other columns are
-    array("q"). core_ids and outcomes build an array("q") from the codes
-    on each read."""
+    array("H") (codes stay below 2 * MAX_CORES), labelled by CodeLabels;
+    the other columns are array("q"). core_ids and outcomes build an
+    array("q") from the codes on each read."""
 
     orig_ns: array
     adjusted_ns: array
@@ -590,7 +594,7 @@ class Timeline:
             TIMELINE_HEADER,
             "%d,%d,%s,%d\n",
             (self.orig_ns, self.adjusted_ns, self.codes, self.modeled_latency_ns),
-            {2: _code_labels()},
+            {2: CodeLabels(OUTCOME_NAMES)},
         )
 
 
@@ -900,7 +904,7 @@ def _replay(
                 window = map(pick, window)
             try:
                 for col, part in zip(columns, window):
-                    col += _pack(part, col.typecode)
+                    col += part if type(part) is array else _pack(part, col.typecode)
             except OverflowError:
                 bad = next(v for v in (*w_adj, *w_lat) if not INT64_MIN <= v <= INT64_MAX)
                 raise ValueError(f"timeline value {bad} is outside signed 64 bits") from None

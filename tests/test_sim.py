@@ -29,7 +29,7 @@ from mfoesim.sim import (
     percentile,
     run,
 )
-from mfoesim.trace import write_blocks
+from mfoesim.trace import MAX_CORES, write_blocks
 from mfoesim.vm import OutOfMemory
 
 
@@ -224,19 +224,92 @@ def test_report_csv_layout():
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
 def test_fault_log_csv_matches_per_row_reference(tmp_path, rows):
     rng = random.Random(rows)
+    width = len(OUTCOMES)
+    cores = [rng.randrange(MAX_CORES) for _ in range(rows)]
+    outcomes = [rng.randrange(width) for _ in range(rows)]
+    if rows:
+        # the top code, which must be written as 1023 and the last outcome
+        cores[-1], outcomes[-1] = MAX_CORES - 1, width - 1
     log = FaultLog()
     log.t = array("q", sorted(rng.randrange(1 << 62) for _ in range(rows)))
-    log.core = array("q", [rng.randrange(64) for _ in range(rows)])
-    log.outcome = array("B", [rng.randrange(len(OUTCOMES)) for _ in range(rows)])
+    log.codes = array("H", [core * width + code for core, code in zip(cores, outcomes)])
     log.cycles = array("q", [rng.randrange(1, 1 << 40) for _ in range(rows)])
+    assert list(log.core) == cores
+    assert list(log.outcome) == outcomes
     lines = ["timestamp_cycles,core,outcome,latency_cycles"] + [
         f"{t},{core},{OUTCOMES[code].value},{cycles}"
-        for t, core, code, cycles in zip(log.t, log.core, log.outcome, log.cycles)
+        for t, core, code, cycles in zip(log.t, cores, outcomes, log.cycles)
     ]
+    if rows:
+        assert lines[-1].split(",")[1:3] == [f"{MAX_CORES - 1}", OUTCOMES[-1].value]
     path = tmp_path / "faults.csv"
     write_blocks(path, log.csv_blocks())
     assert path.read_text() == "".join(line + "\n" for line in lines)
     assert list(block_rows(log.csv_blocks())) == lines
+
+
+# Seeded configs whose logs hold, between them, every outcome a touch
+# can log: each case MFOE hits and the kind it is named for.
+_REPORT_CASES = {
+    # two 24-page regions, revisited, fit the engine's one 64-entry TLB
+    "tlb-hits": (OutcomeKind.TLB_HIT, dict(
+        threads=2, faults_per_thread=300, region_pages_per_thread=24, table_width=16, seed=1)),
+    # two 128-page regions do not: revisits walk
+    "walk-hits": (OutcomeKind.WALK_HIT, dict(
+        threads=2, faults_per_thread=600, region_pages_per_thread=128, table_width=16,
+        seed=2)),
+    # a narrow table at a tight rate runs dry: hits and misses
+    "misses": (OutcomeKind.MFOE_MISS, dict(
+        threads=3, faults_per_thread=400, interarrival_cycles=800, table_width=8, seed=3)),
+    # a 40-frame quota trips and shuts the offload off
+    "kernel-faults": (OutcomeKind.KERNEL_FAULT, dict(
+        threads=2, faults_per_thread=300, interarrival_cycles=1000, table_width=16,
+        quota_frames=40, refresh_interval_ms=0.01, seed=4)),
+}
+
+
+@pytest.mark.parametrize("name", _REPORT_CASES)
+def test_report_matches_per_row_recount(name):
+    kind, settings = _REPORT_CASES[name]
+    config = small_config(**settings)
+    report = run(config)
+    log = report.records
+    cores, outcomes, cycles = list(log.core), list(log.outcome), list(log.cycles)
+    # the code rule, core * len(OUTCOMES) + outcome, read back
+    assert list(log.codes) == [c * len(OUTCOMES) + o for c, o in zip(cores, outcomes)]
+    rows = [(c, OUTCOMES[o], n) for c, o, n in zip(cores, outcomes, cycles)]
+    assert {kind, OutcomeKind.MFOE_HIT} <= {k for _, k, _ in rows}
+
+    gap = config.workload.interarrival_cycles
+    assert [s.core for s in report.per_core] == list(range(config.workload.threads))
+    for stats in report.per_core:
+        mine = [(t, k, n) for t, (c, k, n) in zip(log.t, rows) if c == stats.core]
+        # each core's rows are one thread's chain of touches
+        ends = [t + n for t, _, n in mine]
+        assert [t for t, _, _ in mine] == [gap + end for end in [0] + ends[:-1]]
+        assert stats.touches == len(mine)
+        assert stats.mfoe_hits == sum(k is OutcomeKind.MFOE_HIT for _, k, _ in mine)
+        assert stats.mfoe_misses == sum(k is OutcomeKind.MFOE_MISS for _, k, _ in mine)
+        assert stats.kernel_faults == sum(k is OutcomeKind.KERNEL_FAULT for _, k, _ in mine)
+        assert stats.tlb_hits == sum(k is OutcomeKind.TLB_HIT for _, k, _ in mine)
+        assert stats.walk_hits == sum(k is OutcomeKind.WALK_HIT for _, k, _ in mine)
+        assert stats.compute_cycles == len(mine) * gap
+        assert stats.fault_cycles == sum(n for _, _, n in mine)
+        assert stats.end_time == ends[-1]
+
+    fault_kinds = {OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT}
+    faults = sorted(n for _, k, n in rows if k in fault_kinds)
+    hits = [n for _, k, n in rows if k is OutcomeKind.MFOE_HIT]
+    misses = sum(k is OutcomeKind.MFOE_MISS for _, k, _ in rows)
+    assert report.mfoe_hits == len(hits)
+    assert report.mfoe_misses == misses
+    assert report.kernel_faults == sum(k is OutcomeKind.KERNEL_FAULT for _, k, _ in rows)
+    assert report.hit_rate == len(hits) / (len(hits) + misses)
+    assert report.mean_hit_cycles == (sum(hits) / len(hits) if hits else 0.0)
+    assert report.mean_fault_cycles == sum(faults) / len(faults)
+    assert report.p95_fault_cycles == faults[math.ceil(0.95 * len(faults)) - 1]
+    assert report.total_fault_cycles == sum(cycles)
+    assert report.sim_cycles == max(s.end_time for s in report.per_core)
 
 
 def test_frame_exhaustion_raises_out_of_memory():
