@@ -663,43 +663,16 @@ def apply_model(
     config: Optional[TraceModelConfig] = None,
     params: Optional[ModelParameters] = None,
 ) -> ModelReport:
-    cores = _trace_cores(trace, config.cores if config else None)
-    return _replay(_CoreRuns(trace, cores), config, params, keep_timeline=True)
-
-
-def _trace_cores(trace: FaultTrace, cores: Optional[int]) -> int:
-    """The trace's core count, checked against the configured one and
-    MAX_CORES before anything is sized by either: _CoreRuns lists columns
-    up to the highest core id, and the replay keeps state per core."""
-    trace_cores = trace.core_count
-    if cores is not None and trace_cores > cores:
-        raise ValueError(f"trace uses {trace_cores} cores, model configured for {cores}")
-    if cores is not None and cores > MAX_CORES:
-        raise ValueError(f"cores must be at most {MAX_CORES}, got {cores}")
-    if trace_cores > MAX_CORES:
-        raise ValueError(f"trace uses {trace_cores} cores, more than the {MAX_CORES} a replay models")
-    return trace_cores
-
-
-class _CoreRuns:
-    """A trace's timestamp and latency columns indexed by core, with the
-    baseline totals every replay of it reports. The totals come from the
-    trace's per-core totals, so building this is O(cores), not a pass over
-    the faults. It is the one place a replay's per-core state is sized,
-    after _trace_cores; a sweep builds it once."""
-
-    __slots__ = ("faults", "times", "lats", "baseline_runtime_ns", "baseline_overhead_ns")
-
-    def __init__(self, trace: FaultTrace, cores: int):
-        self.faults = len(trace)
-        self.times = [trace.core_times.get(c, array("q")) for c in range(cores)]
-        self.lats = [trace.core_lats.get(c, array("q")) for c in range(cores)]
-        self.baseline_runtime_ns = trace.total_runtime_ns
-        self.baseline_overhead_ns = sum(s for _, s in trace.core_totals.values())
+    """Replay the trace against each core's pre-allocated frame table: a
+    ModelReport with its timeline. sweep is the same replay per grid cell,
+    without the timeline. Raises ValueError for a bad config or params,
+    then for a trace wider than config.cores or MAX_CORES, then for a
+    timeline value outside signed 64 bits."""
+    return _replay(trace, config, params, keep_timeline=True)
 
 
 def _replay(
-    runs: _CoreRuns,
+    trace: FaultTrace,
     config: Optional[TraceModelConfig],
     params: Optional[ModelParameters],
     keep_timeline: bool,
@@ -708,12 +681,20 @@ def _replay(
     params = params or ModelParameters()
     config.validate()
     params.validate()
-
-    n = runs.faults
-    trace_cores = len(runs.times)
-    cores = config.cores if config.cores is not None else max(1, trace_cores)
-
     consts = model_constants(config, params)
+
+    # The core checks come first: the lists below run to the highest core
+    # id, and one stray id must not size the run (see MAX_CORES). The
+    # lists, and the baseline read from the carried totals, are O(cores).
+    trace_cores = trace.core_count
+    if config.cores is not None and trace_cores > config.cores:
+        raise ValueError(f"trace uses {trace_cores} cores, model configured for {config.cores}")
+    if trace_cores > MAX_CORES:
+        raise ValueError(f"trace uses {trace_cores} cores, more than the {MAX_CORES} a replay models")
+    n = len(trace)
+    core_times = [trace.core_times.get(c, array("q")) for c in range(trace_cores)]
+    core_lats = [trace.core_lats.get(c, array("q")) for c in range(trace_cores)]
+    cores = config.cores if config.cores is not None else max(1, trace_cores)
     echo = {
         "width": config.width,
         "refresh_interval_ms": config.refresh_interval_ms,
@@ -738,7 +719,7 @@ def _replay(
     # before the first count), so ramps are recounted only when the core's
     # hits reach cap and its effective time reaches land (arrivals only
     # grow, and a tick adds only ramps that land after it).
-    active = [c for c in range(trace_cores) if runs.times[c]]
+    active = [c for c in range(trace_cores) if core_times[c]]
     pos = [0] * cores
     shift = [0] * cores
     last_eff = [-math.inf] * cores
@@ -775,11 +756,11 @@ def _replay(
         # share nothing between ticks.
         for c in active:
             p = pos[c]
-            times = runs.times[c]
+            times = core_times[c]
             end = len(times)
             if p == end:
                 continue
-            lats = runs.lats[c]
+            lats = core_lats[c]
             sh = shift[c]
             prev = last_eff[c]
             hc = core_hits[c]
@@ -936,9 +917,9 @@ def _replay(
             # Ticks with nothing to recycle only rotate the start core:
             # skip to the window holding the next fault.
             nxt = min(
-                max(runs.times[c][pos[c]] + shift[c], last_eff[c])
+                max(core_times[c][pos[c]] + shift[c], last_eff[c])
                 for c in active
-                if pos[c] < len(runs.times[c])
+                if pos[c] < len(core_times[c])
             )
             skip = (nxt - tick) // interval_ns + 1
             tick_index += skip
@@ -949,13 +930,13 @@ def _replay(
     # A core's shift is its misses times the penalty less what its hits
     # saved, so the shifts' sum gives the savings exactly.
     saved = penalty - sum(shift)
-    baseline_runtime = runs.baseline_runtime_ns
+    baseline_runtime = trace.total_runtime_ns
     modeled_runtime = baseline_runtime - saved + penalty
     if modeled_runtime > 0:
         speedup = baseline_runtime / modeled_runtime
     else:  # the model saved the whole runtime, or an empty trace has none
         speedup = math.inf if n else 1.0
-    baseline_overhead = runs.baseline_overhead_ns
+    baseline_overhead = sum(s for _, s in trace.core_totals.values())
     modeled_overhead = baseline_overhead - saved + penalty
     return ModelReport(
         config=echo,
@@ -1190,10 +1171,9 @@ def sweep(
     )
     if not width_list or not interval_list:
         raise ValueError("sweep grids must be nonempty")
-    runs = _CoreRuns(trace, _trace_cores(trace, cores))
     cells = []
     for w in width_list:
         for iv in interval_list:
             cfg = TraceModelConfig(width=w, refresh_interval_ms=iv, cores=cores)
-            cells.append(SweepCell(w, iv, _replay(runs, cfg, params, keep_timeline=False)))
+            cells.append(SweepCell(w, iv, _replay(trace, cfg, params, keep_timeline=False)))
     return SweepGrid(cells)

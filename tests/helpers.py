@@ -34,3 +34,22 @@ def count_lines(function, call: Callable):
     finally:
         sys.settrace(outer)
     return result, lines
+
+
+class _Unlisted(dict):
+    """Per-core columns that refuse a lookup by core id."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a per-core list was built before the core count was checked")
+
+    get = __getitem__ = _refuse
+
+
+def unlisted(trace):
+    """trace, whose per-core columns now refuse a lookup by core id: a
+    replay that lists them before checking the trace's core count fails.
+    Reading the ids themselves (core_count) and the carried totals still
+    works."""
+    trace.core_times = _Unlisted(trace.core_times)
+    trace.core_lats = _Unlisted(trace.core_lats)
+    return trace

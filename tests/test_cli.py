@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from helpers import unlisted
 
 from mfoesim import sim, trace
 from mfoesim.cli import CONFIG_ENV_VAR, build_parser, main
@@ -118,7 +119,9 @@ def test_non_utf8_trace_is_a_clean_error(tmp_path, capsys, body, line_no):
         assert capsys.readouterr().err == f"error: {trace_path}:{line_no}: not UTF-8\n"
 
 
-def test_too_many_cores_is_a_clean_error(tmp_path, capsys):
+def test_too_many_cores_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    ingest = trace.ingest
+    monkeypatch.setattr(trace, "ingest", lambda path: unlisted(ingest(path)))
     trace_path = tmp_path / "t.csv"
     trace_path.write_text(f"{trace.TRACE_HEADER}\n500,0,5\n600,100000,5\n")
     for command in ("model", "sweep"):
@@ -140,17 +143,36 @@ def test_too_many_cores_is_a_clean_error(tmp_path, capsys):
 def test_core_count_above_the_cap_is_a_clean_error(tmp_path, capsys, monkeypatch, rows, extra,
                                                    message):
     assert trace.MAX_CORES == 1024
-
-    def no_split(*args):
-        raise AssertionError("the trace was split per core before the cap was checked")
-
-    monkeypatch.setattr(trace, "_CoreRuns", no_split)
+    ingest = trace.ingest
+    monkeypatch.setattr(trace, "ingest", lambda path: unlisted(ingest(path)))
     trace_path = tmp_path / "t.csv"
     trace_path.write_text(f"{trace.TRACE_HEADER}\n{rows}")
     for command in ("model", "sweep"):
         argv = (command, "--trace", str(trace_path), *extra, "--out-dir", str(tmp_path))
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (("model", "--cores", "0"), "500,0,5\n", "cores must be positive"),
+    (("model", "--cores", "-3"), "500,0,5\n", "cores must be positive"),
+    (("sweep", "--cores", "0"), "500,0,5\n", "cores must be positive"),
+    (("sweep", "--cores", "-3"), "500,0,5\n", "cores must be positive"),
+    (("model", "--cores", "-3", "--width", "0"), "500,0,5\n", "width must be positive"),
+    (("sweep", "--cores", "-3", "--widths", "0"), "500,0,5\n", "width must be positive"),
+    (("model", "--cores", "2", "--refresh-interval-ms", "1e300"), "500,0,5\n600,3,5\n",
+     "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
+    (("sweep", "--cores", "2", "--intervals-ms", "1e300"), "500,0,5\n600,3,5\n",
+     "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
+], ids=["model-0", "model-neg", "sweep-0", "sweep-neg", "model-width", "sweep-width",
+        "model-interval", "sweep-interval"])
+def test_config_error_comes_before_a_trace_mismatch(tmp_path, capsys, argv, rows, message):
+    # each config is wrong on its own and too narrow for the trace; the
+    # config's own error is the one reported
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"{trace.TRACE_HEADER}\n{rows}")
+    assert run_cli(*argv, "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_timeline_value_outside_64_bits_is_a_clean_error(tmp_path, capsys):

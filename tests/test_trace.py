@@ -20,7 +20,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from helpers import block_rows, count_lines
+from helpers import block_rows, count_lines, unlisted
 from test_acceptance import _reference_replay
 
 from mfoesim import trace as trace_module
@@ -572,25 +572,26 @@ class _Unread(array):
 
 def test_replay_prelude_is_o_cores_on_an_ingested_trace(tmp_path, monkeypatch):
     # apply_model and sweep read each core's carried totals and never
-    # iterate a column before the replay loop, nor count the totals again
+    # iterate a column before the replay loop, nor count the totals again:
+    # the real replay runs over columns that refuse a pass over them
     path = tmp_path / "t.csv"
     write_trace(synthesize(20_000, 0.05, dist="poisson", cores=4, seed=2), str(path))
     trace = ingest(str(path))
-    want = apply_model(trace, TraceModelConfig(width=64))
-    overhead = sum(trace.latencies_ns)
+    config = TraceModelConfig(width=64)
+    want = apply_model(trace, config)
+    want_grid = sweep(trace, [16, 64], [2.0, 4.0])
     for columns in (trace.core_times, trace.core_lats):
         for c in columns:
             columns[c] = _Unread("q", columns[c])
-    runs, counted = [], []
+    counted = []
     count = trace_module._count_totals
     monkeypatch.setattr(trace_module, "_count_totals", lambda *a: counted.append(a) or count(*a))
-    monkeypatch.setattr(trace_module, "_replay", lambda r, *a, **k: runs.append(r))
-    apply_model(trace, TraceModelConfig(width=64))
-    sweep(trace, [16, 64], [2.0, 4.0])
-    assert counted == [] and len(runs) == 1 + 4
-    for r in runs:
-        assert (r.baseline_runtime_ns, r.baseline_overhead_ns) == (
-            want.baseline_runtime_ns, overhead)
+    got = apply_model(trace, config)
+    grid = sweep(trace, [16, 64], [2.0, 4.0])
+    assert counted == []
+    assert got.to_json_dict() == want.to_json_dict()
+    assert list(got.timeline.csv_blocks()) == list(want.timeline.csv_blocks())
+    assert grid.to_json_dict() == want_grid.to_json_dict()
 
 
 def test_pack_keeps_every_64_bit_value_across_blocks(tmp_path):
@@ -831,25 +832,25 @@ def test_core_count_inferred_and_checked():
         apply_model(trace, TraceModelConfig(width=4, cores=2))
 
 
-def test_core_count_checked_before_per_core_split(monkeypatch):
+def test_core_count_checked_before_per_core_split():
     # The trace holds columns only for the core ids that occur, but the
-    # replay's _CoreRuns lists them up to the highest id, so a trace with
-    # more cores than configured is refused before that list is built.
-    built = []
-    real = trace_module._CoreRuns
-    monkeypatch.setattr(trace_module, "_CoreRuns", lambda *a: built.append(a) or real(*a))
-    wide = FaultTrace.from_records([(1000, 0, 10), (2000, 100_000, 10)])
-    assert sorted(wide.core_times) == sorted(wide.core_lats) == [0, 100_000]
+    # replay lists them up to the highest id, so a trace with more cores
+    # than configured is refused before that list is built.
+    wide = unlisted(FaultTrace.from_records([(1000, 0, 10), (2000, 100_000, 10)]))
+    assert sorted(wide.core_ids) == [0, 100_000]
     message = "trace uses 100001 cores, model configured for 4"
     with pytest.raises(ValueError, match=message):
         apply_model(wide, TraceModelConfig(width=4, cores=4))
     with pytest.raises(ValueError, match=message):
         sweep(wide, [4], [2.0], cores=4)
-    assert built == []
+    message = "trace uses 100001 cores, more than the 1024 a replay models"
+    with pytest.raises(ValueError, match=message):
+        apply_model(wide, TraceModelConfig(width=4))
+    with pytest.raises(ValueError, match=message):
+        sweep(wide, [4], [2.0])
     fits = FaultTrace.from_records([(1000, 0, 10), (2000, 3, 10)])
-    apply_model(fits, TraceModelConfig(width=4, cores=4))
-    sweep(fits, [4, 8], [2.0], cores=4)
-    assert len(built) == 2
+    assert apply_model(fits, TraceModelConfig(width=4, cores=4)).config["cores"] == 4
+    assert len(sweep(fits, [4, 8], [2.0], cores=4).cells) == 2
 
 
 def test_config_validation():
