@@ -261,8 +261,11 @@ def _require_trace(args: argparse.Namespace) -> str:
 
 def cmd_model(args: argparse.Namespace) -> int:
     params = _build_params(args, trace.MODEL_PARAMETERS)
-    fault_trace = trace.ingest(_require_trace(args))
+    path = _require_trace(args)
     config = trace.TraceModelConfig(**_given(args, (f.name for f in fields(trace.TraceModelConfig))))
+    # a bad config is refused before the trace is read
+    trace.checked_constants(config, params)
+    fault_trace = trace.ingest(path)
     report = trace.apply_model(fault_trace, config, params)
 
     out = Path(args.out_dir)
@@ -282,7 +285,10 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _build_params(args, trace.MODEL_PARAMETERS)
-    fault_trace = trace.ingest(_require_trace(args))
+    path = _require_trace(args)
+    # every cell is checked before the trace is read
+    trace.sweep_configs(args.widths, args.intervals_ms, params, args.cores)
+    fault_trace = trace.ingest(path)
     grid = trace.sweep(fault_trace, args.widths, args.intervals_ms, params, args.cores)
 
     out = Path(args.out_dir)

@@ -3,16 +3,15 @@ under the per-entry bit lock, and fallback into the kernel model.
 
 The whole minor-fault protocol lives in PteFaultSm as one generator that
 yields at each atomic-action boundary, and yields a wait predicate where
-a handler spins on another's lock. The serialized simulator drives each
-handler to completion with one run() call, which iterates the generator
-in a for loop; the concurrency tests instead interleave step() calls
-from several handlers aimed at the same leaf to exercise the lock
-protocol. The generator records how the handler ended in its result
-attribute on its last action and returns nothing, so a finished fault
-costs no StopIteration carrying a value.
+a handler spins on another's lock. The concurrency tests interleave
+step() calls from several handlers aimed at the same leaf to exercise
+the lock protocol, and run() drives one handler to completion. The
+generator records how the handler ended in its result attribute on its
+last action and returns nothing, so a finished fault costs no
+StopIteration carrying a value.
 
 MfoeEngine.resolve is the one dispatch of a touch (TLB, walk, then the
-handler) and returns a plain tuple; access() wraps that tuple in a
+fault) and returns a plain tuple; access() wraps that tuple in a
 FaultOutcome for library callers. The enum members the per-touch path
 compares or returns are bound to module names once, since a module
 global reads several times faster than an Enum class attribute.
@@ -20,10 +19,11 @@ global reads several times faster than an Enum class attribute.
 A touch costs as few Python calls as the layers allow. resolve tests
 canonicality with a range compare, calling check_canonical only to
 raise; it builds one (tgid, vpn) key and hands it to Tlb.lookup and,
-after a miss, to Tlb.insert. The handler is the lock bit's one
-owner: it tests, sets and clears PTE_LOCK on the leaf word in place,
-and its kernel path passes the leaf it holds to
-KernelModel.inline_install instead of walking to it again.
+after a miss, to Tlb.insert. It serves a fault itself, in straight-line
+code with no handler object or generator, and its kernel path passes
+the leaf it read to KernelModel.inline_install instead of walking to it
+again. PteFaultSm stays the model of the lock protocol and the
+reference the straight-line path is tested against.
 """
 from __future__ import annotations
 
@@ -146,6 +146,10 @@ class PteFaultSm:
 
     A handler that loses the lock race busy-waits until the lock is clear
     and present is set, then reuses the installed translation.
+
+    MfoeEngine.resolve serves the simulator's faults without it, taking
+    an uncontended handler's actions; this class models contention, for
+    the interleaving tests and callers that step handlers themselves.
 
     The protocol is the generator _protocol(), which yields after each
     atomic action and, on its last one, sets result to the SmResult just
@@ -320,6 +324,12 @@ class MfoeEngine:
         Dispatch: TLB, then the walker, then either the offload engine or
         the kernel. Any path that resolves the page leaves the
         translation in the TLB.
+
+        A fault is served here in straight-line code: an uncontended
+        PteFaultSm's actions in its order, without the lock bit, which no
+        other handler can observe. A leaf whose lock is held, as only a
+        PteFaultSm stepped by hand leaves it, raises RuntimeError before
+        any change, as PteFaultSm.run() does.
         """
         if not 0 <= va < USER_VA_LIMIT:
             check_canonical(va)  # raises CanonicalityError
@@ -355,22 +365,23 @@ class MfoeEngine:
             self.kernel.record_segv(tgid, va, now)
             return SEGV, 0, 0, 0, None
 
-        sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active, leaf)
-        result = sm.run()
-        pfn = sm.pfn
-        if result is _SM_MFOE_HIT:
-            out = MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
-        elif result is _SM_MFOE_MISS_KERNEL:
-            kernel_cycles = self.kernel.sample_baseline_cycles()
-            penalty = self.params.mfoe_miss_penalty_cycles
-            out = MFOE_MISS, penalty + kernel_cycles, penalty, kernel_cycles, pfn
-        elif result is _SM_KERNEL:
-            kernel_cycles = self.kernel.sample_baseline_cycles()
-            out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, pfn
+        # the fault, as an uncontended PteFaultSm serves it; raw is the
+        # word the walk read, unchanged since
+        kernel = self.kernel
+        if leaf is not None and raw & PTE_LOCK:
+            raise RuntimeError("handler blocked with no concurrent progress")
+        if kernel.mfoe_active and leaf is not None and raw & PTE_MFOEABLE:
+            pfn = kernel.tables[core].consume(va, tgid)
+            if pfn is not None:
+                leaf.install_frame(pfn, vma.writable)
+                tlb.insert(key, pfn, (leaf.raw & PTE_RW) != 0)
+                return MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
+            kind, penalty = MFOE_MISS, self.params.mfoe_miss_penalty_cycles
         else:
-            # REUSE/WAITED cannot happen in serialized use: a present leaf
-            # resolves above as a TLB or walk hit before any handler starts.
-            raise AssertionError(f"unexpected serialized handler result {result}")
-
-        tlb.insert(key, pfn, (sm.leaf.raw & PTE_RW) != 0)
-        return out
+            kind, penalty = KERNEL_FAULT, 0
+            if leaf is None:
+                leaf = proc.page_table.construct_path(va)
+        pfn = kernel.inline_install(proc, va, vma.writable, leaf)
+        kernel_cycles = kernel.sample_baseline_cycles()
+        tlb.insert(key, pfn, (leaf.raw & PTE_RW) != 0)
+        return kind, penalty + kernel_cycles, penalty, kernel_cycles, pfn

@@ -658,6 +658,14 @@ def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
     }
 
 
+def checked_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
+    """model_constants, after config.validate() and params.validate():
+    every check of a replay's settings, none of which reads the trace."""
+    config.validate()
+    params.validate()
+    return model_constants(config, params)
+
+
 def apply_model(
     trace: FaultTrace,
     config: Optional[TraceModelConfig] = None,
@@ -679,9 +687,7 @@ def _replay(
 ) -> ModelReport:
     config = config or TraceModelConfig()
     params = params or ModelParameters()
-    config.validate()
-    params.validate()
-    consts = model_constants(config, params)
+    consts = checked_constants(config, params)
 
     # The core checks come first: the lists below run to the highest core
     # id, and one stray id must not size the run (see MAX_CORES). The
@@ -1157,6 +1163,29 @@ class SweepGrid:
         }
 
 
+def sweep_configs(
+    widths: Optional[Iterable[int]] = None,
+    intervals_ms: Optional[Iterable[float]] = None,
+    params: Optional[ModelParameters] = None,
+    cores: Optional[int] = None,
+) -> list[TraceModelConfig]:
+    """The sweep grid's configs, widths outer and intervals inner. Each
+    one passes checked_constants, so a bad cell is refused before any
+    cell is replayed."""
+    width_list = list(widths) if widths is not None else list(DEFAULT_WIDTHS)
+    interval_list = (
+        list(intervals_ms) if intervals_ms is not None else list(DEFAULT_INTERVALS_MS)
+    )
+    if not width_list or not interval_list:
+        raise ValueError("sweep grids must be nonempty")
+    params = params or ModelParameters()
+    configs = [TraceModelConfig(width=w, refresh_interval_ms=iv, cores=cores)
+               for w in width_list for iv in interval_list]
+    for config in configs:
+        checked_constants(config, params)
+    return configs
+
+
 def sweep(
     trace: FaultTrace,
     widths: Optional[Iterable[int]] = None,
@@ -1164,16 +1193,9 @@ def sweep(
     params: Optional[ModelParameters] = None,
     cores: Optional[int] = None,
 ) -> SweepGrid:
-    """Replay one trace across a (width, refresh interval) grid."""
-    width_list = list(widths) if widths is not None else list(DEFAULT_WIDTHS)
-    interval_list = (
-        list(intervals_ms) if intervals_ms is not None else list(DEFAULT_INTERVALS_MS)
-    )
-    if not width_list or not interval_list:
-        raise ValueError("sweep grids must be nonempty")
-    cells = []
-    for w in width_list:
-        for iv in interval_list:
-            cfg = TraceModelConfig(width=w, refresh_interval_ms=iv, cores=cores)
-            cells.append(SweepCell(w, iv, _replay(trace, cfg, params, keep_timeline=False)))
-    return SweepGrid(cells)
+    """Replay one trace across a (width, refresh interval) grid, every
+    cell checked (sweep_configs) before the first is replayed."""
+    return SweepGrid([
+        SweepCell(c.width, c.refresh_interval_ms, _replay(trace, c, params, keep_timeline=False))
+        for c in sweep_configs(widths, intervals_ms, params, cores)
+    ])

@@ -175,6 +175,35 @@ def test_config_error_comes_before_a_trace_mismatch(tmp_path, capsys, argv, rows
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("model", "--cores", "0"), "cores must be positive"),
+    (("sweep", "--cores", "0"), "cores must be positive"),
+    (("model", "--width", "0"), "width must be positive"),
+    (("sweep", "--widths", "256,0"), "width must be positive"),
+    (("model", "--refresh-interval-ms", "1e300"),
+     "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
+    (("sweep", "--intervals-ms", "2,1e300"),
+     "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
+], ids=["model-cores", "sweep-cores", "model-width", "sweep-width", "model-interval",
+        "sweep-interval"])
+@pytest.mark.parametrize("rows", [None, "500,0,x\n", "500,0,5\n"],
+                         ids=["missing", "malformed", "valid"])
+def test_config_error_comes_before_the_trace_is_read(tmp_path, capsys, monkeypatch, argv,
+                                                     message, rows):
+    # the settings are checked first: a missing or malformed trace file
+    # is never opened, and no sweep cell is replayed before a bad one
+    # is refused
+    calls = []
+    monkeypatch.setattr(trace, "ingest", lambda path: calls.append("ingest"))
+    monkeypatch.setattr(trace, "_replay", lambda *args, **kwargs: calls.append("replay"))
+    trace_path = tmp_path / "t.csv"
+    if rows is not None:
+        trace_path.write_text(f"{trace.TRACE_HEADER}\n{rows}")
+    assert run_cli(*argv, "--trace", str(trace_path), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
 def test_timeline_value_outside_64_bits_is_a_clean_error(tmp_path, capsys):
     # both fields fit, but the miss penalty pushes the adjusted time and
     # the modeled latency past 2**63 - 1

@@ -1,0 +1,309 @@
+"""The serialized fault path against its reference.
+
+MfoeEngine.resolve serves a fault in straight-line code. PteFaultSm's
+generator stays the model of the lock protocol; GeneratorEngine below
+serves every fault through PteFaultSm(...).run() instead, and each test
+here runs both on the same inputs and compares everything they leave.
+"""
+import random
+
+import pytest
+
+from mfoesim import sim as sim_module
+from mfoesim.engine import (
+    KERNEL_FAULT,
+    MFOE_HIT,
+    MFOE_MISS,
+    PROTECTION_FAULT,
+    SEGV,
+    TLB_HIT,
+    WALK_HIT,
+    MfoeEngine,
+    OutcomeKind,
+    PteFaultSm,
+    SmResult,
+)
+from mfoesim.kernel import KernelModel
+from mfoesim.sim import OUTCOMES, SimConfig, Simulation, WorkloadSpec
+from mfoesim.vm import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PFN_MASK,
+    PFN_SHIFT,
+    PTE_MFOEABLE,
+    PTE_PRESENT,
+    PTE_RW,
+    USER_VA_LIMIT,
+    check_canonical,
+)
+
+
+class GeneratorEngine(MfoeEngine):
+    """MfoeEngine whose resolve serves a fault by running a PteFaultSm to
+    completion: the TLB and walk dispatch are resolve's, the fault is the
+    protocol generator's."""
+
+    def resolve(self, core, va, is_write=False, now=0):
+        if not 0 <= va < USER_VA_LIMIT:
+            check_canonical(va)
+        proc = self.core_proc[core]
+        tgid = proc.tgid
+        vpn = va >> PAGE_SHIFT
+        key = (tgid, vpn)
+        tlb_hit = self.tlb.lookup(key)
+        if tlb_hit is not None:
+            pfn, rw = tlb_hit
+            if is_write and not rw:
+                self.kernel.record_protection_fault(tgid, va, now)
+                return PROTECTION_FAULT, 0, 0, 0, pfn
+            return TLB_HIT, 0, 0, 0, pfn
+        leaf = proc.page_table.entries.get(vpn)
+        if leaf is not None and leaf.raw & PTE_PRESENT:
+            pfn = (leaf.raw & PFN_MASK) >> PFN_SHIFT
+            rw = (leaf.raw & PTE_RW) != 0
+            if is_write and not rw:
+                self.kernel.record_protection_fault(tgid, va, now)
+                return PROTECTION_FAULT, 0, 0, 0, pfn
+            self.tlb.insert(key, pfn, rw)
+            return WALK_HIT, 0, 0, 0, pfn
+        vma = proc.find_vma(va)
+        if vma is None:
+            self.kernel.record_segv(tgid, va, now)
+            return SEGV, 0, 0, 0, None
+
+        sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active, leaf)
+        result = sm.run()
+        if result is SmResult.MFOE_HIT:
+            out = MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, sm.pfn
+        elif result is SmResult.MFOE_MISS_KERNEL:
+            kernel_cycles = self.kernel.sample_baseline_cycles()
+            penalty = self.params.mfoe_miss_penalty_cycles
+            out = MFOE_MISS, penalty + kernel_cycles, penalty, kernel_cycles, sm.pfn
+        else:
+            assert result is SmResult.KERNEL, result
+            kernel_cycles = self.kernel.sample_baseline_cycles()
+            out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, sm.pfn
+        self.tlb.insert(key, sm.pfn, (sm.leaf.raw & PTE_RW) != 0)
+        return out
+
+
+def _state(kernel, engine):
+    """Everything a fault can change, in a form == compares exactly."""
+    return {
+        "census": kernel.frame_census(),
+        "ledger": kernel.ledger.records(),
+        "rmap": list(kernel.ledger.rmap.items()),
+        "mm_counter": dict(kernel.ledger.mm_counter),
+        "tables": [t.to_bytes() for t in kernel.tables or ()],
+        "leaves": {
+            tgid: [(vpn, leaf.raw) for vpn, leaf in proc.page_table.entries.items()]
+            for tgid, proc in kernel.procs.items()
+        },
+        "free_list": list(kernel.allocator.free_list),
+        "tlb": list(engine.tlb._map.items()),
+        "segv": kernel.segv_events,
+        "protection": kernel.protection_faults,
+        "rng": kernel.rng.getstate(),
+    }
+
+
+# Simulation runs: the whole event loop over each engine
+
+
+def _sim_cases():
+    shapes = {
+        # a slow rate and a wide table: every fault hits
+        "hits": dict(threads=1, faults_per_thread=48, interarrival_cycles=200_000,
+                     table_width=64),
+        # a narrow table at a tight rate runs dry: hits and misses
+        "misses": dict(threads=3, faults_per_thread=300, interarrival_cycles=800, table_width=8),
+        # the criterion-1 shape, small: the pass saturates
+        "saturated": dict(threads=8, faults_per_thread=96, table_width=16,
+                          refresh_interval_ms=0.1),
+        # a 40-frame quota trips mid-run: offloading goes off, and the
+        # eligibility bits of the untouched half of each region are cleared
+        "quota": dict(threads=2, faults_per_thread=150, region_pages_per_thread=300,
+                      interarrival_cycles=1000, table_width=16, quota_frames=40,
+                      refresh_interval_ms=0.01),
+        # a low threshold on a larger quota trips later
+        "threshold": dict(threads=2, faults_per_thread=200, interarrival_cycles=900,
+                          table_width=16, quota_frames=160, resource_threshold=0.5,
+                          refresh_interval_ms=0.02),
+        # two 6-page regions revisited through a 10-entry TLB: TLB and
+        # walk hits
+        "revisit": dict(threads=2, faults_per_thread=400, region_pages_per_thread=6,
+                        tlb_entries=10, interarrival_cycles=1500, table_width=16),
+        # strided touches over a region the stride wraps around
+        "stride": dict(threads=3, faults_per_thread=200, stride_pages=7,
+                       region_pages_per_thread=90, interarrival_cycles=1100, table_width=8),
+    }
+    return {f"{name}-{seed}": dict(shape, seed=seed)
+            for name, shape in shapes.items() for seed in (1, 2, 3)}
+
+
+_SIM_CASES = _sim_cases()
+
+
+def _config(settings):
+    workload_keys = set(WorkloadSpec.__dataclass_fields__)
+    workload = WorkloadSpec(**{k: v for k, v in settings.items() if k in workload_keys})
+    return SimConfig(workload=workload,
+                     **{k: v for k, v in settings.items() if k not in workload_keys})
+
+
+def _simulate(settings, engine_class, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_module, "MfoeEngine", engine_class)
+        simulation = Simulation(_config(settings))
+    assert type(simulation.engine) is engine_class
+    report = simulation.run()
+    outputs = {"report.json": report.to_json(),
+               "faults.csv": "".join(report.records.csv_blocks())}
+    return simulation, report, outputs
+
+
+@pytest.mark.parametrize("name", _SIM_CASES)
+def test_simulation_matches_the_generator_reference(name, monkeypatch):
+    settings = _SIM_CASES[name]
+    ref_sim, _, ref_out = _simulate(settings, GeneratorEngine, monkeypatch)
+    sim, report, out = _simulate(settings, MfoeEngine, monkeypatch)
+    assert out == ref_out
+    assert _state(sim.kernel, sim.engine) == _state(ref_sim.kernel, ref_sim.engine)
+
+    kinds = {OUTCOMES[o] for o in report.records.outcome}
+    assert MFOE_HIT in kinds
+    if name.startswith(("misses", "saturated")):
+        assert MFOE_MISS in kinds
+    if name.startswith(("quota", "threshold")):
+        # offloading was on, then turned off mid-run
+        assert KERNEL_FAULT in kinds and not sim.kernel.mfoe_active
+    if name.startswith("quota"):
+        cleared = [leaf for leaf in sim.proc.page_table.entries.values() if leaf.raw == 0]
+        assert cleared, "the quota trip cleared no eligibility bit"
+    if name.startswith("revisit"):
+        assert {TLB_HIT, WALK_HIT} <= kinds
+
+
+def test_the_simulation_builds_no_handler_object(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PteFaultSm was built")
+
+    monkeypatch.setattr(PteFaultSm, "__init__", refuse)
+    report = Simulation(_config(_SIM_CASES["saturated-1"])).run()
+    assert report.mfoe_hits and report.mfoe_misses
+    assert report.mfoe_hits + report.mfoe_misses + report.kernel_faults == 8 * 96
+
+
+# Engine-level cases: the paths a Simulation reaches rarely or never
+
+
+def _engine_env(engine_class, case):
+    kernel = KernelModel(cores=2, total_frames=2048, seed=5)
+    engine = engine_class(kernel, tlb_entries=8)
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    if case != "empty-table":
+        kernel.run_init_fill()
+    vma = kernel.region_create(proc, 24 * PAGE_SIZE)
+    if case != "unbuilt-leaf":
+        kernel.prefault_construct(proc, vma)
+    readonly = kernel.region_create(proc, 8 * PAGE_SIZE, writable=False)
+    kernel.prefault_construct(proc, readonly)
+    if case == "offload-off":
+        kernel.mfoe_disable(proc)
+    if case == "cleared-bit":
+        for vpn, leaf in proc.page_table.entries.items():
+            if vpn % 3 == 0:
+                leaf.raw &= ~PTE_MFOEABLE
+    for core in range(2):
+        engine.bind(core, proc)
+    return kernel, engine, [vma, readonly]
+
+
+_ENGINE_CASES = ("unbuilt-leaf", "offload-off", "empty-table", "cleared-bit", "mixed")
+
+
+def _touches(case, regions):
+    """A seeded run of (core, va, is_write): revisits, reads of the
+    read-only region, writes to it, and touches past every region."""
+    rng = random.Random(f"fault path {case}")
+    vma, readonly = regions
+    touches = []
+    for _ in range(160):
+        region = readonly if rng.random() < 0.2 else vma
+        page = rng.randrange(region.pages() + 1)  # one past the end: a segv
+        touches.append((rng.randrange(2), region.start + page * PAGE_SIZE + rng.randrange(64),
+                        rng.random() < 0.7))
+    return touches
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
+def test_engine_matches_the_generator_reference(case):
+    worlds = [_engine_env(cls, case) for cls in (GeneratorEngine, MfoeEngine)]
+    outcomes = [[], []]
+    for touch in _touches(case, worlds[0][2]):
+        for world, log in zip(worlds, outcomes):
+            kernel, engine, _ = world
+            log.append(engine.resolve(*touch, now=len(log)))
+    assert outcomes[1] == outcomes[0]
+    assert _state(*worlds[1][:2]) == _state(*worlds[0][:2])
+    kinds = {kind for kind, *_ in outcomes[1]}
+    expect = {
+        "unbuilt-leaf": {KERNEL_FAULT, MFOE_HIT},
+        "offload-off": {KERNEL_FAULT},
+        "empty-table": {MFOE_MISS},
+        "cleared-bit": {KERNEL_FAULT, MFOE_HIT},
+        "mixed": {MFOE_HIT},
+    }[case]
+    assert expect | {WALK_HIT, SEGV, PROTECTION_FAULT} <= kinds
+    if case in ("offload-off", "empty-table"):
+        assert MFOE_HIT not in kinds
+
+
+# A held leaf lock: no handler in a serialized run can release it
+
+
+def _lock_world(engine_class, offload):
+    kernel = KernelModel(cores=2, total_frames=1024, seed=3)
+    engine = engine_class(kernel)
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    kernel.run_init_fill()
+    vma = kernel.region_create(proc, 4 * PAGE_SIZE)
+    kernel.prefault_construct(proc, vma)
+    if not offload:
+        kernel.mfoe_disable(proc)
+    for core in range(2):
+        engine.bind(core, proc)
+    # touch a neighbour first, so the TLB and ledger are not empty
+    engine.access(1, vma.start + PAGE_SIZE, is_write=True)
+    holder = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=offload)
+    while not holder.leaf.locked:
+        holder.step()
+    return kernel, engine, vma, holder
+
+
+@pytest.mark.parametrize("offload", [True, False], ids=["eligible", "offload-off"])
+def test_a_touch_of_a_locked_leaf_raises_and_changes_nothing(offload):
+    kernel, engine, vma, holder = _lock_world(MfoeEngine, offload)
+    assert bool(holder.leaf.raw & PTE_MFOEABLE) and kernel.mfoe_active == offload
+    before = _state(kernel, engine)
+    for core in (0, 1):
+        with pytest.raises(RuntimeError, match="no concurrent progress"):
+            engine.access(core, vma.start + 5, is_write=True)
+        assert _state(kernel, engine) == before
+    # once the holder finishes, the page is a walk hit on its frame
+    assert holder.run() is (SmResult.MFOE_HIT if offload else SmResult.KERNEL)
+    out = engine.access(0, vma.start, is_write=True)
+    assert (out.kind, out.pfn) == (OutcomeKind.WALK_HIT, holder.pfn)
+
+
+@pytest.mark.parametrize("offload", [True, False], ids=["eligible", "offload-off"])
+def test_a_locked_leaf_matches_the_generator_reference(offload):
+    states = []
+    for engine_class in (GeneratorEngine, MfoeEngine):
+        kernel, engine, vma, holder = _lock_world(engine_class, offload)
+        with pytest.raises(RuntimeError, match="no concurrent progress"):
+            engine.resolve(0, vma.start, True)
+        states.append(_state(kernel, engine))
+    assert states[1] == states[0]

@@ -44,6 +44,7 @@ from mfoesim.trace import (
     ingest,
     model_constants,
     sweep,
+    sweep_configs,
     synthesize,
     synthesize_profile,
     write_blocks,
@@ -860,6 +861,26 @@ def test_config_validation():
         apply_model(FaultTrace(), TraceModelConfig(refresh_interval_ms=0))
     with pytest.raises(ValueError, match="cores"):
         apply_model(FaultTrace(), TraceModelConfig(cores=0))
+
+
+@pytest.mark.parametrize("widths, intervals_ms, message", [
+    ([256, 0], [2.0], "width must be positive"),
+    ([256], [2.0, 0.0], "refresh interval"),
+    ([256], [2.0, 1e300], "refresh interval out of range"),
+    ([], [2.0], "nonempty"),
+])
+def test_sweep_checks_every_cell_before_the_first_replay(monkeypatch, widths, intervals_ms,
+                                                         message):
+    monkeypatch.setattr(trace_module, "_replay", lambda *args, **kwargs: pytest.fail("replayed"))
+    with pytest.raises(ValueError, match=message):
+        sweep(FaultTrace.from_records([(1000, 0, 10)]), widths, intervals_ms)
+
+
+def test_sweep_configs_are_the_grid_row_by_row():
+    configs = sweep_configs([4, 8], [1.0, 2.0], cores=3)
+    assert [(c.width, c.refresh_interval_ms, c.cores) for c in configs] == [
+        (4, 1.0, 3), (4, 2.0, 3), (8, 1.0, 3), (8, 2.0, 3)]
+    assert len(sweep_configs()) == len(DEFAULT_WIDTHS) * len(DEFAULT_INTERVALS_MS)
 
 
 def test_per_core_order_is_preserved():
