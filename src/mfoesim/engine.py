@@ -18,8 +18,10 @@ global reads several times faster than an Enum class attribute.
 
 A touch costs as few Python calls as the layers allow. resolve tests
 canonicality with a range compare, calling check_canonical only to
-raise; it builds one (tgid, vpn) key and hands it to Tlb.lookup and,
-after a miss, to Tlb.insert. It serves a fault itself, in straight-line
+raise; it builds one (tgid, vpn) key and runs the TLB's LRU inline on
+the Tlb's own OrderedDict: a get and move_to_end on a hit and, after a
+miss, an eviction of the oldest entry when full and the store, as
+Tlb.lookup and Tlb.insert do. It serves a fault itself, in straight-line
 code with no handler object or generator, and its kernel path passes
 the leaf it read to KernelModel.inline_install instead of walking to it
 again. PteFaultSm stays the model of the lock protocol and the
@@ -80,7 +82,11 @@ class FaultOutcome:
 
 class Tlb:
     """Fully associative, LRU, tagged by the key (tgid, vpn). Holds only
-    present translations."""
+    present translations.
+
+    _map is ordered least recently used first. lookup and insert are the
+    LRU for library callers; MfoeEngine.resolve is _map's other writer,
+    taking the same actions on it inline."""
 
     def __init__(self, entries: int = 64):
         if entries < 1:
@@ -130,10 +136,6 @@ _SM_WAITED = SmResult.WAITED
 # A leaf word with its lock bit cleared: raw & _UNLOCKED.
 _UNLOCKED = ~PTE_LOCK
 
-# Default for PteFaultSm's leaf argument: walk the page table for va.
-_WALK = object()
-
-
 class PteFaultSm:
     """One core's in-flight minor-fault handler.
 
@@ -178,7 +180,6 @@ class PteFaultSm:
         va: int,
         vma: VMA,
         mfoe_eligible: bool,
-        leaf=_WALK,
     ):
         self.kernel = kernel
         self.proc = proc
@@ -186,7 +187,7 @@ class PteFaultSm:
         self.va = va
         self.vma = vma
         self.mfoe_eligible = mfoe_eligible
-        self.leaf = proc.page_table.walk(va) if leaf is _WALK else leaf
+        self.leaf = proc.page_table.walk(va)
         self.done = False
         self.result: Optional[SmResult] = None
         self.pfn: Optional[int] = None
@@ -337,10 +338,13 @@ class MfoeEngine:
         tgid = proc.tgid
         vpn = va >> PAGE_SHIFT
         key = (tgid, vpn)
+        # Tlb.lookup and Tlb.insert, inline on the TLB's own LRU map
         tlb = self.tlb
+        tlb_map = tlb._map
 
-        tlb_hit = tlb.lookup(key)
+        tlb_hit = tlb_map.get(key)
         if tlb_hit is not None:
+            tlb_map.move_to_end(key)
             pfn, rw = tlb_hit
             if is_write and not rw:
                 self.kernel.record_protection_fault(tgid, va, now)
@@ -357,7 +361,9 @@ class MfoeEngine:
                 if is_write and not rw:
                     self.kernel.record_protection_fault(tgid, va, now)
                     return PROTECTION_FAULT, 0, 0, 0, pfn
-                tlb.insert(key, pfn, rw)
+                if len(tlb_map) >= tlb.entries:
+                    tlb_map.popitem(last=False)
+                tlb_map[key] = (pfn, rw)
                 return WALK_HIT, 0, 0, 0, pfn
 
         vma = proc.find_vma(va)
@@ -374,7 +380,9 @@ class MfoeEngine:
             pfn = kernel.tables[core].consume(va, tgid)
             if pfn is not None:
                 leaf.install_frame(pfn, vma.writable)
-                tlb.insert(key, pfn, (leaf.raw & PTE_RW) != 0)
+                if len(tlb_map) >= tlb.entries:
+                    tlb_map.popitem(last=False)
+                tlb_map[key] = (pfn, (leaf.raw & PTE_RW) != 0)
                 return MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
             kind, penalty = MFOE_MISS, self.params.mfoe_miss_penalty_cycles
         else:
@@ -383,5 +391,7 @@ class MfoeEngine:
                 leaf = proc.page_table.construct_path(va)
         pfn = kernel.inline_install(proc, va, vma.writable, leaf)
         kernel_cycles = kernel.sample_baseline_cycles()
-        tlb.insert(key, pfn, (leaf.raw & PTE_RW) != 0)
+        if len(tlb_map) >= tlb.entries:
+            tlb_map.popitem(last=False)
+        tlb_map[key] = (pfn, (leaf.raw & PTE_RW) != 0)
         return kind, penalty + kernel_cycles, penalty, kernel_cycles, pfn

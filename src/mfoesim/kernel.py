@@ -4,12 +4,21 @@ cleanup.
 
 Offloading is on while mfoe_active is set: the engine consults the
 per-core tables only then. The tables are restocked at head by one
-routine, which the init fill (fill_step), the deferred pass and the
-restock of starved tables at a pass start all call; exit cleanup books
-and empties slots. begin_pass says whether its pass has work, which is
+routine, which the init fill (fill_step), the locked pass step and the
+restock of starved tables at a pass start all call, and which the
+serial pass step takes inline; exit cleanup books and empties slots. begin_pass says whether its pass has work, which is
 the one rule a caller needs to skip idle passes (advance_passes).
+
 A process's booked pages are counted once, in the ledger's mm_counter,
 which also serves as its memcg charge and as the count quotas read.
+
+The deferred pass books one record per step. pass_step and
+process_one_record take each table's cleanup lock and are safe for
+threaded callers; serial_pass_step, which the simulator calls, books
+the common case (a used entry at head, a frame on hand) in
+straight-line code with no lock, no record object and no helper call,
+and hands every other case to process_one_record. The locked path is
+its reference.
 
 Work over a whole address space runs in bulk passes, not one call chain
 per page: prefault builds a region's missing leaves in one dict update,
@@ -31,7 +40,18 @@ from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Union
 
 from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
-from .prealloc import PRODUCED, HarvestRecord, PreallocTable
+from .prealloc import (
+    HEADER_CLEANUP_LOCK,
+    PRODUCED,
+    W1_PFN_MASK,
+    W1_PFN_SHIFT,
+    W1_TGID_MASK,
+    W1_TGID_SHIFT,
+    W1_USED,
+    W1_VALID,
+    HarvestRecord,
+    PreallocTable,
+)
 from .vm import (
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -346,7 +366,12 @@ class KernelModel:
         The one restock path after the fill: while used entries remain,
         empty head slots are restocked first, so head reaches the oldest.
         A restock with no frame on hand skips the slot instead, and the
-        slot the booking empties is restocked the same way."""
+        slot the booking empties is restocked the same way.
+
+        It holds the table's cleanup lock throughout, waiting out another
+        thread's hold. serial_pass_step books a used head entry with a
+        frame on hand itself and calls this for every other case; this
+        is the reference it is tested against."""
         table = self.tables[core]
         if not table.try_cleanup_lock():
             # held: wait it out, or raise if no other thread can release it
@@ -413,6 +438,10 @@ class KernelModel:
         cursor on, that has one, then moves the cursor past that core, so
         cores are interleaved record by record. A core whose table holds
         no used entry is passed over without taking its lock.
+
+        Safe for threaded callers: each booking runs under the table's
+        cleanup lock (process_one_record). serial_pass_step is the same
+        step for single-threaded callers, and this is its reference.
         """
         tables = self.tables
         if self.pass_budget <= 0 or tables is None:
@@ -428,6 +457,60 @@ class KernelModel:
                 self.pass_budget -= 1
                 return record
         return None
+
+    def serial_pass_step(self) -> bool:
+        """pass_step for a single-threaded caller; True when it booked a
+        record.
+
+        Same core rotation, budget and bookings as pass_step. When the
+        chosen core's head slot holds its oldest used entry and a frame is
+        on hand, the booking is straight-line code on the table's words,
+        the ledger and the allocator's free list: it empties the slot,
+        books the record, restocks the slot and advances head, with no
+        cleanup lock, no HarvestRecord and no helper call. Every other
+        case (empty slots ahead of the oldest used entry, offloading off,
+        no frame on hand) goes through process_one_record. A held cleanup
+        lock raises RuntimeError before anything changes, since no other
+        thread of a single-threaded caller can release it.
+        """
+        tables = self.tables
+        if self.pass_budget <= 0 or tables is None:
+            return False
+        cores = self.cores
+        for offset in range(cores):
+            core = (self._pass_core + offset) % cores
+            table = tables[core]
+            if table.consumed == table.released:
+                continue
+            if table.locks & HEADER_CLEANUP_LOCK:
+                raise RuntimeError("table cleanup lock is held and no other thread can release it")
+            i = table.head_index
+            w1 = table._w1[i]
+            free_list = self.allocator.free_list
+            if w1 & W1_USED and self.mfoe_active and free_list:
+                # take_used, ledger.apply and _restock_head, inline
+                w0s, w1s = table._w0, table._w1
+                va = w0s[i]
+                tgid = (w1 >> W1_TGID_SHIFT) & W1_TGID_MASK
+                pfn = (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
+                w1s[i] = 0
+                w0s[i] = 0
+                table.released += 1
+                ledger = self.ledger
+                if pfn in ledger.rmap:
+                    raise RuntimeError(f"frame {pfn} already reverse-mapped")
+                ledger.rmap[pfn] = (tgid, va)
+                ledger.mm_counter[tgid] += 1
+                new = free_list.popleft()
+                self.allocator.allocated.add(new)
+                w1s[i] = ((new & W1_PFN_MASK) << W1_PFN_SHIFT) | W1_VALID
+                table.head_index = 1 if i == table.num_entries - 1 else i + 1
+            elif self.process_one_record(core) is None:
+                continue
+            self._pass_core = (core + 1) % cores
+            self.pass_budget -= 1
+            return True
+        return False
 
     def postfault_tick(self) -> int:
         """One whole deferred-processing pass: begin_pass(), then pass_step()

@@ -20,6 +20,9 @@ pass) or take_used_of (every slot of one tgid, exit cleanup) takes it.
 drain_valid empties the valid slots when offloading is turned off.
 Only produce restocks a slot, always at head, so walking head forward
 over empty slots reaches the oldest used entry before any valid one.
+KernelModel.serial_pass_step is the words' one writer outside this
+class: for a single-threaded caller it takes a used head entry and
+restocks its slot inline, as take_used and produce would.
 
 The produce and consume fast paths are single-producer single-consumer
 and lock free: full/empty decisions come from the entry state bits, never

@@ -381,10 +381,11 @@ class Simulation:
         """Run the pass steps due at or before cycle until, up to one
         that books nothing: that leaves the kernel as it is until the next
         tick or fault, so the pass is dry and later steps would book
-        nothing either."""
-        kernel = self.kernel
+        nothing either. The run is single-threaded, so each step is
+        KernelModel.serial_pass_step."""
+        step = self.kernel.serial_pass_step
         while self._next_step <= until:
-            if kernel.pass_step() is None:
+            if not step():
                 self._next_step = NEVER
             else:
                 self.background_processed += 1

@@ -1,11 +1,17 @@
-"""The serialized fault path against its reference.
+"""The serialized fault path and pass step against their references.
 
 MfoeEngine.resolve serves a fault in straight-line code. PteFaultSm's
 generator stays the model of the lock protocol; GeneratorEngine below
-serves every fault through PteFaultSm(...).run() instead, and each test
-here runs both on the same inputs and compares everything they leave.
+serves every fault through PteFaultSm(...).run() instead. A Simulation
+books deferred records through KernelModel.serial_pass_step's
+straight-line code; LockedPassSimulation below books them through the
+locked pass_step and process_one_record instead. Each test here runs a
+path and its reference on the same inputs and compares everything they
+leave.
 """
+import contextlib
 import random
+import threading
 
 import pytest
 
@@ -24,7 +30,8 @@ from mfoesim.engine import (
     SmResult,
 )
 from mfoesim.kernel import KernelModel
-from mfoesim.sim import OUTCOMES, SimConfig, Simulation, WorkloadSpec
+from mfoesim.prealloc import PreallocTable
+from mfoesim.sim import NEVER, OUTCOMES, SimConfig, Simulation, WorkloadSpec
 from mfoesim.vm import (
     PAGE_SHIFT,
     PAGE_SIZE,
@@ -71,7 +78,7 @@ class GeneratorEngine(MfoeEngine):
             self.kernel.record_segv(tgid, va, now)
             return SEGV, 0, 0, 0, None
 
-        sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active, leaf)
+        sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active)
         result = sm.run()
         if result is SmResult.MFOE_HIT:
             out = MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, sm.pfn
@@ -87,6 +94,21 @@ class GeneratorEngine(MfoeEngine):
         return out
 
 
+class LockedPassSimulation(Simulation):
+    """Simulation whose pass steps book through the locked, thread-safe
+    KernelModel.pass_step, the reference serial_pass_step is checked
+    against."""
+
+    def _run_pass(self, until):
+        kernel = self.kernel
+        while self._next_step <= until:
+            if kernel.pass_step() is None:
+                self._next_step = NEVER
+            else:
+                self.background_processed += 1
+                self._next_step += self.record_cost
+
+
 def _state(kernel, engine):
     """Everything a fault can change, in a form == compares exactly."""
     return {
@@ -95,6 +117,7 @@ def _state(kernel, engine):
         "rmap": list(kernel.ledger.rmap.items()),
         "mm_counter": dict(kernel.ledger.mm_counter),
         "tables": [t.to_bytes() for t in kernel.tables or ()],
+        "table_counts": [(t.consumed, t.released) for t in kernel.tables or ()],
         "leaves": {
             tgid: [(vpn, leaf.raw) for vpn, leaf in proc.page_table.entries.items()]
             for tgid, proc in kernel.procs.items()
@@ -151,11 +174,13 @@ def _config(settings):
                      **{k: v for k, v in settings.items() if k not in workload_keys})
 
 
-def _simulate(settings, engine_class, monkeypatch):
+def _simulate(settings, engine_class, monkeypatch, simulation_class=Simulation, prepare=None):
     with monkeypatch.context() as patch:
         patch.setattr(sim_module, "MfoeEngine", engine_class)
-        simulation = Simulation(_config(settings))
+        simulation = simulation_class(_config(settings))
     assert type(simulation.engine) is engine_class
+    if prepare is not None:
+        prepare(simulation)
     report = simulation.run()
     outputs = {"report.json": report.to_json(),
                "faults.csv": "".join(report.records.csv_blocks())}
@@ -192,6 +217,173 @@ def test_the_simulation_builds_no_handler_object(monkeypatch):
     report = Simulation(_config(_SIM_CASES["saturated-1"])).run()
     assert report.mfoe_hits and report.mfoe_misses
     assert report.mfoe_hits + report.mfoe_misses + report.kernel_faults == 8 * 96
+
+
+# The pass step: serial_pass_step against the locked pass_step
+
+
+def _cleanup_every(touches):
+    """A prepare hook: error_cleanup of the simulated process before every
+    touches-th touch, which books every used entry and leaves its slot
+    empty, so the pass meets empty slots ahead of the oldest used entry."""
+
+    def prepare(simulation):
+        on_fault = simulation._on_fault
+        count = 0
+
+        def on_fault_after_cleanup(t, core):
+            nonlocal count
+            count += 1
+            if count % touches == 0:
+                simulation.kernel.error_cleanup(simulation.proc.tgid)
+            return on_fault(t, core)
+
+        simulation._on_fault = on_fault_after_cleanup
+
+    return prepare
+
+
+def _pass_cases():
+    """The 21 fault-path configs, three of their shapes with a pass that
+    books, and configs that take the serial step into process_one_record."""
+    cases = {name: (settings, None) for name, settings in _SIM_CASES.items()}
+    for seed in (1, 2, 3):
+        # no tick falls within these runs at the 2 ms default
+        for shape in ("misses", "revisit", "stride"):
+            cases[f"{shape}-fast-pass-{seed}"] = (
+                dict(_SIM_CASES[f"{shape}-{seed}"], refresh_interval_ms=0.02), None)
+        # 2 storage frames, 30 filled and 6 to spare: once they are gone a
+        # booking cannot restock its slot, and process_one_record skips it
+        cases[f"small-pool-{seed}"] = (
+            dict(threads=2, faults_per_thread=14, table_width=16, total_frames=38,
+                 refresh_interval_ms=0.01, seed=seed), None)
+        cases[f"cleanup-{seed}"] = (
+            dict(_SIM_CASES[f"saturated-{seed}"]), _cleanup_every(97))
+    return cases
+
+
+_PASS_CASES = _pass_cases()
+
+
+@pytest.mark.parametrize("name", _PASS_CASES)
+def test_serial_pass_step_matches_the_locked_reference(name, monkeypatch):
+    settings, prepare = _PASS_CASES[name]
+    ref_sim, _, ref_out = _simulate(
+        settings, MfoeEngine, monkeypatch, LockedPassSimulation, prepare)
+    fallbacks, skips = [], []
+    process_one_record = KernelModel.process_one_record
+    skip_head = PreallocTable.skip_head
+
+    def counted_record(kernel, core):
+        fallbacks.append(core)
+        return process_one_record(kernel, core)
+
+    def counted_skip(table):
+        skips.append(table)
+        return skip_head(table)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelModel, "process_one_record", counted_record)
+        patch.setattr(PreallocTable, "skip_head", counted_skip)
+        sim, report, out = _simulate(settings, MfoeEngine, monkeypatch, Simulation, prepare)
+    assert out == ref_out
+    assert _state(sim.kernel, sim.engine) == _state(ref_sim.kernel, ref_sim.engine)
+
+    idle = name in _SIM_CASES and name.startswith(("misses", "revisit", "stride"))
+    assert (report.background_processed > 0) != idle
+    if name.startswith(("small-pool", "cleanup", "quota")):
+        # the fallback ran: no frame to restock with, empty slots ahead
+        # of the oldest used entry, or offloading turned off
+        assert fallbacks
+    if name.startswith(("small-pool", "quota")):
+        assert skips
+    if name.startswith(("hits", "saturated")):
+        # offloading stays on with frames on hand and nothing empties a
+        # slot: every booking is straight-line
+        assert not fallbacks
+
+
+def _pass_world():
+    """A kernel whose two tables hold used entries, at a pass start."""
+    kernel = KernelModel(cores=2, total_frames=1024, seed=4)
+    engine = MfoeEngine(kernel)
+    proc = kernel.create_process()
+    kernel.mfoe_enable(proc, 8)
+    kernel.run_init_fill()
+    vma = kernel.region_create(proc, 16 * PAGE_SIZE)
+    kernel.prefault_construct(proc, vma)
+    for core in range(2):
+        engine.bind(core, proc)
+    for page in range(6):
+        engine.access(page % 2, vma.start + page * PAGE_SIZE, is_write=True)
+    kernel.begin_pass()
+    assert kernel.pass_budget and all(table.used for table in kernel.tables)
+    return kernel, engine
+
+
+@contextlib.contextmanager
+def _held_beside_an_idle_thread(table):
+    """Hold table's cleanup lock while another thread waits on an Event.
+
+    The thread releases the lock after 10 s, so a step that waited for
+    the lock would go on without raising instead of hanging the suite."""
+    assert table.try_cleanup_lock()
+    stop = threading.Event()
+
+    def idle():
+        if not stop.wait(timeout=10):
+            table.release_cleanup_lock()
+
+    watcher = threading.Thread(target=idle, daemon=True)
+    watcher.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        watcher.join(timeout=10)
+    assert not watcher.is_alive()
+
+
+def test_a_held_cleanup_lock_fails_fast_with_other_threads_alive():
+    # pass_step would wait for another thread to release the lock; in a
+    # single-threaded caller none can, so the serial step raises at once,
+    # before any change, whatever threads are alive
+    kernel, engine = _pass_world()
+    table = kernel.tables[kernel._pass_core]
+    with _held_beside_an_idle_thread(table):
+        before = _state(kernel, engine)
+        budget, start = kernel.pass_budget, kernel._pass_core
+        with pytest.raises(RuntimeError, match="cleanup lock is held"):
+            kernel.serial_pass_step()
+        assert _state(kernel, engine) == before
+        assert (kernel.pass_budget, kernel._pass_core) == (budget, start)
+    # released, the step books as the locked pass_step does
+    table.release_cleanup_lock()
+    ref_kernel, ref_engine = _pass_world()
+    assert kernel.serial_pass_step() and ref_kernel.pass_step() is not None
+    assert _state(kernel, engine) == _state(ref_kernel, ref_engine)
+
+
+def test_a_held_cleanup_lock_stops_a_simulation_with_other_threads_alive():
+    simulation = Simulation(_config(_SIM_CASES["saturated-1"]))
+    with _held_beside_an_idle_thread(simulation.kernel.tables[0]):
+        with pytest.raises(RuntimeError, match="cleanup lock is held"):
+            simulation.run()
+
+
+def test_a_double_booking_raises_as_the_ledger_does():
+    # a frame already in the reverse map raises apply's RuntimeError, and
+    # both steps leave the same state behind
+    states = []
+    for step in ("pass_step", "serial_pass_step"):
+        kernel, engine = _pass_world()
+        table = kernel.tables[kernel._pass_core]
+        pfn = table.record_at(table.head_index).pfn
+        kernel.ledger.rmap[pfn] = (1, 0)
+        with pytest.raises(RuntimeError, match=f"frame {pfn} already reverse-mapped"):
+            getattr(kernel, step)()
+        states.append(_state(kernel, engine))
+    assert states[1] == states[0]
 
 
 # Engine-level cases: the paths a Simulation reaches rarely or never

@@ -510,7 +510,7 @@ def test_background_is_caught_up_only_when_something_is_due():
     kernel = simulation.kernel
     advance = simulation._advance_background
     simulation._advance_background = lambda t: caught_up.append(t) or advance(t)
-    for name in ("fill_step", "begin_pass", "pass_step"):
+    for name in ("fill_step", "begin_pass", "serial_pass_step"):
         real = getattr(kernel, name)
         setattr(kernel, name, lambda *a, real=real: events.append(None) or real(*a))
     report = simulation.run()
@@ -719,20 +719,25 @@ def test_idle_pass_is_not_polled(monkeypatch):
     # a pass step that books nothing waits for the next tick or fault,
     # so the idle steps are bounded by ticks + touches; and the pass
     # passes over a table with no used entry, so only booking steps
-    # reach a table at all
-    calls, table_calls = [], []
-    pass_step = KernelModel.pass_step
+    # reach a table at all: a step reaches one exactly when its budget
+    # is left and some table holds a used entry. Offloading stays on and
+    # frames stay on hand here, so every booking is straight-line and a
+    # step that calls process_one_record has reached a table it need not
+    calls, table_calls, fallbacks = [], [], []
+    serial_pass_step = KernelModel.serial_pass_step
     process_one_record = KernelModel.process_one_record
 
     def counted(self):
         calls.append(None)
-        return pass_step(self)
+        if self.pass_budget > 0 and any(t.consumed != t.released for t in self.tables):
+            table_calls.append(None)
+        return serial_pass_step(self)
 
     def counted_record(self, core):
-        table_calls.append(core)
+        fallbacks.append(core)
         return process_one_record(self, core)
 
-    monkeypatch.setattr(KernelModel, "pass_step", counted)
+    monkeypatch.setattr(KernelModel, "serial_pass_step", counted)
     monkeypatch.setattr(KernelModel, "process_one_record", counted_record)
     simulation = Simulation(small_config(threads=2, faults_per_thread=3000,
                                          region_pages_per_thread=64, table_width=16,
@@ -741,6 +746,7 @@ def test_idle_pass_is_not_polled(monkeypatch):
     touches = sum(s.touches for s in report.per_core)
     assert len(calls) <= report.background_processed + touches + simulation.kernel.tick_index
     assert len(table_calls) == report.background_processed
+    assert fallbacks == []
 
 
 # Python-level calls per fault (sys.setprofile "call" events, generator
@@ -748,39 +754,60 @@ def test_idle_pass_is_not_polled(monkeypatch):
 # a 0.1 ms refresh interval so the background pass runs and saturates
 # (hit rate 0.534, 434 records booked); at the default 2 ms no tick falls
 # within the run and the booking path would go uncounted. Measured on
-# CPython 3.11: 15,305 calls for 1,024 faults, 14.95 a fault, since
-# MfoeEngine.resolve serves a fault in straight-line code (24,928 and
-# 24.34 while each fault built a PteFaultSm and resumed its protocol
-# generator about 7.4 times; 25,497 and 24.90 while the background
-# catch-up ran on every touch with the pass awake; 30,477 and 29.76
-# before the handler took and released its lock on the leaf word in
-# place and the kernel path stopped walking to the leaf it holds). The
-# bound is that plus a 10% margin. A change that adds calls on purpose
-# re-pins both numbers here and says why, as a pinned digest is
+# CPython 3.11: 9,339 calls for 1,024 faults, 9.12 a fault, since the
+# pass books a record in KernelModel.serial_pass_step's straight-line
+# code and MfoeEngine.resolve runs the TLB's LRU inline (15,293 and
+# 14.93 while each booking went through pass_step, process_one_record
+# and their helpers and each touch called Tlb.lookup and Tlb.insert;
+# 24,928 and 24.34 while each fault built a PteFaultSm and resumed its
+# protocol generator about 7.4 times; 25,497 and 24.90 while the
+# background catch-up ran on every touch with the pass awake; 30,477 and
+# 29.76 before the handler took and released its lock on the leaf word
+# in place and the kernel path stopped walking to the leaf it holds).
+# The bound is that plus a 10% margin. A change that adds calls on
+# purpose re-pins both numbers here and says why, as a pinned digest is
 # re-pinned.
-_CALLS_PER_FAULT = 14.95
+_CALLS_PER_FAULT = 9.12
 _CALLS_MARGIN = 1.10
 
 # Python-level calls per touch, counted the same way, over 2 threads x
 # 4096 touches of 128-page regions at the defaults (64 TLB entries, seed
 # 1): each thread cycles through more pages than the TLB holds, so after
 # the 256 first touches every touch is a walk hit. Measured on CPython
-# 3.11: 41,500 calls for 8,192 touches, 5.07 a touch (42,074 and 5.14
-# with a background catch-up on every touch while the pass was awake;
-# 50,894 and 6.21 with a call to check_canonical on every touch). Either
-# count moves by a few dozen one-time calls with the tests that ran
-# before it.
-_CALLS_PER_WALK_TOUCH = 5.07
+# 3.11: 20,938 calls for 8,192 touches, 2.56 a touch, with the TLB's LRU
+# inline in resolve (39,365 and 4.81 with a Tlb.lookup and a Tlb.insert
+# call on every walk hit; 42,074 and 5.14 with a background catch-up on
+# every touch while the pass was awake; 50,894 and 6.21 with a call to
+# check_canonical on every touch). Either count moves by a few dozen
+# one-time calls with the tests that ran before it.
+_CALLS_PER_WALK_TOUCH = 2.56
+
+# Python-level calls made inside the pass steps, the steps' own calls
+# included, per record booked, at the _CALLS_PER_FAULT config: 434 calls
+# for 434 records, 1.00 a record, since serial_pass_step books in
+# straight-line code (4,340 and 10.00 through pass_step ->
+# process_one_record -> try_cleanup_lock, take_used and its
+# HarvestRecord, ledger.apply, _restock_head -> allocate and produce, and
+# release_cleanup_lock).
+_CALLS_PER_RECORD = 1.00
 
 
-def _count_calls(simulation):
-    """simulation.run()'s report and the Python-level calls it made."""
-    calls = 0
+def _count_calls(simulation, within=None):
+    """simulation.run()'s report and the Python-level calls it made; with
+    within, a function, only the calls made while it runs, its own
+    included."""
+    calls = inside = 0
+    code = within and within.__code__
 
     def count(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, inside
         if event == "call":
-            calls += 1
+            if frame.f_code is code:
+                inside += 1
+            if inside or code is None:
+                calls += 1
+        elif event == "return" and frame.f_code is code:
+            inside -= 1
 
     sys.setprofile(count)
     try:
@@ -790,15 +817,28 @@ def _count_calls(simulation):
     return report, calls
 
 
+def _saturated_guard_config():
+    return small_config(threads=8, faults_per_thread=128, table_width=16,
+                        refresh_interval_ms=0.1, seed=1)
+
+
 def test_a_saturated_fault_costs_a_bounded_number_of_calls():
-    report, calls = _count_calls(Simulation(small_config(
-        threads=8, faults_per_thread=128, table_width=16, refresh_interval_ms=0.1, seed=1)))
+    report, calls = _count_calls(Simulation(_saturated_guard_config()))
     faults = report.mfoe_hits + report.mfoe_misses + report.kernel_faults
     # the pass books records and still falls behind: hits and misses both
     assert faults == 8 * 128 and report.background_processed > 0
     assert report.mfoe_hits and report.mfoe_misses
     assert calls / faults <= _CALLS_PER_FAULT * _CALLS_MARGIN, (
         f"{calls} calls for {faults} faults: {calls / faults:.2f} a fault")
+
+
+def test_a_booked_record_costs_a_bounded_number_of_calls():
+    report, calls = _count_calls(Simulation(_saturated_guard_config()),
+                                 within=KernelModel.serial_pass_step)
+    records = report.background_processed
+    assert records == 434
+    assert calls / records <= _CALLS_PER_RECORD * _CALLS_MARGIN, (
+        f"{calls} calls for {records} records: {calls / records:.2f} a record")
 
 
 def test_a_walk_hit_costs_a_bounded_number_of_calls():
