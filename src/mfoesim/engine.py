@@ -10,22 +10,27 @@ generator records how the handler ended in its result attribute on its
 last action and returns nothing, so a finished fault costs no
 StopIteration carrying a value.
 
-MfoeEngine.resolve is the one dispatch of a touch (TLB, walk, then the
-fault) and returns a plain tuple; access() wraps that tuple in a
-FaultOutcome for library callers. The enum members the per-touch path
-compares or returns are bound to module names once, since a module
-global reads several times faster than an Enum class attribute.
+MfoeEngine.resolve dispatches a touch (TLB, walk, then the fault) and
+returns a plain tuple; access() wraps that tuple in a FaultOutcome for
+library callers. Its half after the TLB lookup and the walk is
+resolve_walked, which takes what they found: a present leaf, or the
+fault. The simulator runs the lookup and the walk in its own touch loop,
+serves TLB and walk hits there, and calls resolve_walked for everything
+else. The enum members the per-touch path compares or returns are bound
+to module names once, since a module global reads several times faster
+than an Enum class attribute.
 
 A touch costs as few Python calls as the layers allow. resolve tests
 canonicality with a range compare, calling check_canonical only to
-raise; it builds one (tgid, vpn) key and runs the TLB's LRU inline on
-the Tlb's own OrderedDict: a get and move_to_end on a hit and, after a
-miss, an eviction of the oldest entry when full and the store, as
-Tlb.lookup and Tlb.insert do. It serves a fault itself, in straight-line
-code with no handler object or generator, and its kernel path passes
-the leaf it read to KernelModel.inline_install instead of walking to it
-again. PteFaultSm stays the model of the lock protocol and the
-reference the straight-line path is tested against.
+raise; it builds one (tgid, vpn) key, and it and resolve_walked run the
+TLB's LRU inline on the Tlb's own OrderedDict: a get and move_to_end on
+a hit and, after a miss, an eviction of the oldest entry when full and
+the store, as Tlb.lookup and Tlb.insert do. resolve_walked serves a
+fault itself, in straight-line code with no handler object or
+generator, and its kernel path passes the leaf the walk read to
+KernelModel.inline_install instead of walking to it again. PteFaultSm
+stays the model of the lock protocol and the reference the
+straight-line path is tested against.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .vm import (
     PTE_PRESENT,
     PTE_RW,
     USER_VA_LIMIT,
+    PageTableEntry,
     check_canonical,
 )
 
@@ -85,8 +91,8 @@ class Tlb:
     present translations.
 
     _map is ordered least recently used first. lookup and insert are the
-    LRU for library callers; MfoeEngine.resolve is _map's other writer,
-    taking the same actions on it inline."""
+    LRU for library callers; MfoeEngine.resolve and resolve_walked and
+    the simulator's touch loop take the same actions on _map inline."""
 
     def __init__(self, entries: int = 64):
         if entries < 1:
@@ -149,9 +155,10 @@ class PteFaultSm:
     A handler that loses the lock race busy-waits until the lock is clear
     and present is set, then reuses the installed translation.
 
-    MfoeEngine.resolve serves the simulator's faults without it, taking
-    an uncontended handler's actions; this class models contention, for
-    the interleaving tests and callers that step handlers themselves.
+    MfoeEngine.resolve_walked serves the simulator's faults without it,
+    taking an uncontended handler's actions; this class models
+    contention, for the interleaving tests and callers that step
+    handlers themselves.
 
     The protocol is the generator _protocol(), which yields after each
     atomic action and, on its last one, sets result to the SmResult just
@@ -322,62 +329,81 @@ class MfoeEngine:
         fields of a FaultOutcome in order: (kind, cycles, penalty_cycles,
         kernel_cycles, pfn).
 
-        Dispatch: TLB, then the walker, then either the offload engine or
-        the kernel. Any path that resolves the page leaves the
-        translation in the TLB.
-
-        A fault is served here in straight-line code: an uncontended
-        PteFaultSm's actions in its order, without the lock bit, which no
-        other handler can observe. A leaf whose lock is held, as only a
-        PteFaultSm stepped by hand leaves it, raises RuntimeError before
-        any change, as PteFaultSm.run() does.
+        Dispatch: TLB, then the walker, then resolve_walked, which takes
+        a present leaf or the fault. Any path that resolves the page
+        leaves the translation in the TLB.
         """
         if not 0 <= va < USER_VA_LIMIT:
             check_canonical(va)  # raises CanonicalityError
         proc = self.core_proc[core]
-        tgid = proc.tgid
         vpn = va >> PAGE_SHIFT
-        key = (tgid, vpn)
-        # Tlb.lookup and Tlb.insert, inline on the TLB's own LRU map
-        tlb = self.tlb
-        tlb_map = tlb._map
-
+        key = (proc.tgid, vpn)
+        # Tlb.lookup, inline on the TLB's own LRU map
+        tlb_map = self.tlb._map
         tlb_hit = tlb_map.get(key)
         if tlb_hit is not None:
             tlb_map.move_to_end(key)
             pfn, rw = tlb_hit
             if is_write and not rw:
-                self.kernel.record_protection_fault(tgid, va, now)
+                self.kernel.record_protection_fault(proc.tgid, va, now)
                 return PROTECTION_FAULT, 0, 0, 0, pfn
             return TLB_HIT, 0, 0, 0, pfn
-
         # the walk: va is canonical, so the leaf is read straight off the table
         leaf = proc.page_table.entries.get(vpn)
-        if leaf is not None:
-            raw = leaf.raw
-            if raw & PTE_PRESENT:
-                pfn = (raw & PFN_MASK) >> PFN_SHIFT
-                rw = (raw & PTE_RW) != 0
-                if is_write and not rw:
-                    self.kernel.record_protection_fault(tgid, va, now)
-                    return PROTECTION_FAULT, 0, 0, 0, pfn
-                if len(tlb_map) >= tlb.entries:
-                    tlb_map.popitem(last=False)
-                tlb_map[key] = (pfn, rw)
-                return WALK_HIT, 0, 0, 0, pfn
+        return self.resolve_walked(
+            core, proc, va, key, leaf, 0 if leaf is None else leaf.raw, is_write, now
+        )
+
+    def resolve_walked(
+        self,
+        core: int,
+        proc: ProcessModel,
+        va: int,
+        key: tuple[int, int],
+        leaf: Optional[PageTableEntry],
+        raw: int,
+        is_write: bool,
+        now: int,
+    ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
+        """resolve() after its TLB lookup missed and its walk ran: proc is
+        core's process, key (proc.tgid, va's page number), leaf the entry
+        the walk found (None while unbuilt) and raw the word it read there
+        (0 for no leaf). A caller that runs the lookup and the walk itself
+        hands their results here, so nothing is looked up twice.
+
+        A present leaf is a walk hit, or a protection fault on a write to
+        a read-only page. A fault is served here in straight-line code:
+        an uncontended PteFaultSm's actions in its order, without the
+        lock bit, which no other handler can observe. A leaf whose lock
+        is held, as only a PteFaultSm stepped by hand leaves it, raises
+        RuntimeError before any change, as PteFaultSm.run() does.
+        """
+        # Tlb.insert after a miss, inline on the TLB's own LRU map
+        tlb = self.tlb
+        tlb_map = tlb._map
+        if raw & PTE_PRESENT:
+            pfn = (raw & PFN_MASK) >> PFN_SHIFT
+            rw = (raw & PTE_RW) != 0
+            if is_write and not rw:
+                self.kernel.record_protection_fault(proc.tgid, va, now)
+                return PROTECTION_FAULT, 0, 0, 0, pfn
+            if len(tlb_map) >= tlb.entries:
+                tlb_map.popitem(last=False)
+            tlb_map[key] = (pfn, rw)
+            return WALK_HIT, 0, 0, 0, pfn
 
         vma = proc.find_vma(va)
+        kernel = self.kernel
         if vma is None:
-            self.kernel.record_segv(tgid, va, now)
+            kernel.record_segv(proc.tgid, va, now)
             return SEGV, 0, 0, 0, None
 
         # the fault, as an uncontended PteFaultSm serves it; raw is the
         # word the walk read, unchanged since
-        kernel = self.kernel
-        if leaf is not None and raw & PTE_LOCK:
+        if raw & PTE_LOCK:
             raise RuntimeError("handler blocked with no concurrent progress")
-        if kernel.mfoe_active and leaf is not None and raw & PTE_MFOEABLE:
-            pfn = kernel.tables[core].consume(va, tgid)
+        if kernel.mfoe_active and raw & PTE_MFOEABLE:
+            pfn = kernel.tables[core].consume(va, proc.tgid)
             if pfn is not None:
                 leaf.install_frame(pfn, vma.writable)
                 if len(tlb_map) >= tlb.entries:

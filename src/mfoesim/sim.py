@@ -14,6 +14,13 @@ never wake the pass, since they change nothing it reads. A dry pass
 start stands for every tick up to the touch, applied in one call.
 Everything downstream of the seed is reproducible to the byte.
 
+The touch loop plays the MMU: it looks the page up in the engine's TLB
+and walks the page table itself, with the TLB's LRU exactly as
+MfoeEngine.resolve runs it, and serves a TLB or walk hit with no engine
+call. Only the rest, a fault, goes to MfoeEngine.resolve_walked, handed
+the key, leaf and word the loop already read; only then can the pass
+wake.
+
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: three columns (cycle, code, latency cycles), the code being
 core * len(OUTCOMES) + the outcome's index in OUTCOMES, so the log costs
@@ -34,11 +41,11 @@ from itertools import compress, repeat
 from operator import floordiv, mod
 from typing import Iterator, Optional
 
-from .engine import TLB_HIT, WALK_HIT, MfoeEngine, OutcomeKind
+from .engine import MfoeEngine, OutcomeKind
 from .kernel import KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
 from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
-from .vm import PAGE_SIZE
+from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT, PTE_RW
 
 # A background clock that is not running.
 NEVER = math.inf
@@ -153,12 +160,8 @@ _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
 _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
 _IS_FAULT = [kind in _FAULT_KINDS for kind in OUTCOMES]
 
-# The outcomes after which the background pass stays dry: a TLB or walk
-# hit changes nothing a pass step or a pass start reads (the budget, the
-# tables, the frame allocator, the quotas, the pending bit clears), so a
-# pass that booked nothing, or started with no work, before it does the
-# same after it.
-_PASS_QUIET = frozenset((TLB_HIT, WALK_HIT))
+# A walk hit for a write: a present, writable leaf.
+_PRESENT_RW = PTE_PRESENT | PTE_RW
 
 
 class FaultLog:
@@ -291,14 +294,20 @@ class Simulation:
         # runs until the fill is done, and no step until the first tick.
         # The pass is dry (_next_step is NEVER) from a pass start with no
         # work or a step that books nothing to the next tick or the next
-        # touch outside _PASS_QUIET: steps until then would book nothing.
+        # touch that is neither a TLB nor a walk hit: steps until then
+        # would book nothing.
         self._fill_at = self.fill_cost if self.kernel.fill_core is not None else NEVER
         self._first_tick = self._tick_at = self._next_step = NEVER
         self._due = self._fill_at
         self.records = FaultLog()
-        # The engine's dispatch, the columns' appends and the workload's
-        # per-touch settings, bound once: _on_fault runs once per touch.
-        self._resolve = self.engine.resolve
+        # The engine's TLB map and fault entry, the page table, the
+        # columns' appends and the workload's per-touch settings, bound
+        # once: _on_fault runs once per touch.
+        self._tgid = self.proc.tgid
+        self._tlb_map = self.engine.tlb._map
+        self._tlb_entries = self.engine.tlb.entries
+        self._leaves = self.proc.page_table.entries
+        self._resolve_walked = self.engine.resolve_walked
         self._stride_pages = wl.stride_pages
         self._faults_per_thread = wl.faults_per_thread
         self._interarrival = wl.interarrival_cycles
@@ -392,22 +401,51 @@ class Simulation:
                 self._next_step += self.record_cost
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
-        """Serve one touch; the cycle of the thread's next touch, or None."""
+        """Serve one touch; the cycle of the thread's next touch, or None.
+
+        The touch is a write. Its TLB lookup and walk run here, as
+        MfoeEngine.resolve runs them, on the engine's own TLB map: a TLB
+        hit or a walk hit on a present, writable page is served with no
+        engine call. Anything else goes to MfoeEngine.resolve_walked, and
+        only then can the pass wake: a TLB or walk hit changes nothing a
+        pass step or a pass start reads (the budget, the tables, the
+        frame allocator, the quotas, the pending bit clears).
+        """
         stats = self.stats[core]
         touches = stats.touches
         page = (touches * self._stride_pages) % self.region_pages
         va = self.region_starts[core] + page * PAGE_SIZE
-        kind, cycles, _, _, _ = self._resolve(core, va, True, t)
-        if kind not in _PASS_QUIET and self._next_step == NEVER and t >= self._first_tick:
-            # wake the dry pass at its first step after this touch
-            self._next_step = step = self._step_after(t)
-            if step < self._due:
-                self._due = step
+        vpn = va >> PAGE_SHIFT
+        key = (self._tgid, vpn)
+        tlb_map = self._tlb_map
+        if key in tlb_map:
+            # every region a run maps is writable, and so is every
+            # translation the TLB holds
+            tlb_map.move_to_end(key)
+            code, cycles = core * _WIDTH + _TLB_CODE, 0
+        else:
+            # every page of every region has its leaf from __init__
+            leaf = self._leaves[vpn]
+            raw = leaf.raw
+            if raw & _PRESENT_RW == _PRESENT_RW:
+                if len(tlb_map) >= self._tlb_entries:
+                    tlb_map.popitem(last=False)
+                tlb_map[key] = ((raw & PFN_MASK) >> PFN_SHIFT, True)
+                code, cycles = core * _WIDTH + _WALK_CODE, 0
+            else:
+                kind, cycles, _, _, _ = self._resolve_walked(
+                    core, self.proc, va, key, leaf, raw, True, t)
+                code = core * _WIDTH + _CODE[kind]
+                if self._next_step == NEVER and t >= self._first_tick:
+                    # wake the dry pass at its first step after this touch
+                    self._next_step = step = self._step_after(t)
+                    if step < self._due:
+                        self._due = step
         touches += 1
         stats.touches = touches
         log_t, log_code, log_cycles = self._log
         log_t(t)
-        log_code(core * _WIDTH + _CODE[kind])
+        log_code(code)
         log_cycles(cycles)
         completion = t + cycles
         if touches < self._faults_per_thread:

@@ -1,13 +1,18 @@
-"""The serialized fault path and pass step against their references.
+"""The serialized touch and fault paths and pass step against their
+references.
 
-MfoeEngine.resolve serves a fault in straight-line code. PteFaultSm's
+A Simulation runs each touch's TLB lookup and walk in its own loop and
+calls MfoeEngine.resolve_walked only for what is not a TLB or walk hit;
+ResolveSimulation below sends every touch through MfoeEngine.resolve
+instead. resolve_walked serves a fault in straight-line code. PteFaultSm's
 generator stays the model of the lock protocol; GeneratorEngine below
 serves every fault through PteFaultSm(...).run() instead. A Simulation
 books deferred records through KernelModel.serial_pass_step's
 straight-line code; LockedPassSimulation below books them through the
 locked pass_step and process_one_record instead. Each test here runs a
 path and its reference on the same inputs and compares everything they
-leave.
+leave, and each reference counts what it ran, so a comparison of a path
+with itself fails.
 """
 import contextlib
 import random
@@ -40,31 +45,37 @@ from mfoesim.vm import (
     PTE_MFOEABLE,
     PTE_PRESENT,
     PTE_RW,
-    USER_VA_LIMIT,
     check_canonical,
 )
 
 
 class GeneratorEngine(MfoeEngine):
-    """MfoeEngine whose resolve serves a fault by running a PteFaultSm to
-    completion: the TLB and walk dispatch are resolve's, the fault is the
-    protocol generator's."""
+    """MfoeEngine whose resolve_walked serves a fault by running a
+    PteFaultSm to completion, and whose TLB goes through Tlb.lookup and
+    Tlb.insert. A Simulation runs the TLB lookup and the walk itself and
+    calls resolve_walked, which walks again rather than trust the leaf
+    and word it is handed; resolve looks up the TLB and calls it. The
+    engine counts the handlers it builds in handlers."""
+
+    def __init__(self, kernel, tlb_entries=64):
+        super().__init__(kernel, tlb_entries)
+        self.handlers = 0
 
     def resolve(self, core, va, is_write=False, now=0):
-        if not 0 <= va < USER_VA_LIMIT:
-            check_canonical(va)
         proc = self.core_proc[core]
-        tgid = proc.tgid
-        vpn = va >> PAGE_SHIFT
-        key = (tgid, vpn)
+        key = (proc.tgid, check_canonical(va) >> PAGE_SHIFT)
         tlb_hit = self.tlb.lookup(key)
-        if tlb_hit is not None:
-            pfn, rw = tlb_hit
-            if is_write and not rw:
-                self.kernel.record_protection_fault(tgid, va, now)
-                return PROTECTION_FAULT, 0, 0, 0, pfn
-            return TLB_HIT, 0, 0, 0, pfn
-        leaf = proc.page_table.entries.get(vpn)
+        if tlb_hit is None:
+            return self.resolve_walked(core, proc, va, key, None, 0, is_write, now)
+        pfn, rw = tlb_hit
+        if is_write and not rw:
+            self.kernel.record_protection_fault(proc.tgid, va, now)
+            return PROTECTION_FAULT, 0, 0, 0, pfn
+        return TLB_HIT, 0, 0, 0, pfn
+
+    def resolve_walked(self, core, proc, va, key, leaf, raw, is_write, now):
+        tgid = proc.tgid
+        leaf = proc.page_table.walk(va)
         if leaf is not None and leaf.raw & PTE_PRESENT:
             pfn = (leaf.raw & PFN_MASK) >> PFN_SHIFT
             rw = (leaf.raw & PTE_RW) != 0
@@ -78,6 +89,7 @@ class GeneratorEngine(MfoeEngine):
             self.kernel.record_segv(tgid, va, now)
             return SEGV, 0, 0, 0, None
 
+        self.handlers += 1
         sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active)
         result = sm.run()
         if result is SmResult.MFOE_HIT:
@@ -92,6 +104,37 @@ class GeneratorEngine(MfoeEngine):
             out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, sm.pfn
         self.tlb.insert(key, sm.pfn, (sm.leaf.raw & PTE_RW) != 0)
         return out
+
+
+class ResolveSimulation(Simulation):
+    """Simulation whose every touch goes through MfoeEngine.resolve, the
+    reference the touch loop's own TLB lookup and walk are checked
+    against; any outcome but a TLB or walk hit wakes a dry pass. It
+    counts its resolve calls in resolves."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.resolves = 0
+
+    def _on_fault(self, t, core):
+        stats = self.stats[core]
+        touches = stats.touches
+        page = (touches * self._stride_pages) % self.region_pages
+        self.resolves += 1
+        kind, cycles, _, _, _ = self.engine.resolve(
+            core, self.region_starts[core] + page * PAGE_SIZE, True, t)
+        if kind not in (TLB_HIT, WALK_HIT) and self._next_step == NEVER \
+                and t >= self._first_tick:
+            self._next_step = step = self._step_after(t)
+            self._due = min(self._due, step)
+        stats.touches = touches = touches + 1
+        self.records.t.append(t)
+        self.records.codes.append(core * len(OUTCOMES) + OUTCOMES.index(kind))
+        self.records.cycles.append(cycles)
+        if touches < self._faults_per_thread:
+            return t + cycles + self._interarrival
+        stats.end_time = t + cycles
+        return None
 
 
 class LockedPassSimulation(Simulation):
@@ -187,13 +230,33 @@ def _simulate(settings, engine_class, monkeypatch, simulation_class=Simulation, 
     return simulation, report, outputs
 
 
+def _compare(settings, monkeypatch, engine_class=MfoeEngine, simulation_class=Simulation,
+             prepare=None):
+    """A Simulation over MfoeEngine against a reference run of settings
+    through engine_class and simulation_class: the reference simulation,
+    the report under test, and the names of the outputs and _state
+    entries that differ. prepare, if given, runs on both simulations
+    before their runs, so a break it installs shows only where the
+    reference runs other code than the simulation under test."""
+    ref_sim, _, ref_out = _simulate(settings, engine_class, monkeypatch, simulation_class,
+                                    prepare)
+    sim, report, out = _simulate(settings, MfoeEngine, monkeypatch, Simulation, prepare)
+    state, ref_state = _state(sim.kernel, sim.engine), _state(ref_sim.kernel, ref_sim.engine)
+    differ = [name for name in out if out[name] != ref_out[name]]
+    differ += [name for name in state if state[name] != ref_state[name]]
+    return ref_sim, report, differ
+
+
+def _faults(report):
+    return report.mfoe_hits + report.mfoe_misses + report.kernel_faults
+
+
 @pytest.mark.parametrize("name", _SIM_CASES)
 def test_simulation_matches_the_generator_reference(name, monkeypatch):
-    settings = _SIM_CASES[name]
-    ref_sim, _, ref_out = _simulate(settings, GeneratorEngine, monkeypatch)
-    sim, report, out = _simulate(settings, MfoeEngine, monkeypatch)
-    assert out == ref_out
-    assert _state(sim.kernel, sim.engine) == _state(ref_sim.kernel, ref_sim.engine)
+    ref_sim, report, differ = _compare(_SIM_CASES[name], monkeypatch, GeneratorEngine)
+    assert differ == []
+    # the reference ran: every fault went through a handler's generator
+    assert ref_sim.engine.handlers == _faults(report) > 0
 
     kinds = {OUTCOMES[o] for o in report.records.outcome}
     assert MFOE_HIT in kinds
@@ -201,12 +264,67 @@ def test_simulation_matches_the_generator_reference(name, monkeypatch):
         assert MFOE_MISS in kinds
     if name.startswith(("quota", "threshold")):
         # offloading was on, then turned off mid-run
-        assert KERNEL_FAULT in kinds and not sim.kernel.mfoe_active
+        assert KERNEL_FAULT in kinds and not ref_sim.kernel.mfoe_active
     if name.startswith("quota"):
-        cleared = [leaf for leaf in sim.proc.page_table.entries.values() if leaf.raw == 0]
+        cleared = [leaf for leaf in ref_sim.proc.page_table.entries.values() if leaf.raw == 0]
         assert cleared, "the quota trip cleared no eligibility bit"
     if name.startswith("revisit"):
         assert {TLB_HIT, WALK_HIT} <= kinds
+
+
+@pytest.mark.parametrize("name", _SIM_CASES)
+def test_simulation_matches_the_resolve_reference(name, monkeypatch):
+    ref_sim, report, differ = _compare(_SIM_CASES[name], monkeypatch,
+                                       simulation_class=ResolveSimulation)
+    assert differ == []
+    # the reference ran: every touch went through resolve
+    assert ref_sim.resolves == len(report.records) > 0
+
+
+class _TlbMapBreak:
+    """The touch loop's view of the engine's TLB map, passing every call
+    through to the map except the one it breaks: skip names the call
+    that does nothing, the walk hit's store ("__setitem__") or the TLB
+    hit's move_to_end."""
+
+    def __init__(self, tlb_map, skip):
+        self.tlb_map, self.skip = tlb_map, skip
+
+    def __contains__(self, key):
+        return key in self.tlb_map
+
+    def popitem(self, last):
+        return self.tlb_map.popitem(last=last)
+
+    def __len__(self):
+        return len(self.tlb_map)
+
+    def move_to_end(self, key):
+        if self.skip != "move_to_end":
+            self.tlb_map.move_to_end(key)
+
+    def __setitem__(self, key, value):
+        if self.skip != "__setitem__":
+            self.tlb_map[key] = value
+
+
+@pytest.mark.parametrize("skip", ["__setitem__", "move_to_end"],
+                         ids=["walk-hit-skips-the-store", "tlb-hit-skips-move-to-end"])
+@pytest.mark.parametrize("name", [name for name in _SIM_CASES if name.startswith("revisit")])
+def test_the_resolve_reference_catches_a_broken_touch_loop(name, skip, monkeypatch):
+    # the same comparison, with the touch loop's TLB broken on both sides:
+    # a reference that ran the touch loop too would match it, so the
+    # difference shows the reference runs code of its own
+    calls = []
+
+    def prepare(simulation):
+        calls.append(type(simulation))
+        simulation._tlb_map = _TlbMapBreak(simulation._tlb_map, skip)
+
+    ref_sim, _, differ = _compare(_SIM_CASES[name], monkeypatch,
+                                  simulation_class=ResolveSimulation, prepare=prepare)
+    assert calls == [ResolveSimulation, Simulation]
+    assert "tlb" in differ and "faults.csv" in differ, differ
 
 
 def test_the_simulation_builds_no_handler_object(monkeypatch):

@@ -471,10 +471,15 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     monkeypatch.setattr(Simulation, "_advance_background",
                         lambda self, t: caught_up.append(t) or advance(self, t))
     # whether the pass has a step to come as each touch ends
-    awake, serve = [], Simulation._on_fault
+    awake, serve, wake_every_touch = [], Simulation._on_fault, False
 
     def served(self, t, core):
         after = serve(self, t, core)
+        if wake_every_touch and self._next_step == NEVER and t >= self._first_tick:
+            # the reference: every touch wakes a dry pass, hits included
+            self._next_step = step = self._step_after(t)
+            if step < self._due:
+                self._due = step
         awake.append(self._next_step != NEVER)
         return after
 
@@ -489,7 +494,7 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     assert len(caught_up) < touches, "no touch skipped the background catch-up"
     fast_awake = sum(awake)
     assert fast_awake < touches, "no touch left the pass dry"
-    monkeypatch.setattr(sim_module, "_PASS_QUIET", frozenset())
+    wake_every_touch = True
     _begin_every_pass(monkeypatch)
     awake.clear()
     assert _background_states(small_config(**kw)) == fast
@@ -756,16 +761,18 @@ def test_idle_pass_is_not_polled(monkeypatch):
 # within the run and the booking path would go uncounted. Measured on
 # CPython 3.11: 9,339 calls for 1,024 faults, 9.12 a fault, since the
 # pass books a record in KernelModel.serial_pass_step's straight-line
-# code and MfoeEngine.resolve runs the TLB's LRU inline (15,293 and
-# 14.93 while each booking went through pass_step, process_one_record
-# and their helpers and each touch called Tlb.lookup and Tlb.insert;
-# 24,928 and 24.34 while each fault built a PteFaultSm and resumed its
-# protocol generator about 7.4 times; 25,497 and 24.90 while the
-# background catch-up ran on every touch with the pass awake; 30,477 and
-# 29.76 before the handler took and released its lock on the leaf word
-# in place and the kernel path stopped walking to the leaf it holds).
-# The bound is that plus a 10% margin. A change that adds calls on
-# purpose re-pins both numbers here and says why, as a pinned digest is
+# code and the TLB's LRU runs inline; the touch loop's own TLB lookup
+# and walk, which call MfoeEngine.resolve_walked for a fault where
+# resolve was called before, left it unchanged (15,293 and 14.93 while
+# each booking went through pass_step, process_one_record and their
+# helpers and each touch called Tlb.lookup and Tlb.insert; 24,928 and
+# 24.34 while each fault built a PteFaultSm and resumed its protocol
+# generator about 7.4 times; 25,497 and 24.90 while the background
+# catch-up ran on every touch with the pass awake; 30,477 and 29.76
+# before the handler took and released its lock on the leaf word in
+# place and the kernel path stopped walking to the leaf it holds). The
+# bound is that plus a 10% margin. A change that adds calls on purpose
+# re-pins the numbers here and says why, as a pinned digest is
 # re-pinned.
 _CALLS_PER_FAULT = 9.12
 _CALLS_MARGIN = 1.10
@@ -774,13 +781,22 @@ _CALLS_MARGIN = 1.10
 # 4096 touches of 128-page regions at the defaults (64 TLB entries, seed
 # 1): each thread cycles through more pages than the TLB holds, so after
 # the 256 first touches every touch is a walk hit. Measured on CPython
-# 3.11: 20,938 calls for 8,192 touches, 2.56 a touch, with the TLB's LRU
-# inline in resolve (39,365 and 4.81 with a Tlb.lookup and a Tlb.insert
-# call on every walk hit; 42,074 and 5.14 with a background catch-up on
-# every touch while the pass was awake; 50,894 and 6.21 with a call to
-# check_canonical on every touch). Either count moves by a few dozen
-# one-time calls with the tests that ran before it.
-_CALLS_PER_WALK_TOUCH = 2.56
+# 3.11: 13,002 calls for 8,192 touches, 1.59 a touch, with the TLB
+# lookup and the walk in the touch loop and no engine call on a hit
+# (20,938 and 2.56 with a call to MfoeEngine.resolve on every touch;
+# 39,365 and 4.81 with a Tlb.lookup and a Tlb.insert call on every walk
+# hit; 42,074 and 5.14 with a background catch-up on every touch while
+# the pass was awake; 50,894 and 6.21 with a call to check_canonical on
+# every touch). Each count moves by a few dozen one-time calls with the
+# tests that ran before it.
+_CALLS_PER_WALK_TOUCH = 1.59
+
+# The same over 2 threads x 4096 touches of 16-page regions: both fit
+# the 64-entry TLB, so after the 32 first touches every touch is a TLB
+# hit. Measured on CPython 3.11: 11,645 calls for 8,192 touches, 1.42 a
+# touch (19,805 and 2.42 with a call to MfoeEngine.resolve on every
+# touch).
+_CALLS_PER_TLB_TOUCH = 1.42
 
 # Python-level calls made inside the pass steps, the steps' own calls
 # included, per record booked, at the _CALLS_PER_FAULT config: 434 calls
@@ -850,6 +866,18 @@ def test_a_walk_hit_costs_a_bounded_number_of_calls():
     # a region larger than the TLB: no TLB hit, and every revisit walks
     assert faults == 2 * 128 and walk_hits == touches - faults
     assert calls / touches <= _CALLS_PER_WALK_TOUCH * _CALLS_MARGIN, (
+        f"{calls} calls for {touches} touches: {calls / touches:.2f} a touch")
+
+
+def test_a_tlb_hit_costs_a_bounded_number_of_calls():
+    report, calls = _count_calls(Simulation(small_config(
+        threads=2, faults_per_thread=4096, region_pages_per_thread=16, seed=1)))
+    touches = 2 * 4096
+    tlb_hits = sum(s.tlb_hits for s in report.per_core)
+    faults = report.mfoe_hits + report.mfoe_misses + report.kernel_faults
+    # regions the TLB holds: no walk hit, and every revisit hits the TLB
+    assert faults == 2 * 16 and tlb_hits == touches - faults
+    assert calls / touches <= _CALLS_PER_TLB_TOUCH * _CALLS_MARGIN, (
         f"{calls} calls for {touches} touches: {calls / touches:.2f} a touch")
 
 
