@@ -13,12 +13,15 @@ StopIteration carrying a value.
 MfoeEngine.resolve dispatches a touch (TLB, walk, then the fault) and
 returns a plain tuple; access() wraps that tuple in a FaultOutcome for
 library callers. Its half after the TLB lookup and the walk is
-resolve_walked, which takes what they found: a present leaf, or the
-fault. The simulator runs the lookup and the walk in its own touch loop,
-serves TLB and walk hits there, and calls resolve_walked for everything
-else. The enum members the per-touch path compares or returns are bound
-to module names once, since a module global reads several times faster
-than an Enum class attribute.
+resolve_walked, which takes what they found, a present leaf or the
+fault, and the VMA that holds the address. resolve finds that VMA with
+ProcessModel.find_vma, and only for a leaf that is not present. The
+simulator runs the lookup and the walk in its own touch loop, serves
+TLB and walk hits there, and calls resolve_walked for everything else,
+handing over the faulting thread's own region, so a simulated fault
+searches for nothing. The enum members the per-touch path compares or
+returns are bound to module names once, since a module global reads
+several times faster than an Enum class attribute.
 
 A touch costs as few Python calls as the layers allow. resolve tests
 canonicality with a range compare, calling check_canonical only to
@@ -26,11 +29,15 @@ raise; it builds one (tgid, vpn) key, and it and resolve_walked run the
 TLB's LRU inline on the Tlb's own OrderedDict: a get and move_to_end on
 a hit and, after a miss, an eviction of the oldest entry when full and
 the store, as Tlb.lookup and Tlb.insert do. resolve_walked serves a
-fault itself, in straight-line code with no handler object or
-generator, and its kernel path passes the leaf the walk read to
-KernelModel.inline_install instead of walking to it again. PteFaultSm
-stays the model of the lock protocol and the reference the
-straight-line path is tested against.
+fault itself, in straight-line code with no handler object, generator
+or helper call, as KernelModel.serial_pass_step books a record: a table
+hit is PreallocTable.consume and PageTableEntry.install_frame taken on
+the table's tail words and the leaf word, and the kernel path is
+KernelModel.inline_install taken on the leaf word, the ledger's rmap and
+mm_counter, with only FrameAllocator.allocate and the latency draw
+called. PteFaultSm, which calls those helpers, stays the model of the
+lock protocol and the reference the straight-line path is tested
+against; the helpers stay for it and for library callers.
 """
 from __future__ import annotations
 
@@ -40,6 +47,7 @@ from enum import Enum
 from typing import Callable, Generator, Optional
 
 from .kernel import KernelModel, ProcessModel, VMA
+from .prealloc import W1_PFN_MASK, W1_PFN_SHIFT, W1_TGID_MASK, W1_TGID_SHIFT, W1_USED, W1_VALID
 from .vm import (
     PAGE_SHIFT,
     PFN_MASK,
@@ -153,7 +161,9 @@ class PteFaultSm:
     dance as the ordinary kernel handler, which allocates inline.
 
     A handler that loses the lock race busy-waits until the lock is clear
-    and present is set, then reuses the installed translation.
+    and present is set, then reuses the installed translation. A kernel
+    step that raises (no frame left, a frame already booked) releases
+    the lock before the error leaves the handler.
 
     MfoeEngine.resolve_walked serves the simulator's faults without it,
     taking an uncontended handler's actions; this class models
@@ -295,7 +305,13 @@ class PteFaultSm:
             self.result = _SM_REUSE
             return
         yield
-        self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable, leaf)
+        try:
+            self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable, leaf)
+        except BaseException:
+            # a handler that fails (no frame left, a double booking)
+            # releases its lock, so the leaf stays usable
+            leaf.raw &= _UNLOCKED
+            raise
         yield
         leaf.raw &= _UNLOCKED
         self.result = _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
@@ -330,8 +346,9 @@ class MfoeEngine:
         kernel_cycles, pfn).
 
         Dispatch: TLB, then the walker, then resolve_walked, which takes
-        a present leaf or the fault. Any path that resolves the page
-        leaves the translation in the TLB.
+        a present leaf or the fault, with the VMA find_vma gives for a
+        leaf that is not present. Any path that resolves the page leaves
+        the translation in the TLB.
         """
         if not 0 <= va < USER_VA_LIMIT:
             check_canonical(va)  # raises CanonicalityError
@@ -350,9 +367,9 @@ class MfoeEngine:
             return TLB_HIT, 0, 0, 0, pfn
         # the walk: va is canonical, so the leaf is read straight off the table
         leaf = proc.page_table.entries.get(vpn)
-        return self.resolve_walked(
-            core, proc, va, key, leaf, 0 if leaf is None else leaf.raw, is_write, now
-        )
+        raw = 0 if leaf is None else leaf.raw
+        vma = None if raw & PTE_PRESENT else proc.find_vma(va)
+        return self.resolve_walked(core, proc, va, key, leaf, raw, vma, is_write, now)
 
     def resolve_walked(
         self,
@@ -362,20 +379,32 @@ class MfoeEngine:
         key: tuple[int, int],
         leaf: Optional[PageTableEntry],
         raw: int,
+        vma: Optional[VMA],
         is_write: bool,
         now: int,
     ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
         """resolve() after its TLB lookup missed and its walk ran: proc is
         core's process, key (proc.tgid, va's page number), leaf the entry
-        the walk found (None while unbuilt) and raw the word it read there
-        (0 for no leaf). A caller that runs the lookup and the walk itself
-        hands their results here, so nothing is looked up twice.
+        the walk found (None while unbuilt), raw the word it read there
+        (0 for no leaf) and vma the VMA that holds va (None when none
+        does), which is read only when raw is not present. A caller that
+        runs the lookup and the walk itself hands their results here, and
+        one that knows which region va lies in hands over its VMA, so
+        nothing is looked up twice.
 
         A present leaf is a walk hit, or a protection fault on a write to
         a read-only page. A fault is served here in straight-line code:
         an uncontended PteFaultSm's actions in its order, without the
-        lock bit, which no other handler can observe. A leaf whose lock
-        is held, as only a PteFaultSm stepped by hand leaves it, raises
+        lock bit, which no other handler can observe, and with the
+        table's consume, the leaf's install_frame and the kernel's
+        inline_install taken inline on their words, the ledger and the
+        TLB's map. The kernel path builds an unbuilt leaf, takes its
+        frame from FrameAllocator.allocate, which raises OutOfMemory with
+        nothing else changed, and checks the booking before it writes
+        anything, so a frame already in the reverse map raises
+        RuntimeError with only that frame taken from the allocator. Each
+        error leaves what PteFaultSm leaves. A leaf whose lock is held,
+        as only a PteFaultSm stepped by hand leaves it, raises
         RuntimeError before any change, as PteFaultSm.run() does.
         """
         # Tlb.insert after a miss, inline on the TLB's own LRU map
@@ -392,7 +421,6 @@ class MfoeEngine:
             tlb_map[key] = (pfn, rw)
             return WALK_HIT, 0, 0, 0, pfn
 
-        vma = proc.find_vma(va)
         kernel = self.kernel
         if vma is None:
             kernel.record_segv(proc.tgid, va, now)
@@ -402,22 +430,44 @@ class MfoeEngine:
         # word the walk read, unchanged since
         if raw & PTE_LOCK:
             raise RuntimeError("handler blocked with no concurrent progress")
+        tgid = proc.tgid
+        writable = vma.writable
         if kernel.mfoe_active and raw & PTE_MFOEABLE:
-            pfn = kernel.tables[core].consume(va, proc.tgid)
-            if pfn is not None:
-                leaf.install_frame(pfn, vma.writable)
+            # PreallocTable.consume, then PageTableEntry.install_frame
+            table = kernel.tables[core]
+            i = table.tail_index
+            w1s = table._w1
+            w1 = w1s[i]
+            if w1 & W1_VALID:
+                pfn = (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
+                table._w0[i] = va
+                w1s[i] = (pfn << W1_PFN_SHIFT) | ((tgid & W1_TGID_MASK) << W1_TGID_SHIFT) | W1_USED
+                table.consumed += 1
+                table.tail_index = 1 if i == table.num_entries - 1 else i + 1
+                leaf.raw = (PTE_MFOEABLE | PTE_PRESENT | (PTE_RW if writable else 0)
+                            | ((pfn << PFN_SHIFT) & PFN_MASK))
                 if len(tlb_map) >= tlb.entries:
                     tlb_map.popitem(last=False)
-                tlb_map[key] = (pfn, (leaf.raw & PTE_RW) != 0)
+                tlb_map[key] = (pfn, writable)
                 return MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
             kind, penalty = MFOE_MISS, self.params.mfoe_miss_penalty_cycles
         else:
             kind, penalty = KERNEL_FAULT, 0
             if leaf is None:
                 leaf = proc.page_table.construct_path(va)
-        pfn = kernel.inline_install(proc, va, vma.writable, leaf)
+        # KernelModel.inline_install: allocate, then book and map, with
+        # the booking's duplicate check before the first write
+        pfn = kernel.allocator.allocate()
+        ledger = kernel.ledger
+        rmap = ledger.rmap
+        if pfn in rmap:
+            raise RuntimeError(f"frame {pfn} already reverse-mapped")
+        leaf.raw = ((raw & PTE_MFOEABLE) | PTE_PRESENT | (PTE_RW if writable else 0)
+                    | ((pfn << PFN_SHIFT) & PFN_MASK))
+        rmap[pfn] = (tgid, va)
+        ledger.mm_counter[tgid] += 1
         kernel_cycles = kernel.sample_baseline_cycles()
         if len(tlb_map) >= tlb.entries:
             tlb_map.popitem(last=False)
-        tlb_map[key] = (pfn, (leaf.raw & PTE_RW) != 0)
+        tlb_map[key] = (pfn, writable)
         return kind, penalty + kernel_cycles, penalty, kernel_cycles, pfn

@@ -600,18 +600,20 @@ class KernelModel:
     def inline_install(
         self, proc: ProcessModel, va: int, writable: bool, leaf: Optional[PageTableEntry] = None
     ) -> int:
-        """Allocate, map, and book one page on the spot (the slow path).
+        """Allocate, book, and map one page on the spot (the slow path).
 
         leaf is va's leaf when the caller already holds it, as the fault
         handler does; it is then used as given, with no second walk and no
         canonicality check. Without one, PageTable.construct_path checks
-        va and finds or builds its leaf.
+        va and finds or builds its leaf. The booking comes before the
+        leaf is written, so a frame already in the reverse map raises
+        with the leaf as it was.
         """
         if leaf is None:
             leaf = proc.page_table.construct_path(va)
         pfn = self.allocator.allocate()
-        leaf.install_frame(pfn, writable)
         self.ledger.apply(proc.tgid, va, pfn)
+        leaf.install_frame(pfn, writable)
         return pfn
 
     def record_segv(self, tgid: int, va: int, when: int = 0) -> None:

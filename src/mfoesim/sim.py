@@ -18,8 +18,9 @@ The touch loop plays the MMU: it looks the page up in the engine's TLB
 and walks the page table itself, with the TLB's LRU exactly as
 MfoeEngine.resolve runs it, and serves a TLB or walk hit with no engine
 call. Only the rest, a fault, goes to MfoeEngine.resolve_walked, handed
-the key, leaf and word the loop already read; only then can the pass
-wake.
+the key, leaf and word the loop already read and the thread's own
+region VMA, which holds every page the thread touches, so the fault
+path looks nothing up; only then can the pass wake.
 
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: three columns (cycle, code, latency cycles), the code being
@@ -42,7 +43,7 @@ from operator import floordiv, mod
 from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
-from .kernel import KernelModel
+from .kernel import VMA, KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
 from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
 from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT, PTE_RW
@@ -272,12 +273,15 @@ class Simulation:
         wl = config.workload
         self.region_pages = wl.region_pages()
         self.region_starts: list[int] = []
+        # each thread's region, handed to the engine with each of its faults
+        self._vmas: list[VMA] = []
         for _ in range(wl.threads):
             vma = self.kernel.region_create(self.proc, self.region_pages * PAGE_SIZE)
             # Path construction happens before the run; it is off the
             # fault critical path and the touch loop starts afterwards.
             self.kernel.prefault_construct(self.proc, vma)
             self.region_starts.append(vma.start)
+            self._vmas.append(vma)
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
@@ -406,8 +410,9 @@ class Simulation:
         The touch is a write. Its TLB lookup and walk run here, as
         MfoeEngine.resolve runs them, on the engine's own TLB map: a TLB
         hit or a walk hit on a present, writable page is served with no
-        engine call. Anything else goes to MfoeEngine.resolve_walked, and
-        only then can the pass wake: a TLB or walk hit changes nothing a
+        engine call. Anything else goes to MfoeEngine.resolve_walked with
+        the thread's region VMA, in place of a find_vma search, and only
+        then can the pass wake: a TLB or walk hit changes nothing a
         pass step or a pass start reads (the budget, the tables, the
         frame allocator, the quotas, the pending bit clears).
         """
@@ -434,7 +439,7 @@ class Simulation:
                 code, cycles = core * _WIDTH + _WALK_CODE, 0
             else:
                 kind, cycles, _, _, _ = self._resolve_walked(
-                    core, self.proc, va, key, leaf, raw, True, t)
+                    core, self.proc, va, key, leaf, raw, self._vmas[core], True, t)
                 code = core * _WIDTH + _CODE[kind]
                 if self._next_step == NEVER and t >= self._first_tick:
                     # wake the dry pass at its first step after this touch

@@ -4,9 +4,12 @@ references.
 A Simulation runs each touch's TLB lookup and walk in its own loop and
 calls MfoeEngine.resolve_walked only for what is not a TLB or walk hit;
 ResolveSimulation below sends every touch through MfoeEngine.resolve
-instead. resolve_walked serves a fault in straight-line code. PteFaultSm's
-generator stays the model of the lock protocol; GeneratorEngine below
-serves every fault through PteFaultSm(...).run() instead. A Simulation
+instead. resolve_walked serves a fault in straight-line code, on the
+VMA it is handed, with the table's consume, the leaf's install_frame and
+the kernel's inline_install taken inline. PteFaultSm's generator, which
+calls those helpers, stays the model of the lock protocol;
+GeneratorEngine below serves every fault through PteFaultSm(...).run()
+instead, on the VMA find_vma finds. A Simulation
 books deferred records through KernelModel.serial_pass_step's
 straight-line code; LockedPassSimulation below books them through the
 locked pass_step and process_one_record instead. Each test here runs a
@@ -45,6 +48,7 @@ from mfoesim.vm import (
     PTE_MFOEABLE,
     PTE_PRESENT,
     PTE_RW,
+    OutOfMemory,
     check_canonical,
 )
 
@@ -53,9 +57,10 @@ class GeneratorEngine(MfoeEngine):
     """MfoeEngine whose resolve_walked serves a fault by running a
     PteFaultSm to completion, and whose TLB goes through Tlb.lookup and
     Tlb.insert. A Simulation runs the TLB lookup and the walk itself and
-    calls resolve_walked, which walks again rather than trust the leaf
-    and word it is handed; resolve looks up the TLB and calls it. The
-    engine counts the handlers it builds in handlers."""
+    calls resolve_walked, which walks again and calls
+    ProcessModel.find_vma rather than trust the leaf, word and VMA it is
+    handed; resolve looks up the TLB and calls it. The engine counts the
+    handlers it builds in handlers."""
 
     def __init__(self, kernel, tlb_entries=64):
         super().__init__(kernel, tlb_entries)
@@ -66,14 +71,14 @@ class GeneratorEngine(MfoeEngine):
         key = (proc.tgid, check_canonical(va) >> PAGE_SHIFT)
         tlb_hit = self.tlb.lookup(key)
         if tlb_hit is None:
-            return self.resolve_walked(core, proc, va, key, None, 0, is_write, now)
+            return self.resolve_walked(core, proc, va, key, None, 0, None, is_write, now)
         pfn, rw = tlb_hit
         if is_write and not rw:
             self.kernel.record_protection_fault(proc.tgid, va, now)
             return PROTECTION_FAULT, 0, 0, 0, pfn
         return TLB_HIT, 0, 0, 0, pfn
 
-    def resolve_walked(self, core, proc, va, key, leaf, raw, is_write, now):
+    def resolve_walked(self, core, proc, va, key, leaf, raw, vma, is_write, now):
         tgid = proc.tgid
         leaf = proc.page_table.walk(va)
         if leaf is not None and leaf.raw & PTE_PRESENT:
@@ -104,6 +109,22 @@ class GeneratorEngine(MfoeEngine):
             out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, sm.pfn
         self.tlb.insert(key, sm.pfn, (sm.leaf.raw & PTE_RW) != 0)
         return out
+
+
+class HandoffEngine(MfoeEngine):
+    """MfoeEngine whose resolve_walked checks, for every leaf that is not
+    present, that the VMA it is handed is the one ProcessModel.find_vma
+    finds, and counts the checks in checked."""
+
+    def __init__(self, kernel, tlb_entries=64):
+        super().__init__(kernel, tlb_entries)
+        self.checked = 0
+
+    def resolve_walked(self, core, proc, va, key, leaf, raw, vma, is_write, now):
+        if not raw & PTE_PRESENT:
+            assert vma is not None and vma is proc.find_vma(va), (va, vma)
+            self.checked += 1
+        return super().resolve_walked(core, proc, va, key, leaf, raw, vma, is_write, now)
 
 
 class ResolveSimulation(Simulation):
@@ -281,6 +302,14 @@ def test_simulation_matches_the_resolve_reference(name, monkeypatch):
     assert ref_sim.resolves == len(report.records) > 0
 
 
+@pytest.mark.parametrize("name", _SIM_CASES)
+def test_the_simulation_hands_each_fault_its_vma(name, monkeypatch):
+    # every region is writable, so a wrong VMA changes no output; the
+    # handoff is checked at each fault instead
+    simulation, report, _ = _simulate(_SIM_CASES[name], HandoffEngine, monkeypatch)
+    assert simulation.engine.checked == _faults(report) > 0
+
+
 class _TlbMapBreak:
     """The touch loop's view of the engine's TLB map, passing every call
     through to the map except the one it breaks: skip names the call
@@ -325,6 +354,50 @@ def test_the_resolve_reference_catches_a_broken_touch_loop(name, skip, monkeypat
                                   simulation_class=ResolveSimulation, prepare=prepare)
     assert calls == [ResolveSimulation, Simulation]
     assert "tlb" in differ and "faults.csv" in differ, differ
+
+
+class _TableBreak:
+    """A core's table as kernel.tables holds it, passing every attribute
+    read, attribute write and method call through to the table except
+    the writes it breaks: skip names the attribute whose stores do
+    nothing. PreallocTable's own methods store on the table itself, so
+    only code that writes the table's attributes from outside, as the
+    engine's inline table hit does, is broken."""
+
+    def __init__(self, table, skip):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "skip", skip)
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def __setattr__(self, name, value):
+        if name != self.skip:
+            setattr(self.table, name, value)
+
+
+@pytest.mark.parametrize("skip", ["tail_index", "consumed"],
+                         ids=["hit-keeps-the-tail", "hit-skips-the-count"])
+@pytest.mark.parametrize("name", [name for name in _SIM_CASES
+                                  if name.startswith(("hits", "saturated"))])
+def test_the_generator_reference_catches_a_broken_table_hit(name, skip, monkeypatch):
+    # the same comparison, with the tables broken on both sides: the
+    # reference consumes through PreallocTable.consume, which the break
+    # leaves whole, so the difference shows it runs code of its own
+    calls = []
+
+    def prepare(simulation):
+        calls.append(type(simulation.engine))
+        tables = simulation.kernel.tables
+        tables[:] = [_TableBreak(table, skip) for table in tables]
+
+    ref_sim, _, differ = _compare(_SIM_CASES[name], monkeypatch, GeneratorEngine,
+                                  prepare=prepare)
+    assert calls == [GeneratorEngine, MfoeEngine]
+    assert ref_sim.engine.handlers > 0
+    assert "table_counts" in differ, differ
+    if skip == "tail_index":
+        assert "faults.csv" in differ, differ
 
 
 def test_the_simulation_builds_no_handler_object(monkeypatch):
@@ -568,6 +641,68 @@ def test_engine_matches_the_generator_reference(case):
     assert expect | {WALK_HIT, SEGV, PROTECTION_FAULT} <= kinds
     if case in ("offload-off", "empty-table"):
         assert MFOE_HIT not in kinds
+
+
+# The kernel path's errors: no frame left, or a frame already booked
+
+
+@pytest.mark.parametrize("case", ["offload-off", "empty-table", "unbuilt-leaf"])
+def test_out_of_memory_raises_before_any_change(case):
+    # offloading off, an empty table (a miss, then the kernel path) and an
+    # unbuilt leaf, which the kernel path builds before it allocates
+    states, engines = [], []
+    for engine_class in (GeneratorEngine, MfoeEngine):
+        kernel, engine, (vma, _) = _engine_env(engine_class, case)
+        engines.append(engine)
+        while kernel.allocator.free_list:
+            kernel.allocator.allocate()
+        before = _state(kernel, engine)
+        with pytest.raises(OutOfMemory):
+            engine.resolve(0, vma.start, True)
+        states.append(_state(kernel, engine))
+        changed = [name for name in before if before[name] != states[-1][name]]
+        # an unbuilt leaf is built, empty, before the frame is asked for
+        assert changed == (["leaves"] if case == "unbuilt-leaf" else [])
+    assert states[1] == states[0]
+    assert engines[0].handlers == 1
+
+
+@pytest.mark.parametrize("case", ["offload-off", "empty-table"])
+def test_a_double_booking_on_the_kernel_path_raises_as_the_ledger_does(case):
+    # the frame allocate hands out is already in the reverse map: apply's
+    # RuntimeError, raised after the frame is taken and before the leaf,
+    # the ledger, the latency draw or the TLB changes
+    states, engines = [], []
+    for engine_class in (GeneratorEngine, MfoeEngine):
+        kernel, engine, (vma, _) = _engine_env(engine_class, case)
+        engines.append(engine)
+        pfn = kernel.allocator.free_list[0]
+        kernel.ledger.rmap[pfn] = (1, 0)
+        before = _state(kernel, engine)
+        with pytest.raises(RuntimeError, match=f"frame {pfn} already reverse-mapped"):
+            engine.resolve(0, vma.start, True)
+        states.append(_state(kernel, engine))
+        changed = [name for name in before if before[name] != states[-1][name]]
+        assert changed == ["census", "free_list"]
+        assert states[-1]["census"]["outstanding"] == before["census"]["outstanding"] + 1
+    assert states[1] == states[0]
+    assert engines[0].handlers == 1
+
+
+@pytest.mark.parametrize("case", ["mixed", "empty-table", "offload-off"])
+def test_a_fault_on_a_read_only_page_leaves_a_read_only_translation(case):
+    # a table hit, a miss and the kernel path: the translation each leaves
+    # in the TLB carries the region's rw, so a write through it is a
+    # protection fault
+    outcomes, states = [], []
+    for engine_class in (GeneratorEngine, MfoeEngine):
+        kernel, engine, (_, readonly) = _engine_env(engine_class, case)
+        outcomes.append([engine.resolve(0, readonly.start, False)[0],
+                         engine.resolve(0, readonly.start, True)[0]])
+        states.append(_state(kernel, engine))
+    fault = {"mixed": MFOE_HIT, "empty-table": MFOE_MISS, "offload-off": KERNEL_FAULT}[case]
+    assert outcomes == [[fault, PROTECTION_FAULT]] * 2
+    assert states[1] == states[0]
 
 
 # A held leaf lock: no handler in a serialized run can release it
