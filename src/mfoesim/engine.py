@@ -5,39 +5,35 @@ The whole minor-fault protocol lives in PteFaultSm as one generator that
 yields at each atomic-action boundary, and yields a wait predicate where
 a handler spins on another's lock. The concurrency tests interleave
 step() calls from several handlers aimed at the same leaf to exercise
-the lock protocol, and run() drives one handler to completion. The
+the lock protocol, and run() steps one handler to completion. The
 generator records how the handler ended in its result attribute on its
 last action and returns nothing, so a finished fault costs no
 StopIteration carrying a value.
 
-MfoeEngine.resolve dispatches a touch (TLB, walk, then the fault) and
-returns a plain tuple; access() wraps that tuple in a FaultOutcome for
-library callers. Its half after the TLB lookup and the walk is
-resolve_walked, which takes what they found, a present leaf or the
-fault, and the VMA that holds the address. resolve finds that VMA with
-ProcessModel.find_vma, and only for a leaf that is not present. The
-simulator runs the lookup and the walk in its own touch loop, serves
-TLB and walk hits there, and calls resolve_walked for everything else,
-handing over the faulting thread's own region, so a simulated fault
-searches for nothing. The enum members the per-touch path compares or
-returns are bound to module names once, since a module global reads
-several times faster than an Enum class attribute.
+Each layer has one job. Tlb owns the TLB's LRU. MfoeEngine.serve_fault
+serves a fault, handed a leaf that is not present and the VMA that
+holds the address: it picks a frame from the core's table or the
+kernel, updates the PTE and books the page, and fills no TLB entry; as
+in the MMU, the TLB fill is the caller's last step. MfoeEngine.resolve
+dispatches a touch for library callers by calling the owners in turn:
+check_canonical, Tlb.lookup, PageTable.walk, ProcessModel.find_vma,
+serve_fault and Tlb.insert. access() wraps its tuple in a FaultOutcome.
+The simulator plays the MMU in its own touch loop: it runs the TLB's
+LRU on the Tlb's own map, serves TLB and walk hits there, and calls
+serve_fault for a fault, handing over the thread's own region VMA, so a
+simulated fault searches for nothing. The enum members the per-touch
+path compares or returns are bound to module names once, since a module
+global reads several times faster than an Enum class attribute.
 
-A touch costs as few Python calls as the layers allow. resolve tests
-canonicality with a range compare, calling check_canonical only to
-raise; it builds one (tgid, vpn) key, and it and resolve_walked run the
-TLB's LRU inline on the Tlb's own OrderedDict: a get and move_to_end on
-a hit and, after a miss, an eviction of the oldest entry when full and
-the store, as Tlb.lookup and Tlb.insert do. resolve_walked serves a
-fault itself, in straight-line code with no handler object, generator
-or helper call, as KernelModel.serial_pass_step books a record: a table
+serve_fault is straight-line code with no handler object, generator or
+helper call, as KernelModel.serial_pass_step books a record: a table
 hit is PreallocTable.consume and PageTableEntry.install_frame taken on
 the table's tail words and the leaf word, and the kernel path is
 KernelModel.inline_install taken on the leaf word, the ledger's rmap and
 mm_counter, with only FrameAllocator.allocate and the latency draw
 called. PteFaultSm, which calls those helpers, stays the model of the
-lock protocol and the reference the straight-line path is tested
-against; the helpers stay for it and for library callers.
+lock protocol and the reference serve_fault is tested against; the
+helpers stay for it and for library callers.
 """
 from __future__ import annotations
 
@@ -56,7 +52,6 @@ from .vm import (
     PTE_MFOEABLE,
     PTE_PRESENT,
     PTE_RW,
-    USER_VA_LIMIT,
     PageTableEntry,
     check_canonical,
 )
@@ -99,8 +94,8 @@ class Tlb:
     present translations.
 
     _map is ordered least recently used first. lookup and insert are the
-    LRU for library callers; MfoeEngine.resolve and resolve_walked and
-    the simulator's touch loop take the same actions on _map inline."""
+    LRU; the simulator's touch loop takes the same actions on _map
+    inline."""
 
     def __init__(self, entries: int = 64):
         if entries < 1:
@@ -140,13 +135,6 @@ class SmResult(Enum):
     WAITED = "waited"  # spun on the lock, then reused the installed page
 
 
-_SM_MFOE_HIT = SmResult.MFOE_HIT
-_SM_MFOE_MISS_KERNEL = SmResult.MFOE_MISS_KERNEL
-_SM_KERNEL = SmResult.KERNEL
-_SM_REUSE = SmResult.REUSE
-_SM_WAITED = SmResult.WAITED
-
-
 # A leaf word with its lock bit cleared: raw & _UNLOCKED.
 _UNLOCKED = ~PTE_LOCK
 
@@ -165,10 +153,9 @@ class PteFaultSm:
     step that raises (no frame left, a frame already booked) releases
     the lock before the error leaves the handler.
 
-    MfoeEngine.resolve_walked serves the simulator's faults without it,
-    taking an uncontended handler's actions; this class models
-    contention, for the interleaving tests and callers that step
-    handlers themselves.
+    MfoeEngine.serve_fault serves faults without it, taking an
+    uncontended handler's actions; this class models contention, for
+    the interleaving tests and callers that step handlers themselves.
 
     The protocol is the generator _protocol(), which yields after each
     atomic action and, on its last one, sets result to the SmResult just
@@ -177,13 +164,11 @@ class PteFaultSm:
     action and sets done when it ends; runnable() is False while a
     yielded predicate is false, so a scheduler only advances handlers
     that can make progress. run() drives a handler with no concurrent
-    owner: it iterates the generator in a for loop, from wherever step()
-    left it, checks every yielded predicate, and sets done after the
-    loop. At a false predicate, which nothing else can make true, it
-    leaves the generator suspended there and raises RuntimeError. So
-    result and done change only on the last action, whichever call runs
-    it. How the handler got its frame, from the table or inline, is read
-    from result, the one record of how it ended.
+    owner by calling step() while it is runnable, from wherever step()
+    left it. At a false predicate, which nothing else can make true, it
+    leaves the generator suspended there and raises RuntimeError. How
+    the handler got its frame, from the table or inline, is read from
+    result, the one record of how it ended.
     """
 
     __slots__ = ("kernel", "proc", "core", "va", "vma", "mfoe_eligible", "leaf", "done",
@@ -213,11 +198,11 @@ class PteFaultSm:
 
     @property
     def consumed_from_table(self) -> bool:
-        return self.result is _SM_MFOE_HIT
+        return self.result is SmResult.MFOE_HIT
 
     @property
     def allocated_inline(self) -> bool:
-        return self.result in (_SM_MFOE_MISS_KERNEL, _SM_KERNEL)
+        return self.result in (SmResult.MFOE_MISS_KERNEL, SmResult.KERNEL)
 
     def runnable(self) -> bool:
         return not self.done and (self._wait is None or self._wait())
@@ -232,19 +217,11 @@ class PteFaultSm:
 
     def run(self) -> SmResult:
         """Drive to completion; callers must guarantee no concurrent owner."""
-        if self.done:
-            return self.result
-        wait = self._wait
-        if wait is None or wait():
-            for wait in self._protocol_gen:
-                if wait is not None and not wait():
-                    break
-            else:
-                self.done = True
-                return self.result
-        # Left suspended where it waits, so runnable() says False.
-        self._wait = wait
-        raise RuntimeError("handler blocked with no concurrent progress")
+        while not self.done:
+            if not self.runnable():
+                raise RuntimeError("handler blocked with no concurrent progress")
+            self.step()
+        return self.result
 
     def _lock_clear_and_present(self) -> bool:
         return not self.leaf.locked and self.leaf.present
@@ -256,7 +233,7 @@ class PteFaultSm:
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
-            self.result = _SM_REUSE
+            self.result = SmResult.REUSE
             return
         if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
@@ -264,7 +241,7 @@ class PteFaultSm:
             if raw & PTE_LOCK:
                 yield self._lock_clear_and_present
                 self.pfn = leaf.pfn_or_tgid
-                self.result = _SM_WAITED
+                self.result = SmResult.WAITED
                 return
             leaf.raw = raw | PTE_LOCK
             yield
@@ -272,7 +249,7 @@ class PteFaultSm:
                 # Resolved while we raced for the lock; nothing to consume.
                 self.pfn = leaf.pfn_or_tgid
                 leaf.raw &= _UNLOCKED
-                self.result = _SM_REUSE
+                self.result = SmResult.REUSE
                 return
             yield
             pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
@@ -282,7 +259,7 @@ class PteFaultSm:
                 leaf.install_frame(pfn, self.vma.writable)
                 yield
                 leaf.raw &= _UNLOCKED
-                self.result = _SM_MFOE_HIT
+                self.result = SmResult.MFOE_HIT
                 return
             yield
             leaf.raw &= _UNLOCKED
@@ -295,14 +272,14 @@ class PteFaultSm:
         if raw & PTE_LOCK:
             yield self._lock_clear_and_present
             self.pfn = leaf.pfn_or_tgid
-            self.result = _SM_WAITED
+            self.result = SmResult.WAITED
             return
         leaf.raw = raw | PTE_LOCK
         yield
         if leaf.raw & PTE_PRESENT:
             self.pfn = leaf.pfn_or_tgid
             leaf.raw &= _UNLOCKED
-            self.result = _SM_REUSE
+            self.result = SmResult.REUSE
             return
         yield
         try:
@@ -314,7 +291,7 @@ class PteFaultSm:
             raise
         yield
         leaf.raw &= _UNLOCKED
-        self.result = _SM_MFOE_MISS_KERNEL if mfoe_missed else _SM_KERNEL
+        self.result = SmResult.MFOE_MISS_KERNEL if mfoe_missed else SmResult.KERNEL
 
 
 class MfoeEngine:
@@ -345,82 +322,69 @@ class MfoeEngine:
         fields of a FaultOutcome in order: (kind, cycles, penalty_cycles,
         kernel_cycles, pfn).
 
-        Dispatch: TLB, then the walker, then resolve_walked, which takes
-        a present leaf or the fault, with the VMA find_vma gives for a
-        leaf that is not present. Any path that resolves the page leaves
-        the translation in the TLB.
+        The MMU's steps, each by the layer that owns it: check_canonical,
+        Tlb.lookup, PageTable.walk and, for a leaf that is not present,
+        ProcessModel.find_vma and serve_fault. A TLB or walk hit for a
+        write to a read-only page is a protection fault. Any path that
+        resolves the page leaves its translation in the TLB through
+        Tlb.insert, a fault's with its VMA's rw.
         """
-        if not 0 <= va < USER_VA_LIMIT:
-            check_canonical(va)  # raises CanonicalityError
+        vpn = check_canonical(va) >> PAGE_SHIFT
         proc = self.core_proc[core]
-        vpn = va >> PAGE_SHIFT
         key = (proc.tgid, vpn)
-        # Tlb.lookup, inline on the TLB's own LRU map
-        tlb_map = self.tlb._map
-        tlb_hit = tlb_map.get(key)
-        if tlb_hit is not None:
-            tlb_map.move_to_end(key)
-            pfn, rw = tlb_hit
-            if is_write and not rw:
-                self.kernel.record_protection_fault(proc.tgid, va, now)
-                return PROTECTION_FAULT, 0, 0, 0, pfn
-            return TLB_HIT, 0, 0, 0, pfn
-        # the walk: va is canonical, so the leaf is read straight off the table
-        leaf = proc.page_table.entries.get(vpn)
-        raw = 0 if leaf is None else leaf.raw
-        vma = None if raw & PTE_PRESENT else proc.find_vma(va)
-        return self.resolve_walked(core, proc, va, key, leaf, raw, vma, is_write, now)
+        tlb = self.tlb
+        kind = TLB_HIT
+        translation = tlb.lookup(key)
+        if translation is None:
+            leaf = proc.page_table.walk(va)
+            raw = 0 if leaf is None else leaf.raw
+            if not raw & PTE_PRESENT:
+                vma = proc.find_vma(va)
+                out = self.serve_fault(core, proc, va, leaf, raw, vma, now)
+                if vma is not None:
+                    tlb.insert(key, out[4], vma.writable)
+                return out
+            kind = WALK_HIT
+            translation = leaf.pfn_or_tgid, leaf.rw
+        pfn, rw = translation
+        if is_write and not rw:
+            self.kernel.record_protection_fault(proc.tgid, va, now)
+            return PROTECTION_FAULT, 0, 0, 0, pfn
+        if kind is WALK_HIT:
+            tlb.insert(key, pfn, rw)
+        return kind, 0, 0, 0, pfn
 
-    def resolve_walked(
+    def serve_fault(
         self,
         core: int,
         proc: ProcessModel,
         va: int,
-        key: tuple[int, int],
         leaf: Optional[PageTableEntry],
         raw: int,
         vma: Optional[VMA],
-        is_write: bool,
         now: int,
     ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
-        """resolve() after its TLB lookup missed and its walk ran: proc is
-        core's process, key (proc.tgid, va's page number), leaf the entry
-        the walk found (None while unbuilt), raw the word it read there
-        (0 for no leaf) and vma the VMA that holds va (None when none
-        does), which is read only when raw is not present. A caller that
-        runs the lookup and the walk itself hands their results here, and
-        one that knows which region va lies in hands over its VMA, so
-        nothing is looked up twice.
+        """Serve a fault on va from core at time now, as resolve() returns
+        it: proc is core's process, leaf the entry the walk found (None
+        while unbuilt), raw the word it read there, not present (0 for no
+        leaf), and vma the VMA that holds va (None when none does: a
+        segv). A caller that knows which region va lies in hands over its
+        VMA, so nothing is looked up twice. It serves the fault only: as
+        in the MMU, caching the new translation is the caller's last step.
 
-        A present leaf is a walk hit, or a protection fault on a write to
-        a read-only page. A fault is served here in straight-line code:
-        an uncontended PteFaultSm's actions in its order, without the
-        lock bit, which no other handler can observe, and with the
-        table's consume, the leaf's install_frame and the kernel's
-        inline_install taken inline on their words, the ledger and the
-        TLB's map. The kernel path builds an unbuilt leaf, takes its
-        frame from FrameAllocator.allocate, which raises OutOfMemory with
-        nothing else changed, and checks the booking before it writes
-        anything, so a frame already in the reverse map raises
-        RuntimeError with only that frame taken from the allocator. Each
-        error leaves what PteFaultSm leaves. A leaf whose lock is held,
-        as only a PteFaultSm stepped by hand leaves it, raises
-        RuntimeError before any change, as PteFaultSm.run() does.
+        The fault is served in straight-line code: an uncontended
+        PteFaultSm's actions in its order, without the lock bit, which no
+        other handler can observe, and with the table's consume, the
+        leaf's install_frame and the kernel's inline_install taken inline
+        on their words and the ledger. The kernel path builds an unbuilt
+        leaf, takes its frame from FrameAllocator.allocate, which raises
+        OutOfMemory with nothing else changed, and checks the booking
+        before it writes anything, so a frame already in the reverse map
+        raises RuntimeError with only that frame taken from the
+        allocator. Each error leaves what PteFaultSm leaves. A leaf whose
+        lock is held, as only a PteFaultSm stepped by hand leaves it,
+        raises RuntimeError before any change, as PteFaultSm.run() does.
         """
-        # Tlb.insert after a miss, inline on the TLB's own LRU map
-        tlb = self.tlb
-        tlb_map = tlb._map
-        if raw & PTE_PRESENT:
-            pfn = (raw & PFN_MASK) >> PFN_SHIFT
-            rw = (raw & PTE_RW) != 0
-            if is_write and not rw:
-                self.kernel.record_protection_fault(proc.tgid, va, now)
-                return PROTECTION_FAULT, 0, 0, 0, pfn
-            if len(tlb_map) >= tlb.entries:
-                tlb_map.popitem(last=False)
-            tlb_map[key] = (pfn, rw)
-            return WALK_HIT, 0, 0, 0, pfn
-
         kernel = self.kernel
         if vma is None:
             kernel.record_segv(proc.tgid, va, now)
@@ -446,9 +410,6 @@ class MfoeEngine:
                 table.tail_index = 1 if i == table.num_entries - 1 else i + 1
                 leaf.raw = (PTE_MFOEABLE | PTE_PRESENT | (PTE_RW if writable else 0)
                             | ((pfn << PFN_SHIFT) & PFN_MASK))
-                if len(tlb_map) >= tlb.entries:
-                    tlb_map.popitem(last=False)
-                tlb_map[key] = (pfn, writable)
                 return MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, pfn
             kind, penalty = MFOE_MISS, self.params.mfoe_miss_penalty_cycles
         else:
@@ -467,7 +428,4 @@ class MfoeEngine:
         rmap[pfn] = (tgid, va)
         ledger.mm_counter[tgid] += 1
         kernel_cycles = kernel.sample_baseline_cycles()
-        if len(tlb_map) >= tlb.entries:
-            tlb_map.popitem(last=False)
-        tlb_map[key] = (pfn, writable)
         return kind, penalty + kernel_cycles, penalty, kernel_cycles, pfn

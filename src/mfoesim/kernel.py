@@ -6,8 +6,9 @@ Offloading is on while mfoe_active is set: the engine consults the
 per-core tables only then. The tables are restocked at head by one
 routine, which the init fill (fill_step), the locked pass step and the
 restock of starved tables at a pass start all call, and which the
-serial pass step takes inline; exit cleanup books and empties slots. begin_pass says whether its pass has work, which is
-the one rule a caller needs to skip idle passes (advance_passes).
+serial pass step takes inline; exit cleanup books and empties slots.
+begin_pass says whether its pass has work, which is the one rule a
+caller needs to skip idle passes (advance_passes).
 
 A process's booked pages are counted once, in the ledger's mm_counter,
 which also serves as its memcg charge and as the count quotas read.

@@ -20,9 +20,10 @@ pass) or take_used_of (every slot of one tgid, exit cleanup) takes it.
 drain_valid empties the valid slots when offloading is turned off.
 Only produce restocks a slot, always at head, so walking head forward
 over empty slots reaches the oldest used entry before any valid one.
-KernelModel.serial_pass_step is the words' one writer outside this
-class: for a single-threaded caller it takes a used head entry and
-restocks its slot inline, as take_used and produce would.
+Two single-threaded callers write the words outside this class, and
+no other code reads them: MfoeEngine.serve_fault takes the tail frame
+inline, as consume would, and KernelModel.serial_pass_step takes a used
+head entry and restocks its slot inline, as take_used and produce would.
 
 The produce and consume fast paths are single-producer single-consumer
 and lock free: full/empty decisions come from the entry state bits, never
@@ -167,10 +168,9 @@ class PreallocTable:
             return None
         pfn = (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
         self._w0[i] = va
-        # pack_word1(pfn, tgid, used=True, valid=False), and _next(i), inline
-        self._w1[i] = (pfn << W1_PFN_SHIFT) | ((tgid & W1_TGID_MASK) << W1_TGID_SHIFT) | W1_USED
+        self._w1[i] = pack_word1(pfn, tgid, used=True, valid=False)
         self.consumed += 1
-        self.tail_index = 1 if i == self.num_entries - 1 else i + 1
+        self.tail_index = self._next(i)
         return pfn
 
     # slow-path primitives (cleanup lock held)
@@ -207,16 +207,10 @@ class PreallocTable:
 
     def take_used(self, index: int) -> Optional[HarvestRecord]:
         """Empty a used slot and return its record; None, changing nothing,
-        when the slot is not used. Every booking comes through here, so
-        the index check and record_at's decode are inline."""
-        if not 0 < index < self.num_entries:
-            self._check_index(index)  # raises IndexError
-        w1 = self._w1[index]
-        if not w1 & W1_USED:
+        when the slot is not used."""
+        if self.entry_state(index) is not EntryState.USED:
             return None
-        record = HarvestRecord(
-            self._w0[index], (w1 >> W1_TGID_SHIFT) & W1_TGID_MASK, (w1 >> W1_PFN_SHIFT) & W1_PFN_MASK
-        )
+        record = self.record_at(index)
         self._w1[index] = 0
         self._w0[index] = 0
         self.released += 1

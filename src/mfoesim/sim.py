@@ -15,12 +15,13 @@ start stands for every tick up to the touch, applied in one call.
 Everything downstream of the seed is reproducible to the byte.
 
 The touch loop plays the MMU: it looks the page up in the engine's TLB
-and walks the page table itself, with the TLB's LRU exactly as
-MfoeEngine.resolve runs it, and serves a TLB or walk hit with no engine
-call. Only the rest, a fault, goes to MfoeEngine.resolve_walked, handed
-the key, leaf and word the loop already read and the thread's own
-region VMA, which holds every page the thread touches, so the fault
-path looks nothing up; only then can the pass wake.
+and walks the page table itself, running the TLB's LRU on the Tlb's own
+map as Tlb.lookup and Tlb.insert do, and serves a TLB or walk hit with
+no engine call. Only a fault goes to MfoeEngine.serve_fault, handed the
+leaf and word the loop already read and the thread's own region VMA,
+which holds every page the thread touches, so the fault path looks
+nothing up; only then can the pass wake. After a walk hit or a fault
+the loop fills the TLB itself, with one store, as the MMU's last step.
 
 Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: three columns (cycle, code, latency cycles), the code being
@@ -46,7 +47,7 @@ from .engine import MfoeEngine, OutcomeKind
 from .kernel import VMA, KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
 from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
-from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT, PTE_RW
+from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT
 
 # A background clock that is not running.
 NEVER = math.inf
@@ -160,9 +161,6 @@ _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
 )
 _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
 _IS_FAULT = [kind in _FAULT_KINDS for kind in OUTCOMES]
-
-# A walk hit for a write: a present, writable leaf.
-_PRESENT_RW = PTE_PRESENT | PTE_RW
 
 
 class FaultLog:
@@ -311,7 +309,7 @@ class Simulation:
         self._tlb_map = self.engine.tlb._map
         self._tlb_entries = self.engine.tlb.entries
         self._leaves = self.proc.page_table.entries
-        self._resolve_walked = self.engine.resolve_walked
+        self._serve_fault = self.engine.serve_fault
         self._stride_pages = wl.stride_pages
         self._faults_per_thread = wl.faults_per_thread
         self._interarrival = wl.interarrival_cycles
@@ -407,14 +405,14 @@ class Simulation:
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None.
 
-        The touch is a write. Its TLB lookup and walk run here, as
-        MfoeEngine.resolve runs them, on the engine's own TLB map: a TLB
-        hit or a walk hit on a present, writable page is served with no
-        engine call. Anything else goes to MfoeEngine.resolve_walked with
-        the thread's region VMA, in place of a find_vma search, and only
-        then can the pass wake: a TLB or walk hit changes nothing a
-        pass step or a pass start reads (the budget, the tables, the
-        frame allocator, the quotas, the pending bit clears).
+        The touch is a write. Its TLB lookup, walk and TLB fill run here,
+        as MfoeEngine.resolve runs them through Tlb and PageTable, on the
+        engine's own TLB map: a TLB hit or a walk hit is served with no
+        engine call. A fault goes to MfoeEngine.serve_fault with the
+        thread's region VMA, in place of a find_vma search, and only then
+        can the pass wake: a TLB or walk hit changes nothing a pass step
+        or a pass start reads (the budget, the tables, the frame
+        allocator, the quotas, the pending bit clears).
         """
         stats = self.stats[core]
         touches = stats.touches
@@ -423,29 +421,32 @@ class Simulation:
         vpn = va >> PAGE_SHIFT
         key = (self._tgid, vpn)
         tlb_map = self._tlb_map
+        # Every region a Simulation maps is writable, so every present
+        # leaf and every translation the TLB holds is too: a write through
+        # either is a hit, and a fault's translation is (pfn, True).
         if key in tlb_map:
-            # every region a run maps is writable, and so is every
-            # translation the TLB holds
             tlb_map.move_to_end(key)
             code, cycles = core * _WIDTH + _TLB_CODE, 0
         else:
             # every page of every region has its leaf from __init__
             leaf = self._leaves[vpn]
             raw = leaf.raw
-            if raw & _PRESENT_RW == _PRESENT_RW:
-                if len(tlb_map) >= self._tlb_entries:
-                    tlb_map.popitem(last=False)
-                tlb_map[key] = ((raw & PFN_MASK) >> PFN_SHIFT, True)
+            if raw & PTE_PRESENT:
+                pfn = (raw & PFN_MASK) >> PFN_SHIFT
                 code, cycles = core * _WIDTH + _WALK_CODE, 0
             else:
-                kind, cycles, _, _, _ = self._resolve_walked(
-                    core, self.proc, va, key, leaf, raw, self._vmas[core], True, t)
+                kind, cycles, _, _, pfn = self._serve_fault(
+                    core, self.proc, va, leaf, raw, self._vmas[core], t)
                 code = core * _WIDTH + _CODE[kind]
                 if self._next_step == NEVER and t >= self._first_tick:
                     # wake the dry pass at its first step after this touch
                     self._next_step = step = self._step_after(t)
                     if step < self._due:
                         self._due = step
+            # Tlb.insert after a miss
+            if len(tlb_map) >= self._tlb_entries:
+                tlb_map.popitem(last=False)
+            tlb_map[key] = (pfn, True)
         touches += 1
         stats.touches = touches
         log_t, log_code, log_cycles = self._log

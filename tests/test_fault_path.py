@@ -1,21 +1,22 @@
 """The serialized touch and fault paths and pass step against their
 references.
 
-A Simulation runs each touch's TLB lookup and walk in its own loop and
-calls MfoeEngine.resolve_walked only for what is not a TLB or walk hit;
-ResolveSimulation below sends every touch through MfoeEngine.resolve
-instead. resolve_walked serves a fault in straight-line code, on the
-VMA it is handed, with the table's consume, the leaf's install_frame and
-the kernel's inline_install taken inline. PteFaultSm's generator, which
-calls those helpers, stays the model of the lock protocol;
-GeneratorEngine below serves every fault through PteFaultSm(...).run()
-instead, on the VMA find_vma finds. A Simulation
-books deferred records through KernelModel.serial_pass_step's
-straight-line code; LockedPassSimulation below books them through the
-locked pass_step and process_one_record instead. Each test here runs a
-path and its reference on the same inputs and compares everything they
-leave, and each reference counts what it ran, so a comparison of a path
-with itself fails.
+A Simulation runs each touch's TLB lookup, walk and TLB fill in its own
+loop, on the TLB's map, and calls MfoeEngine.serve_fault only for a
+fault; ResolveSimulation below sends every touch through
+MfoeEngine.resolve instead, which calls Tlb.lookup, PageTable.walk,
+serve_fault and Tlb.insert. serve_fault serves a fault in straight-line
+code, on the VMA it is handed, with the table's consume, the leaf's
+install_frame and the kernel's inline_install taken inline, and fills
+no TLB entry. PteFaultSm's generator, which calls those helpers, stays
+the model of the lock protocol; GeneratorEngine below serves every
+fault through PteFaultSm(...).run() instead, on the VMA find_vma finds.
+A Simulation books deferred records through
+KernelModel.serial_pass_step's straight-line code; LockedPassSimulation
+below books them through the locked pass_step and process_one_record
+instead. Each test here runs a path and its reference on the same
+inputs and compares everything they leave, and each reference counts
+what it ran, so a comparison of a path with itself fails.
 """
 import contextlib
 import random
@@ -43,88 +44,56 @@ from mfoesim.sim import NEVER, OUTCOMES, SimConfig, Simulation, WorkloadSpec
 from mfoesim.vm import (
     PAGE_SHIFT,
     PAGE_SIZE,
-    PFN_MASK,
-    PFN_SHIFT,
     PTE_MFOEABLE,
     PTE_PRESENT,
-    PTE_RW,
     OutOfMemory,
-    check_canonical,
 )
 
 
 class GeneratorEngine(MfoeEngine):
-    """MfoeEngine whose resolve_walked serves a fault by running a
-    PteFaultSm to completion, and whose TLB goes through Tlb.lookup and
-    Tlb.insert. A Simulation runs the TLB lookup and the walk itself and
-    calls resolve_walked, which walks again and calls
-    ProcessModel.find_vma rather than trust the leaf, word and VMA it is
-    handed; resolve looks up the TLB and calls it. The engine counts the
-    handlers it builds in handlers."""
+    """MfoeEngine whose serve_fault serves a fault by running a PteFaultSm
+    to completion. It walks again and calls ProcessModel.find_vma rather
+    than trust the leaf, word and VMA it is handed, and, like serve_fault,
+    fills no TLB entry. The engine counts the handlers it builds in
+    handlers."""
 
     def __init__(self, kernel, tlb_entries=64):
         super().__init__(kernel, tlb_entries)
         self.handlers = 0
 
-    def resolve(self, core, va, is_write=False, now=0):
-        proc = self.core_proc[core]
-        key = (proc.tgid, check_canonical(va) >> PAGE_SHIFT)
-        tlb_hit = self.tlb.lookup(key)
-        if tlb_hit is None:
-            return self.resolve_walked(core, proc, va, key, None, 0, None, is_write, now)
-        pfn, rw = tlb_hit
-        if is_write and not rw:
-            self.kernel.record_protection_fault(proc.tgid, va, now)
-            return PROTECTION_FAULT, 0, 0, 0, pfn
-        return TLB_HIT, 0, 0, 0, pfn
-
-    def resolve_walked(self, core, proc, va, key, leaf, raw, vma, is_write, now):
-        tgid = proc.tgid
-        leaf = proc.page_table.walk(va)
-        if leaf is not None and leaf.raw & PTE_PRESENT:
-            pfn = (leaf.raw & PFN_MASK) >> PFN_SHIFT
-            rw = (leaf.raw & PTE_RW) != 0
-            if is_write and not rw:
-                self.kernel.record_protection_fault(tgid, va, now)
-                return PROTECTION_FAULT, 0, 0, 0, pfn
-            self.tlb.insert(key, pfn, rw)
-            return WALK_HIT, 0, 0, 0, pfn
+    def serve_fault(self, core, proc, va, leaf, raw, vma, now):
         vma = proc.find_vma(va)
         if vma is None:
-            self.kernel.record_segv(tgid, va, now)
+            self.kernel.record_segv(proc.tgid, va, now)
             return SEGV, 0, 0, 0, None
 
         self.handlers += 1
         sm = PteFaultSm(self.kernel, proc, core, va, vma, self.kernel.mfoe_active)
         result = sm.run()
         if result is SmResult.MFOE_HIT:
-            out = MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, sm.pfn
-        elif result is SmResult.MFOE_MISS_KERNEL:
-            kernel_cycles = self.kernel.sample_baseline_cycles()
+            return MFOE_HIT, self.params.mfoe_hit_cycles, 0, 0, sm.pfn
+        kernel_cycles = self.kernel.sample_baseline_cycles()
+        if result is SmResult.MFOE_MISS_KERNEL:
             penalty = self.params.mfoe_miss_penalty_cycles
-            out = MFOE_MISS, penalty + kernel_cycles, penalty, kernel_cycles, sm.pfn
-        else:
-            assert result is SmResult.KERNEL, result
-            kernel_cycles = self.kernel.sample_baseline_cycles()
-            out = KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, sm.pfn
-        self.tlb.insert(key, sm.pfn, (sm.leaf.raw & PTE_RW) != 0)
-        return out
+            return MFOE_MISS, penalty + kernel_cycles, penalty, kernel_cycles, sm.pfn
+        assert result is SmResult.KERNEL, result
+        return KERNEL_FAULT, kernel_cycles, 0, kernel_cycles, sm.pfn
 
 
 class HandoffEngine(MfoeEngine):
-    """MfoeEngine whose resolve_walked checks, for every leaf that is not
-    present, that the VMA it is handed is the one ProcessModel.find_vma
-    finds, and counts the checks in checked."""
+    """MfoeEngine whose serve_fault checks that the leaf it is handed is
+    not present and that the VMA it is handed is the one
+    ProcessModel.find_vma finds, and counts the checks in checked."""
 
     def __init__(self, kernel, tlb_entries=64):
         super().__init__(kernel, tlb_entries)
         self.checked = 0
 
-    def resolve_walked(self, core, proc, va, key, leaf, raw, vma, is_write, now):
-        if not raw & PTE_PRESENT:
-            assert vma is not None and vma is proc.find_vma(va), (va, vma)
-            self.checked += 1
-        return super().resolve_walked(core, proc, va, key, leaf, raw, vma, is_write, now)
+    def serve_fault(self, core, proc, va, leaf, raw, vma, now):
+        assert not raw & PTE_PRESENT and raw == leaf.raw, (va, raw)
+        assert vma is not None and vma is proc.find_vma(va), (va, vma)
+        self.checked += 1
+        return super().serve_fault(core, proc, va, leaf, raw, vma, now)
 
 
 class ResolveSimulation(Simulation):
@@ -313,8 +282,8 @@ def test_the_simulation_hands_each_fault_its_vma(name, monkeypatch):
 class _TlbMapBreak:
     """The touch loop's view of the engine's TLB map, passing every call
     through to the map except the one it breaks: skip names the call
-    that does nothing, the walk hit's store ("__setitem__") or the TLB
-    hit's move_to_end."""
+    that does nothing, the store after a walk hit or a fault
+    ("__setitem__") or the TLB hit's move_to_end."""
 
     def __init__(self, tlb_map, skip):
         self.tlb_map, self.skip = tlb_map, skip
@@ -337,13 +306,24 @@ class _TlbMapBreak:
             self.tlb_map[key] = value
 
 
-@pytest.mark.parametrize("skip", ["__setitem__", "move_to_end"],
-                         ids=["walk-hit-skips-the-store", "tlb-hit-skips-move-to-end"])
-@pytest.mark.parametrize("name", [name for name in _SIM_CASES if name.startswith("revisit")])
+# The revisit cases take TLB hits, walk hits and faults; in the
+# saturated cases every touch faults, so only the store runs.
+_TOUCH_LOOP_BREAKS = [
+    pytest.param(name, skip, id=f"{name}-{label}")
+    for name in _SIM_CASES
+    for skip, label in (("__setitem__", "skips-the-store"),
+                        ("move_to_end", "tlb-hit-skips-move-to-end"))
+    if name.startswith("revisit") or (name.startswith("saturated") and skip == "__setitem__")
+]
+
+
+@pytest.mark.parametrize("name, skip", _TOUCH_LOOP_BREAKS)
 def test_the_resolve_reference_catches_a_broken_touch_loop(name, skip, monkeypatch):
     # the same comparison, with the touch loop's TLB broken on both sides:
     # a reference that ran the touch loop too would match it, so the
-    # difference shows the reference runs code of its own
+    # difference shows the reference runs code of its own. In the
+    # saturated cases it shows that resolve catches a fault that leaves
+    # no translation.
     calls = []
 
     def prepare(simulation):
@@ -353,7 +333,9 @@ def test_the_resolve_reference_catches_a_broken_touch_loop(name, skip, monkeypat
     ref_sim, _, differ = _compare(_SIM_CASES[name], monkeypatch,
                                   simulation_class=ResolveSimulation, prepare=prepare)
     assert calls == [ResolveSimulation, Simulation]
-    assert "tlb" in differ and "faults.csv" in differ, differ
+    assert "tlb" in differ, differ
+    if name.startswith("revisit"):
+        assert "faults.csv" in differ, differ
 
 
 class _TableBreak:
@@ -641,6 +623,42 @@ def test_engine_matches_the_generator_reference(case):
     assert expect | {WALK_HIT, SEGV, PROTECTION_FAULT} <= kinds
     if case in ("offload-off", "empty-table"):
         assert MFOE_HIT not in kinds
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
+def test_serve_fault_leaves_the_tlb_alone(case):
+    # the fault half fills no TLB entry, a segv's included; resolve's own
+    # touches first give the TLB entries to disturb
+    kernel, engine, regions = _engine_env(MfoeEngine, case)
+    touches = _touches(case, regions)
+    for touch in touches[:40]:
+        engine.resolve(*touch)
+    assert len(engine.tlb) == engine.tlb.entries
+    kinds = set()
+    for core, va, _ in touches[40:]:
+        proc = engine.core_proc[core]
+        leaf = proc.page_table.walk(va)
+        raw = 0 if leaf is None else leaf.raw
+        if raw & PTE_PRESENT:
+            continue
+        tlb = list(engine.tlb._map.items())
+        kinds.add(engine.serve_fault(core, proc, va, leaf, raw, proc.find_vma(va), 0)[0])
+        assert list(engine.tlb._map.items()) == tlb
+    assert SEGV in kinds and kinds - {SEGV}
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
+def test_resolve_fills_the_tlb_after_each_fault(case):
+    kernel, engine, regions = _engine_env(MfoeEngine, case)
+    faults = 0
+    for core, va, is_write in _touches(case, regions):
+        kind, *_, pfn = engine.resolve(core, va, is_write)
+        if kind in (MFOE_HIT, MFOE_MISS, KERNEL_FAULT):
+            proc = engine.core_proc[core]
+            newest = next(reversed(engine.tlb._map.items()))
+            assert newest == ((proc.tgid, va >> PAGE_SHIFT), (pfn, proc.find_vma(va).writable))
+            faults += 1
+    assert faults
 
 
 # The kernel path's errors: no frame left, or a frame already booked

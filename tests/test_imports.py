@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name a package module defines is referenced by one.
+"""Every name a package module imports is used in that module, every
+private module-level name a package module defines is referenced by one,
+and the private attributes that inlined copies of a layer read are
+accessed only where PRIVATE_ATTRIBUTE_HOMES allows.
 
 __init__.py is skipped by the import check: its imports are the
 package's exports.
@@ -89,3 +91,65 @@ def test_no_unreferenced_private_names():
     }
     found = [f"{module}:{line}: {name}" for module, line, name in unreferenced_privates(sources)]
     assert not found, "defined but never referenced: " + ", ".join(found)
+
+
+# Where each private attribute that an inlined copy of a layer reads may
+# be accessed, as "module:qualname" prefixes: the TLB's LRU map only in
+# Tlb and the simulator's touch loop, and a table's words only in
+# prealloc.py and the two single-threaded paths that take them inline. A
+# new inlined copy has to extend this list in plain sight.
+PRIVATE_ATTRIBUTE_HOMES = {
+    "_map": ("engine.py:Tlb", "sim.py:Simulation"),
+    "_w0": ("prealloc.py", "engine.py:MfoeEngine.serve_fault",
+            "kernel.py:KernelModel.serial_pass_step"),
+    "_w1": ("prealloc.py", "engine.py:MfoeEngine.serve_fault",
+            "kernel.py:KernelModel.serial_pass_step"),
+}
+
+
+def stray_attribute_accesses(sources: dict[str, str],
+                             homes: dict[str, tuple[str, ...]]) -> list[tuple[str, int, str]]:
+    """(module:qualname, line, attribute) of each access to an attribute
+    named in homes from outside every one of its homes. A home is a
+    module ("engine.py") or a class or function in one ("engine.py:Tlb"),
+    and holds everything nested in it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if ":" in where else f"{where}:{child.name}"
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in homes:
+                if not any(where == home or where.startswith((home + ".", home + ":"))
+                           for home in homes[child.attr]):
+                    found.append((where, child.lineno, child.attr))
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_guard_flags_a_stray_private_attribute_access():
+    sources = {
+        "a.py": "class Tlb:\n    def get(self):\n        return self._map\n"
+                "class Engine:\n    def hit(self):\n        return self.tlb._map\n"
+                "    def serve(self, t):\n        t._w1[0] = 1\n",
+        "b.py": "x = t._w0\ndef f():\n    return y._w1\n",
+    }
+    homes = {"_map": ("a.py:Tlb",), "_w0": ("b.py",), "_w1": ("b.py:f", "a.py:Engine.serve")}
+    assert stray_attribute_accesses(sources, homes) == [("a.py:Engine.hit", 6, "_map")]
+    assert stray_attribute_accesses(sources, {"_w1": ("b.py:f",)}) == [
+        ("a.py:Engine.serve", 8, "_w1"),
+    ]
+
+
+def test_private_attributes_are_accessed_only_at_home():
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    found = [f"{where} line {line}: {attr}"
+             for where, line, attr in stray_attribute_accesses(sources, PRIVATE_ATTRIBUTE_HOMES)]
+    assert not found, "accessed outside its homes: " + ", ".join(found)

@@ -758,28 +758,29 @@ def test_idle_pass_is_not_polled(monkeypatch):
 # Python-level calls per fault (sys.setprofile "call" events, generator
 # resumes included) over 8 threads x 128 touches, width 16, seed 1, with
 # a 0.1 ms refresh interval so the background pass runs and saturates
-# (hit rate 0.534, 434 records booked); at the default 2 ms no tick falls
-# within the run and the booking path would go uncounted. Measured on
-# CPython 3.11: 5,325 calls for 1,024 faults, 5.20 a fault, since
-# MfoeEngine.resolve_walked is handed the thread's region VMA and takes
-# the table's consume, the leaf's install_frame and the kernel's
+# (hit rate 0.534, 434 records booked); at the default 2 ms no tick
+# falls within the run and the booking path would go uncounted. Measured
+# on CPython 3.11: 5,325 calls for 1,024 faults, 5.20 a fault, since
+# MfoeEngine.serve_fault is handed the thread's region VMA and takes the
+# table's consume, the leaf's install_frame and the kernel's
 # inline_install inline, so a table hit makes no call of its own and a
-# miss calls only FrameAllocator.allocate and the latency draw (9,339
-# and 9.12 while each fault called ProcessModel.find_vma and those
-# helpers, with the pass booking a record in
-# KernelModel.serial_pass_step's straight-line code and the TLB's LRU
-# inline; the touch loop's own TLB lookup and walk, which call
-# MfoeEngine.resolve_walked for a fault where resolve was called
-# before, left that unchanged; 15,293 and 14.93 while each booking went
-# through pass_step, process_one_record and their helpers and each touch
-# called Tlb.lookup and Tlb.insert; 24,928 and 24.34 while each fault
-# built a PteFaultSm and resumed its protocol generator about 7.4 times;
-# 25,497 and 24.90 while the background catch-up ran on every touch with
-# the pass awake; 30,477 and 29.76 before the handler took and released
-# its lock on the leaf word in place and the kernel path stopped walking
-# to the leaf it holds). The bound is that plus a 10% margin. A change
-# that adds calls on purpose re-pins the numbers here and says why, as
-# a pinned digest is re-pinned.
+# miss calls only FrameAllocator.allocate and the latency draw; moving
+# the TLB fill from the engine's fault half into the touch loop left
+# that count unchanged (9,339 and 9.12 while each fault called
+# ProcessModel.find_vma and those helpers, with the pass booking a
+# record in KernelModel.serial_pass_step's straight-line code and the
+# TLB's LRU inline; the touch loop's own TLB lookup and walk, which call
+# the engine's fault half for a fault where resolve was called before,
+# left that unchanged; 15,293 and 14.93 while each booking went through
+# pass_step, process_one_record and their helpers and each touch called
+# Tlb.lookup and Tlb.insert; 24,928 and 24.34 while each fault built a
+# PteFaultSm and resumed its protocol generator about 7.4 times; 25,497
+# and 24.90 while the background catch-up ran on every touch with the
+# pass awake; 30,477 and 29.76 before the handler took and released its
+# lock on the leaf word in place and the kernel path stopped walking to
+# the leaf it holds). The bound is that plus a 10% margin. A change that
+# adds calls on purpose re-pins the numbers here and says why, as a
+# pinned digest is re-pinned.
 _CALLS_PER_FAULT = 5.20
 _CALLS_MARGIN = 1.10
 
