@@ -466,3 +466,86 @@ def test_race_results_appear_only_on_the_last_step():
     assert _step_to_the_end(loser, until=lambda sm: not sm.runnable()) is None
     assert _step_to_the_end(winner) is SmResult.MFOE_HIT
     assert _step_to_the_end(loser) is SmResult.WAITED
+
+
+# the protocol's atomic actions, pinned: a refactor that merges or splits
+# an action, or moves a yield, changes these counts
+
+
+def _schedules(fill):
+    """How many interleavings two handlers on one leaf have: a DFS over
+    step choices that rebuilds the world and replays each prefix."""
+    count, stack = 0, [()]
+    while stack:
+        prefix = stack.pop()
+        kernel, engine, proc, vma = make_env(cores=2, width=4, fill=fill, pages=1)
+        sms = [PteFaultSm(kernel, proc, c, vma.start, vma, True) for c in range(2)]
+        for i in prefix:
+            sms[i].step()
+        runnable = [i for i, sm in enumerate(sms) if sm.runnable()]
+        stack.extend(prefix + (i,) for i in runnable)
+        if not runnable:
+            assert all(sm.done for sm in sms), "schedule deadlocked"
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("fill, schedules", [(True, 48), (False, 222)])
+def test_two_handler_schedule_counts_are_pinned(fill, schedules):
+    assert _schedules(fill) == schedules
+
+
+def _steps(sm):
+    """step() calls until sm is done, and after each whether its leaf is
+    locked and present."""
+    bits = []
+    while not sm.done:
+        assert sm.runnable()
+        sm.step()
+        bits.append((sm.leaf.locked, sm.leaf.present) if sm.leaf else None)
+    return bits
+
+
+L, P, LP, NONE = (True, False), (False, True), (True, True), (False, False)
+
+
+@pytest.mark.parametrize("scenario, result, bits", [
+    ("table-hit", SmResult.MFOE_HIT, [NONE, L, L, L, LP, P]),
+    ("table-miss", SmResult.MFOE_MISS_KERNEL, [NONE, L, L, L, NONE, L, L, LP, P]),
+    ("unbuilt-leaf", SmResult.KERNEL, [None, L, L, LP, P]),
+])
+def test_uncontended_step_counts_are_pinned(scenario, result, bits):
+    sm = _handler(scenario)
+    assert _steps(sm) == bits
+    assert sm.result is result
+
+
+def test_present_leaf_takes_one_step():
+    kernel, engine, proc, vma = make_env()
+    engine.access(0, vma.start)
+    sm = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
+    assert _steps(sm) == [P] and sm.result is SmResult.REUSE
+
+
+@pytest.mark.parametrize("eligible", [True, False])
+def test_waited_and_in_lock_reuse_step_counts_are_pinned(eligible):
+    # WAITED: the loser reads a held lock on its second step and spins
+    # there until the holder is done, then ends on its third
+    kernel, engine, proc, vma = make_env(cores=2)
+    holder = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=eligible)
+    loser = PteFaultSm(kernel, proc, 1, vma.start, vma, mfoe_eligible=eligible)
+    holder.step()
+    holder.step()
+    loser.step()
+    loser.step()
+    assert holder.leaf.locked and not loser.runnable()
+    holder.run()
+    assert _steps(loser) == [P] and loser.result is SmResult.WAITED
+    # in-lock REUSE: the page is installed between a handler's first step
+    # and its lock; it takes the lock on its second step and sees the
+    # page on its third
+    kernel, engine, proc, vma = make_env()
+    late = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=eligible)
+    late.step()
+    PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=eligible).run()
+    assert _steps(late) == [LP, P] and late.result is SmResult.REUSE
