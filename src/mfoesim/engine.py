@@ -14,14 +14,14 @@ Each layer has one job. Tlb owns the TLB's LRU. MfoeEngine.serve_fault
 serves a fault, handed a leaf that is not present and the VMA that
 holds the address: it picks a frame from the core's table or the
 kernel, updates the PTE and books the page, and fills no TLB entry; as
-in the MMU, the TLB fill is the caller's last step. MfoeEngine.resolve
+in the MMU, the TLB fill is the caller's last step. MfoeEngine.access
 dispatches a touch for library callers by calling the owners in turn:
 check_canonical, Tlb.lookup, PageTable.walk, ProcessModel.find_vma,
-serve_fault and Tlb.insert. access() wraps its tuple in a FaultOutcome.
-The simulator plays the MMU in its own touch loop: it runs the TLB's
-LRU on the Tlb's own map, serves TLB and walk hits there, and calls
-serve_fault for a fault, handing over the thread's own region VMA, so a
-simulated fault searches for nothing. The enum members the per-touch
+serve_fault and Tlb.insert, and returns a FaultOutcome. The simulator
+plays the MMU in its own touch loop: it runs the TLB's LRU on the Tlb's
+own map, serves TLB and walk hits there, and calls serve_fault for a
+fault, handing over the thread's own region VMA, so a simulated fault
+searches for nothing. The enum members the per-touch
 path compares or returns are bound to module names once, since a module
 global reads several times faster than an Enum class attribute.
 
@@ -38,11 +38,10 @@ helpers stay for it and for library callers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
-from .kernel import KernelModel, ProcessModel, VMA
+from .kernel import VMA, FaultEvent, KernelModel, ProcessModel
 from .prealloc import W1_PFN_MASK, W1_PFN_SHIFT, W1_TGID_MASK, W1_TGID_SHIFT, W1_USED, W1_VALID
 from .vm import (
     PAGE_SHIFT,
@@ -80,8 +79,7 @@ SEGV = OutcomeKind.SEGV
 PROTECTION_FAULT = OutcomeKind.PROTECTION_FAULT
 
 
-@dataclass(slots=True)
-class FaultOutcome:
+class FaultOutcome(NamedTuple):
     kind: OutcomeKind
     cycles: int
     penalty_cycles: int = 0
@@ -159,7 +157,8 @@ class PteFaultSm:
 
     The protocol is the generator _protocol(), which yields after each
     atomic action and, on its last one, sets result to the SmResult just
-    before it returns. In the two spin waits it yields the predicate
+    before it returns. Both the table path and the kernel path take the
+    lock through _acquire(); in its spin wait it yields the predicate
     _lock_clear_and_present, elsewhere None. step() advances it by one
     action and sets done when it ends; runnable() is False while a
     yielded predicate is false, so a scheduler only advances handlers
@@ -226,9 +225,31 @@ class PteFaultSm:
     def _lock_clear_and_present(self) -> bool:
         return not self.leaf.locked and self.leaf.present
 
-    def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, None]:
-        # The lock's test-and-set: each test of PTE_LOCK on leaf.raw and
+    def _acquire(self, leaf: PageTableEntry) -> Generator[Optional[Callable[[], bool]], None, bool]:
+        """Take leaf's bit lock: True once it is held on a leaf still not
+        present, False once the handler has ended, its result set. A
+        handler that finds the lock held spins until the page is
+        installed and reuses it (WAITED); one that finds the page present
+        under the lock releases it and reuses the page (REUSE)."""
+        # The lock's test-and-set: the test of PTE_LOCK on leaf.raw and
         # the write that sets it sit in one atomic action, between yields.
+        raw = leaf.raw
+        if raw & PTE_LOCK:
+            yield self._lock_clear_and_present
+            self.pfn = leaf.pfn_or_tgid
+            self.result = SmResult.WAITED
+            return False
+        leaf.raw = raw | PTE_LOCK
+        yield
+        if leaf.raw & PTE_PRESENT:
+            self.pfn = leaf.pfn_or_tgid
+            leaf.raw &= _UNLOCKED
+            self.result = SmResult.REUSE
+            return False
+        yield
+        return True
+
+    def _protocol(self) -> Generator[Optional[Callable[[], bool]], None, None]:
         leaf = self.leaf
         mfoe_missed = False
         if leaf is not None and leaf.raw & PTE_PRESENT:
@@ -237,21 +258,8 @@ class PteFaultSm:
             return
         if self.mfoe_eligible and leaf is not None and leaf.raw & PTE_MFOEABLE:
             yield
-            raw = leaf.raw
-            if raw & PTE_LOCK:
-                yield self._lock_clear_and_present
-                self.pfn = leaf.pfn_or_tgid
-                self.result = SmResult.WAITED
+            if not (yield from self._acquire(leaf)):
                 return
-            leaf.raw = raw | PTE_LOCK
-            yield
-            if leaf.raw & PTE_PRESENT:
-                # Resolved while we raced for the lock; nothing to consume.
-                self.pfn = leaf.pfn_or_tgid
-                leaf.raw &= _UNLOCKED
-                self.result = SmResult.REUSE
-                return
-            yield
             pfn = self.kernel.tables[self.core].consume(self.va, self.proc.tgid)
             if pfn is not None:
                 self.pfn = pfn
@@ -268,20 +276,8 @@ class PteFaultSm:
         # The ordinary kernel handler, also the fallback on an empty table.
         if leaf is None:
             leaf = self.leaf = self.proc.page_table.construct_path(self.va)
-        raw = leaf.raw
-        if raw & PTE_LOCK:
-            yield self._lock_clear_and_present
-            self.pfn = leaf.pfn_or_tgid
-            self.result = SmResult.WAITED
+        if not (yield from self._acquire(leaf)):
             return
-        leaf.raw = raw | PTE_LOCK
-        yield
-        if leaf.raw & PTE_PRESENT:
-            self.pfn = leaf.pfn_or_tgid
-            leaf.raw &= _UNLOCKED
-            self.result = SmResult.REUSE
-            return
-        yield
         try:
             self.pfn = self.kernel.inline_install(self.proc, self.va, self.vma.writable, leaf)
         except BaseException:
@@ -312,15 +308,7 @@ class MfoeEngine:
             del self.core_proc[core]
 
     def access(self, core: int, va: int, is_write: bool = False, now: int = 0) -> FaultOutcome:
-        """resolve() as a FaultOutcome."""
-        return FaultOutcome(*self.resolve(core, va, is_write, now))
-
-    def resolve(
-        self, core: int, va: int, is_write: bool = False, now: int = 0
-    ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
-        """Resolve one touch of va from core at time now (cycles), as the
-        fields of a FaultOutcome in order: (kind, cycles, penalty_cycles,
-        kernel_cycles, pfn).
+        """Resolve one touch of va from core at time now (cycles).
 
         The MMU's steps, each by the layer that owns it: check_canonical,
         Tlb.lookup, PageTable.walk and, for a leaf that is not present,
@@ -340,19 +328,19 @@ class MfoeEngine:
             raw = 0 if leaf is None else leaf.raw
             if not raw & PTE_PRESENT:
                 vma = proc.find_vma(va)
-                out = self.serve_fault(core, proc, va, leaf, raw, vma, now)
+                out = FaultOutcome(*self.serve_fault(core, proc, va, leaf, raw, vma, now))
                 if vma is not None:
-                    tlb.insert(key, out[4], vma.writable)
+                    tlb.insert(key, out.pfn, vma.writable)
                 return out
             kind = WALK_HIT
             translation = leaf.pfn_or_tgid, leaf.rw
         pfn, rw = translation
         if is_write and not rw:
-            self.kernel.record_protection_fault(proc.tgid, va, now)
-            return PROTECTION_FAULT, 0, 0, 0, pfn
+            self.kernel.protection_faults.append(FaultEvent(proc.tgid, va, now))
+            return FaultOutcome(PROTECTION_FAULT, 0, pfn=pfn)
         if kind is WALK_HIT:
             tlb.insert(key, pfn, rw)
-        return kind, 0, 0, 0, pfn
+        return FaultOutcome(kind, 0, pfn=pfn)
 
     def serve_fault(
         self,
@@ -364,13 +352,14 @@ class MfoeEngine:
         vma: Optional[VMA],
         now: int,
     ) -> tuple[OutcomeKind, int, int, int, Optional[int]]:
-        """Serve a fault on va from core at time now, as resolve() returns
-        it: proc is core's process, leaf the entry the walk found (None
-        while unbuilt), raw the word it read there, not present (0 for no
-        leaf), and vma the VMA that holds va (None when none does: a
-        segv). A caller that knows which region va lies in hands over its
-        VMA, so nothing is looked up twice. It serves the fault only: as
-        in the MMU, caching the new translation is the caller's last step.
+        """Serve a fault on va from core at time now, as the fields of a
+        FaultOutcome in order: proc is core's process, leaf the entry the
+        walk found (None while unbuilt), raw the word it read there, not
+        present (0 for no leaf), and vma the VMA that holds va (None when
+        none does: a segv). A caller that knows which region va lies in
+        hands over its VMA, so nothing is looked up twice. It serves the
+        fault only: as in the MMU, caching the new translation is the
+        caller's last step.
 
         The fault is served in straight-line code: an uncontended
         PteFaultSm's actions in its order, without the lock bit, which no
@@ -387,7 +376,7 @@ class MfoeEngine:
         """
         kernel = self.kernel
         if vma is None:
-            kernel.record_segv(proc.tgid, va, now)
+            kernel.segv_events.append(FaultEvent(proc.tgid, va, now))
             return SEGV, 0, 0, 0, None
 
         # the fault, as an uncontended PteFaultSm serves it; raw is the

@@ -40,7 +40,13 @@ from itertools import filterfalse
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Union
 
-from .params import LatencySampler, ModelParameters, check_finite_positive, checked_int
+from .params import (
+    LatencySampler,
+    ModelParameters,
+    budget_per_tick,
+    check_finite_positive,
+    checked_int,
+)
 from .prealloc import (
     HEADER_CLEANUP_LOCK,
     PRODUCED,
@@ -69,8 +75,6 @@ from .vm import (
     prefault_word,
 )
 
-NS_PER_S = 1_000_000_000
-
 # Where anonymous regions get their addresses from; bump-allocated upward
 # with a one-page guard gap between regions.
 REGION_BASE_VA = 0x5000_0000
@@ -93,14 +97,9 @@ class VMA:
 
 
 @dataclass
-class SegvEvent:
-    tgid: int
-    va: int
-    when: int = 0
+class FaultEvent:
+    """A touch no page could serve: a segv, or a write to a read-only page."""
 
-
-@dataclass
-class ProtectionFaultEvent:
     tgid: int
     va: int
     when: int = 0
@@ -223,8 +222,8 @@ class KernelModel:
         self.pass_budget = 0
         self._pass_core = 0
         self.pending_bit_clears: list[ProcessModel] = []
-        self.segv_events: list[SegvEvent] = []
-        self.protection_faults: list[ProtectionFaultEvent] = []
+        self.segv_events: list[FaultEvent] = []
+        self.protection_faults: list[FaultEvent] = []
         self._next_tgid = 1000
 
         # sample_baseline_cycles() draws one software fault cost in cycles
@@ -359,7 +358,7 @@ class KernelModel:
         return count
 
     def budget_pages(self) -> int:
-        return self._interval_ns * self.params.background_throughput_pages_per_s // NS_PER_S
+        return budget_per_tick(self._interval_ns, self.params.background_throughput_pages_per_s)
 
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:
         """Book the oldest consumed entry of one core's table, if any.
@@ -374,9 +373,7 @@ class KernelModel:
         frame on hand itself and calls this for every other case; this
         is the reference it is tested against."""
         table = self.tables[core]
-        if not table.try_cleanup_lock():
-            # held: wait it out, or raise if no other thread can release it
-            self._acquire_cleanup_lock(table)
+        self._acquire_cleanup_lock(table)
         try:
             record = table.take_used(table.head_index)
             while record is None and table.consumed != table.released and table.head_is_empty():
@@ -616,12 +613,6 @@ class KernelModel:
         self.ledger.apply(proc.tgid, va, pfn)
         leaf.install_frame(pfn, writable)
         return pfn
-
-    def record_segv(self, tgid: int, va: int, when: int = 0) -> None:
-        self.segv_events.append(SegvEvent(tgid, va, when))
-
-    def record_protection_fault(self, tgid: int, va: int, when: int = 0) -> None:
-        self.protection_faults.append(ProtectionFaultEvent(tgid, va, when))
 
     # teardown
 

@@ -31,6 +31,13 @@ def checked_int(name: str, value: float, unit: str) -> int:
     return round(value)
 
 
+def budget_per_tick(interval_ns: int, pages_per_s: float) -> int:
+    """Records one background pass may book: the whole pages processed
+    at pages_per_s in interval_ns. The simulator's kernel and the replay
+    both grant it."""
+    return int(interval_ns * pages_per_s // 10**9)
+
+
 @dataclass
 class ModelParameters:
     """Calibrated timing and throughput constants.

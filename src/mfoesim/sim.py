@@ -406,7 +406,7 @@ class Simulation:
         """Serve one touch; the cycle of the thread's next touch, or None.
 
         The touch is a write. Its TLB lookup, walk and TLB fill run here,
-        as MfoeEngine.resolve runs them through Tlb and PageTable, on the
+        as MfoeEngine.access runs them through Tlb and PageTable, on the
         engine's own TLB map: a TLB hit or a walk hit is served with no
         engine call. A fault goes to MfoeEngine.serve_fault with the
         thread's region VMA, in place of a find_vma search, and only then

@@ -140,6 +140,7 @@ from .params import (
     INT64_MIN,
     LatencySampler,
     ModelParameters,
+    budget_per_tick,
     check_finite_positive,
     checked_int,
 )
@@ -179,20 +180,18 @@ class FaultTrace:
     each read. core_totals holds each core id's totals.
     """
 
-    __slots__ = ("core_ids", "core_times", "core_lats", "source", "_totals")
+    __slots__ = ("core_ids", "core_times", "core_lats", "_totals")
 
     def __init__(
         self,
         timestamps_ns: Iterable[int] = (),
         core_ids: Iterable[int] = (),
         latencies_ns: Iterable[int] = (),
-        source: str = "",
     ):
         self.core_ids = array("q")
         self.core_times, self.core_lats = {}, {}
         # None until counted, for columns built without _split (synthesize)
         self._totals: Optional[dict[int, tuple[int, int]]] = {}
-        self.source = source
         ts, cs, ls = list(timestamps_ns), list(core_ids), list(latencies_ns)
         if not (len(ts) == len(cs) == len(ls)):
             raise ValueError("trace arrays have mismatched lengths")
@@ -201,8 +200,8 @@ class FaultTrace:
             raise ValueError(f"record {i}: {reason}")
 
     @classmethod
-    def from_records(cls, records: Iterable[tuple[int, int, int]], source: str = "") -> "FaultTrace":
-        return cls(*zip(*records), source=source)
+    def from_records(cls, records: Iterable[tuple[int, int, int]]) -> "FaultTrace":
+        return cls(*zip(*records))
 
     def validate(self) -> None:
         """Check the records again, as the constructor does, and the
@@ -378,7 +377,7 @@ def ingest(path: str) -> FaultTrace:
     at the end of the file; a carriage return anywhere else is refused,
     and so is a line that is not UTF-8.
     """
-    trace = FaultTrace(source=path)
+    trace = FaultTrace()
     # binary: only b"\n" ends a line, and a "\r" reaches the checks
     with open(path, "rb") as fh:
         line_no = 0
@@ -654,7 +653,7 @@ def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
         "init_page_ns": max(1, round(1e9 / params.init_throughput_pages_per_s)),
         "record_ns": max(1, round(1e9 / params.background_throughput_pages_per_s)),
         "interval_ns": interval_ns,
-        "budget_per_tick": interval_ns * round(params.background_throughput_pages_per_s) // 10**9,
+        "budget_per_tick": budget_per_tick(interval_ns, params.background_throughput_pages_per_s),
     }
 
 
@@ -1008,7 +1007,6 @@ def synthesize(
     latency_mean_ns: Optional[int] = None,
     latency_p95_ns: Optional[int] = None,
     seed: int = 0,
-    source: str = "synthetic",
 ) -> FaultTrace:
     """Generate a fault trace. Deterministic for a given (settings, seed) pair.
 
@@ -1054,7 +1052,7 @@ def synthesize(
             raise ValueError(f"{name} must be at most {INT64_MAX} ns, got {value}")
     sampler = LatencySampler(latency_mean_ns, latency_p95_ns)
 
-    trace = FaultTrace(source=source)
+    trace = FaultTrace()
     # On several cores, each record's (timestamp, core) packed as
     # timestamp * cores + core, which sorts as the pair does: the sorted
     # keys give core_ids.
@@ -1111,9 +1109,7 @@ def synthesize_profile(
     p = params or ModelParameters()
     mean = prof.latency_mean_ns()
     p95 = max(mean, round(mean * p.baseline_fault_p95_cycles / p.baseline_fault_mean_cycles))
-    return synthesize(
-        prof.faults_per_s, duration_s, dist, cores, mean, p95, seed, source=name
-    )
+    return synthesize(prof.faults_per_s, duration_s, dist, cores, mean, p95, seed)
 
 
 @dataclass

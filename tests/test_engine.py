@@ -2,9 +2,9 @@
 import random
 
 import pytest
+from test_acceptance import _exhaust_interleavings
 
 from mfoesim.engine import (
-    FaultOutcome,
     MfoeEngine,
     OutcomeKind,
     PteFaultSm,
@@ -233,54 +233,6 @@ def test_process_exit_clears_engine_state():
         engine.access(0, vma.start)
 
 
-def _mixed_env():
-    """Two cores over three regions: one mapped before offloading was
-    enabled (its faults go to the kernel), one offload-eligible and one
-    read-only, with 4-slot tables and a 4-entry TLB."""
-    kernel = KernelModel(cores=2, total_frames=4096, seed=3)
-    engine = MfoeEngine(kernel, tlb_entries=4)
-    proc = kernel.create_process()
-    plain = kernel.region_create(proc, 16 * PAGE_SIZE)
-    kernel.mfoe_enable(proc, 4)
-    kernel.run_init_fill()
-    eligible = kernel.region_create(proc, 32 * PAGE_SIZE)
-    readonly = kernel.region_create(proc, 8 * PAGE_SIZE, writable=False)
-    for vma in (eligible, readonly):
-        kernel.prefault_construct(proc, vma)
-    for core in range(2):
-        engine.bind(core, proc)
-    # each region's guard page above it is a SEGV
-    vas = [va for vma in (plain, eligible, readonly)
-           for va in range(vma.start, vma.end + PAGE_SIZE, PAGE_SIZE)]
-    return kernel, engine, vas
-
-
-def test_access_is_resolve_as_a_fault_outcome():
-    # the same seeded touches through access() and through resolve() on
-    # two identical setups: the same outcomes, field by field, and the
-    # same kernel and TLB state after each
-    (kernel_a, engine_a, vas), (kernel_b, engine_b, _) = _mixed_env(), _mixed_env()
-    rng = random.Random(21)
-    kinds = set()
-    for step in range(600):
-        core, va, is_write = rng.randrange(2), rng.choice(vas), rng.random() < 0.5
-        if step % 100 == 99:
-            kernel_a.postfault_tick()
-            kernel_b.postfault_tick()
-        out = engine_a.access(core, va, is_write, step)
-        res = engine_b.resolve(core, va, is_write, step)
-        assert type(res) is tuple
-        assert out == FaultOutcome(*res)
-        assert (out.kind, out.cycles, out.penalty_cycles, out.kernel_cycles, out.pfn) == res
-        assert list(engine_a.tlb._map.items()) == list(engine_b.tlb._map.items())
-        kinds.add(out.kind)
-    assert kinds == set(OutcomeKind)
-    assert kernel_a.segv_events == kernel_b.segv_events
-    assert kernel_a.protection_faults == kernel_b.protection_faults
-    assert kernel_a.ledger.equivalent(kernel_b.ledger)
-    assert kernel_a.allocator.free_list == kernel_b.allocator.free_list
-
-
 # the handler state machine, stepped by hand
 
 
@@ -351,6 +303,8 @@ def test_stepping_finished_handler_rejected():
 
 def _handler(scenario):
     kernel, engine, proc, vma = make_env(fill=scenario != "table-miss")
+    if scenario == "present-leaf":
+        engine.access(0, vma.start)
     if scenario == "unbuilt-leaf":
         # a region without prefault_construct: no leaf until the kernel
         # handler builds one
@@ -472,27 +426,9 @@ def test_race_results_appear_only_on_the_last_step():
 # an action, or moves a yield, changes these counts
 
 
-def _schedules(fill):
-    """How many interleavings two handlers on one leaf have: a DFS over
-    step choices that rebuilds the world and replays each prefix."""
-    count, stack = 0, [()]
-    while stack:
-        prefix = stack.pop()
-        kernel, engine, proc, vma = make_env(cores=2, width=4, fill=fill, pages=1)
-        sms = [PteFaultSm(kernel, proc, c, vma.start, vma, True) for c in range(2)]
-        for i in prefix:
-            sms[i].step()
-        runnable = [i for i, sm in enumerate(sms) if sm.runnable()]
-        stack.extend(prefix + (i,) for i in runnable)
-        if not runnable:
-            assert all(sm.done for sm in sms), "schedule deadlocked"
-            count += 1
-    return count
-
-
 @pytest.mark.parametrize("fill, schedules", [(True, 48), (False, 222)])
 def test_two_handler_schedule_counts_are_pinned(fill, schedules):
-    assert _schedules(fill) == schedules
+    assert _exhaust_interleavings(2, fill) == schedules
 
 
 def _steps(sm):
@@ -502,7 +438,7 @@ def _steps(sm):
     while not sm.done:
         assert sm.runnable()
         sm.step()
-        bits.append((sm.leaf.locked, sm.leaf.present) if sm.leaf else None)
+        bits.append(None if sm.leaf is None else (sm.leaf.locked, sm.leaf.present))
     return bits
 
 
@@ -513,18 +449,12 @@ L, P, LP, NONE = (True, False), (False, True), (True, True), (False, False)
     ("table-hit", SmResult.MFOE_HIT, [NONE, L, L, L, LP, P]),
     ("table-miss", SmResult.MFOE_MISS_KERNEL, [NONE, L, L, L, NONE, L, L, LP, P]),
     ("unbuilt-leaf", SmResult.KERNEL, [None, L, L, LP, P]),
+    ("present-leaf", SmResult.REUSE, [P]),
 ])
 def test_uncontended_step_counts_are_pinned(scenario, result, bits):
     sm = _handler(scenario)
     assert _steps(sm) == bits
     assert sm.result is result
-
-
-def test_present_leaf_takes_one_step():
-    kernel, engine, proc, vma = make_env()
-    engine.access(0, vma.start)
-    sm = PteFaultSm(kernel, proc, 0, vma.start, vma, mfoe_eligible=True)
-    assert _steps(sm) == [P] and sm.result is SmResult.REUSE
 
 
 @pytest.mark.parametrize("eligible", [True, False])

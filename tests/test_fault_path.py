@@ -4,7 +4,7 @@ references.
 A Simulation runs each touch's TLB lookup, walk and TLB fill in its own
 loop, on the TLB's map, and calls MfoeEngine.serve_fault only for a
 fault; ResolveSimulation below sends every touch through
-MfoeEngine.resolve instead, which calls Tlb.lookup, PageTable.walk,
+MfoeEngine.access instead, which calls Tlb.lookup, PageTable.walk,
 serve_fault and Tlb.insert. serve_fault serves a fault in straight-line
 code, on the VMA it is handed, with the table's consume, the leaf's
 install_frame and the kernel's inline_install taken inline, and fills
@@ -38,7 +38,7 @@ from mfoesim.engine import (
     PteFaultSm,
     SmResult,
 )
-from mfoesim.kernel import KernelModel
+from mfoesim.kernel import FaultEvent, KernelModel
 from mfoesim.prealloc import PreallocTable
 from mfoesim.sim import NEVER, OUTCOMES, SimConfig, Simulation, WorkloadSpec
 from mfoesim.vm import (
@@ -64,7 +64,7 @@ class GeneratorEngine(MfoeEngine):
     def serve_fault(self, core, proc, va, leaf, raw, vma, now):
         vma = proc.find_vma(va)
         if vma is None:
-            self.kernel.record_segv(proc.tgid, va, now)
+            self.kernel.segv_events.append(FaultEvent(proc.tgid, va, now))
             return SEGV, 0, 0, 0, None
 
         self.handlers += 1
@@ -97,10 +97,10 @@ class HandoffEngine(MfoeEngine):
 
 
 class ResolveSimulation(Simulation):
-    """Simulation whose every touch goes through MfoeEngine.resolve, the
+    """Simulation whose every touch goes through MfoeEngine.access, the
     reference the touch loop's own TLB lookup and walk are checked
     against; any outcome but a TLB or walk hit wakes a dry pass. It
-    counts its resolve calls in resolves."""
+    counts its access calls in resolves."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -111,7 +111,7 @@ class ResolveSimulation(Simulation):
         touches = stats.touches
         page = (touches * self._stride_pages) % self.region_pages
         self.resolves += 1
-        kind, cycles, _, _, _ = self.engine.resolve(
+        kind, cycles, _, _, _ = self.engine.access(
             core, self.region_starts[core] + page * PAGE_SIZE, True, t)
         if kind not in (TLB_HIT, WALK_HIT) and self._next_step == NEVER \
                 and t >= self._first_tick:
@@ -267,7 +267,7 @@ def test_simulation_matches_the_resolve_reference(name, monkeypatch):
     ref_sim, report, differ = _compare(_SIM_CASES[name], monkeypatch,
                                        simulation_class=ResolveSimulation)
     assert differ == []
-    # the reference ran: every touch went through resolve
+    # the reference ran: every touch went through access
     assert ref_sim.resolves == len(report.records) > 0
 
 
@@ -322,7 +322,7 @@ def test_the_resolve_reference_catches_a_broken_touch_loop(name, skip, monkeypat
     # the same comparison, with the touch loop's TLB broken on both sides:
     # a reference that ran the touch loop too would match it, so the
     # difference shows the reference runs code of its own. In the
-    # saturated cases it shows that resolve catches a fault that leaves
+    # saturated cases it shows that access catches a fault that leaves
     # no translation.
     calls = []
 
@@ -609,7 +609,7 @@ def test_engine_matches_the_generator_reference(case):
     for touch in _touches(case, worlds[0][2]):
         for world, log in zip(worlds, outcomes):
             kernel, engine, _ = world
-            log.append(engine.resolve(*touch, now=len(log)))
+            log.append(engine.access(*touch, now=len(log)))
     assert outcomes[1] == outcomes[0]
     assert _state(*worlds[1][:2]) == _state(*worlds[0][:2])
     kinds = {kind for kind, *_ in outcomes[1]}
@@ -627,12 +627,12 @@ def test_engine_matches_the_generator_reference(case):
 
 @pytest.mark.parametrize("case", _ENGINE_CASES)
 def test_serve_fault_leaves_the_tlb_alone(case):
-    # the fault half fills no TLB entry, a segv's included; resolve's own
+    # the fault half fills no TLB entry, a segv's included; access's own
     # touches first give the TLB entries to disturb
     kernel, engine, regions = _engine_env(MfoeEngine, case)
     touches = _touches(case, regions)
     for touch in touches[:40]:
-        engine.resolve(*touch)
+        engine.access(*touch)
     assert len(engine.tlb) == engine.tlb.entries
     kinds = set()
     for core, va, _ in touches[40:]:
@@ -652,7 +652,7 @@ def test_resolve_fills_the_tlb_after_each_fault(case):
     kernel, engine, regions = _engine_env(MfoeEngine, case)
     faults = 0
     for core, va, is_write in _touches(case, regions):
-        kind, *_, pfn = engine.resolve(core, va, is_write)
+        kind, *_, pfn = engine.access(core, va, is_write)
         if kind in (MFOE_HIT, MFOE_MISS, KERNEL_FAULT):
             proc = engine.core_proc[core]
             newest = next(reversed(engine.tlb._map.items()))
@@ -676,7 +676,7 @@ def test_out_of_memory_raises_before_any_change(case):
             kernel.allocator.allocate()
         before = _state(kernel, engine)
         with pytest.raises(OutOfMemory):
-            engine.resolve(0, vma.start, True)
+            engine.access(0, vma.start, True)
         states.append(_state(kernel, engine))
         changed = [name for name in before if before[name] != states[-1][name]]
         # an unbuilt leaf is built, empty, before the frame is asked for
@@ -698,7 +698,7 @@ def test_a_double_booking_on_the_kernel_path_raises_as_the_ledger_does(case):
         kernel.ledger.rmap[pfn] = (1, 0)
         before = _state(kernel, engine)
         with pytest.raises(RuntimeError, match=f"frame {pfn} already reverse-mapped"):
-            engine.resolve(0, vma.start, True)
+            engine.access(0, vma.start, True)
         states.append(_state(kernel, engine))
         changed = [name for name in before if before[name] != states[-1][name]]
         assert changed == ["census", "free_list"]
@@ -715,8 +715,8 @@ def test_a_fault_on_a_read_only_page_leaves_a_read_only_translation(case):
     outcomes, states = [], []
     for engine_class in (GeneratorEngine, MfoeEngine):
         kernel, engine, (_, readonly) = _engine_env(engine_class, case)
-        outcomes.append([engine.resolve(0, readonly.start, False)[0],
-                         engine.resolve(0, readonly.start, True)[0]])
+        outcomes.append([engine.access(0, readonly.start, False)[0],
+                         engine.access(0, readonly.start, True)[0]])
         states.append(_state(kernel, engine))
     fault = {"mixed": MFOE_HIT, "empty-table": MFOE_MISS, "offload-off": KERNEL_FAULT}[case]
     assert outcomes == [[fault, PROTECTION_FAULT]] * 2
@@ -767,6 +767,6 @@ def test_a_locked_leaf_matches_the_generator_reference(offload):
     for engine_class in (GeneratorEngine, MfoeEngine):
         kernel, engine, vma, holder = _lock_world(engine_class, offload)
         with pytest.raises(RuntimeError, match="no concurrent progress"):
-            engine.resolve(0, vma.start, True)
+            engine.access(0, vma.start, True)
         states.append(_state(kernel, engine))
     assert states[1] == states[0]

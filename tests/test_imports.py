@@ -95,15 +95,19 @@ def test_no_unreferenced_private_names():
 
 # Where each private attribute that an inlined copy of a layer reads may
 # be accessed, as "module:qualname" prefixes: the TLB's LRU map only in
-# Tlb and the simulator's touch loop, and a table's words only in
-# prealloc.py and the two single-threaded paths that take them inline. A
-# new inlined copy has to extend this list in plain sight.
+# Tlb and the simulator's touch loop, a table's words only in
+# prealloc.py and the two single-threaded paths that take them inline,
+# and the frame allocator's free list and allocated set only in
+# FrameAllocator and the one path that takes a frame inline. A new
+# inlined copy has to extend this list in plain sight.
 PRIVATE_ATTRIBUTE_HOMES = {
     "_map": ("engine.py:Tlb", "sim.py:Simulation"),
     "_w0": ("prealloc.py", "engine.py:MfoeEngine.serve_fault",
             "kernel.py:KernelModel.serial_pass_step"),
     "_w1": ("prealloc.py", "engine.py:MfoeEngine.serve_fault",
             "kernel.py:KernelModel.serial_pass_step"),
+    "free_list": ("vm.py:FrameAllocator", "kernel.py:KernelModel.serial_pass_step"),
+    "allocated": ("vm.py:FrameAllocator", "kernel.py:KernelModel.serial_pass_step"),
 }
 
 

@@ -25,6 +25,7 @@ from test_acceptance import _reference_replay
 
 from mfoesim import trace as trace_module
 from mfoesim.cli import main as cli_main
+from mfoesim.kernel import KernelModel
 from mfoesim.params import Z95, LatencySampler, ModelParameters
 from mfoesim.trace import (
     DEFAULT_INTERVALS_MS,
@@ -58,13 +59,12 @@ GHZ1 = ModelParameters(clock_hz=1_000_000_000)  # 1 cycle == 1 ns
 
 
 def test_from_records_round_trip():
-    trace = FaultTrace.from_records([(100, 0, 50), (120, 1, 10)], source="t")
+    trace = FaultTrace.from_records([(100, 0, 50), (120, 1, 10)])
     assert len(trace) == 2
     assert list(trace.timestamps_ns) == [100, 120]
     assert list(trace.core_ids) == [0, 1]
     assert list(trace.latencies_ns) == [50, 10]
     assert trace.core_count == 2
-    assert trace.source == "t"
 
 
 def test_validate_rejects_malformed_traces():
@@ -825,6 +825,18 @@ def test_refresh_budget_and_rotation_across_cores():
     assert list(report.timeline.core_ids) == [0, 1, 0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("throughput", [1, 500, 580_169, 0.75, 499.5, 1234.25])
+@pytest.mark.parametrize("interval_ms", [0.7, 2.0, 3.0])
+def test_simulator_and_replay_grant_the_same_budget(throughput, interval_ms):
+    # criterion 3's oracle formula, an int for fractional throughputs too
+    params = ModelParameters(background_throughput_pages_per_s=throughput)
+    oracle = round(interval_ms * 1e6) * throughput // 10**9
+    kernel = KernelModel(params, refresh_interval_ms=interval_ms)
+    replay = model_constants(TraceModelConfig(refresh_interval_ms=interval_ms), params)
+    assert kernel.budget_pages() == replay["budget_per_tick"] == oracle
+    assert type(kernel.budget_pages()) is type(replay["budget_per_tick"]) is int
+
+
 def test_core_count_inferred_and_checked():
     trace = FaultTrace.from_records([(1000, 0, 10), (2000, 2, 10)])
     report = apply_model(trace, TraceModelConfig(width=4))
@@ -1537,7 +1549,6 @@ def test_memcached_profile_reproduces_overhead():
     target = WORKLOAD_PROFILES["memcached"].overhead_fraction
     overhead = sum(trace.latencies_ns) / trace.total_runtime_ns
     assert abs(overhead - target) / target < 0.05
-    assert trace.source == "memcached"
 
 
 def test_unknown_profile_lists_known_names():
