@@ -57,11 +57,13 @@ from .vm import (
 
 
 class OutcomeKind(Enum):
-    TLB_HIT = "tlb_hit"
-    WALK_HIT = "walk_hit"
+    # Declared in log-code order (sim.OUTCOMES): the three fault kinds
+    # first, then the hits and the faults no page serves.
     MFOE_HIT = "mfoe_hit"
     MFOE_MISS = "mfoe_miss"
     KERNEL_FAULT = "kernel_fault"
+    TLB_HIT = "tlb_hit"
+    WALK_HIT = "walk_hit"
     SEGV = "segv"
     PROTECTION_FAULT = "protection_fault"
 

@@ -10,6 +10,13 @@ serial pass step takes inline; exit cleanup books and empties slots.
 begin_pass says whether its pass has work, which is the one rule a
 caller needs to skip idle passes (advance_passes).
 
+The background thread's timing is derived once, when the kernel is
+built, by params.background_timing in cycles of params.clock_hz:
+interval_cycles between refresh ticks, fill_cost per init-fill page,
+record_cost per booked record, and budget_per_tick, the records each
+pass may book. The simulator schedules its fill steps, ticks and pass
+steps by these, and the replay gets its ns timing from the same call.
+
 A process's booked pages are counted once, in the ledger's mm_counter,
 which also serves as its memcg charge and as the count quotas read.
 
@@ -40,13 +47,7 @@ from itertools import filterfalse
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Union
 
-from .params import (
-    LatencySampler,
-    ModelParameters,
-    budget_per_tick,
-    check_finite_positive,
-    checked_int,
-)
+from .params import LatencySampler, ModelParameters, background_timing, check_finite_positive
 from .prealloc import (
     HEADER_CLEANUP_LOCK,
     PRODUCED,
@@ -202,10 +203,11 @@ class KernelModel:
             raise ValueError("need at least one core")
         self.params = params or ModelParameters()
         self.params.validate()
-        check_finite_positive("refresh interval", refresh_interval_ms)
+        self.interval_cycles, self.fill_cost, self.record_cost, self.budget_per_tick = (
+            background_timing(self.params, refresh_interval_ms, self.params.clock_hz, "cycles")
+        )
         check_finite_positive("resource threshold", resource_threshold)
         self.cores = cores
-        self._interval_ns = checked_int("refresh interval", refresh_interval_ms * 1_000_000, "ns")
         self.resource_threshold = resource_threshold
         self.allocator = FrameAllocator(total_frames)
         self.rng = random.Random(seed)
@@ -357,9 +359,6 @@ class KernelModel:
             count += 1
         return count
 
-    def budget_pages(self) -> int:
-        return budget_per_tick(self._interval_ns, self.params.background_throughput_pages_per_s)
-
     def process_one_record(self, core: int) -> Optional[HarvestRecord]:
         """Book the oldest consumed entry of one core's table, if any.
 
@@ -395,11 +394,11 @@ class KernelModel:
         Applies pending eligibility-bit clears, re-checks every quota,
         restocks every starved table (an empty tail slot, which consume
         cannot take from, and no used entry, whose booking would restock
-        it), grants the pass refresh_interval * background throughput
-        records, and picks the starting core, which rotates from pass to
-        pass. The pass is idle when it did nothing but grant the budget
-        and rotate the start core, and it can book nothing: the budget is
-        0 or no table holds a used entry. Only a fault can change that.
+        it), grants the pass budget_per_tick records, and picks the
+        starting core, which rotates from pass to pass. The pass is idle
+        when it did nothing but grant the budget and rotate the start
+        core, and it can book nothing: the budget is 0 or no table holds
+        a used entry. Only a fault can change that.
         """
         work = bool(self.pending_bit_clears)
         self.apply_pending_bit_clears()
@@ -425,7 +424,7 @@ class KernelModel:
         of 0 changes nothing."""
         if not count:
             return
-        self.pass_budget = self.budget_pages()
+        self.pass_budget = self.budget_per_tick
         self._pass_core = (self.tick_index + count - 1) % self.cores
         self.tick_index += count
 
@@ -596,19 +595,16 @@ class KernelModel:
     # fault-path services
 
     def inline_install(
-        self, proc: ProcessModel, va: int, writable: bool, leaf: Optional[PageTableEntry] = None
+        self, proc: ProcessModel, va: int, writable: bool, leaf: PageTableEntry
     ) -> int:
         """Allocate, book, and map one page on the spot (the slow path).
 
-        leaf is va's leaf when the caller already holds it, as the fault
-        handler does; it is then used as given, with no second walk and no
-        canonicality check. Without one, PageTable.construct_path checks
-        va and finds or builds its leaf. The booking comes before the
-        leaf is written, so a frame already in the reverse map raises
-        with the leaf as it was.
+        leaf is va's leaf, which the caller holds, as the fault handler
+        does; it is used as given, with no second walk and no
+        canonicality check. The booking comes before the leaf is
+        written, so a frame already in the reverse map raises with the
+        leaf as it was.
         """
-        if leaf is None:
-            leaf = proc.page_table.construct_path(va)
         pfn = self.allocator.allocate()
         self.ledger.apply(proc.tgid, va, pfn)
         leaf.install_frame(pfn, writable)

@@ -31,11 +31,32 @@ def checked_int(name: str, value: float, unit: str) -> int:
     return round(value)
 
 
-def budget_per_tick(interval_ns: int, pages_per_s: float) -> int:
-    """Records one background pass may book: the whole pages processed
-    at pages_per_s in interval_ns. The simulator's kernel and the replay
-    both grant it."""
-    return int(interval_ns * pages_per_s // 10**9)
+def background_timing(
+    params: ModelParameters, refresh_interval_ms: float, units_per_s: float, unit: str
+) -> tuple[int, int, int, int]:
+    """The background thread's timing in the caller's unit (units_per_s
+    of them make a second): its refresh interval, the cost of one
+    init-fill page, the cost of one booked record, each at least 1 unit,
+    and the records one pass may book. The simulator's kernel asks in
+    cycles and the replay in ns.
+
+    The budget is the whole pages booked at the background throughput
+    in the interval counted in ns, criterion 3's oracle formula, so both
+    engines grant the same budget for the same settings. ValueError
+    unless the interval is finite and positive and fits in signed 64
+    bits, in ns and in unit."""
+    check_finite_positive("refresh interval", refresh_interval_ms)
+    interval_ns, interval = (
+        max(1, checked_int("refresh interval", refresh_interval_ms * 1e-3 * per_s, name))
+        for per_s, name in ((1e9, "ns"), (units_per_s, unit))
+    )
+    background = params.background_throughput_pages_per_s
+    return (
+        interval,
+        max(1, round(units_per_s / params.init_throughput_pages_per_s)),
+        max(1, round(units_per_s / background)),
+        int(interval_ns * background // 10**9),
+    )
 
 
 @dataclass

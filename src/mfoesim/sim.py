@@ -6,12 +6,15 @@ their region; the touches are the only events. The background actors
 (initial table fill, refresh ticks, the pass steps between ticks) are
 on the same time line. Each keeps the cycle it is next due at, and the
 loop keeps their minimum, so one compare per touch decides whether any
-background work comes before it. A pass start with no work
-(KernelModel.begin_pass returns False) or a pass step that books
-nothing leaves the pass dry, with no step due, until the next tick or
-the next touch that is neither a TLB nor a walk hit: TLB and walk hits
-never wake the pass, since they change nothing it reads. A dry pass
-start stands for every tick up to the touch, applied in one call.
+background work comes before it. Their timing is the kernel's
+(KernelModel.interval_cycles, fill_cost and record_cost, derived once
+by params.background_timing); the simulator derives none of its own.
+A pass start with no work (KernelModel.begin_pass returns False) or a
+pass step that books nothing leaves the pass dry, with no step due,
+until the next tick or the next touch that is neither a TLB nor a walk
+hit: TLB and walk hits never wake the pass, since they change nothing
+it reads. A dry pass start stands for every tick up to the touch,
+applied in one call.
 Everything downstream of the seed is reproducible to the byte.
 
 The touch loop plays the MMU: it looks the page up in the engine's TLB
@@ -45,7 +48,7 @@ from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import VMA, KernelModel
-from .params import INT64_MAX, ModelParameters, check_finite_positive, checked_int
+from .params import INT64_MAX, ModelParameters, check_finite_positive
 from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
 from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT
 
@@ -150,9 +153,10 @@ class SimConfig:
         return self.cores or self.workload.threads
 
 
-# A FaultLog's code is core * _WIDTH + the outcome's index in OUTCOMES.
+# A FaultLog's code is core * _WIDTH + the outcome's index in OUTCOMES,
+# OutcomeKind's declaration order: the fault kinds first.
 _FAULT_KINDS = (OutcomeKind.MFOE_HIT, OutcomeKind.MFOE_MISS, OutcomeKind.KERNEL_FAULT)
-OUTCOMES = _FAULT_KINDS + tuple(kind for kind in OutcomeKind if kind not in _FAULT_KINDS)
+OUTCOMES = tuple(OutcomeKind)
 _WIDTH = len(OUTCOMES)
 _HIT_CODE, _MISS_CODE, _KERNEL_CODE, _TLB_CODE, _WALK_CODE = map(
     OUTCOMES.index,
@@ -254,10 +258,9 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        params = config.params
         cores = config.effective_cores()
         self.kernel = KernelModel(
-            params=params,
+            params=config.params,
             cores=cores,
             total_frames=config.total_frames,
             seed=config.seed,
@@ -283,22 +286,15 @@ class Simulation:
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
-        self.interval_cycles = max(1, checked_int(
-            "refresh interval", config.refresh_interval_ms * 1e-3 * params.clock_hz, "cycles"
-        ))
-        self.fill_cost = max(1, round(params.clock_hz / params.init_throughput_pages_per_s))
-        self.record_cost = max(
-            1, round(params.clock_hz / params.background_throughput_pages_per_s)
-        )
-
         # The cycles of the next fill step, tick and pass step, and the
         # first of them: no background work falls before _due. No tick
         # runs until the fill is done, and no step until the first tick.
         # The pass is dry (_next_step is NEVER) from a pass start with no
         # work or a step that books nothing to the next tick or the next
         # touch that is neither a TLB nor a walk hit: steps until then
-        # would book nothing.
-        self._fill_at = self.fill_cost if self.kernel.fill_core is not None else NEVER
+        # would book nothing. The kernel keeps the step costs and the
+        # tick interval.
+        self._fill_at = self.kernel.fill_cost if self.kernel.fill_core is not None else NEVER
         self._first_tick = self._tick_at = self._next_step = NEVER
         self._due = self._fill_at
         self.records = FaultLog()
@@ -352,40 +348,42 @@ class Simulation:
 
         At equal cycles the fill step comes first, then the tick, then
         the pass step, and all of them before the fault at t. The fill
-        steps every fill_cost cycles; once it is done, a tick comes every
-        interval_cycles, and pass steps fall every record_cost cycles
-        after the first tick (never at it). A tick whose pass start has
-        work schedules the first step at or after it; one with no work
-        leaves the pass dry and stands for every tick up to t, applied in
-        one advance_passes call: only a fault gives a pass work.
+        steps every kernel.fill_cost cycles; once it is done, a tick
+        comes every kernel.interval_cycles, and pass steps fall every
+        kernel.record_cost cycles after the first tick (never at it). A
+        tick whose pass start has work schedules the first step at or
+        after it; one with no work leaves the pass dry and stands for
+        every tick up to t, applied in one advance_passes call: only a
+        fault gives a pass work.
         """
         kernel = self.kernel
+        interval = kernel.interval_cycles
         while self._fill_at <= t:
             if kernel.fill_step():
-                self._fill_at += self.fill_cost
+                self._fill_at += kernel.fill_cost
             else:
                 self.fill_complete_cycle = self._fill_at
-                self._first_tick = self._tick_at = self._fill_at + self.interval_cycles
+                self._first_tick = self._tick_at = self._fill_at + interval
                 self._fill_at = NEVER
         while self._tick_at <= t:
             tick = self._tick_at
             self._run_pass(tick - 1)
-            self._tick_at = tick + self.interval_cycles
+            self._tick_at = tick + interval
             if kernel.begin_pass():
                 self._next_step = self._step_after(tick - 1)
             else:
                 self._next_step = NEVER
                 # every tick left up to t would begin an idle pass too
-                count = (t - tick) // self.interval_cycles
+                count = (t - tick) // interval
                 kernel.advance_passes(count)
-                self._tick_at += count * self.interval_cycles
+                self._tick_at += count * interval
         self._run_pass(t)
         self._due = min(self._fill_at, self._tick_at, self._next_step)
 
     def _step_after(self, cycle: int) -> int:
         """The cycle of the first pass step after cycle: steps fall at
-        the first tick + k * record_cost, for k >= 1."""
-        first, cost = self._first_tick, self.record_cost
+        the first tick + k * kernel.record_cost, for k >= 1."""
+        first, cost = self._first_tick, self.kernel.record_cost
         return first + max(1, (cycle - first) // cost + 1) * cost
 
     def _run_pass(self, until: int) -> None:
@@ -394,13 +392,13 @@ class Simulation:
         tick or fault, so the pass is dry and later steps would book
         nothing either. The run is single-threaded, so each step is
         KernelModel.serial_pass_step."""
-        step = self.kernel.serial_pass_step
+        step, cost = self.kernel.serial_pass_step, self.kernel.record_cost
         while self._next_step <= until:
             if not step():
                 self._next_step = NEVER
             else:
                 self.background_processed += 1
-                self._next_step += self.record_cost
+                self._next_step += cost
 
     def _on_fault(self, t: int, core: int) -> Optional[int]:
         """Serve one touch; the cycle of the thread's next touch, or None.

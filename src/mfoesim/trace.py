@@ -140,7 +140,7 @@ from .params import (
     INT64_MIN,
     LatencySampler,
     ModelParameters,
-    budget_per_tick,
+    background_timing,
     check_finite_positive,
     checked_int,
 )
@@ -646,14 +646,16 @@ MODEL_PARAMETERS = (
 def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
     """Integer-ns constants the replay runs on; also echoed in reports."""
     clock = params.clock_hz
-    interval_ns = max(1, checked_int("refresh interval", config.refresh_interval_ms * 1e6, "ns"))
+    interval_ns, init_page_ns, record_ns, budget = background_timing(
+        params, config.refresh_interval_ms, 1e9, "ns"
+    )
     return {
         "hit_ns": max(0, round(params.mfoe_hit_cycles * 1e9 / clock)),
         "miss_penalty_ns": max(0, round(params.mfoe_miss_penalty_cycles * 1e9 / clock)),
-        "init_page_ns": max(1, round(1e9 / params.init_throughput_pages_per_s)),
-        "record_ns": max(1, round(1e9 / params.background_throughput_pages_per_s)),
+        "init_page_ns": init_page_ns,
+        "record_ns": record_ns,
         "interval_ns": interval_ns,
-        "budget_per_tick": budget_per_tick(interval_ns, params.background_throughput_pages_per_s),
+        "budget_per_tick": budget,
     }
 
 

@@ -428,6 +428,17 @@ def test_config_file_supplies_defaults(tmp_path):
     assert doc["mfoe_hits"] + doc["mfoe_misses"] + doc["kernel_faults"] == 100
 
 
+def test_config_file_skips_blank_and_comment_only_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a narrow table\n\n   \ntable-width=32\n  # end of file\n")
+    assert run_cli(
+        "simulate", "--faults-per-thread", "50", "--interarrival", "900",
+        "--config", str(cfg), "--out-dir", str(tmp_path),
+    ) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["config"]["table_width"] == 32
+
+
 def test_explicit_flag_beats_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("table-width=32\n")

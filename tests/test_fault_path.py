@@ -139,7 +139,7 @@ class LockedPassSimulation(Simulation):
                 self._next_step = NEVER
             else:
                 self.background_processed += 1
-                self._next_step += self.record_cost
+                self._next_step += kernel.record_cost
 
 
 def _state(kernel, engine):

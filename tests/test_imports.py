@@ -157,3 +157,49 @@ def test_private_attributes_are_accessed_only_at_home():
     found = [f"{where} line {line}: {attr}"
              for where, line, attr in stray_attribute_accesses(sources, PRIVATE_ATTRIBUTE_HOMES)]
     assert not found, "accessed outside its homes: " + ", ".join(found)
+
+
+# The background thread's timing (the refresh interval in cycles or ns,
+# the per-page costs and the per-tick budget) is derived once, in
+# params.background_timing; no other module converts the refresh
+# interval or divides by a throughput.
+THROUGHPUTS = ("init_throughput_pages_per_s", "background_throughput_pages_per_s")
+
+
+def timing_derivations(source: str) -> list[int]:
+    """Lines of each checked_int("refresh interval", ...) call and each
+    division by a throughput setting."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if (func == "checked_int" and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "refresh interval"):
+                found.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, (ast.Div, ast.FloorDiv)):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if getattr(divisor, "id", getattr(divisor, "attr", None)) in THROUGHPUTS:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_flags_a_second_timing_derivation():
+    source = (
+        "a = checked_int('refresh interval', ms * 1e6, 'ns')\n"
+        "b = params.checked_int('duration', s * 1e9, 'ns')\n"
+        "c = clock / params.init_throughput_pages_per_s\n"
+        "d = ns * p.background_throughput_pages_per_s // 10**9\n"
+        "e //= background_throughput_pages_per_s\n"
+        "f = p.background_throughput_pages_per_s / clock\n"
+    )
+    assert timing_derivations(source) == [1, 3, 5]
+
+
+def test_background_timing_is_derived_only_in_params():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert timing_derivations(sources.pop("params.py")), "the guard no longer sees params.py's"
+    found = [f"{module}:{line}" for module, source in sources.items()
+             for line in timing_derivations(source)]
+    assert not found, "timing derived outside params.background_timing: " + ", ".join(found)

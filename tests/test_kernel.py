@@ -216,9 +216,9 @@ def test_disable_drains_frames_once_last_user_leaves():
 
 def test_budget_follows_background_throughput():
     # floor(2 ms * 580169 pages/s)
-    assert KernelModel().budget_pages() == 1160
-    assert KernelModel(refresh_interval_ms=4.0).budget_pages() == 2320
-    assert KernelModel(refresh_interval_ms=0.001).budget_pages() == 0
+    assert KernelModel().budget_per_tick == 1160
+    assert KernelModel(refresh_interval_ms=4.0).budget_per_tick == 2320
+    assert KernelModel(refresh_interval_ms=0.001).budget_per_tick == 0
 
 
 @pytest.mark.parametrize("setting,value", [
@@ -342,11 +342,21 @@ def test_quota_crossed_by_a_pass_trips_at_the_next_pass():
     assert proc in kernel.pending_bit_clears
 
 
+def test_pass_and_cleanup_without_tables_book_nothing():
+    # no process has opted in, so no table exists: a whole pass returns
+    # before it starts (no tick is counted) and a cleanup scans nothing
+    kernel = KernelModel()
+    proc = kernel.create_process()
+    assert kernel.postfault_tick() == 0
+    assert kernel.error_cleanup(proc.tgid) == 0
+    assert kernel.tables is None and kernel.tick_index == 0
+
+
 def test_zero_budget_defers_everything():
     params = ModelParameters(background_throughput_pages_per_s=400)
     kernel, proc, vma = make_kernel(params=params)
     consume_pages(kernel, proc, vma, 0, 3)
-    assert kernel.budget_pages() == 0
+    assert kernel.budget_per_tick == 0
     assert kernel.postfault_tick() == 0
     assert kernel.tables[0].used_count() == 3
 
@@ -808,7 +818,8 @@ def test_terminate_unbooks_so_frames_can_recycle():
 def test_frame_census_partitions_the_pool():
     kernel, proc, vma = make_kernel(width=8)
     consume_pages(kernel, proc, vma, 0, 2)
-    kernel.inline_install(proc, vma.start + 40 * PAGE_SIZE, True)
+    va = vma.start + 40 * PAGE_SIZE
+    kernel.inline_install(proc, va, True, proc.page_table.construct_path(va))
     c = kernel.frame_census()
     assert c["total"] == 4096
     assert c["free"] + c["outstanding"] == c["total"]
@@ -845,9 +856,9 @@ def _kernel_state(kernel, proc):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_kernel_path_fault_with_the_handlers_leaf_matches_inline_install(seed):
-    # the handler hands inline_install the leaf it holds; its twin calls
-    # inline_install(proc, va, writable), which walks through
-    # construct_path, for the same faults in the same seeded order
+    # the handler hands inline_install the leaf it holds; its twin hands
+    # it the leaf construct_path finds or builds, for the same faults in
+    # the same seeded order
     kernel, engine, proc, vmas = _kernel_path_twin()
     twin, _, twin_proc, _ = _kernel_path_twin()
     faults = [(va, vma.writable) for vma in vmas for va in range(vma.start, vma.end, PAGE_SIZE)]
@@ -856,7 +867,8 @@ def test_kernel_path_fault_with_the_handlers_leaf_matches_inline_install(seed):
     for va, writable in faults:
         out = engine.access(0, va)
         kinds[out.kind.value] += 1
-        assert out.pfn == twin.inline_install(twin_proc, va, writable)
+        leaf = twin_proc.page_table.construct_path(va)
+        assert out.pfn == twin.inline_install(twin_proc, va, writable, leaf)
         assert _kernel_state(kernel, proc) == _kernel_state(twin, twin_proc)
     assert kinds == {"kernel_fault": 24, "mfoe_miss": 40}
 

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from mfoesim.params import Z95, LatencySampler, ModelParameters, checked_int
+from mfoesim.kernel import KernelModel
+from mfoesim.params import (
+    INT64_MAX,
+    Z95,
+    LatencySampler,
+    ModelParameters,
+    background_timing,
+    checked_int,
+)
 
 
 def test_defaults_validate():
@@ -183,3 +191,23 @@ def test_checked_int_rounds_values_that_fit():
     assert checked_int("x", 2.5, "ns") == 2
     assert checked_int("x", -(2.0 ** 63), "ns") == -(1 << 63)
     assert checked_int("x", 2.0 ** 62, "ns") == 1 << 62
+
+
+def test_background_timing_in_ns_and_cycles():
+    # 2 ms; 1e9 / 1,093,075 and 1e9 / 580,169 pages/s; 2 ms * 580,169 pages/s
+    assert background_timing(ModelParameters(), 2.0, 1e9, "ns") == (2_000_000, 915, 1724, 1160)
+    # the budget is counted from the interval in ns whatever the unit
+    assert background_timing(ModelParameters(), 2.0, 3e9, "cycles") == (6_000_000, 2745, 5171, 1160)
+    # a sub-unit interval is 1 unit, and 1 ns for the budget
+    fast = ModelParameters(background_throughput_pages_per_s=2_000_000_000)
+    assert background_timing(fast, 1e-7, 1e9, "ns") == (1, 915, 1, 2)
+    assert background_timing(fast, 1e-7, 16, "cycles") == (1, 1, 1, 2)
+
+
+def test_background_timing_checks_the_interval_in_each_unit():
+    # 2 s is 2e9 ns but about 1.8e19 cycles at the largest clock
+    params = ModelParameters(clock_hz=INT64_MAX)
+    with pytest.raises(ValueError, match="refresh interval out of range: .* cycles does not fit"):
+        KernelModel(params, refresh_interval_ms=2000.0)
+    with pytest.raises(ValueError, match="refresh interval must be finite and positive"):
+        background_timing(ModelParameters(), 0.0, 1e9, "ns")

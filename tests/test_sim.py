@@ -545,20 +545,20 @@ class _EveryStep(Simulation):
         kernel = self.kernel
         while self._fill_at <= t:
             if kernel.fill_step():
-                self._fill_at += self.fill_cost
+                self._fill_at += kernel.fill_cost
             else:
                 self.fill_complete_cycle = self._fill_at
-                self._tick_at = self._fill_at + self.interval_cycles
-                self._step_at = self._tick_at + self.record_cost
+                self._tick_at = self._fill_at + kernel.interval_cycles
+                self._step_at = self._tick_at + kernel.record_cost
                 self._fill_at = NEVER
         while min(self._tick_at, self._step_at) <= t:
             if self._tick_at <= self._step_at:
                 kernel.begin_pass()
-                self._tick_at += self.interval_cycles
+                self._tick_at += kernel.interval_cycles
             else:
                 if kernel.pass_step() is not None:
                     self.background_processed += 1
-                self._step_at += self.record_cost
+                self._step_at += kernel.record_cost
 
 
 def _clock_cases():
@@ -622,8 +622,8 @@ def test_background_clock_matches_stepping_every_step(name):
     config = small_config(**_CLOCK_CASES[name])
     fast = _background_states(config)
     assert _background_states(config, _EveryStep) == fast
-    simulation = Simulation(config)
-    interval, cost = simulation.interval_cycles, simulation.record_cost
+    kernel = Simulation(config).kernel
+    interval, cost = kernel.interval_cycles, kernel.record_cost
     report = json.loads(fast[0])
     fill_end = report["fill_complete_cycle"]
     quiet = {OutcomeKind.TLB_HIT.value, OutcomeKind.WALK_HIT.value}

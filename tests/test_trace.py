@@ -825,16 +825,17 @@ def test_refresh_budget_and_rotation_across_cores():
     assert list(report.timeline.core_ids) == [0, 1, 0, 1, 0, 1]
 
 
-@pytest.mark.parametrize("throughput", [1, 500, 580_169, 0.75, 499.5, 1234.25])
-@pytest.mark.parametrize("interval_ms", [0.7, 2.0, 3.0])
+@pytest.mark.parametrize("throughput", [1, 500, 580_169, 0.75, 499.5, 1234.25, 2_000_000_000])
+@pytest.mark.parametrize("interval_ms", [0.7, 2.0, 3.0, 1e-7, 4e-7])
 def test_simulator_and_replay_grant_the_same_budget(throughput, interval_ms):
-    # criterion 3's oracle formula, an int for fractional throughputs too
+    # criterion 3's oracle formula, with its at-least-1-ns interval; an
+    # int for fractional throughputs too
     params = ModelParameters(background_throughput_pages_per_s=throughput)
-    oracle = round(interval_ms * 1e6) * throughput // 10**9
+    oracle = max(1, round(interval_ms * 1e6)) * throughput // 10**9
     kernel = KernelModel(params, refresh_interval_ms=interval_ms)
     replay = model_constants(TraceModelConfig(refresh_interval_ms=interval_ms), params)
-    assert kernel.budget_pages() == replay["budget_per_tick"] == oracle
-    assert type(kernel.budget_pages()) is type(replay["budget_per_tick"]) is int
+    assert kernel.budget_per_tick == replay["budget_per_tick"] == oracle
+    assert type(kernel.budget_per_tick) is type(replay["budget_per_tick"]) is int
 
 
 def test_core_count_inferred_and_checked():
