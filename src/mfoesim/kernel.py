@@ -14,8 +14,11 @@ The background thread's timing is derived once, when the kernel is
 built, by params.background_timing in cycles of params.clock_hz:
 interval_cycles between refresh ticks, fill_cost per init-fill page,
 record_cost per booked record, and budget_per_tick, the records each
-pass may book. The simulator schedules its fill steps, ticks and pass
-steps by these, and the replay gets its ns timing from the same call.
+pass may book. Each time is its setting rounded, and a setting that
+rounds below 1 cycle (or an interval below 1 ns) is refused, so no
+tick runs at a pace other than the configured one. The simulator
+schedules its fill steps, ticks and pass steps by these, and the replay
+gets its ns timing from the same call.
 
 A process's booked pages are counted once, in the ledger's mm_counter,
 which also serves as its memcg charge and as the count quotas read.

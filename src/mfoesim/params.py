@@ -36,27 +36,34 @@ def background_timing(
 ) -> tuple[int, int, int, int]:
     """The background thread's timing in the caller's unit (units_per_s
     of them make a second): its refresh interval, the cost of one
-    init-fill page, the cost of one booked record, each at least 1 unit,
-    and the records one pass may book. The simulator's kernel asks in
-    cycles and the replay in ns.
+    init-fill page, the cost of one booked record, and the records one
+    pass may book. The simulator's kernel asks in cycles and the replay
+    in ns.
 
-    The budget is the whole pages booked at the background throughput
-    in the interval counted in ns, criterion 3's oracle formula, so both
-    engines grant the same budget for the same settings. ValueError
-    unless the interval is finite and positive and fits in signed 64
-    bits, in ns and in unit."""
+    Each time is its configured value rounded, the interval counted as
+    round(ms * (units_per_s / 1000)): in ns that is criterion 3's oracle
+    round(ms * 1e6) to the bit. ValueError naming the setting unless the
+    interval is finite and positive, and unless the interval, in ns and
+    in unit, and both costs fit in signed 64 bits and round to at least
+    1. The budget is the whole pages booked at the background throughput
+    in the interval in ns, the oracle's formula, so both engines grant
+    the same budget for the same settings; it may be 0."""
     check_finite_positive("refresh interval", refresh_interval_ms)
-    interval_ns, interval = (
-        max(1, checked_int("refresh interval", refresh_interval_ms * 1e-3 * per_s, name))
-        for per_s, name in ((1e9, "ns"), (units_per_s, unit))
-    )
     background = params.background_throughput_pages_per_s
-    return (
-        interval,
-        max(1, round(units_per_s / params.init_throughput_pages_per_s)),
-        max(1, round(units_per_s / background)),
-        int(interval_ns * background // 10**9),
-    )
+    timing = []
+    for setting, exact, name, what in (
+        ("refresh interval", refresh_interval_ms * (1e9 / 1000), "ns", "between ticks"),
+        ("refresh interval", refresh_interval_ms * (units_per_s / 1000), unit, "between ticks"),
+        ("init_throughput_pages_per_s", units_per_s / params.init_throughput_pages_per_s, unit,
+         "a fill page"),
+        ("background_throughput_pages_per_s", units_per_s / background, unit, "a booked record"),
+    ):
+        value = checked_int(setting, exact, name)
+        if value < 1:
+            raise ValueError(f"{setting} out of range: {exact:.3g} {name} {what} rounds to 0")
+        timing.append(value)
+    interval_ns, interval, fill_cost, record_cost = timing
+    return interval, fill_cost, record_cost, int(interval_ns * background // 10**9)
 
 
 @dataclass

@@ -8,7 +8,9 @@ on the same time line. Each keeps the cycle it is next due at, and the
 loop keeps their minimum, so one compare per touch decides whether any
 background work comes before it. Their timing is the kernel's
 (KernelModel.interval_cycles, fill_cost and record_cost, derived once
-by params.background_timing); the simulator derives none of its own.
+by params.background_timing, each its setting rounded and at least 1
+cycle, since a setting that rounds lower is refused); the simulator
+derives none of its own.
 A pass start with no work (KernelModel.begin_pass returns False) or a
 pass step that books nothing leaves the pass dry, with no step due,
 until the next tick or the next touch that is neither a TLB nor a walk

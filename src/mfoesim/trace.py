@@ -14,7 +14,9 @@ Mechanics:
   The tick takes the per-core consumed counts, walks cores round-robin
   (the start core rotates each tick), and lands one frame per recycled
   record at the background throughput, capped by the per-tick budget
-  interval_ns * pages_per_s // 1e9.
+  interval_ns * pages_per_s // 1e9. The interval and the two per-page
+  costs are their settings rounded to whole ns (params.background_timing),
+  and a setting that rounds below 1 ns is refused.
 - A fault is a hit when its core's pool is non-empty at its effective
   time: the pool shrinks by one, the fault costs the hit time, and all
   later faults on that core move earlier by (recorded latency - hit
@@ -541,7 +543,6 @@ class TraceModelConfig:
     def validate(self) -> None:
         if self.width < 1:
             raise ValueError("width must be positive")
-        check_finite_positive("refresh interval", self.refresh_interval_ms)
         if self.cores is not None and self.cores < 1:
             raise ValueError("cores must be positive")
         if self.cores is not None and self.cores > MAX_CORES:
@@ -650,8 +651,8 @@ def model_constants(config: TraceModelConfig, params: ModelParameters) -> dict:
         params, config.refresh_interval_ms, 1e9, "ns"
     )
     return {
-        "hit_ns": max(0, round(params.mfoe_hit_cycles * 1e9 / clock)),
-        "miss_penalty_ns": max(0, round(params.mfoe_miss_penalty_cycles * 1e9 / clock)),
+        "hit_ns": round(params.mfoe_hit_cycles * 1e9 / clock),
+        "miss_penalty_ns": round(params.mfoe_miss_penalty_cycles * 1e9 / clock),
         "init_page_ns": init_page_ns,
         "record_ns": record_ns,
         "interval_ns": interval_ns,
@@ -1013,8 +1014,9 @@ def synthesize(
     """Generate a fault trace. Deterministic for a given (settings, seed) pair.
 
     uniform spaces faults exactly round(1e9 / rate) ns apart starting at
-    zero; poisson draws exponential gaps. Latencies come from the usual
-    lognormal two-statistic fit (constant when mean == p95).
+    zero, and refuses a rate at which that rounds to 0; poisson draws
+    exponential gaps. Latencies come from the usual lognormal
+    two-statistic fit (constant when mean == p95).
 
     Each core draws from its own random.Random. A gap is computed inline
     as -log(1 - random()) * (1e9 / rate), which is rng.expovariate(1.0)
@@ -1033,13 +1035,15 @@ def synthesize(
     # Every timestamp is below duration_ns, so the columns fit in 64 bits.
     duration_ns = checked_int("duration", duration_s * 1e9, "ns")
     gap_scale = 1e9 / rate_per_core
-    spacing = max(1, checked_int("rate", gap_scale, "ns between faults"))
+    spacing = checked_int("rate", gap_scale, "ns between faults")
     expected = rate_per_core * duration_s * cores
     if expected > MAX_SYNTHESIZED_FAULTS:
         raise ValueError(
             f"rate x duration x cores is {expected:g} faults, "
             f"more than the {MAX_SYNTHESIZED_FAULTS} synthesize writes"
         )
+    if dist == "uniform" and spacing < 1:
+        raise ValueError(f"rate out of range: {gap_scale:.3g} ns between faults rounds to 0")
 
     defaults = ModelParameters()
     if latency_mean_ns is None:

@@ -184,8 +184,10 @@ def test_config_error_comes_before_a_trace_mismatch(tmp_path, capsys, argv, rows
      "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
     (("sweep", "--intervals-ms", "2,1e300"),
      "refresh interval out of range: 1e+306 ns does not fit in signed 64 bits"),
+    (("sweep", "--intervals-ms", "2,1e-7"),
+     "refresh interval out of range: 0.1 ns between ticks rounds to 0"),
 ], ids=["model-cores", "sweep-cores", "model-width", "sweep-width", "model-interval",
-        "sweep-interval"])
+        "sweep-interval", "sweep-sub-ns-interval"])
 @pytest.mark.parametrize("rows", [None, "500,0,x\n", "500,0,5\n"],
                          ids=["missing", "malformed", "valid"])
 def test_config_error_comes_before_the_trace_is_read(tmp_path, capsys, monkeypatch, argv,
@@ -386,7 +388,9 @@ def test_synthesize_without_dist_uses_the_library_default(tmp_path, argv, genera
      "rate x duration x cores is 1e+300 faults, more than the 40000000 synthesize writes"),
     (("--profile", "gcc", "--duration", "100", "--cores", "2"),
      "rate x duration x cores is 7.3062e+07 faults, more than the 40000000 synthesize writes"),
-], ids=["cores", "rate", "profile-duration"])
+    (("--rate", "3e9", "--duration", "0.001", "--dist", "uniform"),
+     "rate out of range: 0.333 ns between faults rounds to 0"),
+], ids=["cores", "rate", "profile-duration", "uniform-spacing"])
 def test_synthesize_caps_are_checked_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
     # a trace with more cores than a replay models, or a fault count that
     # would run for hours, is refused before a single latency is drawn
@@ -559,6 +563,12 @@ BAD_VALUES = [
      "refresh interval out of range"),
     (("sweep", "--trace", "{trace}"), "--intervals-ms", "1e303", "refresh interval out of range"),
     (("simulate",), "--refresh-interval-ms", "1e305", "refresh interval out of range"),
+    # a background time that rounds below one cycle or ns, which a clamp
+    # would run at a pace other than the configured one
+    (("simulate",), "--refresh-interval-ms", "1e-300", "refresh interval out of range"),
+    (("simulate",), "--params-clock-hz", "2", "refresh interval out of range: 0.004 cycles"),
+    (("model", "--trace", "{trace}"), "--params-init-throughput-pages-per-s", "3000000000",
+     "init_throughput_pages_per_s out of range: 0.333 ns a fill page"),
     # integers past 64 bits: each was an OverflowError traceback
     (("model", "--trace", "{trace}"), "--params-mfoe-hit-cycles", _HUGE, "mfoe_hit_cycles"),
     (("simulate",), "--params-clock-hz", _HUGE, "clock_hz"),

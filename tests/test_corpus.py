@@ -177,220 +177,220 @@ CORPUS = {
             'report.json': 'a8b8de9795385be24b821fd54d3326d2140dcfe3d46b9ef44b8ce782dcaa1819',
         }),
     'simulate-04': (
-        'simulate --threads 3 --faults-per-thread 256 --table-width 32 --interarrival 21000 --refresh-interval-ms 0.05 --seed 1 --region-pages 16 --params-clock-hz 2',
-        {
-            'faults.csv': 'e01467b796f808c70e58eb557727250f98f03463932cf249fc89ccd5049d4baf',
-            'report.json': '7d317afb1e6cbe4542bbe38c62c89c6d44af6f711932ef73c1ce177d613dcecd',
-        }),
-    'simulate-05': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.2 --seed 3 --params-mfoe-hit-cycles 3 --interarrival 3',
         {
             'faults.csv': '4c32ac67e540fc48cb3bee164cfe0b4cfa367b70bc2c2c4fc7a32cb4d15942af',
             'report.json': 'ecff05335deb0d5408c3af8fca4b6b279121a3600e4387171799725d01abd654',
         }),
-    'simulate-06': (
+    'simulate-05': (
         'simulate --threads 1 --faults-per-thread 64 --table-width 16 --interarrival 21000 --refresh-interval-ms 0.05 --seed 3 --interarrival 16 --params-init-throughput-pages-per-s 16',
         {
             'faults.csv': '37dec3c7f45f40ccfc13fbdcddaa3541c5a0aa8d7b0b8607b5186d31384155ab',
             'report.json': 'e448115c87d6ae60905d5ab4bcff959db9ebf0b912a904fa9ec30875ad8058c2',
         }),
-    'simulate-07': (
-        'simulate --threads 4 --faults-per-thread 256 --table-width 32 --interarrival 3000 --refresh-interval-ms 0.05 --seed 2 --region-pages 16 --seed 2 --params-clock-hz 16',
-        {
-            'faults.csv': '1c7e4d5295e0ccf734a5f25b770f195351fc9358ed6987abc7ef24e8002aa2b4',
-            'report.json': '8b8f33e6075cb4f04e35ae738a26a9211063811c65296bbb80983f1e66cf107e',
-        }),
-    'simulate-08': (
+    'simulate-06': (
         'simulate --threads 4 --faults-per-thread 128 --table-width 16 --interarrival 3000 --refresh-interval-ms 0.01 --seed 4 --region-pages 48 --interarrival 2 --params-background-throughput-pages-per-s 3',
         {
             'faults.csv': '4fa13e5f8228920a0c84a88dab97758149eba4c666a7a61eb085843fe2134a9c',
             'report.json': 'b3a59e18e04a35d448f06badfbb7018046da679d3497dd28c49c76e63b5cda70',
         }),
-    'simulate-09': (
+    'simulate-07': (
         'simulate --threads 2 --faults-per-thread 64 --table-width 32 --interarrival 3000 --refresh-interval-ms 0.05 --seed 1 --tlb-entries 3',
         {
             'faults.csv': '65af8e9e4c6a72a95369241fb62400f226b2a65ae4cfe32d5ac096ec6bbc0c81',
             'report.json': '5481be56f6ba007641ba72d455e617160e38baaf1e17995ce0b012aa6d112812',
         }),
-    'simulate-10': (
+    'simulate-08': (
         'simulate --threads 1 --faults-per-thread 256 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.01 --seed 0 --refresh-interval-ms 3',
         {
             'faults.csv': '982410e06f75891d4732c5a8f9618f31c7136e39b5b6b0f90856cd4583b7d459',
             'report.json': '77ac4d88de44d6be4f101b1fb1760bb4dbcfb3894951cddc1b2e621de39e1e49',
         }),
-    'simulate-11': (
+    'simulate-09': (
         'simulate --threads 3 --faults-per-thread 64 --table-width 4 --interarrival 500 --refresh-interval-ms 0.2 --seed 7 --quota-frames 16',
         {
             'faults.csv': '0514c9cdd5b22a5b9d1faeda8ba0d872fc0c4a34cca0884bc7fb40cff88446c9',
             'report.json': '091170a38d2cf7c3a9d87bb413460fcbe0b3b4e9d8f9d4e6c781623c186da183',
         }),
-    'simulate-12': (
+    'simulate-10': (
         'simulate --threads 3 --faults-per-thread 128 --table-width 16 --interarrival 500 --refresh-interval-ms 0.01 --seed 0 --quota-frames 3',
         {
             'faults.csv': '9530d4d712f0b3dbd25ee6c94851ca77204cba060507c2fd02af32da35ecfc88',
             'report.json': '1512a53a85d12cb119f435238508c78b5ab07dd2990852967aeb2e2fceb84640',
         }),
-    'simulate-13': (
+    'simulate-11': (
         'simulate --threads 2 --faults-per-thread 64 --table-width 16 --interarrival 500 --refresh-interval-ms 0.2 --seed 5 --region-pages 96 --params-baseline-fault-dist two_point --resource-threshold 1',
         {
             'faults.csv': '403c4a168970aea18ff844ed5e92362b45583eb1361034671f9f9d82e8b72001',
             'report.json': '1ede97b905db46a8b3548d5990069e40b652a61a0cf9ff686dcd3f6d202969c5',
         }),
-    'simulate-14': (
+    'simulate-12': (
         'simulate --threads 1 --faults-per-thread 64 --table-width 8 --interarrival 500 --refresh-interval-ms 0.01 --seed 1 --tlb-entries 2 --params-init-throughput-pages-per-s 16',
         {
             'faults.csv': '44d862daab87eec3d8b65d7e3eaa36aa8152809b951c3cb6821d805d944045fd',
             'report.json': '4e535f40520670dd6f45ead9f99d370049e4d773401c255555899f513aa0d424',
         }),
-    'simulate-15': (
+    'simulate-13': (
         'simulate --threads 3 --faults-per-thread 256 --table-width 16 --interarrival 500 --refresh-interval-ms 0.05 --seed 5 --region-pages 48 --interarrival 2',
         {
             'faults.csv': '7e2ff9745c9ee4a2ad4137c7300ae3a3c75e9c12095aebae872521ab7c1f75de',
             'report.json': 'cae6905c245f3ba4043f1acce829efea987787ad283aa8cd9a9f913089f87b5d',
         }),
-    'simulate-16': (
+    'simulate-14': (
         'simulate --threads 2 --faults-per-thread 64 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.05 --seed 4 --region-pages 48 --refresh-interval-ms 2 --interarrival 16',
         {
             'faults.csv': '767a907b970f78b9d8bf43d7453b838bf81c0e98107b3cf9a810cfdc91c284eb',
             'report.json': '05b2b4963822bf3f997a7798cc64f260c77a2e588072a4138431b67ee35bd99c',
         }),
-    'simulate-17': (
-        'simulate --threads 1 --faults-per-thread 64 --table-width 16 --interarrival 3000 --refresh-interval-ms 0.01 --seed 7 --params-clock-hz 1 --params-background-throughput-pages-per-s 16',
-        {
-            'faults.csv': '6079f96c523d71eefc7e80a0fd4dc128018b1ea1ee7002d1e10f3cad04bc662c',
-            'report.json': '353866ffd6d142904c203fb0d79b3d8accd90954705273eac7411d74d287836f',
-        }),
-    'simulate-18': (
+    'simulate-15': (
         'simulate --threads 2 --faults-per-thread 128 --table-width 32 --interarrival 3000 --refresh-interval-ms 0.01 --seed 3 --params-background-throughput-pages-per-s 1 --params-mfoe-miss-penalty-cycles 16',
         {
             'faults.csv': '7f0903344e1702a8147735c5d35896b87357f067c05c159f21573857277bba46',
             'report.json': '1042a794cbb6d19a05b3eee8b9388d3a23f72df5ca3da3ff4b8451220b26969c',
         }),
-    'simulate-19': (
+    'simulate-16': (
         'simulate --threads 1 --faults-per-thread 256 --table-width 4 --interarrival 500 --refresh-interval-ms 0.2 --seed 3 --quota-frames 1',
         {
             'faults.csv': '8e763ded2196160d5c35e71f468b3cfde90f9f762d16f6591d525cbea76ea223',
             'report.json': '73a706d69860011016108d2441f91f3a4dae95643085ba3f22e307c72be31300',
         }),
-    'simulate-20': (
+    'simulate-17': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 4 --interarrival 3000 --refresh-interval-ms 0.2 --seed 2 --region-pages 16 --seed 16',
         {
             'faults.csv': '35f8d62ba7f2e42403566ae3c0d82fdfd0dd63e4c3a5851cb62216af7ed87c09',
             'report.json': '238b7ae0e001897158ee5a8402f8a8c1f238e481a0da0afab2894dc25711ff57',
         }),
-    'simulate-21': (
+    'simulate-18': (
         'simulate --threads 3 --faults-per-thread 256 --table-width 4 --interarrival 500 --refresh-interval-ms 0.05 --seed 7 --region-pages 96 --params-mfoe-miss-penalty-cycles 16',
         {
             'faults.csv': '9f2264abd578db7cd3e9f8e6b188ab8ac0e7a74a9446afc042dc374dd1ee9d6b',
             'report.json': '06567c91236202cc8145e9e94f3777501621b9e292377d8532efb95d6ea6b2b0',
         }),
-    'simulate-22': (
+    'simulate-19': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 8 --interarrival 21000 --refresh-interval-ms 0.01 --seed 6 --tlb-entries 2',
         {
             'faults.csv': '7397cd9dda08db905894bfcf807e9f15c16c5e56536c9785e07667d16fdb581f',
             'report.json': 'e61aae93edbf42e1069063ff7b83fd5f9b0eab8b50358f26575b068957af8ab1',
         }),
-    'simulate-23': (
+    'simulate-20': (
         'simulate --threads 1 --faults-per-thread 256 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.2 --seed 5 --params-mfoe-hit-cycles 1',
         {
             'faults.csv': '30daf5c0cd33f3599195ff059036c648f7851763a13df529ed180d1aa86f14a2',
             'report.json': '9f002ffcab4f79669607c31973fb1f67fee118b0aeceb58c36a6609b3bf957c3',
         }),
-    'simulate-24': (
+    'simulate-21': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 4 --interarrival 21000 --refresh-interval-ms 0.2 --seed 1 --params-mfoe-hit-cycles 1',
         {
             'faults.csv': 'f205cc4204e0c914f7a1074c54b18a06d92577cd0e31102dbbb73b61ae809620',
             'report.json': 'e7cafc70ccc69a124ea5853a3f73672505b3e7079b77fbecc21628c726849556',
         }),
-    'simulate-25': (
+    'simulate-22': (
         'simulate --threads 2 --faults-per-thread 128 --table-width 4 --interarrival 3000 --refresh-interval-ms 0.05 --seed 0 --params-mfoe-hit-cycles 2 --cores 3',
         {
             'faults.csv': '90cab6838894be6e4748deab843c798936196ce4e33a07c1453dd179ab2acc5c',
             'report.json': '9635c1a8f30efe2edf58965785ff505e2a277e3c050d4a842b02072130707268',
         }),
-    'simulate-26': (
+    'simulate-23': (
         'simulate --threads 2 --faults-per-thread 256 --table-width 16 --interarrival 500 --refresh-interval-ms 0.2 --seed 3 --params-mfoe-miss-penalty-cycles 3',
         {
             'faults.csv': '5dba5818d4b2496a1f2a57e3943254feda68b522d59f622b2f705cfbf178e4da',
             'report.json': '096c3e03b8efae126f26931f5470cb6d8d4f1b46911b0e314b6b213921f25bb5',
         }),
-    'simulate-27': (
+    'simulate-24': (
         'simulate --threads 2 --faults-per-thread 256 --table-width 32 --interarrival 21000 --refresh-interval-ms 0.05 --seed 4 --refresh-interval-ms 2',
         {
             'faults.csv': 'b6d358496b347a367d5c9c240ab3f76a8bc42ed36d11bb037400a9c77b23ac92',
             'report.json': '05ff4e096d4676e1719e75f2d849bf21f85cb1483b13bf16a39a83dc3b34fb99',
         }),
-    'simulate-28': (
-        'simulate --threads 3 --faults-per-thread 64 --table-width 8 --interarrival 500 --refresh-interval-ms 0.01 --seed 1 --region-pages 48 --params-clock-hz 2',
-        {
-            'faults.csv': '9b0c3b40d754b2ff77b6f98ea667ddec9094bb39a7d4449fa8d2630da72e93c7',
-            'report.json': 'e42ee595488098aaf1160bf7a7e49cbc0e3734eb3d430d114a6075a284c9142a',
-        }),
-    'simulate-29': (
+    'simulate-25': (
         'simulate --threads 3 --faults-per-thread 64 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.2 --seed 0 --resource-threshold 0.5',
         {
             'faults.csv': 'b75fd6b8f0fc4ebc5e9e174c6add4bb2d63629494251f51735e2ec23e356d5db',
             'report.json': 'de7e9b9df988c256053ee782b87524e0e24ae1534e0ef2901d9952526d53c3c8',
         }),
-    'simulate-30': (
+    'simulate-26': (
         'simulate --threads 1 --faults-per-thread 64 --table-width 8 --interarrival 21000 --refresh-interval-ms 0.05 --seed 6 --tlb-entries 2',
         {
             'faults.csv': 'f2023b2f68cb4c8755934039e87f49b5ce3d1af73dbacfec4e48b1f328396b13',
             'report.json': 'f9a6058f8d193f27465291f7563d0b031e794dfa6211ec0c8c7910f3c5a7b978',
         }),
-    'simulate-31': (
+    'simulate-27': (
         'simulate --threads 1 --faults-per-thread 256 --table-width 16 --interarrival 21000 --refresh-interval-ms 0.01 --seed 1 --tlb-entries 3',
         {
             'faults.csv': 'e487ddc52ffcba31a9c8479a23c13d9d38cd86be7ea2850c14bd5852bfe1fd6f',
             'report.json': 'aab726cf3b19f03bd048b6c667d0d7ccc6926f720df19d6ccfda132b70f2972e',
         }),
-    'simulate-32': (
+    'simulate-28': (
         'simulate --threads 3 --faults-per-thread 64 --table-width 8 --interarrival 500 --refresh-interval-ms 0.05 --seed 2 --region-pages 16 --params-background-throughput-pages-per-s 16 --stride 3',
         {
             'faults.csv': '52efa305cec1a5ad8fbaa9e8b095bd2a65e1981b3fd84188c0cf34ab61a60a9d',
             'report.json': '420b9c45467d40f16b1753c5935f1acb5745f7fa70a5526e74ac179d98c6bb9c',
         }),
-    'simulate-33': (
+    'simulate-29': (
         'simulate --threads 2 --faults-per-thread 64 --table-width 32 --interarrival 500 --refresh-interval-ms 0.2 --seed 3 --region-pages 48 --quota-frames 3 --resource-threshold 1',
         {
             'faults.csv': 'a3a2e65d2202597cebbca43d12f2f61924792dfe71bd8c145bf406e04a3e66dd',
             'report.json': 'c85db9fba0bc1c816fe3e0c2213edd8f164285d7402d9adfe5755aacd2bf87ed',
         }),
-    'simulate-34': (
+    'simulate-30': (
         'simulate --threads 3 --faults-per-thread 128 --table-width 4 --interarrival 500 --refresh-interval-ms 0.01 --seed 7 --refresh-interval-ms 2 --params-background-throughput-pages-per-s 1',
         {
             'faults.csv': '9be7541d2cdcf7162958706faab1253bc3d682b4998bde54b5bade4212a7f416',
             'report.json': '8fa6bdf16b7585c73a956f9b966661a3cb02a61899e47fd0f089994a18263fb0',
         }),
-    'simulate-35': (
+    'simulate-31': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 32 --interarrival 500 --refresh-interval-ms 0.01 --seed 7 --region-pages 48 --params-background-throughput-pages-per-s 2',
         {
             'faults.csv': 'd6c47a39ff9294c4a71f4d5d0e1960d83f41fa4b365566aac3f4aed38505cb6a',
             'report.json': '77bc7f54175ce30e05af2a81e01fc78b5b806984b3723419b538088ff2410b47',
         }),
-    'simulate-36': (
+    'simulate-32': (
         'simulate --threads 3 --faults-per-thread 64 --table-width 4 --interarrival 500 --refresh-interval-ms 0.01 --seed 2 --seed 3',
         {
             'faults.csv': '18f33134d1b5f00be0c06201f07ab7074c651120d44638c1743ffe193782b49f',
             'report.json': '222bab98f821b3786eaac6aa0d81647eadc92e1ad4d3ae8de9669eedbaf287f2',
         }),
-    'simulate-37': (
+    'simulate-33': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 4 --interarrival 21000 --refresh-interval-ms 0.2 --seed 3 --region-pages 16 --params-mfoe-hit-cycles 1',
         {
             'faults.csv': '5e5cc8d625c953afa53aa70d4bebcb42f884e6bc90eef2d87dbdbef6a3629624',
             'report.json': 'a1404291ac4653e2d5cdc0d29f7931b7134dbfc611b9554175ea65572166c330',
         }),
-    'simulate-38': (
+    'simulate-34': (
         'simulate --threads 2 --faults-per-thread 64 --table-width 16 --interarrival 21000 --refresh-interval-ms 0.2 --seed 1 --region-pages 16 --params-background-throughput-pages-per-s 3 --seed 3',
         {
             'faults.csv': '64f33cb3b8d22805c180ec8d901034a8ba7e225985dabe424b5b31cf3310df3e',
             'report.json': 'faba83ce7b7f78970787c8be8752fc66796fdc9a248107a4bcf415a3f77382c7',
         }),
-    'simulate-39': (
+    'simulate-35': (
         'simulate --threads 4 --faults-per-thread 64 --table-width 32 --interarrival 3000 --refresh-interval-ms 0.01 --seed 1 --params-background-throughput-pages-per-s 1 --tlb-entries 16',
         {
             'faults.csv': '353713c7282195d018862336f9b211fa27cfd668123d1693ec23199d832c774f',
             'report.json': '8a7588c469618f53c7031e2ecf4be3820581d5abbe58f18e6f9c42cf6e73dacb',
+        }),
+    'simulate-36': (
+        'simulate --threads 4 --faults-per-thread 128 --table-width 32 --interarrival 500 --refresh-interval-ms 0.2 --seed 4 --params-init-throughput-pages-per-s 3',
+        {
+            'faults.csv': '2f23ea757911f604e3dd831673e05e1b8b833653009088d14b53ae01e453a482',
+            'report.json': '425c1bcde85c56bc0a124a748fe3cb18508a34bc1a85ff2e1dfb6769c9df053a',
+        }),
+    'simulate-37': (
+        'simulate --threads 1 --faults-per-thread 256 --table-width 4 --interarrival 21000 --refresh-interval-ms 0.01 --seed 7 --tlb-entries 3 --quota-frames 1',
+        {
+            'faults.csv': 'caf2a44e78ec13ea9442eb57e4add4333cbd165007c545b0ce5643eb3afdd582',
+            'report.json': 'c8e941418ac892a389df8ed476e3a0e92921a22240e969aa77deb758a329eb64',
+        }),
+    'simulate-38': (
+        'simulate --threads 4 --faults-per-thread 128 --table-width 8 --interarrival 3000 --refresh-interval-ms 0.05 --seed 3 --region-pages 48 --params-background-throughput-pages-per-s 1 --resource-threshold 0.5',
+        {
+            'faults.csv': '44bc61998eb4d63649e2e4b06a0c6204f3fdcad0e4b6144dfe3ff36c1e59c0d7',
+            'report.json': 'c5087484ac860ff4f1c5bb15f2ac16469b3a95833dd1c101218de7d1be0aa6d5',
+        }),
+    'simulate-39': (
+        'simulate --threads 2 --faults-per-thread 64 --table-width 32 --interarrival 500 --refresh-interval-ms 0.2 --seed 5 --interarrival 16',
+        {
+            'faults.csv': 'ca9eb6358550190d5a28d1db9b58a380daa1d4d5a4f244355d5b58d94a7a7a85',
+            'report.json': 'fc02dd8027fc698cc47b98f7b1c383a555ec841efde225db2e653b606acdf04e',
         }),
     'model-00': (
         'model --trace {uniform-2c} --width 64 --refresh-interval-ms 0.05 --params-background-throughput-pages-per-s 3',

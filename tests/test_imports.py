@@ -203,3 +203,46 @@ def test_background_timing_is_derived_only_in_params():
     found = [f"{module}:{line}" for module, source in sources.items()
              for line in timing_derivations(source)]
     assert not found, "timing derived outside params.background_timing: " + ", ".join(found)
+
+
+# The background thread's timing, the replay's constants and synthesize's
+# spacing are each setting as configured, rounded: a setting that rounds
+# below one unit is refused, never clamped up to a bound. A clamp is a
+# max or min call with a number among its arguments; synthesize's
+# max(latency mean, default p95), a default that follows the mean, is not
+# one.
+UNCLAMPED = {"params.py": ("background_timing",), "trace.py": ("model_constants", "synthesize")}
+
+
+def clamps(source: str, functions: tuple[str, ...]) -> list[tuple[str, int]]:
+    """(function, line) of each max or min call with a number argument
+    inside the named module-level functions."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found += [
+                (node.name, call.lineno) for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("max", "min")
+                and any(isinstance(arg, ast.Constant) and isinstance(arg.value, (int, float))
+                        for arg in call.args)
+            ]
+    return found
+
+
+def test_guard_flags_a_clamp():
+    source = (
+        "def timing(ms):\n"
+        "    a = max(1, round(ms * 1e6))\n"
+        "    b = min(round(ms), 2.5), max(ms, default)\n"
+        "    return [max(0, x) for x in (a, b)]\n"
+        "def other(x):\n"
+        "    return max(1, x)\n"
+    )
+    assert clamps(source, ("timing",)) == [("timing", 2), ("timing", 3), ("timing", 4)]
+
+
+def test_timing_settings_are_never_clamped():
+    found = [f"{module}:{function} line {line}" for module, functions in UNCLAMPED.items()
+             for function, line in clamps((PACKAGE_DIR / module).read_text(encoding="utf-8"),
+                                          functions)]
+    assert not found, "a setting clamped to a bound: " + ", ".join(found)

@@ -1,8 +1,10 @@
 """Sampler fit checks: the (mean, p95) pair is the contract, so every
 distribution is verified against those two statistics directly, and
 each draw against the stdlib call it reproduces."""
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -198,10 +200,20 @@ def test_background_timing_in_ns_and_cycles():
     assert background_timing(ModelParameters(), 2.0, 1e9, "ns") == (2_000_000, 915, 1724, 1160)
     # the budget is counted from the interval in ns whatever the unit
     assert background_timing(ModelParameters(), 2.0, 3e9, "cycles") == (6_000_000, 2745, 5171, 1160)
-    # a sub-unit interval is 1 unit, and 1 ns for the budget
+    # a setting that rounds below 1 unit is refused by name, never clamped:
+    # a 0.1 ns interval, a 0.5 ns record, and at 16 Hz a 0.8 ms interval
+    # (0.0128 cycles) and a 1,000 ms interval's fill page (1.46e-5 cycles)
     fast = ModelParameters(background_throughput_pages_per_s=2_000_000_000)
-    assert background_timing(fast, 1e-7, 1e9, "ns") == (1, 915, 1, 2)
-    assert background_timing(fast, 1e-7, 16, "cycles") == (1, 1, 1, 2)
+    for args, message in [
+        ((fast, 1e-7, 1e9, "ns"), "refresh interval out of range: 0.1 ns between ticks"),
+        ((fast, 2.0, 1e9, "ns"), "background_throughput_pages_per_s out of range: 0.5 ns"),
+        ((fast, 0.8, 16, "cycles"), "refresh interval out of range: 0.0128 cycles"),
+        ((fast, 1000.0, 16, "cycles"), "init_throughput_pages_per_s out of range: 1.46e-05 cycles"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}.* rounds to 0$"):
+            background_timing(*args)
+    # the record costs 1.5 cycles at 3 GHz, which rounds to 2
+    assert background_timing(fast, 2.0, 3e9, "cycles") == (6_000_000, 2745, 2, 4_000_000)
 
 
 def test_background_timing_checks_the_interval_in_each_unit():
@@ -211,3 +223,57 @@ def test_background_timing_checks_the_interval_in_each_unit():
         KernelModel(params, refresh_interval_ms=2000.0)
     with pytest.raises(ValueError, match="refresh interval must be finite and positive"):
         background_timing(ModelParameters(), 0.0, 1e9, "ns")
+
+
+def _timing_cases(rng):
+    """(interval ms, units per s, init and background pages per s): a grid
+    of edges, then seeded log-uniform draws."""
+    intervals = (1e-300, 1e-7, 4e-7, 5e-7, 6e-7, 1e-6, 0.05, 2.0, 2.0000005, 49.9309385)
+    clocks = (1e9, 1, 2, 16, 600_000, 3e9)
+    throughputs = (0.75, 1, 580_169, 1_093_075, 500_000_000, 2_000_000_000, 3_000_000_000)
+    # each throughput against the other's default
+    yield from itertools.product(intervals, clocks, (1_093_075,), throughputs)
+    yield from itertools.product(intervals, clocks, throughputs, (580_169,))
+    for _ in range(2000):
+        yield (
+            10 ** rng.uniform(-8, 4),
+            rng.choice((1e9, 3e9, round(10 ** rng.uniform(0, 12)))),
+            round(10 ** rng.uniform(0, 10)),
+            rng.choice((0.75, 499.5, round(10 ** rng.uniform(0, 10)))),
+        )
+
+
+def test_background_timing_is_each_setting_rounded_or_refuses_it():
+    # each time is its configured value rounded, and at least 1: the ns
+    # interval as criterion 3's oracle counts it, round(ms * 1e6) (at
+    # 2.0000005 and 49.9309385 ms that is 2,000,000 and 49,930,938 ns,
+    # where ms * 1e-3 * 1e9 gave 1 ns more), and the budget the oracle's;
+    # a setting that rounds below 1 is refused by name, the first in this
+    # order
+    settings = ("refresh interval", "refresh interval", "init_throughput_pages_per_s",
+                "background_throughput_pages_per_s")
+    accepted = refused = 0
+    for ms, per_s, init, background in _timing_cases(random.Random("background timing")):
+        params = ModelParameters(init_throughput_pages_per_s=init,
+                                 background_throughput_pages_per_s=background)
+        unit = "ns" if per_s == 1e9 else "cycles"
+        rounded = (round(ms * 1e6), round(ms * (per_s / 1000)), round(per_s / init),
+                   round(per_s / background))
+        configured = (Fraction(ms) * 10**6, Fraction(ms) * Fraction(per_s) / 1000,
+                      Fraction(per_s) / Fraction(init), Fraction(per_s) / Fraction(background))
+        for value, exact in zip(rounded, configured):
+            # the float expression rounds the configured value, to an ulp
+            assert abs(value - exact) <= Fraction(1, 2) + exact / 2**50
+        below = [setting for setting, value in zip(settings, rounded) if value < 1]
+        if below:
+            refused += 1
+            with pytest.raises(ValueError, match=f"^{below[0]} out of range: .* rounds to 0$"):
+                background_timing(params, ms, per_s, unit)
+            continue
+        accepted += 1
+        timing = background_timing(params, ms, per_s, unit)
+        assert timing == (*rounded[1:], rounded[0] * background // 10**9)
+        assert type(timing[3]) is int
+    assert accepted > 1000 and refused > 1000
+    assert background_timing(ModelParameters(), 2.0000005, 1e9, "ns")[0] == 2_000_000
+    assert background_timing(ModelParameters(), 49.9309385, 1e9, "ns")[0] == 49_930_938

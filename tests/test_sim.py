@@ -361,13 +361,19 @@ _PINNED = [
       "--params-baseline-fault-dist", "constant", "--seed", "9"],
      "70cf89d9abbd947d12528b5730fe36b814693cdb872e4a41b8bf180b07411b41",
      "ff7b5e882f4f2974b38b1a48165f5bb219c3eee393e276188da6ecd74463cf1e"),
+    # near the one-cycle edge: at 600 kHz a fill page and a booked record
+    # cost 1 cycle each and the 2 ms interval is 1,200 cycles
+    (["--threads", "2", "--faults-per-thread", "1500", "--interarrival", "300",
+      "--table-width", "16", "--params-clock-hz", "600000", "--seed", "3"],
+     "a85d2dbdc44856602fcc2fe9d32aeb57dc90787f7adb35519800288d827b61a4",
+     "1e5ea11efe039b1bd49748ae896de59a9ba3d8876eeb1e8c08b887d35ffa0a44"),
 ]
 
 
 @pytest.mark.parametrize("argv, faults_csv, report_json", _PINNED,
                          ids=["criterion-9", "idle-passes", "tick-meets-pass-step",
                               "quota-trip", "stride-spare-cores", "two-point-baseline",
-                              "constant-baseline"])
+                              "constant-baseline", "one-cycle-costs"])
 def test_simulate_report_digests_are_pinned(tmp_path, argv, faults_csv, report_json):
     # a refactor of the fault protocol, the deferred pass or the event
     # loop must leave both files byte-identical
