@@ -32,10 +32,11 @@ Every touch, TLB and walk hits included, is logged as one row of a
 FaultLog: three columns (cycle, code, latency cycles), the code being
 core * len(OUTCOMES) + the outcome's index in OUTCOMES, so the log costs
 a few bytes per touch instead of one object. The log is the one record
-of what each touch cost: the event loop keeps per core only its touch
-count and end time, and the report derives every other CoreStats field
-and every total from each code's count and cycle sum. faults.csv is
-formatted from its columns a block of rows at a time (trace.csv_blocks).
+of what each touch cost: the event loop keeps per core only its end
+time, and the report derives every other CoreStats field, touches
+included, and every total from each code's count and cycle sum.
+faults.csv is formatted from its columns a block of rows at a time
+(trace.csv_blocks).
 """
 from __future__ import annotations
 
@@ -108,7 +109,16 @@ class WorkloadSpec:
             raise ValueError("region must hold at least one page")
 
     def region_pages(self) -> int:
-        return self.region_pages_per_thread or max(1, self.faults_per_thread)
+        return self.region_pages_per_thread or self.faults_per_thread
+
+    def pages(self, first: int) -> Iterator[int]:
+        """A thread's page numbers in touch order, for a region whose
+        first page is first: touch i is page first + (i * stride_pages)
+        % region_pages(), for i < faults_per_thread. Lazy, so a run
+        stores no column of them."""
+        region = self.region_pages()
+        steps = range(0, self.faults_per_thread * self.stride_pages, self.stride_pages)
+        return map(first.__add__, map(region.__rmod__, steps))
 
 
 @dataclass
@@ -202,8 +212,8 @@ class FaultLog:
 
 @dataclass(slots=True)
 class CoreStats:
-    """One core's totals. A run counts touches and sets end_time; the
-    report fills the rest from the FaultLog."""
+    """One core's totals. A run sets end_time; the report fills the
+    rest from the FaultLog."""
 
     core: int
     touches: int = 0
@@ -274,17 +284,17 @@ class Simulation:
         self.kernel.mfoe_enable(self.proc, config.table_width)
 
         wl = config.workload
-        self.region_pages = wl.region_pages()
-        self.region_starts: list[int] = []
-        # each thread's region, handed to the engine with each of its faults
+        # each thread's region, handed to the engine with each of its
+        # faults, and the pages it touches there, in order
         self._vmas: list[VMA] = []
+        self._pages: list[Iterator[int]] = []
         for _ in range(wl.threads):
-            vma = self.kernel.region_create(self.proc, self.region_pages * PAGE_SIZE)
+            vma = self.kernel.region_create(self.proc, wl.region_pages() * PAGE_SIZE)
             # Path construction happens before the run; it is off the
             # fault critical path and the touch loop starts afterwards.
             self.kernel.prefault_construct(self.proc, vma)
-            self.region_starts.append(vma.start)
             self._vmas.append(vma)
+            self._pages.append(wl.pages(vma.start >> PAGE_SHIFT))
         for core in range(cores):
             self.engine.bind(core, self.proc)
 
@@ -296,20 +306,18 @@ class Simulation:
         # touch that is neither a TLB nor a walk hit: steps until then
         # would book nothing. The kernel keeps the step costs and the
         # tick interval.
-        self._fill_at = self.kernel.fill_cost if self.kernel.fill_core is not None else NEVER
+        self._fill_at = self.kernel.fill_cost
         self._first_tick = self._tick_at = self._next_step = NEVER
         self._due = self._fill_at
         self.records = FaultLog()
         # The engine's TLB map and fault entry, the page table, the
-        # columns' appends and the workload's per-touch settings, bound
-        # once: _on_fault runs once per touch.
+        # columns' appends and the interarrival, bound once: _on_fault
+        # runs once per touch.
         self._tgid = self.proc.tgid
         self._tlb_map = self.engine.tlb._map
         self._tlb_entries = self.engine.tlb.entries
         self._leaves = self.proc.page_table.entries
         self._serve_fault = self.engine.serve_fault
-        self._stride_pages = wl.stride_pages
-        self._faults_per_thread = wl.faults_per_thread
         self._interarrival = wl.interarrival_cycles
         self._log = (self.records.t.append, self.records.codes.append, self.records.cycles.append)
         self.stats = [CoreStats(core=c) for c in range(cores)]
@@ -324,19 +332,22 @@ class Simulation:
             raise RuntimeError("a Simulation runs once")
         self._ran = True
         # One pending touch per core, so (cycle, core) is unique and
-        # same-cycle touches run in core order.
-        first = self._interarrival
-        heap = [(first, core) for core in range(len(self.region_starts))]
+        # same-cycle touches run in core order. A thread with no page
+        # left ends at its last completion, one gap before its entry's
+        # cycle, and leaves before any background work is run for it.
+        interarrival, pages = self._interarrival, self._pages
+        heap = [(interarrival, core) for core in range(len(pages))]
         try:
             while heap:
                 t, core = heap[0]
+                vpn = next(pages[core], None)
+                if vpn is None:
+                    heapq.heappop(heap)
+                    self.stats[core].end_time = t - interarrival
+                    continue
                 if t >= self._due:
                     self._advance_background(t)
-                after = self._on_fault(t, core)
-                if after is None:
-                    heapq.heappop(heap)
-                else:
-                    heapq.heapreplace(heap, (after, core))
+                heapq.heapreplace(heap, (self._on_fault(t, core, vpn), core))
         except OverflowError:
             # the FaultLog's columns refuse a cycle or latency past 64 bits
             raise ValueError(_PAST_64_BITS) from None
@@ -402,8 +413,8 @@ class Simulation:
                 self.background_processed += 1
                 self._next_step += cost
 
-    def _on_fault(self, t: int, core: int) -> Optional[int]:
-        """Serve one touch; the cycle of the thread's next touch, or None.
+    def _on_fault(self, t: int, core: int, vpn: int) -> int:
+        """Serve one touch of page vpn; the cycle of the thread's next touch.
 
         The touch is a write. Its TLB lookup, walk and TLB fill run here,
         as MfoeEngine.access runs them through Tlb and PageTable, on the
@@ -414,11 +425,6 @@ class Simulation:
         or a pass start reads (the budget, the tables, the frame
         allocator, the quotas, the pending bit clears).
         """
-        stats = self.stats[core]
-        touches = stats.touches
-        page = (touches * self._stride_pages) % self.region_pages
-        va = self.region_starts[core] + page * PAGE_SIZE
-        vpn = va >> PAGE_SHIFT
         key = (self._tgid, vpn)
         tlb_map = self._tlb_map
         # Every region a Simulation maps is writable, so every present
@@ -436,7 +442,7 @@ class Simulation:
                 code, cycles = core * _WIDTH + _WALK_CODE, 0
             else:
                 kind, cycles, _, _, pfn = self._serve_fault(
-                    core, self.proc, va, leaf, raw, self._vmas[core], t)
+                    core, self.proc, vpn << PAGE_SHIFT, leaf, raw, self._vmas[core], t)
                 code = core * _WIDTH + _CODE[kind]
                 if self._next_step == NEVER and t >= self._first_tick:
                     # wake the dry pass at its first step after this touch
@@ -447,17 +453,11 @@ class Simulation:
             if len(tlb_map) >= self._tlb_entries:
                 tlb_map.popitem(last=False)
             tlb_map[key] = (pfn, True)
-        touches += 1
-        stats.touches = touches
         log_t, log_code, log_cycles = self._log
         log_t(t)
         log_code(code)
         log_cycles(cycles)
-        completion = t + cycles
-        if touches < self._faults_per_thread:
-            return completion + self._interarrival
-        stats.end_time = completion
-        return None
+        return t + cycles + self._interarrival
 
     # reporting
 
@@ -478,6 +478,7 @@ class Simulation:
             stats.kernel_faults = counts[base + _KERNEL_CODE]
             stats.tlb_hits = counts[base + _TLB_CODE]
             stats.walk_hits = counts[base + _WALK_CODE]
+            stats.touches = sum(counts[base + code] for code in range(_WIDTH))
             stats.compute_cycles = stats.touches * self._interarrival
             stats.fault_cycles = sum(code_cycles[base:base + _WIDTH])
             # the log's cycles against the event chain's end time

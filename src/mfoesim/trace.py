@@ -1014,9 +1014,9 @@ def synthesize(
     """Generate a fault trace. Deterministic for a given (settings, seed) pair.
 
     uniform spaces faults exactly round(1e9 / rate) ns apart starting at
-    zero, and refuses a rate at which that rounds to 0; poisson draws
-    exponential gaps. Latencies come from the usual lognormal
-    two-statistic fit (constant when mean == p95).
+    zero; poisson draws exponential gaps of that mean. Both refuse a
+    rate at which round(1e9 / rate) is 0. Latencies come from the usual
+    lognormal two-statistic fit (constant when mean == p95).
 
     Each core draws from its own random.Random. A gap is computed inline
     as -log(1 - random()) * (1e9 / rate), which is rng.expovariate(1.0)
@@ -1042,7 +1042,7 @@ def synthesize(
             f"rate x duration x cores is {expected:g} faults, "
             f"more than the {MAX_SYNTHESIZED_FAULTS} synthesize writes"
         )
-    if dist == "uniform" and spacing < 1:
+    if spacing < 1:
         raise ValueError(f"rate out of range: {gap_scale:.3g} ns between faults rounds to 0")
 
     defaults = ModelParameters()

@@ -390,7 +390,9 @@ def test_synthesize_without_dist_uses_the_library_default(tmp_path, argv, genera
      "rate x duration x cores is 7.3062e+07 faults, more than the 40000000 synthesize writes"),
     (("--rate", "3e9", "--duration", "0.001", "--dist", "uniform"),
      "rate out of range: 0.333 ns between faults rounds to 0"),
-], ids=["cores", "rate", "profile-duration", "uniform-spacing"])
+    (("--rate", "3e9", "--duration", "0.001", "--dist", "poisson"),
+     "rate out of range: 0.333 ns between faults rounds to 0"),
+], ids=["cores", "rate", "profile-duration", "uniform-spacing", "poisson-spacing"])
 def test_synthesize_caps_are_checked_before_any_draw(tmp_path, capsys, monkeypatch, argv, message):
     # a trace with more cores than a replay models, or a fault count that
     # would run for hours, is refused before a single latency is drawn

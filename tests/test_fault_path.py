@@ -100,31 +100,31 @@ class ResolveSimulation(Simulation):
     """Simulation whose every touch goes through MfoeEngine.access, the
     reference the touch loop's own TLB lookup and walk are checked
     against; any outcome but a TLB or walk hit wakes a dry pass. It
-    counts its access calls in resolves."""
+    works out each touch's page from its own count of the core's
+    touches, the strided formula, and checks the page it is handed
+    against it. It counts its access calls in resolves."""
 
     def __init__(self, config):
         super().__init__(config)
         self.resolves = 0
+        self.touches = [0] * config.workload.threads
 
-    def _on_fault(self, t, core):
-        stats = self.stats[core]
-        touches = stats.touches
-        page = (touches * self._stride_pages) % self.region_pages
+    def _on_fault(self, t, core, vpn):
+        wl = self.config.workload
+        page = (self.touches[core] * wl.stride_pages) % wl.region_pages()
+        va = self._vmas[core].start + page * PAGE_SIZE
+        assert vpn == va >> PAGE_SHIFT, (core, self.touches[core], vpn, va)
+        self.touches[core] += 1
         self.resolves += 1
-        kind, cycles, _, _, _ = self.engine.access(
-            core, self.region_starts[core] + page * PAGE_SIZE, True, t)
+        kind, cycles, _, _, _ = self.engine.access(core, va, True, t)
         if kind not in (TLB_HIT, WALK_HIT) and self._next_step == NEVER \
                 and t >= self._first_tick:
             self._next_step = step = self._step_after(t)
             self._due = min(self._due, step)
-        stats.touches = touches = touches + 1
         self.records.t.append(t)
         self.records.codes.append(core * len(OUTCOMES) + OUTCOMES.index(kind))
         self.records.cycles.append(cycles)
-        if touches < self._faults_per_thread:
-            return t + cycles + self._interarrival
-        stats.end_time = t + cycles
-        return None
+        return t + cycles + self._interarrival
 
 
 class LockedPassSimulation(Simulation):
@@ -404,12 +404,12 @@ def _cleanup_every(touches):
         on_fault = simulation._on_fault
         count = 0
 
-        def on_fault_after_cleanup(t, core):
+        def on_fault_after_cleanup(t, core, vpn):
             nonlocal count
             count += 1
             if count % touches == 0:
                 simulation.kernel.error_cleanup(simulation.proc.tgid)
-            return on_fault(t, core)
+            return on_fault(t, core, vpn)
 
         simulation._on_fault = on_fault_after_cleanup
 

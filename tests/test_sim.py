@@ -72,6 +72,24 @@ def test_region_defaults_to_one_page_per_fault():
     assert WorkloadSpec(faults_per_thread=100, region_pages_per_thread=8).region_pages() == 8
 
 
+@pytest.mark.parametrize("faults, region, stride", [
+    (20, 5, 13),
+    (200, 90, 3),
+    (200, 90, 7),
+    (10, 1, 3),
+    (10, 90, 7),
+    (1, None, 1),
+], ids=["stride-past-region", "shared-factor", "coprime", "one-page", "fewer-touches",
+        "one-touch"])
+def test_pages_follow_the_stride_around_the_region(faults, region, stride):
+    wl = WorkloadSpec(threads=2, faults_per_thread=faults, region_pages_per_thread=region,
+                      stride_pages=stride)
+    pages = region or faults
+    assert list(wl.pages(1000)) == [1000 + (i * stride) % pages for i in range(faults)]
+    report = run(SimConfig(workload=wl, table_width=16))
+    assert [s.touches for s in report.per_core] == [faults, faults]
+
+
 def test_effective_cores():
     assert SimConfig(workload=WorkloadSpec(threads=3)).effective_cores() == 3
     assert SimConfig(workload=WorkloadSpec(threads=3), cores=8).effective_cores() == 8
@@ -394,11 +412,11 @@ def _background_states(config, simulation_class=Simulation):
     simulation = simulation_class(config)
     kernel, serve, states = simulation.kernel, simulation._on_fault, []
 
-    def noted(t, core):
+    def noted(t, core, vpn):
         states.append((t, simulation._tick_at, kernel.tick_index,
                        kernel._pass_core, kernel.pass_budget, len(kernel.pending_bit_clears),
                        simulation.background_processed))
-        return serve(t, core)
+        return serve(t, core, vpn)
 
     simulation._on_fault = noted
     report = simulation.run()
@@ -480,8 +498,8 @@ def test_dry_pass_skip_matches_waking_on_every_touch(monkeypatch, kw):
     # whether the pass has a step to come as each touch ends
     awake, serve, wake_every_touch = [], Simulation._on_fault, False
 
-    def served(self, t, core):
-        after = serve(self, t, core)
+    def served(self, t, core, vpn):
+        after = serve(self, t, core, vpn)
         if wake_every_touch and self._next_step == NEVER and t >= self._first_tick:
             # the reference: every touch wakes a dry pass, hits included
             self._next_step = step = self._step_after(t)

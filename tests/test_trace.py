@@ -1493,8 +1493,9 @@ def _no_draw(self, rng):
     (dict(rate_per_core=1e-320, duration_s=1.0), "rate out of range: inf ns"),
     (dict(rate_per_core=1000, duration_s=1e300), "duration out of range: inf ns"),
     (dict(rate_per_core=1e-9, duration_s=1e12), "duration out of range: 1e\\+21 ns"),
+    (dict(rate_per_core=3e9, duration_s=0.001), "rate out of range: 0.333 ns between faults"),
 ], ids=["cores", "rate-1e300", "rate-x-duration", "rate-x-cores", "rate-1e-320", "duration-1e300",
-        "timestamps-past-64-bits"])
+        "timestamps-past-64-bits", "spacing-below-1-ns"])
 @pytest.mark.parametrize("dist", ["uniform", "poisson"])
 def test_synthesize_limits_are_checked_before_any_draw(monkeypatch, kwargs, message, dist):
     # each refused case would size columns by an absurd count or overflow
