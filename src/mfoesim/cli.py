@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_synth)
     p_synth.add_argument("--seed", type=int, help="seed for the arrival and latency draws")
     p_synth.add_argument("--rate", type=float, help="faults per second per core")
-    p_synth.add_argument("--duration", type=float, default=1.0, help="seconds")
+    p_synth.add_argument("--duration", dest="duration_s", type=float, help="seconds")
     p_synth.add_argument("--dist", choices=("uniform", "poisson"),
                          help="arrival process (default: uniform with --rate, "
                               "poisson with --profile)")
@@ -243,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     json_path = out / "report.json"
     csv_path = out / "faults.csv"
     _write_reports(json_path, report.to_json(), SIM_REPORT_KEYS,
-                   csv_path, report.records.csv_blocks(), sim.FAULTS_HEADER, len(report.records))
+                   csv_path, report.records.csv_blocks(), report.records.HEADER, len(report.records))
 
     print(f"threads={workload.threads} faults={report.mfoe_hits + report.mfoe_misses + report.kernel_faults}")
     print(f"hit_rate={report.hit_rate:.4f}")
@@ -272,7 +272,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     json_path = out / "model_report.json"
     csv_path = out / "timeline.csv"
     _write_reports(json_path, report.to_json(), MODEL_REPORT_KEYS,
-                   csv_path, report.timeline.csv_blocks(), trace.TIMELINE_HEADER,
+                   csv_path, report.timeline.csv_blocks(), report.timeline.HEADER,
                    len(report.timeline))
 
     print(f"faults={report.hits + report.misses}")
@@ -303,16 +303,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    # Unset, --dist, --cores and --seed take each generator's own defaults.
-    given = _given(args, ("dist", "cores", "seed"))
+    # Unset, --duration, --dist, --cores and --seed take each generator's
+    # own defaults.
+    given = _given(args, ("duration_s", "dist", "cores", "seed"))
     if args.profile is not None:
-        fault_trace = trace.synthesize_profile(args.profile, args.duration, **given)
+        fault_trace = trace.synthesize_profile(args.profile, **given)
     else:
         if args.rate is None:
             raise CliError("either --rate or --profile is required")
         fault_trace = trace.synthesize(
             args.rate,
-            args.duration,
             latency_mean_ns=args.latency_mean_ns,
             latency_p95_ns=args.latency_p95_ns,
             **given,

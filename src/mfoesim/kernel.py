@@ -62,6 +62,7 @@ from .prealloc import (
     W1_VALID,
     HarvestRecord,
     PreallocTable,
+    check_table_width,
 )
 from .vm import (
     PAGE_SHIFT,
@@ -302,8 +303,7 @@ class KernelModel:
         later calls reuse it. Tables start empty and fill in the
         background, so early faults can still miss.
         """
-        if preallocation_size < 2:
-            raise ValueError("preallocation_size must cover header plus one entry")
+        check_table_width(preallocation_size)
         proc.mfoe_enabled = True
         if self.tables is None:
             frames_per_table = math.ceil(preallocation_size * 16 / PAGE_SIZE)

@@ -80,6 +80,18 @@ class HarvestRecord(NamedTuple):
     pfn: int
 
 
+def check_table_width(num_entries: int) -> None:
+    """Refuse a table of num_entries slots, header included, unless it
+    holds the header and at least one entry and its slot count fits the
+    control register's 16-bit field: 2 <= num_entries < MAX_NUM_ENTRIES.
+    Every caller that sizes tables checks here before it builds anything."""
+    if not 2 <= num_entries < MAX_NUM_ENTRIES:
+        raise ValueError(
+            f"table width must be 2 to {MAX_NUM_ENTRIES - 1} slots, header included, "
+            f"got {num_entries}"
+        )
+
+
 def pack_word1(pfn: int, tgid: int, used: bool, valid: bool) -> int:
     return (
         ((pfn & W1_PFN_MASK) << W1_PFN_SHIFT)
@@ -93,10 +105,7 @@ class PreallocTable:
     """One core's frame ring. Producer refills at head, consumer takes at tail."""
 
     def __init__(self, num_entries: int):
-        if num_entries < 2:
-            raise ValueError("need the header slot plus at least one entry")
-        if num_entries >= MAX_NUM_ENTRIES:
-            raise ValueError(f"table width must be below {MAX_NUM_ENTRIES}, got {num_entries}")
+        check_table_width(num_entries)
         self.num_entries = num_entries
         self.head_index = 1
         self.tail_index = 1

@@ -35,8 +35,9 @@ a few bytes per touch instead of one object. The log is the one record
 of what each touch cost: the event loop keeps per core only its end
 time, and the report derives every other CoreStats field, touches
 included, and every total from each code's count and cycle sum.
-faults.csv is formatted from its columns a block of rows at a time
-(trace.csv_blocks).
+faults.csv is formatted from its columns a block of rows at a time,
+and the codes decoded, by trace.CodedLog, the one rule the replay's
+timeline.csv follows too.
 """
 from __future__ import annotations
 
@@ -45,20 +46,18 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import compress, repeat
-from operator import floordiv, mod
+from itertools import compress
 from typing import Iterator, Optional
 
 from .engine import MfoeEngine, OutcomeKind
 from .kernel import VMA, KernelModel
 from .params import INT64_MAX, ModelParameters, check_finite_positive
-from .trace import MAX_CORES, CodeLabels, csv_blocks, json_text
+from .prealloc import check_table_width
+from .trace import MAX_CORES, CodedLog, JsonReport
 from .vm import PAGE_SHIFT, PAGE_SIZE, PFN_MASK, PFN_SHIFT, PTE_PRESENT
 
 # A background clock that is not running.
 NEVER = math.inf
-
-FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
 
 # Caps on what a run builds before its first touch, checked before
 # anything is sized by them. Every page of every thread's region gets a
@@ -67,9 +66,12 @@ FAULTS_HEADER = "timestamp_cycles,core,outcome,latency_cycles"
 # (8 x 32,768 pages); the frame allocator holds every frame number
 # (about 40 bytes each), so the pool is capped at 4x the default
 # million frames; and each core gets a table, so cores are capped as
-# the replay caps them.
+# the replay caps them, and cores x table width too: a table holds two
+# words of about 8 bytes per slot (1 MB for one 65,535-slot table), so
+# 2**22 slots is 64 MiB of ring words.
 MAX_MAPPED_PAGES = 1 << 22
 MAX_TOTAL_FRAMES = 1 << 22
+MAX_TABLE_SLOTS = 1 << 22
 # A small region is revisited, so touches are capped apart from pages:
 # 2**24 FaultLog rows, 64x criterion 1's top point, take 288 MB.
 MAX_TOUCHES = 1 << 24
@@ -137,8 +139,7 @@ class SimConfig:
     def validate(self) -> None:
         self.workload.validate()
         self.params.validate()
-        if self.table_width < 2:
-            raise ValueError("table_width must cover header plus one entry")
+        check_table_width(self.table_width)
         if self.tlb_entries < 1:
             raise ValueError("tlb_entries must be positive")
         check_finite_positive("refresh interval", self.refresh_interval_ms)
@@ -160,6 +161,12 @@ class SimConfig:
             )
         if self.effective_cores() > MAX_CORES:
             raise ValueError(f"cores must be at most {MAX_CORES}, got {self.effective_cores()}")
+        slots = self.effective_cores() * self.table_width
+        if slots > MAX_TABLE_SLOTS:
+            raise ValueError(
+                f"cores x table width is {slots}, more than the {MAX_TABLE_SLOTS} "
+                "table slots a run builds"
+            )
 
     def effective_cores(self) -> int:
         return self.cores or self.workload.threads
@@ -179,35 +186,19 @@ _CODE = {kind: code for code, kind in enumerate(OUTCOMES)}
 _IS_FAULT = [kind in _FAULT_KINDS for kind in OUTCOMES]
 
 
-class FaultLog:
+class FaultLog(CodedLog):
     """One row per touch, kept as columns: the touch's cycle, its code in
-    an array("H") (below MAX_CORES * _WIDTH), and its latency in cycles.
-    core and outcome build an array from the codes on each read."""
+    an array("H") (below MAX_CORES * _WIDTH), and its latency in cycles."""
+
+    HEADER = "timestamp_cycles,core,outcome,latency_cycles"
+    ROW = "%d,%s,%d\n"
+    NAMES = tuple(kind.value for kind in OUTCOMES)
+    COLUMNS = ("t", "codes", "cycles")
 
     def __init__(self) -> None:
         self.t = array("q")
         self.codes = array("H")
         self.cycles = array("q")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    @property
-    def core(self) -> array:
-        return array("q", map(floordiv, self.codes, repeat(_WIDTH)))
-
-    @property
-    def outcome(self) -> array:
-        return array("B", map(mod, self.codes, repeat(_WIDTH)))
-
-    def csv_blocks(self) -> Iterator[str]:
-        """faults.csv as text blocks (see trace.csv_blocks)."""
-        return csv_blocks(
-            FAULTS_HEADER,
-            "%d,%s,%d\n",
-            (self.t, self.codes, self.cycles),
-            {1: CodeLabels([kind.value for kind in OUTCOMES])},
-        )
 
 
 @dataclass(slots=True)
@@ -228,7 +219,7 @@ class CoreStats:
 
 
 @dataclass
-class SimReport:
+class SimReport(JsonReport):
     config: dict
     per_core: list[CoreStats]
     records: FaultLog
@@ -252,9 +243,6 @@ class SimReport:
         d["per_core"] = [asdict(cs) for cs in self.per_core]
         d["schema"] = "mfoesim.simreport/1"
         return d
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
 
 def percentile(values: list[int], fraction: float) -> int:

@@ -134,7 +134,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from math import log
-from operator import add, and_, itemgetter, methodcaller, mod, mul, rshift
+from operator import add, floordiv, itemgetter, methodcaller, mod, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .params import (
@@ -562,44 +562,68 @@ class CodeLabels(dict):
         return label
 
 
+class CodedLog:
+    """An event log kept as columns, each event's core and outcome one
+    code, core * len(NAMES) + outcome, in the column codes: the
+    simulator's FaultLog (faults.csv) and the replay's Timeline
+    (timeline.csv). A subclass declares, at class level, its CSV header
+    HEADER, one row's format ROW, the outcome names NAMES and the
+    attribute names of its columns COLUMNS, in row order, codes among
+    them; the codes column is written as its "core,outcome" labels."""
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @property
+    def core_ids(self) -> array:
+        """Each event's core, decoded from the codes on each read."""
+        return array("q", map(floordiv, self.codes, repeat(len(self.NAMES))))
+
+    @property
+    def outcomes(self) -> array:
+        """Each event's outcome index in NAMES, decoded on each read."""
+        return array("q", map(mod, self.codes, repeat(len(self.NAMES))))
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The log's CSV file as text blocks (see csv_blocks)."""
+        columns = [getattr(self, name) for name in self.COLUMNS]
+        labels = {self.COLUMNS.index("codes"): CodeLabels(self.NAMES)}
+        return csv_blocks(self.HEADER, self.ROW, columns, labels)
+
+
 @dataclass
-class Timeline:
+class Timeline(CodedLog):
     """Shifted per-fault timeline in the order the faults are served.
 
     Each fault's core and outcome are one code, 2 * core + outcome, in an
-    array("H") (codes stay below 2 * MAX_CORES), labelled by CodeLabels;
-    the other columns are array("q"). core_ids and outcomes build an
-    array("q") from the codes on each read."""
+    array("H") (codes stay below 2 * MAX_CORES); the other columns are
+    array("q")."""
+
+    HEADER = TIMELINE_HEADER
+    ROW = "%d,%d,%s,%d\n"
+    NAMES = OUTCOME_NAMES
+    COLUMNS = ("orig_ns", "adjusted_ns", "codes", "modeled_latency_ns")
 
     orig_ns: array
     adjusted_ns: array
     codes: array
     modeled_latency_ns: array
 
-    def __len__(self) -> int:
-        return len(self.orig_ns)
 
-    @property
-    def core_ids(self) -> array:
-        return array("q", map(rshift, self.codes, repeat(1)))
+class JsonReport:
+    """A report written as strict JSON (RFC 8259): report.json,
+    model_report.json and sweep.json, each its subclass's to_json_dict
+    document."""
 
-    @property
-    def outcomes(self) -> array:
-        return array("q", map(and_, self.codes, repeat(1)))
-
-    def csv_blocks(self) -> Iterator[str]:
-        """timeline.csv as text blocks (see csv_blocks); one label per code
-        writes the core and outcome fields."""
-        return csv_blocks(
-            TIMELINE_HEADER,
-            "%d,%d,%s,%d\n",
-            (self.orig_ns, self.adjusted_ns, self.codes, self.modeled_latency_ns),
-            {2: CodeLabels(OUTCOME_NAMES)},
-        )
+    def to_json(self) -> str:
+        """The document with sorted keys and two-space indents; a float
+        left non-finite raises ValueError rather than writing NaN or
+        Infinity."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass
-class ModelReport:
+class ModelReport(JsonReport):
     config: dict
     hits: int
     misses: int
@@ -622,15 +646,6 @@ class ModelReport:
         d["faults"] = self.hits + self.misses
         d["schema"] = "mfoesim.modelreport/1"
         return d
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-
-def json_text(doc: dict) -> str:
-    """A report as strict JSON (RFC 8259); a float left non-finite raises
-    ValueError rather than writing NaN or Infinity."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # The ModelParameters fields the replay reads, all through model_constants
@@ -1004,7 +1019,7 @@ WORKLOAD_PROFILES = {
 
 def synthesize(
     rate_per_core: float,
-    duration_s: float,
+    duration_s: float = 1.0,
     dist: str = "uniform",
     cores: int = 1,
     latency_mean_ns: Optional[int] = None,
@@ -1100,7 +1115,7 @@ def synthesize(
 
 def synthesize_profile(
     name: str,
-    duration_s: float,
+    duration_s: float = 1.0,
     dist: str = "poisson",
     cores: int = 1,
     seed: int = 0,
@@ -1129,7 +1144,7 @@ class SweepCell:
 
 
 @dataclass
-class SweepGrid:
+class SweepGrid(JsonReport):
     cells: list[SweepCell]
 
     def csv_blocks(self) -> Iterator[str]:
@@ -1147,9 +1162,6 @@ class SweepGrid:
             ),
             {},
         )
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
         return {

@@ -382,6 +382,15 @@ def test_synthesize_without_dist_uses_the_library_default(tmp_path, argv, genera
     assert (tmp_path / "cli" / "trace.csv").read_bytes() == expected.read_bytes()
 
 
+def test_synthesize_without_duration_uses_the_library_default(tmp_path):
+    # unset, --duration is the generators' own default of 1 s
+    for name, extra in (("unset", ()), ("given", ("--duration", "1"))):
+        assert run_cli("synthesize", "--rate", "1000", *extra,
+                       "--out-dir", str(tmp_path / name)) == 0
+    unset, given = ((tmp_path / name / "trace.csv").read_bytes() for name in ("unset", "given"))
+    assert unset == given
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--rate", "1000", "--cores", "5000"), "cores must be at most 1024, got 5000"),
     (("--rate", "1e300", "--duration", "1", "--dist", "uniform"),
@@ -834,6 +843,11 @@ def test_unset_flags_leave_the_library_defaults(tmp_path, monkeypatch):
     with pytest.raises(_Captured) as got:
         run_cli("model", "--trace", str(trace_path), *out)
     assert got.value.args[1:] == (trace.TraceModelConfig(), ModelParameters())
+
+    monkeypatch.setattr(trace, "synthesize_profile", capture)
+    with pytest.raises(_Captured) as got:
+        run_cli("synthesize", "--profile", "gcc", *out)
+    assert got.value.args == ("gcc",)
 
 
 def test_param_override_changes_model(tmp_path):

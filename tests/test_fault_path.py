@@ -248,7 +248,7 @@ def test_simulation_matches_the_generator_reference(name, monkeypatch):
     # the reference ran: every fault went through a handler's generator
     assert ref_sim.engine.handlers == _faults(report) > 0
 
-    kinds = {OUTCOMES[o] for o in report.records.outcome}
+    kinds = {OUTCOMES[o] for o in report.records.outcomes}
     assert MFOE_HIT in kinds
     if name.startswith(("misses", "saturated")):
         assert MFOE_MISS in kinds

@@ -8,6 +8,7 @@ package's exports.
 """
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import mfoesim
 
@@ -111,29 +112,37 @@ PRIVATE_ATTRIBUTE_HOMES = {
 }
 
 
+def scoped_nodes(sources: dict[str, str]) -> Iterator[tuple[str, ast.AST]]:
+    """(module:qualname, node) for every node of every module, in source
+    order: the innermost class or function around the node, or the
+    module alone ("engine.py") at top level. A class or function's own
+    node is in the scope around it."""
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            yield where, child
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if ":" in where else f"{where}:{child.name}"
+                yield from visit(child, inner)
+            else:
+                yield from visit(child, where)
+
+    for module, source in sources.items():
+        yield from visit(ast.parse(source), module)
+
+
 def stray_attribute_accesses(sources: dict[str, str],
                              homes: dict[str, tuple[str, ...]]) -> list[tuple[str, int, str]]:
     """(module:qualname, line, attribute) of each access to an attribute
     named in homes from outside every one of its homes. A home is a
     module ("engine.py") or a class or function in one ("engine.py:Tlb"),
     and holds everything nested in it."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{where}.{child.name}" if ":" in where else f"{where}:{child.name}"
-                visit(child, inner)
-                continue
-            if isinstance(child, ast.Attribute) and child.attr in homes:
-                if not any(where == home or where.startswith((home + ".", home + ":"))
-                           for home in homes[child.attr]):
-                    found.append((where, child.lineno, child.attr))
-            visit(child, where)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), module)
-    return found
+    return [
+        (where, node.lineno, node.attr) for where, node in scoped_nodes(sources)
+        if isinstance(node, ast.Attribute) and node.attr in homes
+        and not any(where == home or where.startswith((home + ".", home + ":"))
+                    for home in homes[node.attr])
+    ]
 
 
 def test_guard_flags_a_stray_private_attribute_access():
@@ -157,6 +166,50 @@ def test_private_attributes_are_accessed_only_at_home():
     found = [f"{where} line {line}: {attr}"
              for where, line, attr in stray_attribute_accesses(sources, PRIVATE_ATTRIBUTE_HOMES)]
     assert not found, "accessed outside its homes: " + ", ".join(found)
+
+
+# faults.csv and timeline.csv are written by one coded-log class, and
+# every JSON report by one method: the only CodeLabels(...) call is in
+# trace.CodedLog.csv_blocks, and the only def to_json is on
+# trace.JsonReport. A second copy has to change this map in plain sight.
+SINGLE_HOMES = {"CodeLabels(": "trace.py:CodedLog.csv_blocks", "def to_json": "trace.py:JsonReport"}
+
+
+def single_home_sites(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module:qualname, line, site) of each site SINGLE_HOMES names: a
+    call of CodeLabels, by name or as an attribute, is "CodeLabels(", and
+    a definition of a function named to_json is "def to_json"."""
+    found = []
+    for where, node in scoped_nodes(sources):
+        if isinstance(node, ast.Call):
+            site = f"{getattr(node.func, 'id', getattr(node.func, 'attr', None))}("
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = f"def {node.name}"
+        else:
+            continue
+        if site in SINGLE_HOMES:
+            found.append((where, node.lineno, site))
+    return found
+
+
+def test_guard_flags_a_second_coded_log_or_json_rule():
+    sources = {
+        "trace.py": "class CodedLog:\n    def csv_blocks(self):\n        return CodeLabels(N)\n"
+                    "class JsonReport:\n    def to_json(self):\n        return dumps(self)\n",
+        "sim.py": "class Log:\n    def csv_blocks(self):\n        return trace.CodeLabels(N)\n"
+                  "class Report:\n    def to_json(self):\n        return self.doc.to_json()\n",
+    }
+    assert single_home_sites(sources) == [
+        ("trace.py:CodedLog.csv_blocks", 3, "CodeLabels("), ("trace.py:JsonReport", 5, "def to_json"),
+        ("sim.py:Log.csv_blocks", 3, "CodeLabels("), ("sim.py:Report", 5, "def to_json"),
+    ]
+
+
+def test_coded_logs_and_json_reports_have_one_home_each():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = sorted((site, where) for where, _, site in single_home_sites(sources))
+    assert found == sorted(SINGLE_HOMES.items()), f"expected one site each, at home: {found}"
 
 
 # The background thread's timing (the refresh interval in cycles or ns,

@@ -173,6 +173,16 @@ def test_table_geometry_fixed_by_first_enable():
         kernel.mfoe_enable(a, 1)
 
 
+@pytest.mark.parametrize("width", [1, 1 << 16], ids=["header-only", "past-register"])
+def test_refused_enable_changes_nothing(width):
+    kernel = KernelModel(cores=2, total_frames=4096)
+    proc = kernel.create_process()
+    with pytest.raises(ValueError, match="table width"):
+        kernel.mfoe_enable(proc, width)
+    assert not proc.mfoe_enabled and kernel.tables is None
+    assert kernel.allocator.outstanding() == 0 and kernel.table_storage_frames == []
+
+
 def test_init_fill_covers_core_zero_first():
     kernel = KernelModel(cores=2)
     proc = kernel.create_process()

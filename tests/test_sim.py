@@ -30,7 +30,7 @@ from mfoesim.sim import (
     percentile,
     run,
 )
-from mfoesim.trace import MAX_CORES, write_blocks
+from mfoesim.trace import MAX_CORES, OUTCOME_HIT, Timeline, write_blocks
 from mfoesim.vm import OutOfMemory
 
 
@@ -57,7 +57,7 @@ def test_workload_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="table_width"):
+    with pytest.raises(ValueError, match="table width"):
         SimConfig(table_width=0).validate()
     with pytest.raises(ValueError, match="tlb"):
         SimConfig(tlb_entries=0).validate()
@@ -168,7 +168,7 @@ def test_quota_trip_falls_back_to_kernel_path():
                               refresh_interval_ms=0.01))
     assert report.kernel_faults > 0, "offloading should have been shut off"
     assert report.mfoe_hits + report.mfoe_misses + report.kernel_faults == 300
-    outcomes = [OUTCOMES[code] for code in report.records.outcome]
+    outcomes = [OUTCOMES[code] for code in report.records.outcomes]
     tripped_at = outcomes.index(OutcomeKind.KERNEL_FAULT)
     assert all(kind is OutcomeKind.KERNEL_FAULT for kind in outcomes[tripped_at:])
 
@@ -188,7 +188,7 @@ def test_seed_is_inert_when_no_latency_is_sampled():
     config = small_config(faults_per_thread=32, interarrival_cycles=200_000,
                           table_width=64)
     a, b = run(replace(config, seed=1)), run(replace(config, seed=2))
-    for column in ("t", "core", "outcome", "cycles"):
+    for column in ("t", "core_ids", "outcomes", "cycles"):
         assert getattr(a.records, column) == getattr(b.records, column)
     assert a.per_core == b.per_core
 
@@ -253,8 +253,8 @@ def test_fault_log_csv_matches_per_row_reference(tmp_path, rows):
     log.t = array("q", sorted(rng.randrange(1 << 62) for _ in range(rows)))
     log.codes = array("H", [core * width + code for core, code in zip(cores, outcomes)])
     log.cycles = array("q", [rng.randrange(1, 1 << 40) for _ in range(rows)])
-    assert list(log.core) == cores
-    assert list(log.outcome) == outcomes
+    assert list(log.core_ids) == cores
+    assert list(log.outcomes) == outcomes
     lines = ["timestamp_cycles,core,outcome,latency_cycles"] + [
         f"{t},{core},{OUTCOMES[code].value},{cycles}"
         for t, core, code, cycles in zip(log.t, cores, outcomes, log.cycles)
@@ -265,6 +265,17 @@ def test_fault_log_csv_matches_per_row_reference(tmp_path, rows):
     write_blocks(path, log.csv_blocks())
     assert path.read_text() == "".join(line + "\n" for line in lines)
     assert list(block_rows(log.csv_blocks())) == lines
+
+
+@pytest.mark.parametrize("make, outcome", [
+    (FaultLog, len(OUTCOMES) - 1),
+    (lambda: Timeline(array("q", [0]), array("q", [0]), array("H"), array("q", [1])), OUTCOME_HIT),
+], ids=["faults", "timeline"])
+def test_both_logs_decode_their_largest_code(make, outcome):
+    # one decoder for both logs: the last core's last outcome reads back
+    log = make()
+    log.codes.append((MAX_CORES - 1) * len(log.NAMES) + outcome)
+    assert (len(log), list(log.core_ids), list(log.outcomes)) == (1, [MAX_CORES - 1], [outcome])
 
 
 # Seeded configs whose logs hold, between them, every outcome a touch
@@ -293,7 +304,7 @@ def test_report_matches_per_row_recount(name):
     config = small_config(**settings)
     report = run(config)
     log = report.records
-    cores, outcomes, cycles = list(log.core), list(log.outcome), list(log.cycles)
+    cores, outcomes, cycles = list(log.core_ids), list(log.outcomes), list(log.cycles)
     # the code rule, core * len(OUTCOMES) + outcome, read back
     assert list(log.codes) == [c * len(OUTCOMES) + o for c, o in zip(cores, outcomes)]
     rows = [(c, OUTCOMES[o], n) for c, o, n in zip(cores, outcomes, cycles)]
@@ -717,7 +728,12 @@ def test_long_idle_span_is_skipped_at_once(tmp_path, monkeypatch):
      "touches, more than"),
     (dict(total_frames=99_999_999_999), "total frames"),
     (dict(threads=1, cores=1025), "cores"),
-], ids=["region", "faults", "threads", "touches", "threads-x-touches", "frames", "cores"])
+    # the control register's 16-bit field holds at most 65,535 slots
+    (dict(table_width=70_000), "table width"),
+    # 1,024 rings of 65,535 slots would take about 1 GiB
+    (dict(threads=1, cores=1024, table_width=65_535), "table slots"),
+], ids=["region", "faults", "threads", "touches", "threads-x-touches", "frames", "cores",
+        "table-width", "table-slots"])
 def test_sizes_are_capped_before_anything_is_built(monkeypatch, kw, message):
     built = []
     real = sim_module.KernelModel
